@@ -1,11 +1,8 @@
 package certainty
 
-// PR 8 performance benchmarks: the interned data plane. Each family extends
-// an existing seed/indexed pair with an interned column running the same
-// decision on the same instance over dense uint32 ids and columnar
-// relations, so the speedup of this PR is a within-run ratio rather than a
-// cross-machine absolute. cmd/certbench -json runs the same matrix and
-// records it in BENCH_pr8.json next to the PR 5 baseline.
+// PR 8 performance benchmarks: the interned data plane — the same decisions
+// over dense uint32 ids and columnar relations. cmd/certbench -json runs the
+// same matrix and records it in BENCH_pr8.json next to the PR 5 baseline.
 
 import (
 	"context"
@@ -21,9 +18,8 @@ import (
 	"github.com/cqa-go/certainty/internal/solver"
 )
 
-// BenchmarkFOInterned completes the FO triple (seed, indexed, interned):
-// the compiled program's interned schedule over block-offset probes with a
-// pooled uint32 environment.
+// BenchmarkFOInterned: the compiled FO program's interned schedule over
+// block-offset probes with a pooled uint32 environment.
 func BenchmarkFOInterned(b *testing.B) {
 	for _, n := range pr3FOScales {
 		b.Run(fmt.Sprintf("emb=%d", n), func(b *testing.B) {
@@ -74,23 +70,16 @@ func benchEngineEnum(b *testing.B, each func(cq.Query, *db.DB, func(cq.Valuation
 	}
 }
 
-// BenchmarkEngineEnumIndexed enumerates every embedding of a three-atom
-// chain on the string-indexed plane (map-backed valuations, posting lists
-// of facts).
-func BenchmarkEngineEnumIndexed(b *testing.B) {
-	benchEngineEnum(b, engine.EachEmbeddingIndexed)
-}
-
-// BenchmarkEngineEnumInterned is the same enumeration on the interned plane:
-// sorted-posting intersection over uint32 fact indices, slot-compiled
-// valuations materialized only at yield.
+// BenchmarkEngineEnumInterned enumerates every embedding of a three-atom
+// chain: sorted-posting intersection over uint32 fact indices,
+// slot-compiled valuations materialized only at yield.
 func BenchmarkEngineEnumInterned(b *testing.B) {
 	benchEngineEnum(b, engine.EachEmbedding)
 }
 
-// BenchmarkSafeRewritingIndexed / Interned: the Theorem 6 safe rewriting of
-// a 3-cycle join, evaluated through the compiled closure tree on each plane.
-func benchSafeRewriting(b *testing.B, interned bool) {
+// BenchmarkSafeRewritingInterned: the Theorem 6 safe rewriting of a 3-cycle
+// join, evaluated through the compiled closure tree.
+func BenchmarkSafeRewritingInterned(b *testing.B) {
 	q := cq.MustParseQuery("R(w | x, y), S(w | y, z), T(w | z, x)")
 	phi, err := fo.RewriteSafe(q)
 	if err != nil {
@@ -103,8 +92,6 @@ func benchSafeRewriting(b *testing.B, interned bool) {
 	d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 3, Domain: 3}, 7)
 	d.Digest()
 	d.Interned()
-	fo.SetInterned(interned)
-	defer fo.SetInterned(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -113,9 +100,6 @@ func benchSafeRewriting(b *testing.B, interned bool) {
 		}
 	}
 }
-
-func BenchmarkSafeRewritingIndexed(b *testing.B)  { benchSafeRewriting(b, false) }
-func BenchmarkSafeRewritingInterned(b *testing.B) { benchSafeRewriting(b, true) }
 
 // TestFOInternedAllocRegression pins the headline property of the interned
 // data plane: a warm FO decision allocates NOTHING. The governor, the
@@ -147,23 +131,16 @@ func TestFOInternedAllocRegression(t *testing.T) {
 // evaluation (the terminal/C(k) building block) on the interned plane. The
 // Eval API compiles its query per call, so the floor is the slot-compile of
 // a three-atom chain — a small constant independent of the data — while the
-// search itself runs out of pooled scratch. The string plane allocates per
-// visited candidate, so its count grows with the instance.
+// search itself runs out of pooled scratch.
 func TestEngineEvalInternedAllocRegression(t *testing.T) {
 	q, d := pr8EngineInstance(t, 32)
 	d.Interned()
 	interned := testing.AllocsPerRun(50, func() {
 		engine.Eval(q, d)
 	})
-	indexed := testing.AllocsPerRun(50, func() {
-		engine.EvalIndexed(q, d)
-	})
-	t.Logf("allocs/op: interned=%.0f indexed=%.0f", interned, indexed)
+	t.Logf("allocs/op: interned=%.0f", interned)
 	const ceiling = 24 // query compile only; the search allocates nothing
 	if interned > ceiling {
 		t.Fatalf("interned engine Eval allocates %.0f/op, above the %d compile-only ceiling", interned, ceiling)
-	}
-	if interned >= indexed {
-		t.Fatalf("interned engine Eval allocates %.0f/op, not below the string plane's %.0f/op", interned, indexed)
 	}
 }

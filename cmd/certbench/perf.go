@@ -23,10 +23,11 @@ import (
 )
 
 // perfEntry is one (method, variant, scale) measurement of the performance
-// baseline matrix. Variants come in pairs — "seed" measures the pre-index
-// code path retained as a baseline, "indexed" the production path — so the
-// file records the speedup each optimization layer bought and gives future
-// PRs a trajectory to beat. Alongside the ns/op mean, each entry reports
+// baseline matrix. Many variants come in pairs — a reference path and the
+// production path measured on the same instance (per-call vs compiled plan,
+// monolithic vs sharded, loop vs batch, full vs delta) — so the file
+// records the speedup each optimization layer buys and gives future PRs a
+// trajectory to beat. Alongside the ns/op mean, each entry reports
 // p50/p95/p99 per-op latency from an internal/obs histogram: tail latency is
 // what the serving layer's deadlines actually meet, and a mean alone hides
 // it.
@@ -211,13 +212,13 @@ func quantileNs(h *obs.Histogram, p float64) int64 {
 	return int64(q * 1e9)
 }
 
-// pairSpeedup annotates the indexed entry of a seed/indexed pair.
-func pairSpeedup(seed, indexed perfEntry) perfEntry {
-	indexed.SpeedupVs = seed.Name
-	if indexed.NsPerOp > 0 {
-		indexed.Speedup = float64(seed.NsPerOp) / float64(indexed.NsPerOp)
+// pairSpeedup annotates the production entry of a reference/production pair.
+func pairSpeedup(ref, prod perfEntry) perfEntry {
+	prod.SpeedupVs = ref.Name
+	if prod.NsPerOp > 0 {
+		prod.Speedup = float64(ref.NsPerOp) / float64(prod.NsPerOp)
 	}
-	return indexed
+	return prod
 }
 
 // chainComponentsDB builds an instance for the FO join query
@@ -244,39 +245,13 @@ func chainComponentsDB(comps int) *db.DB {
 	return db.MustFromFacts(facts...)
 }
 
-// deltaComponentsDB builds a wider variant of chainComponentsDB for the
-// delta re-solve pairs: component i contributes the R block {R(a_i | b_i),
-// R(a_i | x_i)} plus S blocks of `width` facts under both b_i and x_i, so
-// every shard holds 2·width² repairs and counting one shard is real work
-// (the delta pair's full side must be dominated by per-shard counting, not
-// by the decomposition both sides share).
-func deltaComponentsDB(comps, width int) *db.DB {
-	facts := make([]db.Fact, 0, comps*(2+2*width))
-	for i := 0; i < comps; i++ {
-		a, b, x := fmt.Sprintf("da%d", i), fmt.Sprintf("db%d", i), fmt.Sprintf("dx%d", i)
-		facts = append(facts,
-			db.Fact{Rel: "R", KeyLen: 1, Args: []string{a, b}},
-			db.Fact{Rel: "R", KeyLen: 1, Args: []string{a, x}},
-		)
-		for j := 0; j < width; j++ {
-			facts = append(facts,
-				db.Fact{Rel: "S", KeyLen: 1, Args: []string{b, fmt.Sprintf("dc%d_%d", i, j)}},
-				db.Fact{Rel: "S", KeyLen: 1, Args: []string{x, fmt.Sprintf("de%d_%d", i, j)}},
-			)
-		}
-	}
-	return db.MustFromFacts(facts...)
-}
-
-// runPerfJSON runs the performance matrix — FO rewriting (seed vs
-// indexed+compiled vs interned), embedding enumeration (string-indexed vs
-// interned), Terminal, AC(k) (sequential vs parallel), the falsifying
-// search, end-to-end Solve (per-call vs compiled plan), component-sharded
+// runPerfJSON runs the performance matrix — the compiled FO rewriting,
+// embedding enumeration, Terminal, AC(k), the falsifying search, end-to-end
+// Solve (per-call vs compiled plan), component-sharded
 // counting/probability/solving (monolithic vs 8-way shard decomposition),
 // batch serving (per-call loop vs memoized SolveBatch), and delta re-solve
-// (mutate one block, then full sharded recompute vs block-granular memoized
-// recompute for counting, probability, and the decision) — and writes the
-// machine-readable report. With a baseline file, the report also carries a
+// (mutate one block, then full sharded re-solve vs block-granular memoized
+// Plan.Resolve) — and writes the machine-readable report. With a baseline file, the report also carries a
 // per-name speedup summary against it; with failRegressPct > 0 it fails if
 // any within-run pair speedup regressed by more than that percentage
 // against the baseline's recorded pair speedup.
@@ -301,74 +276,43 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			e.Name, e.Scale, e.NsPerOp, e.P50Ns, e.P95Ns, e.P99Ns, e.AllocsOp, e.BytesOp)
 	}
 
-	// FO rewriting triple: the seed path re-derives block lists per
-	// recursive step and memoizes shape keys lazily; the indexed path runs
-	// the compiled program over the memoized block index with pooled
-	// valuations; the interned path runs the same schedule over dense
-	// uint32 ids and block-offset arrays with a pooled slot environment
-	// (zero allocations on a warm run).
+	// FO rewriting: the compiled program's schedule over dense uint32 ids
+	// and block-offset arrays with a pooled slot environment (zero
+	// allocations on a warm run).
 	foQ := cq.MustParseQuery("R(x | y), S(y | z)")
 	for _, n := range scales {
 		d := gen.RandomDB(foQ, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
 		d.Digest()   // build the index outside the timed region, as a server would
 		d.Interned() // likewise the columnar view
-		seed, err := measure(fmt.Sprintf("fo/seed/emb=%d", n), "fo", "seed", n, func() error {
-			_, err := solver.CertainFOBaseline(foQ, d)
-			return err
-		})
-		if err != nil {
-			return err
-		}
 		prog, err := solver.CompileFO(foQ)
 		if err != nil {
 			return err
 		}
-		indexed, err := measure(fmt.Sprintf("fo/indexed/emb=%d", n), "fo", "indexed", n, func() error {
-			_, err := prog.CertainIndexed(foQ, d)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		interned, err := measure(fmt.Sprintf("fo/interned/emb=%d", n), "fo", "interned", n, func() error {
+		e, err := measure(fmt.Sprintf("fo/interned/emb=%d", n), "fo", "interned", n, func() error {
 			_, err := prog.Certain(foQ, d)
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		add(seed)
-		indexed = pairSpeedup(seed, indexed)
-		add(indexed)
-		add(pairSpeedup(indexed, interned))
+		add(e)
 	}
 
-	// Embedding enumeration: the engine's search on the string-indexed
-	// plane (map valuations, per-fact posting lists) vs the interned plane
-	// (posting intersection over uint32 fact indices, slot environments).
+	// Embedding enumeration: posting intersection over uint32 fact
+	// indices, slot environments, valuations materialized at yield.
 	engQ := cq.MustParseQuery("R(x | y), S(y | z), T(z | w)")
 	for _, n := range scales {
 		d := gen.RandomDB(engQ, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
 		d.Digest()
 		d.Interned()
-		countAll := func(each func(cq.Query, *db.DB, func(cq.Valuation) bool) bool) func() error {
-			return func() error {
-				each(engQ, d, func(cq.Valuation) bool { return true })
-				return nil
-			}
-		}
-		indexed, err := measure(fmt.Sprintf("engine/indexed/emb=%d", n), "engine", "indexed", n,
-			countAll(engine.EachEmbeddingIndexed))
+		e, err := measure(fmt.Sprintf("engine/interned/emb=%d", n), "engine", "interned", n, func() error {
+			engine.EachEmbedding(engQ, d, func(cq.Valuation) bool { return true })
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		interned, err := measure(fmt.Sprintf("engine/interned/emb=%d", n), "engine", "interned", n,
-			countAll(engine.EachEmbedding))
-		if err != nil {
-			return err
-		}
-		add(indexed)
-		add(pairSpeedup(indexed, interned))
+		add(e)
 	}
 
 	// Terminal weak cycles (Theorem 3).
@@ -390,7 +334,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		add(e)
 	}
 
-	// AC(k) graph marking, sequential vs parallel fan-out.
+	// AC(k) graph marking.
 	ackQ := cq.ACk(3)
 	shape, ok := core.MatchCycleShape(ackQ, true)
 	if !ok {
@@ -399,22 +343,14 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	for _, c := range comps {
 		d := gen.CycleDB(gen.CycleConfig{K: 3, Components: c, Width: 2, EncodeAll: true})
 		d.Digest()
-		seq, err := measure(fmt.Sprintf("ack/seq/comps=%d", c), "ack", "seq", c, func() error {
+		e, err := measure(fmt.Sprintf("ack/seq/comps=%d", c), "ack", "seq", c, func() error {
 			_, err := solver.CertainACk(ackQ, shape, d)
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		par, err := measure(fmt.Sprintf("ack/par/comps=%d", c), "ack", "par", c, func() error {
-			_, err := solver.CertainACkParallel(ackQ, shape, d, 0)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		add(seq)
-		add(pairSpeedup(seq, par))
+		add(e)
 	}
 
 	// Falsifying-repair search on Monotone-SAT-encoded q0 instances.
@@ -577,117 +513,21 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		add(pairSpeedup(loop, memo))
 	}
 
-	// Delta re-solve: every pair measures "mutate one block, then re-answer".
-	// The full side re-solves the post-mutation snapshot from scratch; the
-	// delta side invalidates the covering memo entries and recomputes only
-	// the touched shard, reusing every other shard's memoized result. Both
-	// sides use maxShards=0 (finest partition, one shard per co-occurrence
-	// group) and run with the worker pool pinned to one slot: the pair must
-	// record the work the memo *skipped*, and that ratio is only
-	// hardware-independent (gateable) if the full side cannot hide its extra
-	// shards behind the host's core count. The parallelism win is already
-	// recorded by the mono/sharded pairs above. Quick mode starts at 8
-	// components because the 4-component ratio is structurally capped near
-	// 4x (only 4 shards to skip) and sits too close to the regression gate's
-	// tolerance to be a stable CI signal.
-	deltaComps := []int{4, 8, 16}
-	if quick {
-		deltaComps = []int{8, 16}
-	}
+	// Delta re-solve: the pair measures "mutate one block, then re-answer"
+	// on the never-certain chain instance (a certain shard would settle the
+	// disjunction on both sides and hide the memo). The full side is a
+	// from-scratch sharded solve of the post-mutation snapshot; the delta
+	// side is Plan.Resolve, which invalidates the covering memo entries and
+	// recomputes only the touched shard, reusing every other shard's
+	// memoized result. Both sides use maxShards=0 (finest partition, one
+	// shard per co-occurrence group) and run with the worker pool pinned to
+	// one slot: the pair must record the work the memo *skipped*, and that
+	// ratio is only hardware-independent (gateable) if the full side cannot
+	// hide its extra shards behind the host's core count. The parallelism
+	// win is already recorded by the mono/sharded pairs above.
 	restoreWorkers := govern.SetWorkerLimit(1)
-	const deltaWidth = 16
-	for _, c := range deltaComps {
-		d := deltaComponentsDB(c, deltaWidth)
-		d.Digest()
-		// Toggling one fact in component 0's S block makes every measured
-		// iteration a genuine one-block mutation (a steady-state snapshot
-		// would degenerate the delta side to pure memo hits).
-		toggle := db.Fact{Rel: "S", KeyLen: 1, Args: []string{"db0", "dtoggle"}}
-		toggleBlocks := []string{toggle.BlockID()}
-		present := false
-		mutate := func() error {
-			if present {
-				d.Remove(toggle)
-			} else if err := d.Add(toggle); err != nil {
-				return err
-			}
-			present = !present
-			return nil
-		}
-		full, err := measure(fmt.Sprintf("deltacount/full/comps=%d", c), "deltacount", "full", c, func() error {
-			if err := mutate(); err != nil {
-				return err
-			}
-			prob.CountSatisfyingSharded(foQ, d, 0)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		cm := prob.NewCountMemo(0, nil)
-		prob.CountSatisfyingShardedMemo(foQ, d, 0, cm)
-		delta, err := measure(fmt.Sprintf("deltacount/delta/comps=%d", c), "deltacount", "delta", c, func() error {
-			if err := mutate(); err != nil {
-				return err
-			}
-			cm.Invalidate(toggleBlocks)
-			prob.CountSatisfyingShardedMemo(foQ, d, 0, cm)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		add(full)
-		add(pairSpeedup(full, delta))
-	}
 	{
-		c := deltaComps[len(deltaComps)-1]
-		d := deltaComponentsDB(c, deltaWidth)
-		d.Digest()
-		toggle := db.Fact{Rel: "S", KeyLen: 1, Args: []string{"db0", "dtoggle"}}
-		toggleBlocks := []string{toggle.BlockID()}
-		present := false
-		mutate := func() error {
-			if present {
-				d.Remove(toggle)
-			} else if err := d.Add(toggle); err != nil {
-				return err
-			}
-			present = !present
-			return nil
-		}
-		full, err := measure(fmt.Sprintf("deltaprob/full/comps=%d", c), "deltaprob", "full", c, func() error {
-			if err := mutate(); err != nil {
-				return err
-			}
-			prob.UniformProbabilitySharded(foQ, d, 0)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		cm := prob.NewCountMemo(0, nil)
-		prob.UniformProbabilityShardedMemo(foQ, d, 0, cm)
-		delta, err := measure(fmt.Sprintf("deltaprob/delta/comps=%d", c), "deltaprob", "delta", c, func() error {
-			if err := mutate(); err != nil {
-				return err
-			}
-			cm.Invalidate(toggleBlocks)
-			prob.UniformProbabilityShardedMemo(foQ, d, 0, cm)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		add(full)
-		add(pairSpeedup(full, delta))
-	}
-	// The decision pair uses the never-certain chain instance (a certain
-	// shard would settle the disjunction on both sides and hide the memo):
-	// full is a from-scratch sharded solve of the post-mutation snapshot,
-	// delta is Plan.Resolve — invalidate the touched blocks, reuse the rest.
-	{
-		c := deltaComps[len(deltaComps)-1]
+		const c = 16
 		d := chainComponentsDB(c)
 		d.Digest()
 		p, err := solver.CompilePlan(foQ)

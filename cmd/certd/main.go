@@ -20,10 +20,6 @@
 //	GET  /metrics         Prometheus text exposition of the whole process
 //	GET  /debug/pprof     profiling endpoints (only with -pprof)
 //
-// The unversioned paths /solve, /solve/batch, and /classify answer with
-// 308 Permanent Redirect to their /v1/ successors; GET /statsz still
-// serves in place. All legacy responses carry a Deprecation header.
-//
 // With -fleet, certd runs as a COORDINATOR instead of a worker: it serves
 // the same read API but routes every request across the listed worker
 // processes with shard-aware placement, hedged requests, replica failover,

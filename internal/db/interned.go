@@ -42,7 +42,7 @@ type Interned struct {
 // insertion position (identical to RelationFacts(rel)[i]); all index
 // structures yield fact indices in ascending order, which IS insertion
 // order — the invariant that makes interned enumeration byte-compatible
-// with the string paths.
+// with the fact-level views (RelationFacts, BlockView, FactsAt).
 type IRel struct {
 	// Arity and KeyLen mirror the relation signature.
 	Arity  int

@@ -69,11 +69,10 @@ func isFO(q cq.Query) bool {
 }
 
 // TestDifferentialEmit is the harness the acceptance criteria name: for
-// every FO-class certgen family × random snapshots × both data planes, the
-// native solver verdict, the emitted-SQL evaluation, and the Datalog
-// fixpoint must agree exactly.
+// every FO-class certgen family × random snapshots, the native solver
+// verdict, the emitted-SQL evaluation, and the Datalog fixpoint must agree
+// exactly.
 func TestDifferentialEmit(t *testing.T) {
-	defer solver.SetInterned(true)
 	for _, q := range foFamilies(t) {
 		q := q
 		t.Run(q.String(), func(t *testing.T) {
@@ -99,17 +98,14 @@ func TestDifferentialEmit(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: datalog eval: %v\nprogram:\n%s", seed, err, dlProg.Text)
 				}
-				for _, interned := range []bool{true, false} {
-					solver.SetInterned(interned)
-					native := nativeVerdict(t, plan, d)
-					if sqlGot != native {
-						t.Fatalf("seed %d interned=%v: SQL verdict %v, native %v\ndb:\n%s\nprogram:\n%s",
-							seed, interned, sqlGot, native, dumpDB(d), sqlProg.Text)
-					}
-					if dlGot != native {
-						t.Fatalf("seed %d interned=%v: Datalog verdict %v, native %v\ndb:\n%s\nprogram:\n%s",
-							seed, interned, dlGot, native, dumpDB(d), dlProg.Text)
-					}
+				native := nativeVerdict(t, plan, d)
+				if sqlGot != native {
+					t.Fatalf("seed %d: SQL verdict %v, native %v\ndb:\n%s\nprogram:\n%s",
+						seed, sqlGot, native, dumpDB(d), sqlProg.Text)
+				}
+				if dlGot != native {
+					t.Fatalf("seed %d: Datalog verdict %v, native %v\ndb:\n%s\nprogram:\n%s",
+						seed, dlGot, native, dumpDB(d), dlProg.Text)
 				}
 			}
 		})

@@ -25,85 +25,18 @@ func init() {
 // unspecified when the error is non-nil.
 func EachEmbeddingCtx(ctx context.Context, q cq.Query, d *db.DB, yield func(cq.Valuation) bool) (bool, error) {
 	embeddingEnumerations.Inc()
-	g := govern.From(ctx)
-	if internedOn.Load() {
-		return eachEmbeddingInterned(g, q, d, yield)
-	}
-	order := orderAtoms(q, d)
-	var rec func(i int, binding cq.Valuation) (bool, error)
-	rec = func(i int, binding cq.Valuation) (bool, error) {
-		if err := g.Step(); err != nil {
-			return false, err
-		}
-		if i == len(order) {
-			return yield(binding), nil
-		}
-		a := q.Atoms[order[i]]
-		for _, f := range candidates(a, binding, d) {
-			if next, ok := MatchAtom(a, f, binding); ok {
-				cont, err := rec(i+1, next)
-				if err != nil || !cont {
-					return false, err
-				}
-			}
-		}
-		return true, nil
-	}
-	return rec(0, cq.Valuation{})
+	return eachEmbeddingInterned(govern.From(ctx), q, d, yield)
 }
 
 // EvalCtx is Eval with cooperative cancellation.
 func EvalCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
-	if internedOn.Load() {
-		embeddingEnumerations.Inc()
-		return evalInterned(govern.From(ctx), q, d)
-	}
-	found := false
-	_, err := EachEmbeddingCtx(ctx, q, d, func(cq.Valuation) bool {
-		found = true
-		return false
-	})
-	if err != nil {
-		return false, err
-	}
-	return found, nil
+	embeddingEnumerations.Inc()
+	return evalInterned(govern.From(ctx), q, d)
 }
 
 // PurifyCtx is Purify with cooperative cancellation. Purification is
 // polynomial, but its embedding enumeration can still dominate on large
 // databases; the same governor that bounds the enclosing search bounds it.
 func PurifyCtx(ctx context.Context, q cq.Query, d *db.DB) (*db.DB, error) {
-	if internedOn.Load() {
-		return purifyInterned(govern.From(ctx), q, d)
-	}
-	cur := d
-	for {
-		used := make(map[string]struct{}, cur.Len())
-		_, err := EachEmbeddingCtx(ctx, q, cur, func(v cq.Valuation) bool {
-			for _, a := range q.Atoms {
-				f, ok := db.FactFromAtom(a.Substitute(v))
-				if !ok {
-					continue
-				}
-				used[f.ID()] = struct{}{}
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		removeBlocks := make(map[string]struct{})
-		for _, f := range cur.Facts() {
-			if _, ok := used[f.ID()]; !ok {
-				removeBlocks[f.BlockID()] = struct{}{}
-			}
-		}
-		if len(removeBlocks) == 0 {
-			return cur, nil
-		}
-		cur = cur.Restrict(func(f db.Fact) bool {
-			_, drop := removeBlocks[f.BlockID()]
-			return !drop
-		})
-	}
+	return purifyInterned(govern.From(ctx), q, d)
 }

@@ -48,44 +48,6 @@ func MatchAtom(a cq.Atom, f db.Fact, binding cq.Valuation) (cq.Valuation, bool) 
 	return out, true
 }
 
-// candidates returns the facts of d that could match atom a under binding,
-// as a shared slice from the database's memoized index (callers only read).
-// When all key terms of a are determined the block index narrows the scan to
-// a single block; failing that, any single determined position narrows it to
-// that position's posting list; only a fully undetermined atom scans the
-// whole relation. Posting lists preserve insertion order and only omit facts
-// MatchAtom would reject, so enumeration order is unchanged.
-func candidates(a cq.Atom, binding cq.Valuation, d *db.DB) []db.Fact {
-	key := make([]string, a.KeyLen)
-	keyDetermined := true
-	for i := 0; i < a.KeyLen; i++ {
-		t := a.Args[i]
-		if t.IsConst {
-			key[i] = t.Value
-			continue
-		}
-		v, ok := binding[t.Value]
-		if !ok {
-			keyDetermined = false
-			break
-		}
-		key[i] = v
-	}
-	if keyDetermined {
-		probe := db.Fact{Rel: a.Rel, KeyLen: a.KeyLen, Args: key}
-		return d.BlockView(probe)
-	}
-	for pos, t := range a.Args {
-		if t.IsConst {
-			return d.FactsAt(a.Rel, pos, t.Value)
-		}
-		if v, ok := binding[t.Value]; ok {
-			return d.FactsAt(a.Rel, pos, v)
-		}
-	}
-	return d.RelationFacts(a.Rel)
-}
-
 // orderAtoms returns an evaluation order: start from the atom with the
 // fewest matching facts, then greedily prefer atoms with the most variables
 // already bound (so the block index applies as often as possible).
@@ -121,39 +83,12 @@ func orderAtoms(q cq.Query, d *db.DB) []int {
 // EachEmbedding enumerates all valuations θ over vars(q) with θ(q) ⊆ d,
 // stopping early when yield returns false. Returns false iff stopped early.
 // The valuation passed to yield is owned by the callee (it is freshly
-// allocated per embedding).
-//
-// It runs on the interned data plane (see interned.go) unless SetInterned
-// has deselected it; both implementations enumerate the identical sequence.
+// allocated per embedding). The search runs on the database's interned
+// columnar view (see interned.go) and enumerates embeddings in the order
+// of the greedy atom order and fact insertion order.
 func EachEmbedding(q cq.Query, d *db.DB, yield func(cq.Valuation) bool) bool {
-	if internedOn.Load() {
-		cont, _ := eachEmbeddingInterned(nil, q, d, yield)
-		return cont
-	}
-	return EachEmbeddingIndexed(q, d, yield)
-}
-
-// EachEmbeddingIndexed is the string-indexed reference implementation of
-// EachEmbedding, retained for differential tests and benchmarks against
-// the interned plane.
-func EachEmbeddingIndexed(q cq.Query, d *db.DB, yield func(cq.Valuation) bool) bool {
-	order := orderAtoms(q, d)
-	var rec func(i int, binding cq.Valuation) bool
-	rec = func(i int, binding cq.Valuation) bool {
-		if i == len(order) {
-			return yield(binding)
-		}
-		a := q.Atoms[order[i]]
-		for _, f := range candidates(a, binding, d) {
-			if next, ok := MatchAtom(a, f, binding); ok {
-				if !rec(i+1, next) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	return rec(0, cq.Valuation{})
+	cont, _ := eachEmbeddingInterned(nil, q, d, yield)
+	return cont
 }
 
 // Embeddings returns all embeddings of q in d.
@@ -169,21 +104,8 @@ func Embeddings(q cq.Query, d *db.DB) []cq.Valuation {
 // Eval reports whether d ⊨ q: some valuation maps every atom of q into d.
 // The empty query is true everywhere.
 func Eval(q cq.Query, d *db.DB) bool {
-	if internedOn.Load() {
-		sat, _ := evalInterned(nil, q, d)
-		return sat
-	}
-	return EvalIndexed(q, d)
-}
-
-// EvalIndexed is the string-indexed reference implementation of Eval.
-func EvalIndexed(q cq.Query, d *db.DB) bool {
-	found := false
-	EachEmbeddingIndexed(q, d, func(cq.Valuation) bool {
-		found = true
-		return false
-	})
-	return found
+	sat, _ := evalInterned(nil, q, d)
+	return sat
 }
 
 // EvalRepair reports whether the repair (a fact slice as produced by
@@ -197,46 +119,8 @@ func EvalRepair(q cq.Query, repair []db.Fact) bool {
 // A ∈ θ(q) ⊆ result — such that the result is in CERTAINTY(q) iff d is.
 // Whole blocks of irrelevant facts are removed until a fixpoint.
 func Purify(q cq.Query, d *db.DB) *db.DB {
-	if internedOn.Load() {
-		out, _ := purifyInterned(nil, q, d)
-		return out
-	}
-	return PurifyIndexed(q, d)
-}
-
-// PurifyIndexed is the string-indexed reference implementation of Purify:
-// used facts are marked in an ID-keyed map instead of fact-index bitsets.
-func PurifyIndexed(q cq.Query, d *db.DB) *db.DB {
-	cur := d
-	for {
-		used := make(map[string]struct{}, cur.Len())
-		EachEmbeddingIndexed(q, cur, func(v cq.Valuation) bool {
-			for _, a := range q.Atoms {
-				f, ok := db.FactFromAtom(a.Substitute(v))
-				if !ok {
-					continue
-				}
-				used[f.ID()] = struct{}{}
-			}
-			return true
-		})
-		// Remove the blocks of all unused facts in one sweep; removing a
-		// block can only invalidate further embeddings, never create ones,
-		// so iterate to a fixpoint.
-		removeBlocks := make(map[string]struct{})
-		for _, f := range cur.Facts() {
-			if _, ok := used[f.ID()]; !ok {
-				removeBlocks[f.BlockID()] = struct{}{}
-			}
-		}
-		if len(removeBlocks) == 0 {
-			return cur
-		}
-		cur = cur.Restrict(func(f db.Fact) bool {
-			_, drop := removeBlocks[f.BlockID()]
-			return !drop
-		})
-	}
+	out, _ := purifyInterned(nil, q, d)
+	return out
 }
 
 // IsPurified reports whether d is purified relative to q: every fact occurs

@@ -2,30 +2,12 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/intern"
 )
-
-// internedOn selects the interned data plane for embedding enumeration. On
-// by default; SetInterned(false) falls back to the string-indexed
-// implementation (kept as the differential reference). Both paths enumerate
-// the exact same embedding sequence and charge the exact same governor
-// steps, so flipping the knob never changes observable behavior — only the
-// representation the inner loop runs over.
-var internedOn atomic.Bool
-
-func init() { internedOn.Store(true) }
-
-// SetInterned selects (true, the default) or deselects the interned data
-// plane for this package's enumeration hot paths.
-func SetInterned(on bool) { internedOn.Store(on) }
-
-// InternedEnabled reports whether the interned data plane is selected.
-func InternedEnabled() bool { return internedOn.Load() }
 
 // Argument kinds after compile-time binding analysis. The atom order is
 // fixed before compilation, so whether a variable is already bound when an
@@ -65,8 +47,9 @@ type iProg struct {
 
 // compileInterned lowers q (in the given evaluation order) against the
 // interned view. Constants absent from the view lower to intern.None, which
-// matches nothing — the search still walks the same nodes as the string
-// path (and charges the same governor steps), it just finds no candidates.
+// matches nothing — the search still walks the same nodes (and charges the
+// same governor steps) as with a present constant, it just finds no
+// candidates.
 func compileInterned(q cq.Query, order []int, in *db.Interned) *iProg {
 	p := &iProg{atoms: make([]iAtom, len(order)), in: in}
 	slots := make(map[string]uint16, 8)
@@ -183,11 +166,11 @@ func argVal(ag *iArg, env []uint32) uint32 {
 }
 
 // level runs one level of the embedding search. A governor step is charged
-// per node entry — exactly where the string path charges — so budget and
-// cancellation behavior is bit-identical across the knob. Candidate
-// narrowing (block probe, posting intersection) only skips facts the
-// verifier would reject; every index yields ascending fact indices, which
-// is insertion order, so the embedding sequence is also identical.
+// per node entry (a partial valuation, as in a textbook backtracking
+// search), so budgets bound the search tree. Candidate narrowing (block
+// probe, posting intersection) only skips facts the verifier would reject;
+// every index yields ascending fact indices, which is insertion order, so
+// embeddings come out in atom order × insertion order.
 func (p *iProg) level(g *govern.Governor, sc *iScratch, li int, leaf func(*iScratch) (bool, error)) (bool, error) {
 	if g != nil {
 		if err := g.Step(); err != nil {
@@ -294,8 +277,8 @@ func (p *iProg) valuation(sc *iScratch) cq.Valuation {
 }
 
 // eachEmbeddingInterned is the interned implementation behind
-// EachEmbedding/EachEmbeddingCtx. g may be nil (no governor accounting,
-// matching the ctx-less string path).
+// EachEmbedding/EachEmbeddingCtx. g may be nil (no governor accounting, for
+// the ctx-less entry points).
 func eachEmbeddingInterned(g *govern.Governor, q cq.Query, d *db.DB, yield func(cq.Valuation) bool) (bool, error) {
 	p := compileInterned(q, orderAtoms(q, d), d.Interned())
 	sc := getScratch(p)
@@ -330,7 +313,7 @@ func purifyInterned(g *govern.Governor, q cq.Query, d *db.DB) (*db.DB, error) {
 	cur := d
 	for {
 		if g != nil {
-			// The ctx-less string path enumerates without the counter; the
+			// The ctx-less Purify enumerates without the counter; the
 			// governed one counts one enumeration per purification round.
 			embeddingEnumerations.Inc()
 		}

@@ -52,13 +52,14 @@ func differentialDBs(t *testing.T) []*db.DB {
 
 // TestInternedEmbeddingSequenceParity locks the strongest contract the
 // interned plane offers: the exact embedding sequence — not just the set —
-// matches the string-indexed reference, for every query shape.
+// matches the string-indexed reference (reference_test.go), for every query
+// shape.
 func TestInternedEmbeddingSequenceParity(t *testing.T) {
 	queries := differentialQueries(t)
 	for di, d := range differentialDBs(t) {
 		for qi, q := range queries {
 			var ref, got []string
-			EachEmbeddingIndexed(q, d, func(v cq.Valuation) bool {
+			eachEmbeddingIndexed(nil, q, d, func(v cq.Valuation) bool {
 				ref = append(ref, fmt.Sprint(v))
 				return true
 			})
@@ -77,7 +78,7 @@ func TestInternedEmbeddingSequenceParity(t *testing.T) {
 					t.Fatalf("db %d query %d (%v): embedding %d is %s, want %s", di, qi, q, i, got[i], ref[i])
 				}
 			}
-			if Eval(q, d) != EvalIndexed(q, d) {
+			if Eval(q, d) != evalIndexed(q, d) {
 				t.Fatalf("db %d query %d: Eval diverged", di, qi)
 			}
 		}
@@ -91,19 +92,24 @@ func TestInternedGovernorStepParity(t *testing.T) {
 	queries := differentialQueries(t)
 	for di, d := range differentialDBs(t) {
 		for qi, q := range queries {
-			steps := func(interned bool) int64 {
-				SetInterned(interned)
-				defer SetInterned(true)
+			steps := func(each func(context.Context) error) int64 {
 				g := govern.New(context.Background(), govern.Options{})
 				defer g.Close()
-				ctx := g.Attach()
-				if _, err := EachEmbeddingCtx(ctx, q, d, func(cq.Valuation) bool { return true }); err != nil {
+				if err := each(g.Attach()); err != nil {
 					t.Fatalf("db %d query %d: %v", di, qi, err)
 				}
 				return g.Steps()
 			}
-			if si, ss := steps(true), steps(false); si != ss {
-				t.Fatalf("db %d query %d (%v): interned charged %d steps, string path %d", di, qi, q, si, ss)
+			si := steps(func(ctx context.Context) error {
+				_, err := EachEmbeddingCtx(ctx, q, d, func(cq.Valuation) bool { return true })
+				return err
+			})
+			ss := steps(func(ctx context.Context) error {
+				_, err := eachEmbeddingIndexed(govern.From(ctx), q, d, func(cq.Valuation) bool { return true })
+				return err
+			})
+			if si != ss {
+				t.Fatalf("db %d query %d (%v): interned charged %d steps, string reference %d", di, qi, q, si, ss)
 			}
 		}
 	}
@@ -118,7 +124,7 @@ func TestInternedPurifyParity(t *testing.T) {
 			if q.Len() == 0 {
 				continue // Purify of the empty query keeps everything; trivial
 			}
-			ref := PurifyIndexed(q, d)
+			ref := purifyIndexed(q, d)
 			got, err := purifyInterned(nil, q, d)
 			if err != nil {
 				t.Fatalf("db %d query %d: %v", di, qi, err)
@@ -152,7 +158,10 @@ func TestInternedEarlyStopParity(t *testing.T) {
 			return n, cont
 		}
 		ni, ci := run(EachEmbedding)
-		ns, cs := run(EachEmbeddingIndexed)
+		ns, cs := run(func(q cq.Query, d *db.DB, yield func(cq.Valuation) bool) bool {
+			cont, _ := eachEmbeddingIndexed(nil, q, d, yield)
+			return cont
+		})
 		if ni != ns || ci != cs {
 			t.Fatalf("stopAfter=%d: interned (%d, %v) vs string (%d, %v)", stopAfter, ni, ci, ns, cs)
 		}

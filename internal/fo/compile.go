@@ -8,38 +8,30 @@ import (
 )
 
 // Compiled is a sentence translated into a closure tree with slot-indexed
-// variable bindings: evaluation allocates no maps and performs no AST
-// dispatch, which makes repeated evaluation (certain answers over many
-// candidates, benchmark loops) several times faster than Eval.
-//
-// Compilation produces two parallel trees over the same slot numbering: a
-// string tree (env []string, d.Has probes) and an interned tree (env
-// []uint32, columnar HasTuple probes). Eval runs the interned tree unless
-// SetInterned has deselected it; both decide the same sentences.
+// variable bindings over the database's interned columnar view (see
+// interned.go): evaluation allocates no maps and performs no AST dispatch,
+// which makes repeated evaluation (certain answers over many candidates,
+// benchmark loops) several times faster than Eval, the interpreter, which
+// decides the same formulas.
 type Compiled struct {
 	numSlots int
-	freeSlot map[string]int
-	eval     compiledNode
+	free     []string // free variables in sorted order; free[i] occupies slot i
+	eval     inode
 	consts   []string
-
-	ieval    inode      // interned tree (see interned.go)
-	iatoms   []iAtomRef // atom ordinal → relation reference to resolve per DB
-	maxArity int
+	iatoms   []iAtomRef     // atom ordinal → relation reference to resolve per DB
+	maxArity int            // widest atom, for the argument scratch buffer
 	constOrd map[string]int // constant value → ordinal in consts
 }
-
-type compiledNode func(env []string, d *db.DB, domain []string) bool
 
 // Compile translates a formula. Free variables become parameters that must
 // be bound via EvalWith; sentences evaluate with Eval. Panics on malformed
 // hand-built formulas are converted into errors.
 func Compile(f Formula) (c *Compiled, err error) {
 	defer containPanic(&err)
-	c = &Compiled{freeSlot: make(map[string]int), constOrd: make(map[string]int)}
+	c = &Compiled{free: FreeVars(f).Sorted(), constOrd: make(map[string]int)}
 	slots := make(map[string]int)
-	for x := range FreeVars(f) {
+	for _, x := range c.free {
 		slots[x] = c.numSlots
-		c.freeSlot[x] = c.numSlots
 		c.numSlots++
 	}
 	collectConstants(f, func(v string) {
@@ -48,51 +40,47 @@ func Compile(f Formula) (c *Compiled, err error) {
 			c.consts = append(c.consts, v)
 		}
 	})
-	node, in, err := c.compile(f, slots)
+	node, err := c.compile(f, slots)
 	if err != nil {
 		return nil, err
 	}
 	c.eval = node
-	c.ieval = in
 	return c, nil
 }
 
-// iref is one compiled argument of the interned tree: a constant ordinal
-// (resolved to an id per database) or an environment slot.
+// iref is one compiled argument: a constant ordinal (resolved to an id per
+// database) or an environment slot.
 type iref struct {
 	constIdx int // -1 for a variable
 	slot     int
 }
 
-func (c *Compiled) compileRef(t cq.Term, slots map[string]int) (func([]string) string, iref, error) {
+func (c *Compiled) compileRef(t cq.Term, slots map[string]int) (iref, error) {
 	if t.IsConst {
-		v := t.Value
-		ord, ok := c.constOrd[v]
+		ord, ok := c.constOrd[t.Value]
 		if !ok {
-			return nil, iref{}, fmt.Errorf("fo: constant %q missing from constant table", v)
+			return iref{}, fmt.Errorf("fo: constant %q missing from constant table", t.Value)
 		}
-		return func([]string) string { return v }, iref{constIdx: ord}, nil
+		return iref{constIdx: ord}, nil
 	}
 	slot, ok := slots[t.Value]
 	if !ok {
-		return nil, iref{}, fmt.Errorf("fo: unbound variable %s", t.Value)
+		return iref{}, fmt.Errorf("fo: unbound variable %s", t.Value)
 	}
-	return func(env []string) string { return env[slot] }, iref{constIdx: -1, slot: slot}, nil
+	return iref{constIdx: -1, slot: slot}, nil
 }
 
-func (c *Compiled) compile(f Formula, slots map[string]int) (compiledNode, inode, error) {
+func (c *Compiled) compile(f Formula, slots map[string]int) (inode, error) {
 	switch g := f.(type) {
 	case Truth:
 		v := bool(g)
-		return func([]string, *db.DB, []string) bool { return v },
-			func(*irt) bool { return v }, nil
+		return func(*irt) bool { return v }, nil
 	case Atom:
-		rel, keyLen := g.A.Rel, g.A.KeyLen
 		srcs := make([]iref, len(g.A.Args))
 		for i, t := range g.A.Args {
-			_, ref, err := c.compileRef(t, slots)
+			ref, err := c.compileRef(t, slots)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%w in %s", err, g.A)
+				return nil, fmt.Errorf("%w in %s", err, g.A)
 			}
 			srcs[i] = ref
 		}
@@ -100,19 +88,8 @@ func (c *Compiled) compile(f Formula, slots map[string]int) (compiledNode, inode
 			c.maxArity = len(srcs)
 		}
 		ord := len(c.iatoms)
-		c.iatoms = append(c.iatoms, iAtomRef{rel: rel, arity: len(srcs)})
-		str := func(env []string, d *db.DB, _ []string) bool {
-			args := make([]string, len(srcs))
-			for i, s := range srcs {
-				if s.constIdx >= 0 {
-					args[i] = c.consts[s.constIdx]
-				} else {
-					args[i] = env[s.slot]
-				}
-			}
-			return d.Has(db.Fact{Rel: rel, KeyLen: keyLen, Args: args})
-		}
-		in := func(rt *irt) bool {
+		c.iatoms = append(c.iatoms, iAtomRef{rel: g.A.Rel, arity: len(srcs)})
+		return func(rt *irt) bool {
 			r := rt.rels[ord]
 			if r == nil {
 				return false
@@ -122,96 +99,69 @@ func (c *Compiled) compile(f Formula, slots map[string]int) (compiledNode, inode
 				args[i] = rt.resolve(s)
 			}
 			return r.HasTuple(args)
-		}
-		return str, in, nil
+		}, nil
 	case Eq:
-		l, li, err := c.compileRef(g.L, slots)
+		l, err := c.compileRef(g.L, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r, ri, err := c.compileRef(g.R, slots)
+		r, err := c.compileRef(g.R, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return func(env []string, _ *db.DB, _ []string) bool {
-				return l(env) == r(env)
-			}, func(rt *irt) bool {
-				return rt.resolve(li) == rt.resolve(ri)
-			}, nil
+		return func(rt *irt) bool { return rt.resolve(l) == rt.resolve(r) }, nil
 	case Not:
-		sub, isub, err := c.compile(g.F, slots)
+		sub, err := c.compile(g.F, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return func(env []string, d *db.DB, dom []string) bool {
-				return !sub(env, d, dom)
-			}, func(rt *irt) bool {
-				return !isub(rt)
-			}, nil
+		return func(rt *irt) bool { return !sub(rt) }, nil
 	case And:
-		subs, isubs, err := c.compileAll(g.Fs, slots)
+		subs, err := c.compileAll(g.Fs, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return func(env []string, d *db.DB, dom []string) bool {
-				for _, s := range subs {
-					if !s(env, d, dom) {
-						return false
-					}
+		return func(rt *irt) bool {
+			for _, s := range subs {
+				if !s(rt) {
+					return false
 				}
-				return true
-			}, func(rt *irt) bool {
-				for _, s := range isubs {
-					if !s(rt) {
-						return false
-					}
-				}
-				return true
-			}, nil
+			}
+			return true
+		}, nil
 	case Or:
-		subs, isubs, err := c.compileAll(g.Fs, slots)
+		subs, err := c.compileAll(g.Fs, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return func(env []string, d *db.DB, dom []string) bool {
-				for _, s := range subs {
-					if s(env, d, dom) {
-						return true
-					}
+		return func(rt *irt) bool {
+			for _, s := range subs {
+				if s(rt) {
+					return true
 				}
-				return false
-			}, func(rt *irt) bool {
-				for _, s := range isubs {
-					if s(rt) {
-						return true
-					}
-				}
-				return false
-			}, nil
+			}
+			return false
+		}, nil
 	case Implies:
-		hyp, ihyp, err := c.compile(g.Hyp, slots)
+		hyp, err := c.compile(g.Hyp, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		concl, iconcl, err := c.compile(g.Concl, slots)
+		concl, err := c.compile(g.Concl, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return func(env []string, d *db.DB, dom []string) bool {
-				return !hyp(env, d, dom) || concl(env, d, dom)
-			}, func(rt *irt) bool {
-				return !ihyp(rt) || iconcl(rt)
-			}, nil
+		return func(rt *irt) bool { return !hyp(rt) || concl(rt) }, nil
 	case Exists:
 		return c.compileQuantifier(g.Vars, g.F, slots, true)
 	case Forall:
 		return c.compileQuantifier(g.Vars, g.F, slots, false)
 	default:
-		return nil, nil, fmt.Errorf("fo: cannot compile %T", f)
+		return nil, fmt.Errorf("fo: cannot compile %T", f)
 	}
 }
 
-func (c *Compiled) compileQuantifier(vars []string, body Formula, slots map[string]int, existential bool) (compiledNode, inode, error) {
+func (c *Compiled) compileQuantifier(vars []string, body Formula, slots map[string]int, existential bool) (inode, error) {
 	inner := make(map[string]int, len(slots)+len(vars))
 	for k, v := range slots {
 		inner[k] = v
@@ -222,36 +172,16 @@ func (c *Compiled) compileQuantifier(vars []string, body Formula, slots map[stri
 		varSlots[i] = c.numSlots
 		c.numSlots++
 	}
-	sub, isub, err := c.compile(body, inner)
+	sub, err := c.compile(body, inner)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n := len(varSlots)
-	str := func(env []string, d *db.DB, dom []string) bool {
+	return func(rt *irt) bool {
 		var rec func(i int) bool
 		rec = func(i int) bool {
 			if i == n {
-				return sub(env, d, dom)
-			}
-			for _, v := range dom {
-				env[varSlots[i]] = v
-				ok := rec(i + 1)
-				if existential && ok {
-					return true
-				}
-				if !existential && !ok {
-					return false
-				}
-			}
-			return !existential
-		}
-		return rec(0)
-	}
-	in := func(rt *irt) bool {
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == n {
-				return isub(rt)
+				return sub(rt)
 			}
 			for _, v := range rt.dom {
 				rt.env[varSlots[i]] = v
@@ -266,83 +196,39 @@ func (c *Compiled) compileQuantifier(vars []string, body Formula, slots map[stri
 			return !existential
 		}
 		return rec(0)
-	}
-	return str, in, nil
+	}, nil
 }
 
-func (c *Compiled) compileAll(fs []Formula, slots map[string]int) ([]compiledNode, []inode, error) {
-	out := make([]compiledNode, len(fs))
-	iout := make([]inode, len(fs))
+func (c *Compiled) compileAll(fs []Formula, slots map[string]int) ([]inode, error) {
+	out := make([]inode, len(fs))
 	for i, f := range fs {
-		sub, isub, err := c.compile(f, slots)
+		sub, err := c.compile(f, slots)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out[i] = sub
-		iout[i] = isub
 	}
-	return out, iout, nil
-}
-
-// domain assembles the quantification domain for a database.
-func (c *Compiled) domain(d *db.DB) []string {
-	dom := d.ActiveDomain()
-	seen := make(map[string]bool, len(dom))
-	for _, v := range dom {
-		seen[v] = true
-	}
-	for _, v := range c.consts {
-		if !seen[v] {
-			seen[v] = true
-			dom = append(dom, v)
-		}
-	}
-	return dom
+	return out, nil
 }
 
 // Eval evaluates a compiled sentence; it fails if the formula has free
-// variables. It runs on the interned plane unless SetInterned has
-// deselected it.
+// variables.
 func (c *Compiled) Eval(d *db.DB) (ok bool, err error) {
-	if internedOn.Load() && c.ieval != nil {
-		return c.evalInterned(d)
-	}
-	return c.EvalIndexed(d)
-}
-
-// EvalIndexed evaluates the string closure tree — the reference the
-// interned plane is differentially tested against.
-func (c *Compiled) EvalIndexed(d *db.DB) (ok bool, err error) {
 	defer containPanic(&err)
-	if len(c.freeSlot) > 0 {
+	if len(c.free) > 0 {
 		return false, fmt.Errorf("fo: compiled formula has free variables; use EvalWith")
 	}
-	env := make([]string, c.numSlots)
-	return c.eval(env, d, c.domain(d)), nil
+	return c.run(d, nil), nil
 }
 
-// EvalWith evaluates with the free variables bound by env.
+// EvalWith evaluates with the free variables bound by binding. Every bound
+// value joins the quantification domain, as the formula's constants do.
 func (c *Compiled) EvalWith(d *db.DB, binding cq.Valuation) (ok bool, err error) {
 	defer containPanic(&err)
-	env := make([]string, c.numSlots)
-	for x, slot := range c.freeSlot {
-		v, ok := binding[x]
-		if !ok {
+	for _, x := range c.free {
+		if _, ok := binding[x]; !ok {
 			return false, fmt.Errorf("fo: unbound free variable %s", x)
 		}
-		env[slot] = v
 	}
-	dom := c.domain(d)
-	// Free-variable values participate in quantification like constants.
-	seen := make(map[string]bool, len(dom))
-	for _, v := range dom {
-		seen[v] = true
-	}
-	for _, v := range binding {
-		if !seen[v] {
-			seen[v] = true
-			dom = append(dom, v)
-		}
-	}
-	return c.eval(env, d, dom), nil
+	return c.run(d, binding), nil
 }

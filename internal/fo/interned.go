@@ -1,27 +1,11 @@
 package fo
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 
+	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 )
-
-// internedOn selects the interned evaluation plane for compiled formulas.
-// On by default; SetInterned(false) falls back to the string closure tree.
-// Both trees decide the same sentences — formula truth is insensitive to
-// the quantification order difference between the two domain layouts.
-var internedOn atomic.Bool
-
-func init() { internedOn.Store(true) }
-
-// SetInterned selects (true, the default) or deselects the interned
-// evaluation plane for compiled formulas.
-func SetInterned(on bool) { internedOn.Store(on) }
-
-// InternedEnabled reports whether the interned plane is selected.
-func InternedEnabled() bool { return internedOn.Load() }
 
 // inode is one node of the interned closure tree: it reads and writes only
 // the pooled runtime, so a warm evaluation allocates nothing.
@@ -42,13 +26,17 @@ type iAtomRef struct {
 // Constants absent from the database intern table resolve to pseudo-ids
 // just past the table (Len()+ordinal): distinct from every real id and
 // from each other, so equality and probes behave exactly like the distinct
-// fresh strings they stand for.
+// fresh strings they stand for. Bound values of EvalWith that are neither
+// interned nor constants get pseudo-ids past the constants' (fresh holds
+// them in order), so equal values share an id.
 type irt struct {
 	env    []uint32
 	args   []uint32
 	consts []uint32
 	rels   []*db.IRel
 	dom    []uint32
+	ext    []uint32 // ids outside the active domain that quantifiers also range over
+	fresh  []string // bound values absent from the table and the constants
 	domBuf []uint32
 }
 
@@ -68,32 +56,70 @@ func growIDs(s []uint32, n int) []uint32 {
 	return s[:n]
 }
 
-// evalInterned evaluates the compiled sentence over the database's interned
-// view: ids in the environment, columnar HasTuple probes, domain as an id
-// slice. Zero allocations on a warm runtime.
-func (c *Compiled) evalInterned(d *db.DB) (ok bool, err error) {
-	defer containPanic(&err)
-	if len(c.freeSlot) > 0 {
-		return false, fmt.Errorf("fo: compiled formula has free variables; use EvalWith")
+// extend adds id to the quantification domain unless the active domain or
+// an earlier extension already holds it.
+func (rt *irt) extend(in *db.Interned, id uint32) {
+	if in.IsDomainSym(id) {
+		return
 	}
+	for _, x := range rt.ext {
+		if x == id {
+			return
+		}
+	}
+	rt.ext = append(rt.ext, id)
+}
+
+// boundID resolves a bound value: a constant's id (real or pseudo), an
+// interned id, or the next pseudo-id past the constants' for a value not
+// seen before in this evaluation.
+func (c *Compiled) boundID(in *db.Interned, rt *irt, v string) uint32 {
+	if ord, ok := c.constOrd[v]; ok {
+		return rt.consts[ord]
+	}
+	if id, ok := in.Syms.Lookup(v); ok {
+		return id
+	}
+	base := uint32(in.Syms.Len() + len(c.consts))
+	for i, s := range rt.fresh {
+		if s == v {
+			return base + uint32(i)
+		}
+	}
+	rt.fresh = append(rt.fresh, v)
+	return base + uint32(len(rt.fresh)-1)
+}
+
+// run evaluates the compiled tree over the database's interned view: ids in
+// the environment, columnar HasTuple probes, domain as an id slice. binding
+// (nil for sentences) supplies the free variables; all of its values join
+// the quantification domain. Zero allocations on a warm runtime for
+// sentences.
+func (c *Compiled) run(d *db.DB, binding cq.Valuation) bool {
 	in := d.Interned()
 	rt := irtPool.Get().(*irt)
 	defer irtPool.Put(rt)
 	rt.env = growIDs(rt.env, c.numSlots)
 	rt.args = growIDs(rt.args, c.maxArity)
+	rt.ext = rt.ext[:0]
+	rt.fresh = rt.fresh[:0]
 
 	rt.consts = rt.consts[:0]
-	extendDomain := false
 	for i, v := range c.consts {
 		id, found := in.Syms.Lookup(v)
 		if !found {
 			id = uint32(in.Syms.Len() + i) // pseudo-id: unique, outside the table
 		}
 		rt.consts = append(rt.consts, id)
-		if !in.IsDomainSym(id) {
-			extendDomain = true
-		}
+		rt.extend(in, id)
 	}
+	for slot, x := range c.free {
+		rt.env[slot] = c.boundID(in, rt, binding[x])
+	}
+	for _, v := range binding {
+		rt.extend(in, c.boundID(in, rt, v))
+	}
+	clear(rt.fresh) // drop the strings; the pooled runtime outlives the call
 
 	rt.rels = rt.rels[:0]
 	for _, ar := range c.iatoms {
@@ -105,17 +131,12 @@ func (c *Compiled) evalInterned(d *db.DB) (ok bool, err error) {
 	}
 
 	// Quantifiers range over the active domain extended by the formula's
-	// constants — the id-level image of the string path's domain set. The
-	// shared domain slice is used directly unless constants extend it.
+	// constants and the bound values. The shared domain slice is used
+	// directly unless something extends it.
 	rt.dom = in.Domain()
-	if extendDomain {
-		rt.domBuf = append(rt.domBuf[:0], in.Domain()...)
-		for _, id := range rt.consts {
-			if !in.IsDomainSym(id) {
-				rt.domBuf = append(rt.domBuf, id)
-			}
-		}
+	if len(rt.ext) > 0 {
+		rt.domBuf = append(append(rt.domBuf[:0], in.Domain()...), rt.ext...)
 		rt.dom = rt.domBuf
 	}
-	return c.ieval(rt), nil
+	return c.eval(rt)
 }

@@ -8,9 +8,9 @@ import (
 	"github.com/cqa-go/certainty/internal/gen"
 )
 
-// TestInternedCompiledParity is the three-way differential for the fo data
-// plane: the interned tree, the string closure tree, and the interpreter
-// must decide every rewriting identically over random databases.
+// TestInternedCompiledParity is the differential for the fo data plane: the
+// compiled interned tree and the interpreter must decide every rewriting
+// identically over random databases.
 func TestInternedCompiledParity(t *testing.T) {
 	queries := []cq.Query{
 		cq.MustParseQuery("R(x | y)"),
@@ -34,17 +34,13 @@ func TestInternedCompiledParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			indexed, err := compiled.EvalIndexed(d)
+			interned, err := compiled.Eval(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			interned, err := compiled.evalInterned(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if interned != indexed || interned != interp {
-				t.Fatalf("%s seed %d: interned=%v indexed=%v interpreted=%v\nφ = %s\ndb:\n%s",
-					q, seed, interned, indexed, interp, phi, d)
+			if interned != interp {
+				t.Fatalf("%s seed %d: interned=%v interpreted=%v\nφ = %s\ndb:\n%s",
+					q, seed, interned, interp, phi, d)
 			}
 		}
 	}
@@ -99,45 +95,110 @@ func TestInternedCompiledEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		indexed, err := compiled.EvalIndexed(tc.d)
+		interp, err := Eval(tc.phi, tc.d)
 		if err != nil {
-			t.Fatalf("%s: indexed: %v", tc.name, err)
+			t.Fatalf("%s: interpreter: %v", tc.name, err)
 		}
-		interned, err := compiled.evalInterned(tc.d)
+		interned, err := compiled.Eval(tc.d)
 		if err != nil {
 			t.Fatalf("%s: interned: %v", tc.name, err)
 		}
-		if interned != indexed {
-			t.Fatalf("%s: interned=%v indexed=%v", tc.name, interned, indexed)
+		if interned != interp {
+			t.Fatalf("%s: interned=%v interpreted=%v", tc.name, interned, interp)
 		}
 	}
 }
 
-// TestInternedKnob checks the package knob reroutes Compiled.Eval.
-func TestInternedKnob(t *testing.T) {
-	if !InternedEnabled() {
-		t.Fatal("interned plane must default to enabled")
+// TestCompiledEvalWithMatchesInterpreter: Compiled.EvalWith resolves bound
+// values on the interned plane — ids for values in the database, the
+// constants' ids for values the formula names, pseudo-ids for values absent
+// from both (shared by free variables bound to the same absent value) — and
+// adds them to the quantification domain. Every binding must decide exactly
+// what the interpreter's EvalWith decides, including on formulas whose truth
+// depends on the domain.
+func TestCompiledEvalWithMatchesInterpreter(t *testing.T) {
+	chain := cq.MustParseQuery("R(x | y), S(y | z)")
+	rewriting := func(q cq.Query, free ...string) Formula {
+		phi, err := RewriteAcyclicFree(q, free)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return phi
 	}
-	phi, err := RewriteAcyclic(cq.MustParseQuery("R(x | y)"))
+	x, y, w := cq.Var("x"), cq.Var("y"), cq.Var("w")
+	rAtom := func(k, v cq.Term) Formula {
+		return Atom{A: cq.Atom{Rel: "R", KeyLen: 1, Args: []cq.Term{k, v}}}
+	}
+	formulas := []Formula{
+		rewriting(chain, "x"),
+		rewriting(chain, "x", "z"),
+		rewriting(cq.MustParseQuery("R(x | 'k')"), "x"),
+		// Equality of two free variables, and against a constant.
+		NewOr(Eq{L: x, R: y}, Eq{L: x, R: cq.Const("k")}),
+		// Unguarded quantifiers: truth depends on which values the domain
+		// holds, bound values and constants included.
+		Forall{Vars: []string{"w"}, F: NewOr(Eq{L: w, R: x}, Eq{L: w, R: y}, Exists{Vars: []string{"v"}, F: rAtom(w, cq.Var("v"))})},
+		Exists{Vars: []string{"w"}, F: NewAnd(Not{F: Eq{L: w, R: x}}, Not{F: rAtom(w, y)})},
+		NewAnd(rAtom(x, y), Not{F: Eq{L: y, R: cq.Const("ghost")}}),
+	}
+	dbs := []*db.DB{db.New(), db.MustParse("R(a | b), R(a | k), S(b | c)")}
+	for seed := int64(0); seed < 3; seed++ {
+		dbs = append(dbs, gen.RandomDB(chain, gen.Config{Embeddings: 2, Noise: 2, Domain: 3}, seed))
+	}
+	checked := 0
+	for fi, phi := range formulas {
+		compiled, err := Compile(phi)
+		if err != nil {
+			t.Fatalf("formula %d: %v", fi, err)
+		}
+		free := FreeVars(phi).Sorted()
+		for di, d := range dbs {
+			// Values from the database, from the formula's constants, and
+			// absent from both.
+			values := append(d.ActiveDomain(), "k", "ghost", "ghost2")
+			var rec func(i int, env cq.Valuation)
+			rec = func(i int, env cq.Valuation) {
+				if i == len(free) {
+					want, err := EvalWith(phi, d, env)
+					if err != nil {
+						t.Fatalf("formula %d db %d %v: interpreter: %v", fi, di, env, err)
+					}
+					got, err := compiled.EvalWith(d, env)
+					if err != nil {
+						t.Fatalf("formula %d db %d %v: compiled: %v", fi, di, env, err)
+					}
+					if got != want {
+						t.Fatalf("formula %d db %d binding %v: compiled=%v interpreted=%v\nφ = %s\ndb:\n%s",
+							fi, di, env, got, want, phi, d)
+					}
+					checked++
+					return
+				}
+				for _, v := range values {
+					env[free[i]] = v
+					rec(i+1, env)
+				}
+				delete(env, free[i])
+			}
+			rec(0, cq.Valuation{})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no bindings checked")
+	}
+	t.Logf("%d bindings agree", checked)
+	// Two free variables sharing one absent value must compare equal.
+	c, err := Compile(Eq{L: x, R: y})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := Compile(phi)
-	if err != nil {
-		t.Fatal(err)
+	if ok, err := c.EvalWith(db.MustParse("R(a | b)"), cq.Valuation{"x": "ghost", "y": "ghost"}); err != nil || !ok {
+		t.Fatalf("x = y over a shared absent value: %v, %v", ok, err)
 	}
-	d := db.MustParse("R(a | b), R(a | c), S(b | d)")
-	on, err := compiled.Eval(d)
-	if err != nil {
-		t.Fatal(err)
+	if ok, err := c.EvalWith(db.MustParse("R(a | b)"), cq.Valuation{"x": "ghost", "y": "ghost2"}); err != nil || ok {
+		t.Fatalf("x = y over distinct absent values: %v, %v", ok, err)
 	}
-	SetInterned(false)
-	off, errOff := compiled.Eval(d)
-	SetInterned(true)
-	if errOff != nil {
-		t.Fatal(errOff)
-	}
-	if on != off {
-		t.Fatalf("knob changed the verdict: on=%v off=%v", on, off)
+	if _, err := c.EvalWith(db.New(), cq.Valuation{"x": "a"}); err == nil {
+		t.Fatal("EvalWith with an unbound free variable must fail")
 	}
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // WorkerGate is a process-wide budget on *extra* goroutines spawned by the
-// solver's fan-out layers. Two layers can fan out at once — the shard pool
-// splits an instance into per-component sub-solves, and inside one of those
-// CertainACkParallel fans out again over strong components. Without a shared
-// budget the layers multiply: s shards × w workers goroutines for a machine
-// with GOMAXPROCS cores. The gate makes every layer draw from one pool of
+// solver's fan-out layers. Two layers can fan out at once — SolveBatch fans
+// out over batch items, and inside one of those the shard join fans out
+// again over per-component sub-solves. Without a shared budget the layers
+// multiply: b items × s shards goroutines for a machine with GOMAXPROCS
+// cores. The gate makes every layer draw from one pool of
 // GOMAXPROCS-derived slots instead.
 //
 // The contract is non-blocking on purpose: TryAcquire either grants a slot

@@ -114,7 +114,7 @@ func (c *Cache[K, V]) Len() int { return c.ll.Len() }
 func (c *Cache[K, V]) Cap() int { return c.cap }
 
 // Stats is a snapshot of the cache's counters, serializable as the
-// /statsz wire form.
+// /v1/statsz wire form.
 type Stats struct {
 	Len       int    `json:"len"`
 	Cap       int    `json:"cap"`

@@ -60,8 +60,7 @@ func CountSatisfyingSharded(q cq.Query, d *db.DB, maxShards int) *big.Int {
 
 // combineCounts folds per-shard tallies into the total satisfying-repair
 // count: ∏ᵢNᵢ − ∏ᵢ(Nᵢ−sᵢ) per component, components and irrelevant-block
-// sizes multiplied. It only reads the stored big.Ints (every arithmetic
-// result is freshly allocated), so tallies may be shared with a CountMemo.
+// sizes multiplied.
 func combineCounts(dec *shard.Decomposition, counts [][]shardCounts) *big.Int {
 	total := big.NewInt(1)
 	for _, comp := range counts {
@@ -101,8 +100,7 @@ func UniformProbabilitySharded(q cq.Query, d *db.DB, maxShards int) *big.Rat {
 }
 
 // combineProbability folds per-shard tallies into Pr(q): 1 − ∏ᵢ(1−sᵢ/Nᵢ)
-// per component, components multiplied. Read-only on the stored big.Ints,
-// like combineCounts.
+// per component, components multiplied.
 func combineProbability(counts [][]shardCounts) *big.Rat {
 	one := big.NewRat(1, 1)
 	total := new(big.Rat).Set(one)

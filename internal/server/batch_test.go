@@ -201,59 +201,23 @@ func TestBatchDrainingRefused(t *testing.T) {
 		http.StatusServiceUnavailable, CodeShutdown)
 }
 
-// Legacy paths: POST endpoints answer 308 with the successor in Location
-// and a Deprecation marker; GET /statsz serves in place with the marker.
-func TestLegacyAliases(t *testing.T) {
+// TestLegacyPathsGone: the pre-/v1 aliases were retired, so their paths
+// are no longer routed.
+func TestLegacyPathsGone(t *testing.T) {
 	s := New(Config{Registry: obs.NewRegistry()})
-	for _, tc := range []struct{ path, successor string }{
-		{"/solve", "/v1/solve"},
-		{"/solve/batch", "/v1/solve/batch"},
-		{"/classify", "/v1/classify"},
+	for _, tc := range []struct{ method, path string }{
+		{"POST", "/solve"},
+		{"POST", "/solve/batch"},
+		{"POST", "/classify"},
+		{"GET", "/statsz"},
 	} {
-		rec := doJSON(t, s, nil, "POST", tc.path, SolveRequest{Query: "R(x | y)", DB: "R(a | b)"})
-		if rec.Code != http.StatusPermanentRedirect {
-			t.Errorf("%s: status %d, want 308", tc.path, rec.Code)
+		var body any
+		if tc.method == "POST" {
+			body = SolveRequest{Query: "R(x | y)", DB: "R(a | b)"}
 		}
-		if loc := rec.Header().Get("Location"); loc != tc.successor {
-			t.Errorf("%s: Location %q, want %q", tc.path, loc, tc.successor)
+		if rec := doJSON(t, s, nil, tc.method, tc.path, body); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, rec.Code)
 		}
-		if rec.Header().Get("Deprecation") == "" {
-			t.Errorf("%s: missing Deprecation header", tc.path)
-		}
-	}
-	// GET /statsz answers directly (scrapers do not follow redirects) but is
-	// marked deprecated; /v1/statsz is the clean successor.
-	legacy := doJSON(t, s, nil, "GET", "/statsz", nil)
-	if legacy.Code != http.StatusOK {
-		t.Fatalf("GET /statsz: status %d", legacy.Code)
-	}
-	if legacy.Header().Get("Deprecation") == "" {
-		t.Error("GET /statsz: missing Deprecation header")
-	}
-	v1 := doJSON(t, s, nil, "GET", "/v1/statsz", nil)
-	if v1.Code != http.StatusOK {
-		t.Fatalf("GET /v1/statsz: status %d", v1.Code)
-	}
-	if v1.Header().Get("Deprecation") != "" {
-		t.Error("GET /v1/statsz: carries a Deprecation header")
-	}
-	if legacy.Body.String() != v1.Body.String() {
-		t.Error("legacy and v1 statsz bodies differ")
-	}
-}
-
-// A 308 redirect replayed against the mux (as a redirect-following client
-// would) must land on the working v1 endpoint.
-func TestLegacyRedirectRoundTrip(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry()})
-	body := SolveRequest{Query: "R(x | y), S(y | z)", DB: "R(a | b) S(b | c)"}
-	rec := doJSON(t, s, nil, "POST", "/solve", body)
-	if rec.Code != http.StatusPermanentRedirect {
-		t.Fatalf("status %d, want 308", rec.Code)
-	}
-	resp := decodeSolve(t, doJSON(t, s, nil, "POST", rec.Header().Get("Location"), body))
-	if !resp.Verdict.Result.Certain {
-		t.Fatal("redirected solve returned wrong verdict")
 	}
 }
 

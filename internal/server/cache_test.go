@@ -14,7 +14,7 @@ import (
 
 func decodeStatsz(t *testing.T, s *Server) StatszResponse {
 	t.Helper()
-	rec := doJSON(t, s, nil, "GET", "/statsz", nil)
+	rec := doJSON(t, s, nil, "GET", "/v1/statsz", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("statsz = %d", rec.Code)
 	}
@@ -26,7 +26,7 @@ func decodeStatsz(t *testing.T, s *Server) StatszResponse {
 }
 
 // TestVerdictCacheHit: a repeated (query, db) instance with a conclusive
-// verdict is served from the cache with Cached=true, and /statsz shows the
+// verdict is served from the cache with Cached=true, and /v1/statsz shows the
 // hit.
 func TestVerdictCacheHit(t *testing.T) {
 	s := New(Config{Registry: obs.NewRegistry()})

@@ -124,7 +124,7 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestStatszMatchesLRUStats is the migration regression test: /statsz now
+// TestStatszMatchesLRUStats is the migration regression test: /v1/statsz now
 // reads the obs registry, and its numbers must be identical to the
 // lru-internal counters that backed it before — occupancy, capacity, hits,
 // misses, and evictions for all three caches — over a workload that
@@ -163,7 +163,7 @@ func TestStatszMatchesLRUStats(t *testing.T) {
 }
 
 // TestInternStatsGolden: a hosted server reports the exact symbol-interner
-// census of its database's columnar view on both /statsz and the
+// census of its database's columnar view on both /v1/statsz and the
 // certd_intern_* gauges; a stateless server reports zeros.
 func TestInternStatsGolden(t *testing.T) {
 	s, st := newStoreServer(t, nil)
@@ -179,7 +179,7 @@ func TestInternStatsGolden(t *testing.T) {
 	}
 	got := decodeStatsz(t, s)
 	if got.Intern != want {
-		t.Fatalf("/statsz intern = %+v, want %+v", got.Intern, want)
+		t.Fatalf("/v1/statsz intern = %+v, want %+v", got.Intern, want)
 	}
 	samples := scrapeMetrics(t, s)
 	for series, value := range map[string]int64{
@@ -197,7 +197,7 @@ func TestInternStatsGolden(t *testing.T) {
 
 	stateless := New(Config{Registry: obs.NewRegistry()})
 	if got := decodeStatsz(t, stateless); got.Intern != (intern.Stats{}) {
-		t.Fatalf("stateless /statsz intern = %+v, want zeros", got.Intern)
+		t.Fatalf("stateless /v1/statsz intern = %+v, want zeros", got.Intern)
 	}
 }
 

@@ -266,17 +266,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Legacy aliases. POSTable endpoints redirect with 308 (method- and
-	// body-preserving); GET /statsz keeps answering in place because
-	// monitoring scrapers often do not follow redirects. All three advertise
-	// the successor and carry a deprecation marker.
-	s.mux.HandleFunc("POST /solve", s.legacyRedirect("/v1/solve"))
-	s.mux.HandleFunc("POST /solve/batch", s.legacyRedirect("/v1/solve/batch"))
-	s.mux.HandleFunc("POST /classify", s.legacyRedirect("/v1/classify"))
-	s.mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		deprecateHeaders(w, "/v1/statsz")
-		s.handleStatsz(w, r)
-	})
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -285,23 +274,6 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return s
-}
-
-// deprecateHeaders marks a legacy-path response: Deprecation (RFC 9745)
-// plus a Link to the successor endpoint.
-func deprecateHeaders(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "@1754352000") // 2025-08-05, the /v1/ cutover
-	w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-}
-
-// legacyRedirect answers a legacy POST path with 308 Permanent Redirect to
-// its /v1/ successor; 308 preserves both method and body, so old clients
-// keep working through one extra round trip.
-func (s *Server) legacyRedirect(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		deprecateHeaders(w, successor)
-		http.Redirect(w, r, successor, http.StatusPermanentRedirect)
-	}
 }
 
 // verdictCache memoizes conclusive verdicts by (canonical query, database
@@ -881,7 +853,7 @@ func verdictKind(v solver.Verdict) string {
 	return string(b)
 }
 
-// statsFrom renders one cache's obs counters in the legacy /statsz wire
+// statsFrom renders one cache's obs counters in the /v1/statsz wire
 // shape. The obs mirror is updated in the same critical sections as the
 // lru-internal counters, so the two views are always equal (locked by a
 // regression test).

@@ -390,7 +390,7 @@ type HealthResponse struct {
 	ReadOnly bool `json:"read_only,omitempty"`
 }
 
-// StatszResponse is the body of /statsz: occupancy and hit/miss/eviction
+// StatszResponse is the body of /v1/statsz: occupancy and hit/miss/eviction
 // counters for each serving-layer cache. Verdicts is all-zero when the
 // verdict cache is disabled (VerdictCacheSize < 0).
 type StatszResponse struct {

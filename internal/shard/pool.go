@@ -13,8 +13,8 @@ import (
 // participates, so the call makes progress even when the gate is exhausted
 // by another fan-out layer — extra goroutines are spawned only for gate
 // slots actually acquired, which is what keeps nested layers (a shard join
-// inside a batch, CertainACkParallel inside a shard solve) from multiplying
-// goroutines past the GOMAXPROCS-derived limit.
+// inside a batch) from multiplying goroutines past the GOMAXPROCS-derived
+// limit.
 //
 // Indices are claimed from an atomic counter, so the items run in no
 // particular order. When ctx is cancelled, no further indices are claimed —

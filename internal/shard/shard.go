@@ -32,8 +32,8 @@
 // The package computes only the decomposition; the solver layer runs the
 // per-shard decisions (internal/solver), and the counting layer applies the
 // product/convolution algebra (internal/prob). Both fan out on the bounded
-// worker pool in pool.go, which draws from the same process-wide
-// govern.Workers gate as CertainACkParallel so nested layers never multiply
+// worker pool in pool.go, which draws from the process-wide govern.Workers
+// gate so nested layers (a shard join inside a batch) never multiply
 // goroutines.
 package shard
 

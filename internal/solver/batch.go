@@ -38,43 +38,38 @@ func init() {
 // planMemo compiles each distinct canonical query once per batch. When the
 // caller supplied a PlanSource it is consulted first (so batches share the
 // process-wide cache); otherwise compilation results — including failures —
-// are memoized locally for the duration of the batch.
+// are memoized locally for the duration of the batch. Each key's entry is
+// resolved under its own sync.Once, so concurrent items carrying the same
+// query wait for one compile instead of racing to run their own.
 type planMemo struct {
-	source PlanSource
-	mu     sync.Mutex
-	plans  map[string]*Plan
-	errs   map[string]error
+	source  PlanSource
+	mu      sync.Mutex
+	entries map[string]*planEntry
+}
+
+type planEntry struct {
+	once sync.Once
+	p    *Plan
+	err  error
 }
 
 func (m *planMemo) get(ctx context.Context, q cq.Query) (*Plan, error) {
 	key := cq.CanonicalKey(q)
 	m.mu.Lock()
-	if p, ok := m.plans[key]; ok {
-		m.mu.Unlock()
-		return p, nil
-	}
-	if err, ok := m.errs[key]; ok {
-		m.mu.Unlock()
-		return nil, err
+	e, ok := m.entries[key]
+	if !ok {
+		e = &planEntry{}
+		m.entries[key] = e
 	}
 	m.mu.Unlock()
-
-	var p *Plan
-	var err error
-	if m.source != nil {
-		p, err = m.source.Get(ctx, q)
-	} else {
-		p, err = CompilePlan(q)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err != nil {
-		m.errs[key] = err
-		return nil, err
-	}
-	m.plans[key] = p
-	return p, nil
+	e.once.Do(func() {
+		if m.source != nil {
+			e.p, e.err = m.source.Get(ctx, q)
+		} else {
+			e.p, e.err = CompilePlan(q)
+		}
+	})
+	return e.p, e.err
 }
 
 // SolveBatch decides a batch of instances on the bounded worker pool,
@@ -97,11 +92,7 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts ...Option) []BatchR
 			results[i].Err = context.Canceled // overwritten when the item runs
 		}
 	}
-	memo := &planMemo{
-		source: cfg.plans,
-		plans:  make(map[string]*Plan),
-		errs:   make(map[string]error),
-	}
+	memo := &planMemo{source: cfg.plans, entries: make(map[string]*planEntry)}
 	var obsMu sync.Mutex
 	_ = shard.ForEach(ctx, len(items), func(i int) {
 		ictx, sp := obs.StartSpan(ctx, "batch/item")

@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
-	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
-	"github.com/cqa-go/certainty/internal/gen"
 	"github.com/cqa-go/certainty/internal/govern"
 )
 
@@ -318,67 +315,5 @@ func TestSolveCtxUnlimitedMatchesSolve(t *testing.T) {
 				t.Fatalf("Outcome %v disagrees with Certain=%v", v.Outcome, want.Certain)
 			}
 		})
-	}
-}
-
-// TestParallelACkCtxCanceled: the parallel AC(k) fan-out must respect its
-// caller's context instead of running the component sweep to completion.
-func TestParallelACkCtxCanceled(t *testing.T) {
-	q := cq.ACk(3)
-	shape, ok := core.MatchCycleShape(q, true)
-	if !ok {
-		t.Fatal("ACk(3) should match the cycle shape")
-	}
-	d := gen.CycleDB(gen.CycleConfig{K: 3, Components: 13, Width: 2, EncodeAll: true})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g := govern.New(ctx, govern.Options{CheckEvery: 1})
-	defer g.Close()
-	_, err := CertainACkParallelCtx(g.Attach(), q, shape, d, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestParallelACkNoGoroutineLeak runs the parallel decision repeatedly —
-// including the early-exit path that previously left workers draining the
-// job channel — and asserts the goroutine count settles back down.
-func TestParallelACkNoGoroutineLeak(t *testing.T) {
-	q := cq.ACk(3)
-	shape, ok := core.MatchCycleShape(q, true)
-	if !ok {
-		t.Fatal("ACk(3) should match the cycle shape")
-	}
-	dbs := []*db.DB{
-		gen.CycleDB(gen.CycleConfig{K: 3, Components: 13, Width: 2, EncodeAll: true}),
-		gen.CycleDB(gen.CycleConfig{K: 3, Components: 13, Width: 2}),
-	}
-	runtime.GC()
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		for _, d := range dbs {
-			want, err := CertainACk(q, shape, d)
-			if err != nil {
-				t.Fatalf("CertainACk: %v", err)
-			}
-			got, err := CertainACkParallelCtx(context.Background(), q, shape, d, 8)
-			if err != nil {
-				t.Fatalf("CertainACkParallelCtx: %v", err)
-			}
-			if got != want {
-				t.Fatalf("parallel = %v, serial = %v", got, want)
-			}
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -159,41 +159,6 @@ func TestCyclicSafeDispatch(t *testing.T) {
 	}
 }
 
-// TestParallelACkAgrees: the parallel component fan-out matches the
-// sequential Theorem 4 algorithm.
-func TestParallelACkAgrees(t *testing.T) {
-	q := cq.ACk(3)
-	shape, _ := core.MatchCycleShape(q, true)
-	for seed := int64(0); seed < 20; seed++ {
-		d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 2, Domain: 3}, seed)
-		seq, err := CertainACk(q, shape, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 4} {
-			par, err := CertainACkParallel(q, shape, d, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par != seq {
-				t.Errorf("seed %d workers %d: parallel=%v sequential=%v", seed, workers, par, seq)
-			}
-		}
-	}
-	// Structured multi-component instances.
-	for _, width := range []int{1, 2} {
-		d := gen.CycleDB(gen.CycleConfig{K: 3, Components: 13, Width: width, EncodeAll: true})
-		seq, _ := CertainACk(q, shape, d)
-		par, err := CertainACkParallel(q, shape, d, 3)
-		if err != nil || par != seq {
-			t.Errorf("width %d: parallel=%v sequential=%v err=%v", width, par, seq, err)
-		}
-	}
-	if _, err := CertainACkParallel(q, nil, gen.Figure6DB(), 2); err == nil {
-		t.Error("nil shape must be rejected")
-	}
-}
-
 // TestFalsifyingRepairContext: cancellation aborts the search with the
 // context error; an ample deadline reproduces the plain result.
 func TestFalsifyingRepairContext(t *testing.T) {

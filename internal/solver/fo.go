@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
@@ -15,52 +14,26 @@ import (
 // unifyAtomFact unifies (possibly partially ground) atom a with fact f and
 // returns the valuation over vars(a) induced by f.
 func unifyAtomFact(a cq.Atom, f db.Fact) (cq.Valuation, bool) {
-	v := make(cq.Valuation)
-	if !unifyAtomFactInto(a, f, v) {
+	if a.Rel != f.Rel || len(a.Args) != len(f.Args) || a.KeyLen != f.KeyLen {
 		return nil, false
 	}
-	return v, true
-}
-
-// unifyAtomFactInto is unifyAtomFact writing into a caller-provided (empty)
-// valuation, so hot loops can reuse pooled maps instead of allocating one
-// per candidate fact. On failure the map may hold partial bindings; the
-// caller clears it before reuse.
-func unifyAtomFactInto(a cq.Atom, f db.Fact, v cq.Valuation) bool {
-	if a.Rel != f.Rel || len(a.Args) != len(f.Args) || a.KeyLen != f.KeyLen {
-		return false
-	}
+	v := make(cq.Valuation)
 	for i, t := range a.Args {
 		if t.IsConst {
 			if t.Value != f.Args[i] {
-				return false
+				return nil, false
 			}
 			continue
 		}
 		if prev, ok := v[t.Value]; ok {
 			if prev != f.Args[i] {
-				return false
+				return nil, false
 			}
 			continue
 		}
 		v[t.Value] = f.Args[i]
 	}
-	return true
-}
-
-// valuationPool recycles the scratch valuations of the FO rewriting's hot
-// recursion. A valuation is returned to the pool as soon as the recursive
-// call that consumed it returns; Substitute copies bindings into fresh
-// atoms, so nothing retains the map.
-var valuationPool = sync.Pool{
-	New: func() any { return make(cq.Valuation, 8) },
-}
-
-func getValuation() cq.Valuation { return valuationPool.Get().(cq.Valuation) }
-
-func putValuation(v cq.Valuation) {
-	clear(v)
-	valuationPool.Put(v)
+	return v, true
 }
 
 // shapePlaceholder stands in for every constant when only the query's shape
@@ -80,15 +53,12 @@ const shapePlaceholder = "▢"
 // A program is immutable and safe for concurrent use; compile once per
 // canonical query (the plan cache does) and reuse across databases.
 //
-// Beyond the residual-index steps driving the string-indexed recursion, the
-// program carries an interned schedule (sched, constRefs, nslots, maxKey —
-// see fo_interned.go): each level's arguments lowered to constant-ordinal /
-// bound-slot / bind-slot operations against the columnar view, so the hot
-// recursion runs over uint32 ids with zero allocations.
+// The schedule (see fo_interned.go) lowers each level's arguments to
+// constant-ordinal / bound-slot / bind-slot operations against the
+// database's interned columnar view, so the hot recursion runs over uint32
+// ids with zero allocations.
 type FOProgram struct {
-	steps []int // steps[L] = index, within the depth-L residual query, of the atom to eliminate
-
-	sched     []foStep   // interned schedule, one entry per level
+	sched     []foStep   // one entry per level, in elimination order
 	constRefs []constRef // constant ordinal → (atom, pos) in the runtime query
 	nslots    int        // variable slots of the interned environment
 	maxKey    int        // widest key probed by any keyReady level
@@ -101,7 +71,7 @@ type FOProgram struct {
 func CompileFO(q cq.Query) (*FOProgram, error) {
 	// Mask constants so the simulation works on the pure shape.
 	cur := maskShape(q)
-	p := &FOProgram{steps: make([]int, 0, q.Len())}
+	p := &FOProgram{sched: make([]foStep, 0, q.Len())}
 	// orig maps residual indices back to original atom indices; slots
 	// accumulates the variables grounded by eliminated atoms, which is
 	// exactly the statically-known bound set at each level.
@@ -130,7 +100,6 @@ func CompileFO(q cq.Query) (*FOProgram, error) {
 		p.compileStep(q, orig[idx], slots)
 		orig = append(orig[:idx], orig[idx+1:]...)
 		cur = cur.Without(idx).Substitute(theta)
-		p.steps = append(p.steps, idx)
 	}
 	return p, nil
 }
@@ -159,78 +128,12 @@ func (p *FOProgram) Certain(q cq.Query, d *db.DB) (bool, error) {
 }
 
 // CertainCtx is Certain with cooperative cancellation: one governor step is
-// charged per recursive rewriting step, exactly as in CertainFOCtx. It runs
-// on the interned plane unless SetInterned has deselected it.
+// charged per recursive rewriting step, exactly as in CertainFOCtx.
 func (p *FOProgram) CertainCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
-	if q.Len() != len(p.steps) {
-		return false, fmt.Errorf("solver: FO program compiled for %d atoms applied to %d-atom query", len(p.steps), q.Len())
+	if q.Len() != len(p.sched) {
+		return false, fmt.Errorf("solver: FO program compiled for %d atoms applied to %d-atom query", len(p.sched), q.Len())
 	}
-	if internedOn.Load() {
-		return p.certainInterned(govern.From(ctx), q, d)
-	}
-	return p.run(govern.From(ctx), q, d, 0)
-}
-
-// CertainIndexed decides certainty on the string-indexed plane regardless of
-// the knob — the reference the interned plane is differentially tested
-// against, and the "indexed" column of the certbench triple.
-func (p *FOProgram) CertainIndexed(q cq.Query, d *db.DB) (bool, error) {
-	return p.CertainIndexedCtx(context.Background(), q, d)
-}
-
-// CertainIndexedCtx is CertainIndexed with cooperative cancellation.
-func (p *FOProgram) CertainIndexedCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
-	if q.Len() != len(p.steps) {
-		return false, fmt.Errorf("solver: FO program compiled for %d atoms applied to %d-atom query", len(p.steps), q.Len())
-	}
-	return p.run(govern.From(ctx), q, d, 0)
-}
-
-func (p *FOProgram) run(g *govern.Governor, q cq.Query, d *db.DB, level int) (bool, error) {
-	if err := g.Step(); err != nil {
-		return false, err
-	}
-	return p.stepped(g, q, d, level)
-}
-
-// stepped is run after its governor step has been charged; CertainFOCtx
-// uses it to poll the governor before compiling, preserving the seed
-// behavior that cancellation surfaces ahead of scope errors.
-func (p *FOProgram) stepped(g *govern.Governor, q cq.Query, d *db.DB, level int) (bool, error) {
-	if q.IsEmpty() {
-		return true, nil
-	}
-	idx := p.steps[level]
-	F := q.Atoms[idx]
-	rest := q.Without(idx)
-	for _, block := range candidateBlocks(d, F) {
-		blockOK := true
-		for _, A := range block {
-			theta := getValuation()
-			if !unifyAtomFactInto(F, A, theta) {
-				putValuation(theta)
-				blockOK = false
-				break
-			}
-			next := rest
-			if len(theta) > 0 {
-				next = rest.Substitute(theta)
-			}
-			putValuation(theta)
-			sub, err := p.run(g, next, d, level+1)
-			if err != nil {
-				return false, err
-			}
-			if !sub {
-				blockOK = false
-				break
-			}
-		}
-		if blockOK {
-			return true, nil
-		}
-	}
-	return false, nil
+	return p.certainInterned(govern.From(ctx), q, d)
 }
 
 // CertainFO decides db ∈ CERTAINTY(q) for queries whose attack graph is
@@ -255,8 +158,7 @@ func CertainFO(q cq.Query, d *db.DB) (bool, error) {
 
 // CertainFOCtx is CertainFO with cooperative cancellation: one governor
 // step is charged per recursive rewriting step. The first step is charged
-// before compilation so that cancellation surfaces ahead of scope errors,
-// exactly as in the uncompiled recursion.
+// before compilation so that cancellation surfaces ahead of scope errors.
 func CertainFOCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
 	g := govern.From(ctx)
 	if err := g.Step(); err != nil {
@@ -266,96 +168,7 @@ func CertainFOCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if internedOn.Load() {
-		return p.steppedInterned(g, q, d)
-	}
-	return p.stepped(g, q, d, 0)
-}
-
-// CertainFOBaseline is the pre-index reference implementation of CertainFO:
-// it re-derives the relation's block list on every recursive step and
-// memoizes unattacked-atom choices lazily per rendered shape key, exactly
-// as the seed revision did. Retained as the differential-testing oracle and
-// the "seed" column of the certbench performance baseline; production
-// callers should use CertainFO.
-func CertainFOBaseline(q cq.Query, d *db.DB) (bool, error) {
-	return CertainFOBaselineCtx(context.Background(), q, d)
-}
-
-// CertainFOBaselineCtx is CertainFOBaseline with cooperative cancellation.
-func CertainFOBaselineCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
-	memo := make(map[string]int)
-	return certainFOBaseline(govern.From(ctx), q, d, memo)
-}
-
-// shapeKey renders q with every constant replaced by a placeholder; two
-// queries with the same key have identical attack graphs.
-func shapeKey(q cq.Query) string {
-	return maskShape(q).String()
-}
-
-func certainFOBaseline(g *govern.Governor, q cq.Query, d *db.DB, memo map[string]int) (bool, error) {
-	if err := g.Step(); err != nil {
-		return false, err
-	}
-	if q.IsEmpty() {
-		return true, nil
-	}
-	key := shapeKey(q)
-	idx, ok := memo[key]
-	if !ok {
-		g, err := core.BuildAttackGraph(q, jointree.TieBreakLex)
-		if err != nil {
-			return false, err
-		}
-		un := g.Unattacked()
-		if len(un) == 0 {
-			return false, fmt.Errorf("solver: CertainFO requires an acyclic attack graph: %s", q)
-		}
-		idx = un[0]
-		memo[key] = idx
-	}
-	F := q.Atoms[idx]
-	rest := q.Without(idx)
-	for _, block := range candidateBlocksSeed(d, F) {
-		blockOK := true
-		for _, A := range block {
-			theta, ok := unifyAtomFact(F, A)
-			if !ok {
-				blockOK = false
-				break
-			}
-			sub, err := certainFOBaseline(g, rest.Substitute(theta), d, memo)
-			if err != nil {
-				return false, err
-			}
-			if !sub {
-				blockOK = false
-				break
-			}
-		}
-		if blockOK {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// blocksOfSeed re-derives the blocks of the given relation from a full
-// relation scan, as the seed revision did on every recursive step. Kept
-// only for the baseline path; indexed callers use db.DB.BlocksOf.
-func blocksOfSeed(d *db.DB, rel string) [][]db.Fact {
-	var out [][]db.Fact
-	seen := make(map[string]bool)
-	for _, f := range d.FactsOf(rel) {
-		bid := f.BlockID()
-		if seen[bid] {
-			continue
-		}
-		seen[bid] = true
-		out = append(out, d.Block(f))
-	}
-	return out
+	return p.steppedInterned(g, q, d)
 }
 
 // candidateBlocks returns the blocks of a's relation that can possibly
@@ -373,23 +186,6 @@ func candidateBlocks(d *db.DB, a cq.Atom) [][]db.Fact {
 		key[i] = a.Args[i].Value
 	}
 	block := d.BlockView(db.Fact{Rel: a.Rel, KeyLen: a.KeyLen, Args: key})
-	if len(block) == 0 {
-		return nil
-	}
-	return [][]db.Fact{block}
-}
-
-// candidateBlocksSeed is candidateBlocks without the memoized index,
-// re-deriving block lists per call; kept for the baseline path.
-func candidateBlocksSeed(d *db.DB, a cq.Atom) [][]db.Fact {
-	key := make([]string, a.KeyLen)
-	for i := 0; i < a.KeyLen; i++ {
-		if a.Args[i].IsVar() {
-			return blocksOfSeed(d, a.Rel)
-		}
-		key[i] = a.Args[i].Value
-	}
-	block := d.Block(db.Fact{Rel: a.Rel, KeyLen: a.KeyLen, Args: key})
 	if len(block) == 0 {
 		return nil
 	}

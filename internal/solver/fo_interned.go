@@ -2,61 +2,12 @@ package solver
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
-	"github.com/cqa-go/certainty/internal/engine"
-	"github.com/cqa-go/certainty/internal/fo"
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/intern"
 )
-
-// internedOn selects the interned execution plane for compiled FO programs.
-// On by default; SetInterned(false) falls back to the string-indexed
-// recursion. Both planes make the same block choices in the same order and
-// charge the same governor steps, so the verdict, the error, and the budget
-// point of failure are identical (locked by the parity tests).
-var internedOn atomic.Bool
-
-func init() { internedOn.Store(true) }
-
-// SetInterned selects (true, the default) or deselects the interned plane
-// for this package's compiled FO programs.
-func SetInterned(on bool) { internedOn.Store(on) }
-
-// InternedEnabled reports whether the interned plane is selected.
-func InternedEnabled() bool { return internedOn.Load() }
-
-// SetInternedDataPlane is the master switch for the whole interned data
-// plane: it flips the engine, fo, and solver knobs together. Differential
-// tests use it to run every method on both planes against the same inputs.
-func SetInternedDataPlane(on bool) {
-	engine.SetInterned(on)
-	fo.SetInterned(on)
-	internedOn.Store(on)
-}
-
-// InternedDataPlaneEnabled reports whether all three package knobs select
-// the interned plane.
-func InternedDataPlaneEnabled() bool {
-	return engine.InternedEnabled() && fo.InternedEnabled() && internedOn.Load()
-}
-
-// evalSafeRewriting evaluates the Theorem 6 safe rewriting, preferring a
-// precompiled closure tree (which itself runs interned unless fo.SetInterned
-// deselects it). Without one it compiles per call, falling back to the
-// interpreted fo.Eval only if compilation fails — so the hot path never
-// walks the AST.
-func evalSafeRewriting(phi fo.Formula, prog *fo.Compiled, d *db.DB) (bool, error) {
-	if prog == nil {
-		var err error
-		if prog, err = fo.Compile(phi); err != nil {
-			return fo.Eval(phi, d)
-		}
-	}
-	return prog.Eval(d)
-}
 
 // Argument kinds of the interned FO schedule. At each level, a residual
 // atom's argument is a constant of the runtime query (foConst), a variable
@@ -87,7 +38,7 @@ type constRef struct{ atom, pos int }
 // resolve, the lowered arguments, and whether the block key is fully
 // determined at level entry (constants or slots bound by earlier levels),
 // in which case a single hash probe replaces the all-blocks scan — exactly
-// when the string path's candidateBlocks narrows to one BlockView.
+// when the residual atom of Theorem 1's recursion has a ground key.
 type foStep struct {
 	rel      string
 	arity    int
@@ -100,8 +51,8 @@ type foStep struct {
 // variables grounded by previously eliminated atoms; the snapshot of the
 // slot counter at entry distinguishes them from variables first bound within
 // this very atom, which are NOT determined at level entry (a key position
-// holding one forces the all-blocks scan, matching the string path, where
-// such a position is still a variable in the residual atom).
+// holding one forces the all-blocks scan: in the residual atom such a
+// position is still a variable).
 func (p *FOProgram) compileStep(q cq.Query, ai int, slots map[string]uint16) {
 	a := q.Atoms[ai]
 	entryN := uint16(p.nslots)
@@ -154,9 +105,9 @@ func growU32(s []uint32, n int) []uint32 {
 	return s[:n]
 }
 
-// certainInterned is the interned CertainCtx body: charge the entry step
-// (cancellation surfaces before any database work, as in the string path),
-// then resolve and recurse.
+// certainInterned is the CertainCtx body: charge the entry step
+// (cancellation surfaces before any database work), then resolve and
+// recurse.
 func (p *FOProgram) certainInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
 	if err := g.Step(); err != nil {
 		return false, err
@@ -168,9 +119,9 @@ func (p *FOProgram) certainInterned(g *govern.Governor, q cq.Query, d *db.DB) (b
 // charged. Constants resolve to their ids — or intern.None when absent from
 // the database, which matches no fact and no block, exactly as an unknown
 // string matches nothing. Relations resolve to their columnar storage, or
-// nil on absence or signature mismatch: the string path enumerates such a
-// relation's blocks only to fail unification on every first fact, so both
-// planes return false there without recursing.
+// nil on absence or signature mismatch: every block of such a relation
+// fails unification on its first fact, so the level is false without
+// recursing.
 func (p *FOProgram) steppedInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
 	in := d.Interned()
 	sc := foScratchPool.Get().(*foScratch)
@@ -198,8 +149,8 @@ func (p *FOProgram) steppedInterned(g *govern.Governor, q cq.Query, d *db.DB) (b
 	return p.istepped(g, sc, 0)
 }
 
-// irun charges one governor step per search node entered — the exact charge
-// sites of the string path's run — then descends.
+// irun charges one governor step per search node entered — one per
+// recursive call of Theorem 1's rewriting — then descends.
 func (p *FOProgram) irun(g *govern.Governor, sc *foScratch, level int) (bool, error) {
 	if err := g.Step(); err != nil {
 		return false, err

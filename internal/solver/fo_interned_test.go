@@ -53,8 +53,9 @@ func internedFODBs(t *testing.T) []*db.DB {
 	return dbs
 }
 
-// TestInternedFOVerdictParity: the interned recursion decides exactly what
-// the string-indexed recursion decides, for every query shape and database.
+// TestInternedFOVerdictParity: the compiled interned recursion decides
+// exactly what the seed reference recursion (reference_test.go) decides,
+// for every query shape and database.
 func TestInternedFOVerdictParity(t *testing.T) {
 	queries := internedFOQueries(t)
 	for di, d := range internedFODBs(t) {
@@ -63,32 +64,32 @@ func TestInternedFOVerdictParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := p.CertainIndexedCtx(context.Background(), q, d)
+			want, err := CertainFOBaseline(q, d)
 			if err != nil {
-				t.Fatalf("db %d query %d: indexed: %v", di, qi, err)
+				t.Fatalf("db %d query %d: baseline: %v", di, qi, err)
 			}
 			got, err := p.certainInterned(govern.From(context.Background()), q, d)
 			if err != nil {
 				t.Fatalf("db %d query %d: interned: %v", di, qi, err)
 			}
 			if want != got {
-				t.Fatalf("db %d query %d (%v): interned=%v indexed=%v\ndb:\n%s", di, qi, q, got, want, d)
+				t.Fatalf("db %d query %d (%v): interned=%v baseline=%v\ndb:\n%s", di, qi, q, got, want, d)
 			}
 			perCall, err := CertainFO(q, d)
 			if err != nil {
 				t.Fatalf("db %d query %d: CertainFO: %v", di, qi, err)
 			}
 			if perCall != want {
-				t.Fatalf("db %d query %d: CertainFO=%v indexed=%v", di, qi, perCall, want)
+				t.Fatalf("db %d query %d: CertainFO=%v baseline=%v", di, qi, perCall, want)
 			}
 		}
 	}
 }
 
-// TestInternedFOGovernorStepParity pins the budget-observable behavior: both
-// planes enter the same search nodes in the same order, so they charge
-// identical governor step counts — a run under any budget fails (or not) at
-// the same point regardless of the knob.
+// TestInternedFOGovernorStepParity pins the budget-observable behavior: the
+// compiled program and the seed reference enter the same search nodes, so
+// they charge identical governor step counts — a run under any budget fails
+// (or not) at the same point.
 func TestInternedFOGovernorStepParity(t *testing.T) {
 	queries := internedFOQueries(t)
 	for di, d := range internedFODBs(t) {
@@ -97,25 +98,26 @@ func TestInternedFOGovernorStepParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			steps := func(interned bool) int64 {
-				SetInterned(interned)
-				defer SetInterned(true)
+			steps := func(certain func(context.Context) (bool, error)) int64 {
 				g := govern.New(context.Background(), govern.Options{})
 				defer g.Close()
-				if _, err := p.CertainCtx(g.Attach(), q, d); err != nil {
+				if _, err := certain(g.Attach()); err != nil {
 					t.Fatalf("db %d query %d: %v", di, qi, err)
 				}
 				return g.Steps()
 			}
-			if si, ss := steps(true), steps(false); si != ss {
-				t.Fatalf("db %d query %d (%v): interned charged %d steps, string path %d", di, qi, q, si, ss)
+			si := steps(func(ctx context.Context) (bool, error) { return p.CertainCtx(ctx, q, d) })
+			ss := steps(func(ctx context.Context) (bool, error) { return CertainFOBaselineCtx(ctx, q, d) })
+			if si != ss {
+				t.Fatalf("db %d query %d (%v): interned charged %d steps, seed reference %d", di, qi, q, si, ss)
 			}
 		}
 	}
 }
 
-// TestInternedFOBudgetCutoffParity: under a tight budget both planes return
-// the same governor error.
+// TestInternedFOBudgetCutoffParity: under a tight budget the compiled
+// program and the seed reference return the same verdict and the same
+// cutoff.
 func TestInternedFOBudgetCutoffParity(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
 	d := gen.RandomDB(q, gen.Config{Embeddings: 6, Noise: 10, Domain: 4}, 42)
@@ -124,66 +126,15 @@ func TestInternedFOBudgetCutoffParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for budget := int64(1); budget <= 8; budget++ {
-		run := func(interned bool) (bool, error) {
-			SetInterned(interned)
-			defer SetInterned(true)
+		run := func(certain func(context.Context) (bool, error)) (bool, error) {
 			g := govern.New(context.Background(), govern.Options{Budget: budget})
 			defer g.Close()
-			return p.CertainCtx(g.Attach(), q, d)
+			return certain(g.Attach())
 		}
-		iv, ierr := run(true)
-		sv, serr := run(false)
+		iv, ierr := run(func(ctx context.Context) (bool, error) { return p.CertainCtx(ctx, q, d) })
+		sv, serr := run(func(ctx context.Context) (bool, error) { return CertainFOBaselineCtx(ctx, q, d) })
 		if iv != sv || (ierr == nil) != (serr == nil) {
-			t.Fatalf("budget %d: interned (%v, %v) vs string (%v, %v)", budget, iv, ierr, sv, serr)
+			t.Fatalf("budget %d: interned (%v, %v) vs seed reference (%v, %v)", budget, iv, ierr, sv, serr)
 		}
-	}
-}
-
-// TestInternedKnobDefault: the data plane defaults to interned everywhere.
-func TestInternedKnobDefault(t *testing.T) {
-	if !InternedEnabled() || !InternedDataPlaneEnabled() {
-		t.Fatal("interned data plane must default to enabled")
-	}
-}
-
-// TestInternedDataPlaneAllMethods is the whole-solver differential: every
-// dispatched method — FO, safe rewriting, terminal, AC(k), C(k), falsifying,
-// and the projection-simplified open case — produces byte-identical verdicts
-// with the interned data plane on and off, through both the per-call SolveCtx
-// and the compiled Plan.SolveCtx paths.
-func TestInternedDataPlaneAllMethods(t *testing.T) {
-	defer SetInternedDataPlane(true)
-	for _, tc := range differentialCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := CompilePlan(tc.q)
-			if err != nil {
-				t.Fatalf("CompilePlan: %v", err)
-			}
-			for i, d := range tc.dbs {
-				fingerprints := func(on bool) (string, string) {
-					SetInternedDataPlane(on)
-					v, err := SolveCtx(context.Background(), tc.q, d, Options{})
-					if err != nil {
-						t.Fatalf("db %d (interned=%v): SolveCtx: %v", i, on, err)
-					}
-					pv, err := p.SolveCtx(context.Background(), d, Options{})
-					if err != nil {
-						t.Fatalf("db %d (interned=%v): Plan.SolveCtx: %v", i, on, err)
-					}
-					return verdictFingerprint(t, v), verdictFingerprint(t, pv)
-				}
-				onSolve, onPlan := fingerprints(true)
-				offSolve, offPlan := fingerprints(false)
-				if onSolve != offSolve {
-					t.Fatalf("db %d: SolveCtx diverges across the knob\n on:  %s\n off: %s", i, onSolve, offSolve)
-				}
-				if onPlan != offPlan {
-					t.Fatalf("db %d: Plan.SolveCtx diverges across the knob\n on:  %s\n off: %s", i, onPlan, offPlan)
-				}
-				if onSolve != onPlan {
-					t.Fatalf("db %d: plan and per-call verdicts diverge\n solve: %s\n plan:  %s", i, onSolve, onPlan)
-				}
-			}
-		})
 	}
 }

@@ -17,7 +17,7 @@ type Option func(*config)
 type config struct {
 	opts    Options           // limits + degradation knobs (the legacy Options struct)
 	shards  int               // 0 = monolithic; >0 = cap data shards per component; <0 = auto
-	plans   PlanSource        // nil = compile per call (or run the uncompiled path)
+	plans   PlanSource        // nil = compile per call
 	observe func(BatchResult) // SolveBatch streaming callback; nil = none
 	memo    *ShardMemo        // nil = no per-shard verdict memoization
 }
@@ -121,15 +121,22 @@ func newConfig(opts []Option) config {
 // resource limits and scheduling, never answers.
 func Solve(ctx context.Context, q cq.Query, d *db.DB, opts ...Option) (Verdict, error) {
 	cfg := newConfig(opts)
-	if cfg.shards != 0 {
-		return solveSharded(ctx, q, d, cfg)
+	if cfg.shards == 0 && cfg.plans == nil {
+		return SolveCtx(ctx, q, d, cfg.opts)
 	}
+	var p *Plan
+	var err error
 	if cfg.plans != nil {
-		p, err := cfg.plans.Get(ctx, q)
-		if err != nil {
-			return Verdict{}, err
-		}
+		p, err = cfg.plans.Get(ctx, q)
+	} else {
+		p, err = CompilePlan(q)
+	}
+	if err != nil {
+		return Verdict{}, err
+	}
+	if cfg.shards == 0 {
 		return p.SolveCtx(ctx, d, cfg.opts)
 	}
-	return SolveCtx(ctx, q, d, cfg.opts)
+	v, _, err := p.SolveShardedMemo(ctx, d, cfg.shards, cfg.opts, cfg.memo)
+	return v, err
 }

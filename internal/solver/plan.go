@@ -7,7 +7,6 @@ import (
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/fo"
-	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
 )
 
@@ -43,15 +42,16 @@ type Plan struct {
 	execCls    core.Classification // its classification
 	rewriteDB  func(*db.DB) (*db.DB, error)
 	foProg     *FOProgram   // compiled Theorem 1 program when Method == MethodFO
-	safePhi    fo.Formula   // Theorem 6 rewriting when Method == MethodSafeRewriting
-	safeProg   *fo.Compiled // safePhi compiled to the closure/interned trees
+	safeProg   *fo.Compiled // compiled Theorem 6 rewriting when Method == MethodSafeRewriting
 }
 
-// CompilePlan classifies q, resolves the method Solve would dispatch to
+// CompilePlan classifies q, resolves the method Solve dispatches to
 // (including the projection-simplification attempt on non-polynomial
-// classes), and precompiles the method's static artifacts. It fails exactly
-// where Solve would fail before touching any database: on unclassifiable
-// queries and on rewriting-compilation errors.
+// classes), and precompiles the method's static artifacts. It is the one
+// place a query is classified and its method chosen: every solve entry
+// point runs a plan. It fails exactly where Solve would fail before
+// touching any database: on unclassifiable queries and on
+// rewriting-compilation errors.
 func CompilePlan(q cq.Query) (*Plan, error) {
 	cls, err := core.Classify(q)
 	if err != nil {
@@ -75,44 +75,53 @@ func CompilePlan(q cq.Query) (*Plan, error) {
 			}
 		}
 	}
-	switch p.execCls.Class {
-	case core.ClassFO:
-		if p.execCls.Graph == nil {
-			// Cyclic hypergraph but safe: compile the Theorem 6 rewriting.
-			p.Method = MethodSafeRewriting
-			phi, err := fo.RewriteSafe(p.execQ)
-			if err != nil {
-				return nil, err
-			}
-			p.safePhi = phi
-			if prog, err := fo.Compile(phi); err == nil {
-				p.safeProg = prog
-			}
-		} else {
-			p.Method = MethodFO
-			prog, err := CompileFO(p.execQ)
-			if err != nil {
-				return nil, err
-			}
-			p.foProg = prog
+	p.Method = methodForClass(p.execCls)
+	switch p.Method {
+	case MethodSafeRewriting:
+		phi, err := fo.RewriteSafe(p.execQ)
+		if err != nil {
+			return nil, err
 		}
-	case core.ClassPTimeTerminal:
-		p.Method = MethodTerminal
-	case core.ClassPTimeACk:
-		p.Method = MethodACk
-	case core.ClassPTimeCk:
-		p.Method = MethodCk
-	default:
-		p.Method = MethodFalsifying
+		if p.safeProg, err = fo.Compile(phi); err != nil {
+			return nil, err
+		}
+	case MethodFO:
+		prog, err := CompileFO(p.execQ)
+		if err != nil {
+			return nil, err
+		}
+		p.foProg = prog
 	}
 	return p, nil
+}
+
+// methodForClass resolves the decision procedure for a classification: the
+// Theorem 1 rewriting for acyclic attack graphs, the Theorem 6 rewriting
+// for safe queries without a join tree, Theorem 3/4 and Corollary 1 for the
+// polynomial cycle classes, exact search for everything else.
+func methodForClass(cls core.Classification) Method {
+	switch cls.Class {
+	case core.ClassFO:
+		if cls.Graph == nil {
+			return MethodSafeRewriting
+		}
+		return MethodFO
+	case core.ClassPTimeTerminal:
+		return MethodTerminal
+	case core.ClassPTimeACk:
+		return MethodACk
+	case core.ClassPTimeCk:
+		return MethodCk
+	default:
+		return MethodFalsifying
+	}
 }
 
 // Classification returns the full classification of the plan's query.
 func (p *Plan) Classification() core.Classification { return p.cls }
 
-// Solve decides db ∈ CERTAINTY(q) for the plan's query, mirroring Solve but
-// with all per-query work already done.
+// Solve decides db ∈ CERTAINTY(q) for the plan's query with all per-query
+// work already done: SolveCtx with no limits, returning a bare Result.
 func (p *Plan) Solve(d *db.DB) (Result, error) {
 	v, err := p.SolveCtx(context.Background(), d, Options{})
 	if err != nil {
@@ -124,47 +133,14 @@ func (p *Plan) Solve(d *db.DB) (Result, error) {
 	return v.Result, nil
 }
 
-// SolveCtx is the resource-governed execution of the plan, mirroring
-// SolveCtx over the precompiled artifacts: same governor wiring, same panic
-// containment, same graceful degradation on cut-off exponential searches,
-// and byte-identical Verdicts. Traced solves record the same span tree as
-// the uncompiled path minus the classify span (classification was paid at
-// compile time), with a plan=compiled attribute on the root.
+// SolveCtx is the resource-governed execution of the plan: the same
+// governor wiring, panic containment, and graceful degradation on cut-off
+// exponential searches as the package-level SolveCtx, which compiles a plan
+// and runs it through the same runner. Traced solves record the same span
+// tree minus the classify span (classification was paid at compile time),
+// with a plan=compiled attribute on the root.
 func (p *Plan) SolveCtx(ctx context.Context, d *db.DB, opts Options) (Verdict, error) {
 	ctx, root := obs.StartSpan(ctx, "solve")
 	root.SetAttr("plan", "compiled")
-	g := govern.New(ctx, govern.Options{Budget: opts.Budget, Timeout: opts.Timeout, Fault: opts.Fault})
-	defer g.Close()
-	gctx := g.Attach()
-	var v Verdict
-	err := govern.Safe(func() error {
-		var innerErr error
-		v, innerErr = p.solveGoverned(gctx, g, d, opts)
-		return innerErr
-	})
-	endSolveSpan(root, g, v, err)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return v, nil
-}
-
-// solveGoverned mirrors solveGoverned over the plan's precompiled
-// simplification decision.
-func (p *Plan) solveGoverned(ctx context.Context, g *govern.Governor, d *db.DB, opts Options) (Verdict, error) {
-	if p.rewriteDB != nil {
-		d2, err := p.rewriteDB(d)
-		if err != nil {
-			return Verdict{}, err
-		}
-		v, err := dispatchGoverned(ctx, g, p.execQ, d2, p.execCls, opts, p)
-		if err != nil {
-			return Verdict{}, err
-		}
-		v.Result.Classification = p.cls
-		v.Result.Simplified = p.simplified
-		v.Result.SimplifiedClass = p.execCls.Class
-		return v, nil
-	}
-	return dispatchGoverned(ctx, g, p.execQ, d, p.execCls, opts, p)
+	return p.solveUnder(ctx, root, d, opts)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 
-	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
@@ -18,26 +17,6 @@ const metricShardSolves = "solver_shard_solves_total"
 
 func init() {
 	obs.Default.Help(metricShardSolves, "Sub-instance solves executed by the shard join, by outcome.")
-}
-
-// solveSharded is the WithShards path of Solve: resolve the plan, then run
-// the component-partitioned join.
-func solveSharded(ctx context.Context, q cq.Query, d *db.DB, cfg config) (Verdict, error) {
-	var p *Plan
-	var err error
-	if cfg.plans != nil {
-		p, err = cfg.plans.Get(ctx, q)
-	} else {
-		p, err = CompilePlan(q)
-	}
-	if err != nil {
-		return Verdict{}, err
-	}
-	if cfg.memo != nil {
-		v, _, err := p.SolveShardedMemo(ctx, d, cfg.shards, cfg.opts, cfg.memo)
-		return v, err
-	}
-	return p.SolveSharded(ctx, d, cfg.shards, cfg.opts)
 }
 
 // SolveSharded executes the plan with component-partitioned data
@@ -97,17 +76,7 @@ func (p *Plan) SolveShardedMemo(ctx context.Context, d *db.DB, maxShards int, op
 		v, steps, innerErr = p.shardJoin(ctx, d, maxShards, opts, memo, &rep)
 		return innerErr
 	})
-	if root != nil {
-		if err == nil {
-			root.SetAttr("class", v.Result.Classification.Class.Code())
-			root.SetAttr("method", methodCodes[v.Result.Method])
-			root.SetAttr("outcome", outcomeCodes[v.Outcome])
-		} else {
-			root.SetAttr("error", err.Error())
-		}
-		root.SetInt("steps", steps)
-		root.End()
-	}
+	endSolveSpan(root, steps, v, err)
 	if err != nil {
 		return Verdict{}, DeltaReport{}, err
 	}
@@ -161,7 +130,7 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 	if p.execQ.IsEmpty() || dec.NumShards() <= 1 || !ok {
 		g := govern.New(ctx, govern.Options{Budget: opts.Budget, Fault: opts.Fault})
 		defer g.Close()
-		v, err := p.solveGoverned(g.Attach(), g, d, opts)
+		v, err := p.run(g.Attach(), g, d, opts)
 		return v, g.Steps(), err
 	}
 
@@ -272,7 +241,6 @@ func (p *Plan) execStage() *Plan {
 		execQ:    p.execQ,
 		execCls:  p.execCls,
 		foProg:   p.foProg,
-		safePhi:  p.safePhi,
 		safeProg: p.safeProg,
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/gen"
@@ -287,10 +286,10 @@ func TestSolveBatchCancelledContext(t *testing.T) {
 	}
 }
 
-// TestWorkerBudgetShared is the satellite regression test: the shard pool,
-// the batch fan-out, and CertainACkParallel draw extra goroutines from ONE
-// gate, so nesting all three cannot push the peak goroutine count past
-// baseline + limit (+ the sampler itself).
+// TestWorkerBudgetShared is the satellite regression test: the shard pool
+// and the batch fan-out draw extra goroutines from ONE gate, so nesting
+// them cannot push the peak goroutine count past baseline + limit (+ the
+// sampler itself).
 func TestWorkerBudgetShared(t *testing.T) {
 	const limit = 3
 	restore := govern.SetWorkerLimit(limit)
@@ -320,16 +319,12 @@ func TestWorkerBudgetShared(t *testing.T) {
 		}
 	}()
 
-	// Nested fan-out: batch items × shard joins × ACk component marking.
+	// Nested fan-out: batch items × shard joins.
 	results := SolveBatch(context.Background(), items, WithShards(4))
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
-	}
-	// Plus the standalone parallel AC(k) API on the same gate.
-	if _, err := CertainACkParallel(q, mustShape(t, q), items[0].DB, 8); err != nil {
-		t.Fatal(err)
 	}
 	close(stop)
 	got := <-peak
@@ -339,16 +334,4 @@ func TestWorkerBudgetShared(t *testing.T) {
 		t.Fatalf("peak goroutines %d > allowed %d (baseline %d + sampler + %d gate slots)",
 			got, allowed, baseline, limit)
 	}
-}
-
-func mustShape(t *testing.T, q cq.Query) *core.CycleShape {
-	t.Helper()
-	p, err := CompilePlan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.cls.Shape == nil {
-		t.Fatal("query has no cycle shape")
-	}
-	return p.cls.Shape
 }

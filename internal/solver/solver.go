@@ -7,7 +7,6 @@ import (
 	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
-	"github.com/cqa-go/certainty/internal/fo"
 )
 
 // Method identifies the decision procedure used for a CERTAINTY(q) instance.
@@ -79,67 +78,11 @@ type Result struct {
 // should call Solve(ctx, q, d, ...Option), which adds cancellation, limits,
 // sharding, and plan reuse behind functional options.
 func SolveResult(q cq.Query, d *db.DB) (Result, error) {
-	cls, err := core.Classify(q)
+	p, err := CompilePlan(q)
 	if err != nil {
 		return Result{}, err
 	}
-	if !cls.Class.InP() {
-		if q2, rewrite, rep := simplifyProjection(q); rep != nil {
-			if cls2, err2 := core.Classify(q2); err2 == nil && cls2.Class.InP() {
-				d2, err := rewrite(d)
-				if err != nil {
-					return Result{}, err
-				}
-				res, err := solveClassified(q2, d2, cls2)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Classification = cls
-				res.Simplified = rep
-				res.SimplifiedClass = cls2.Class
-				return res, nil
-			}
-		}
-	}
-	return solveClassified(q, d, cls)
-}
-
-// solveClassified dispatches on an already-computed classification.
-func solveClassified(q cq.Query, d *db.DB, cls core.Classification) (Result, error) {
-	var err error
-	res := Result{Classification: cls, SimplifiedClass: cls.Class}
-	switch cls.Class {
-	case core.ClassFO:
-		if cls.Graph == nil {
-			// Cyclic hypergraph but safe: no attack graph exists; evaluate
-			// the Theorem 6 rewriting instead.
-			res.Method = MethodSafeRewriting
-			var phi fo.Formula
-			phi, err = fo.RewriteSafe(q)
-			if err == nil {
-				res.Certain, err = evalSafeRewriting(phi, nil, d)
-			}
-			break
-		}
-		res.Method = MethodFO
-		res.Certain, err = CertainFO(q, d)
-	case core.ClassPTimeTerminal:
-		res.Method = MethodTerminal
-		res.Certain, err = CertainTerminal(q, d)
-	case core.ClassPTimeACk:
-		res.Method = MethodACk
-		res.Certain, err = CertainACk(q, cls.Shape, d)
-	case core.ClassPTimeCk:
-		res.Method = MethodCk
-		res.Certain, err = CertainCk(q, cls.Shape, d)
-	default:
-		res.Method = MethodFalsifying
-		res.Certain = CertainByFalsifying(q, d)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return p.Solve(d)
 }
 
 // Certain is the convenience form of SolveResult returning just the

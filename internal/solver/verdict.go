@@ -9,7 +9,6 @@ import (
 	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
-	"github.com/cqa-go/certainty/internal/fo"
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
 	"github.com/cqa-go/certainty/internal/prob"
@@ -119,18 +118,40 @@ type Options struct {
 // OutcomeNotCertain with the sampled repair as witness. Cutoffs on
 // polynomial paths — only possible under very tight budgets — yield an
 // OutcomeUnknown verdict without a sampling pass.
+//
+// The query is compiled into a Plan inside the trace's classify span, then
+// executed exactly as Plan.SolveCtx executes it.
 func SolveCtx(ctx context.Context, q cq.Query, d *db.DB, opts Options) (Verdict, error) {
 	ctx, root := obs.StartSpan(ctx, "solve")
+	_, csp := obs.StartSpan(ctx, "classify")
+	var p *Plan
+	err := govern.Safe(func() error {
+		var innerErr error
+		p, innerErr = CompilePlan(q)
+		return innerErr
+	})
+	csp.End()
+	if err != nil {
+		endSolveSpan(root, 0, Verdict{}, err)
+		return Verdict{}, err
+	}
+	return p.solveUnder(ctx, root, d, opts)
+}
+
+// solveUnder is the governed runner of SolveCtx and Plan.SolveCtx: it
+// installs the governor, executes the plan with panic containment, and
+// finishes the caller's root span.
+func (p *Plan) solveUnder(ctx context.Context, root *obs.Span, d *db.DB, opts Options) (Verdict, error) {
 	g := govern.New(ctx, govern.Options{Budget: opts.Budget, Timeout: opts.Timeout, Fault: opts.Fault})
 	defer g.Close()
 	gctx := g.Attach()
 	var v Verdict
 	err := govern.Safe(func() error {
 		var innerErr error
-		v, innerErr = solveGoverned(gctx, g, q, d, opts)
+		v, innerErr = p.run(gctx, g, d, opts)
 		return innerErr
 	})
-	endSolveSpan(root, g, v, err)
+	endSolveSpan(root, g.Steps(), v, err)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -140,7 +161,7 @@ func SolveCtx(ctx context.Context, q cq.Query, d *db.DB, opts Options) (Verdict,
 // endSolveSpan finishes a root solve span with the class, method, outcome,
 // and the governor's total step count as attributes. All calls are no-ops
 // when tracing is off (root is nil).
-func endSolveSpan(root *obs.Span, g *govern.Governor, v Verdict, err error) {
+func endSolveSpan(root *obs.Span, steps int64, v Verdict, err error) {
 	if root == nil {
 		return
 	}
@@ -151,95 +172,46 @@ func endSolveSpan(root *obs.Span, g *govern.Governor, v Verdict, err error) {
 	} else {
 		root.SetAttr("error", err.Error())
 	}
-	root.SetInt("steps", g.Steps())
+	root.SetInt("steps", steps)
 	root.End()
 }
 
-// solveGoverned mirrors Solve's dispatch (including the projection
-// simplification attempt) over the context-aware procedure variants. Each
-// phase — classification, the simplification attempt, the method's
-// evaluation — records a span when a tracer rides ctx.
-func solveGoverned(ctx context.Context, g *govern.Governor, q cq.Query, d *db.DB, opts Options) (Verdict, error) {
-	_, csp := obs.StartSpan(ctx, "classify")
-	cls, err := core.Classify(q)
-	csp.End()
+// run executes the plan on d under governor g: the projection
+// simplification's database rewrite when the plan carries one, then the
+// method's decision procedure on the exec-stage instance.
+func (p *Plan) run(ctx context.Context, g *govern.Governor, d *db.DB, opts Options) (Verdict, error) {
+	if p.rewriteDB == nil {
+		return p.dispatch(ctx, g, d, opts)
+	}
+	d2, err := p.rewriteDB(d)
 	if err != nil {
 		return Verdict{}, err
 	}
-	if !cls.Class.InP() {
-		_, ssp := obs.StartSpan(ctx, "simplify")
-		if q2, rewrite, rep := simplifyProjection(q); rep != nil {
-			if cls2, err2 := core.Classify(q2); err2 == nil && cls2.Class.InP() {
-				d2, err := rewrite(d)
-				ssp.SetAttr("rewritten-class", cls2.Class.Code())
-				ssp.End()
-				if err != nil {
-					return Verdict{}, err
-				}
-				v, err := dispatchGoverned(ctx, g, q2, d2, cls2, opts, nil)
-				if err != nil {
-					return Verdict{}, err
-				}
-				v.Result.Classification = cls
-				v.Result.Simplified = rep
-				v.Result.SimplifiedClass = cls2.Class
-				return v, nil
-			}
-		}
-		ssp.End()
+	v, err := p.dispatch(ctx, g, d2, opts)
+	if err != nil {
+		return Verdict{}, err
 	}
-	return dispatchGoverned(ctx, g, q, d, cls, opts, nil)
+	v.Result.Classification = p.cls
+	v.Result.Simplified = p.simplified
+	v.Result.SimplifiedClass = p.execCls.Class
+	return v, nil
 }
 
-// methodForClass resolves the decision procedure dispatchGoverned will run
-// for a classification, mirroring its switch.
-func methodForClass(cls core.Classification) Method {
-	switch cls.Class {
-	case core.ClassFO:
-		if cls.Graph == nil {
-			return MethodSafeRewriting
-		}
-		return MethodFO
-	case core.ClassPTimeTerminal:
-		return MethodTerminal
-	case core.ClassPTimeACk:
-		return MethodACk
-	case core.ClassPTimeCk:
-		return MethodCk
-	default:
-		return MethodFalsifying
-	}
-}
-
-// dispatchGoverned runs the decision procedure for cls on (q, d). When a
-// compiled plan is supplied, its precompiled artifacts (the FO program, the
-// safe rewriting) replace the per-call compilation; governor step accounting
-// is identical either way, so the two modes produce byte-identical Verdicts.
-func dispatchGoverned(ctx context.Context, g *govern.Governor, q cq.Query, d *db.DB, cls core.Classification, opts Options, p *Plan) (Verdict, error) {
-	method := methodForClass(cls)
-	res := Result{Classification: cls, SimplifiedClass: cls.Class, Method: method}
-	ectx, esp := obs.StartSpan(ctx, "eval/"+methodCodes[method])
+// dispatch runs the plan's decision procedure on the exec-stage instance
+// (p.execQ, d) over the precompiled artifacts: the FO program, the safe
+// rewriting.
+func (p *Plan) dispatch(ctx context.Context, g *govern.Governor, d *db.DB, opts Options) (Verdict, error) {
+	q, cls := p.execQ, p.execCls
+	res := Result{Classification: cls, SimplifiedClass: cls.Class, Method: p.Method}
+	ectx, esp := obs.StartSpan(ctx, "eval/"+methodCodes[p.Method])
 	var certain bool
 	var err error
-	switch method {
+	switch p.Method {
 	case MethodSafeRewriting:
 		// Cyclic hypergraph but safe: evaluate the Theorem 6 rewriting.
-		var phi fo.Formula
-		var prog *fo.Compiled
-		if p != nil {
-			phi, prog = p.safePhi, p.safeProg
-		} else {
-			phi, err = fo.RewriteSafe(q)
-		}
-		if err == nil {
-			certain, err = evalSafeRewriting(phi, prog, d)
-		}
+		certain, err = p.safeProg.Eval(d)
 	case MethodFO:
-		if p != nil {
-			certain, err = p.foProg.CertainCtx(ectx, q, d)
-		} else {
-			certain, err = CertainFOCtx(ectx, q, d)
-		}
+		certain, err = p.foProg.CertainCtx(ectx, q, d)
 	case MethodTerminal:
 		certain, err = CertainTerminalCtx(ectx, q, d)
 	case MethodACk:
