@@ -7,6 +7,7 @@ package certainty
 // historical, their code paths now live only as test references.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -36,7 +37,7 @@ func BenchmarkTerminalIndexed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.CertainTerminal(q, d); err != nil {
+				if _, err := solver.CertainTerminal(context.Background(), q, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,7 +60,7 @@ func BenchmarkACkSequential(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.CertainACk(q, shape, d); err != nil {
+				if _, err := solver.CertainACk(context.Background(), q, shape, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -79,7 +80,9 @@ func BenchmarkFalsifyingSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				solver.CertainByFalsifying(q, d)
+				if _, err := solver.CertainByFalsifying(context.Background(), q, d); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -92,7 +95,7 @@ func BenchmarkSolvePerCall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.SolveResult(q, d); err != nil {
+		if _, err := solver.SolveCtx(context.Background(), q, d, solver.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +110,7 @@ func BenchmarkSolvePlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Solve(d); err != nil {
+		if _, err := p.SolveCtx(context.Background(), d, solver.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

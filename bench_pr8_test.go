@@ -32,7 +32,7 @@ func BenchmarkFOInterned(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := prog.Certain(q, d); err != nil {
+				if _, err := prog.Certain(context.Background(), q, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -118,7 +118,7 @@ func TestFOInternedAllocRegression(t *testing.T) {
 	defer g.Close()
 	ctx := g.Attach()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := prog.CertainCtx(ctx, q, d); err != nil {
+		if _, err := prog.Certain(ctx, q, d); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,6 +8,7 @@ package certainty
 // and the falsifying search on coNP-hard queries grow exponentially.
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -28,8 +29,8 @@ func BenchmarkE1Conference(b *testing.B) {
 	d := ConferenceDB()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := solver.SolveResult(q, d)
-		if err != nil || res.Certain {
+		v, err := solver.SolveCtx(context.Background(), q, d, solver.Options{})
+		if err != nil || v.Result.Certain {
 			b.Fatal("unexpected result")
 		}
 	}
@@ -83,7 +84,9 @@ func BenchmarkE3FalsifyingSearch(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					solver.CertainByFalsifying(q, d)
+					if _, err := solver.CertainByFalsifying(context.Background(), q, d); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}
@@ -100,7 +103,7 @@ func BenchmarkE4Terminal(b *testing.B) {
 		d := gen.RandomDB(base, gen.Config{Embeddings: n, Noise: 2, Domain: 2}, int64(n))
 		b.Run(fmt.Sprintf("thm3/emb=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.CertainTerminal(base, d); err != nil {
+				if _, err := solver.CertainTerminal(context.Background(), base, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -129,7 +132,7 @@ func BenchmarkE5ACk(b *testing.B) {
 			d := gen.CycleDB(gen.CycleConfig{K: k, Components: comps, Width: 2, EncodeAll: true})
 			b.Run(fmt.Sprintf("k=%d/comps=%d", k, comps), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := solver.CertainACk(q, shape, d); err != nil {
+					if _, err := solver.CertainACk(context.Background(), q, shape, d); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -145,7 +148,7 @@ func BenchmarkE5Figure6(b *testing.B) {
 	d := Figure6DB()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		certain, err := solver.CertainACk(q, shape, d)
+		certain, err := solver.CertainACk(context.Background(), q, shape, d)
 		if err != nil || certain {
 			b.Fatal("Fig. 6 must be falsifiable")
 		}
@@ -162,7 +165,7 @@ func BenchmarkE6Ck(b *testing.B) {
 		d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 2, Domain: 3}, int64(k))
 		b.Run(fmt.Sprintf("direct/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.CertainCk(q, shape, d); err != nil {
+				if _, err := solver.CertainCk(context.Background(), q, shape, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -173,7 +176,7 @@ func BenchmarkE6Ck(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := solver.CertainACk(aq, shapeA, completed); err != nil {
+				if _, err := solver.CertainACk(context.Background(), aq, shapeA, completed); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,7 +210,7 @@ func BenchmarkE7Rewriting(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("recursion/emb=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := solver.CertainFO(q, d); err != nil {
+				if _, err := solver.CertainFO(context.Background(), q, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -332,7 +335,7 @@ func BenchmarkCertainAnswers(b *testing.B) {
 		d := gen.RandomDB(q, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
 		b.Run(fmt.Sprintf("emb=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := CertainAnswers(q, []string{"x"}, d); err != nil {
+				if _, err := CertainAnswers(context.Background(), q, []string{"x"}, d, SolveOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -348,7 +351,9 @@ func BenchmarkE11OpenCase(b *testing.B) {
 		d := gen.RandomDB(q, gen.Config{Embeddings: n, Noise: n, Domain: 1 + n/2}, int64(n))
 		b.Run(fmt.Sprintf("emb=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				solver.CertainByFalsifying(q, d)
+				if _, err := solver.CertainByFalsifying(context.Background(), q, d); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -361,12 +366,16 @@ func BenchmarkE12OrderingAblation(b *testing.B) {
 	d := gen.MonotoneSATQ0DB(f)
 	b.Run("dynamic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			solver.FalsifyingRepair(q, d)
+			if _, _, err := solver.FalsifyingRepair(context.Background(), q, d); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("static", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			solver.FalsifyingRepairStatic(q, d)
+			if _, _, err := solver.FalsifyingRepairStatic(context.Background(), q, d); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -150,17 +150,17 @@ func Classify(q Query) (Classification, error) { return core.Classify(q) }
 // Solve decides whether every repair of d satisfies q, dispatching on the
 // classification (polynomial algorithms where the paper provides them, an
 // exact exponential search otherwise).
-func Solve(q Query, d *DB) (Result, error) { return solver.SolveResult(q, d) }
-
-// Certain is Solve returning only the decision.
-func Certain(q Query, d *DB) (bool, error) { return solver.Certain(q, d) }
+func Solve(q Query, d *DB) (Result, error) {
+	v, err := solver.SolveCtx(context.Background(), q, d, solver.Options{})
+	return v.Result, err
+}
 
 // Governed solving. SolveCtx is Solve under resource governance: the
 // context cancels it (Ctrl-C, deadlines), SolveOptions bounds it (step
-// budget, wall-clock timeout), panics deep in evaluation come back as
-// errors, and a cut-off solve on a coNP-hard instance degrades to an
-// OutcomeUnknown verdict carrying partial search evidence and a sampled
-// repair-satisfaction estimate instead of failing.
+// budget, wall-clock timeout) and may shard it, panics deep in evaluation
+// come back as errors, and a cut-off solve on a coNP-hard instance
+// degrades to an OutcomeUnknown verdict carrying partial search evidence
+// and a sampled repair-satisfaction estimate instead of failing.
 type (
 	// Verdict is the three-valued result of a governed solve.
 	Verdict = solver.Verdict
@@ -168,8 +168,9 @@ type (
 	VerdictOutcome = solver.Outcome
 	// VerdictEvidence is the partial progress attached to a cut-off solve.
 	VerdictEvidence = solver.Evidence
-	// SolveOptions bounds a governed solve; the zero value imposes no
-	// limits beyond the context itself.
+	// SolveOptions bounds and schedules a governed solve; the zero value
+	// imposes no limits beyond the context itself and solves
+	// monolithically.
 	SolveOptions = solver.Options
 )
 
@@ -180,91 +181,43 @@ const (
 	OutcomeUnknown    = solver.OutcomeUnknown
 )
 
-// SolveCtx decides certainty under ctx plus the limits in opts; see
-// Verdict for how cutoffs degrade gracefully.
-//
-// Deprecated-style convenience: SolveContext with functional options is the
-// unified entry point; SolveCtx remains for callers holding a SolveOptions
-// struct.
+// SolveCtx decides certainty under ctx plus the limits and scheduling in
+// opts; see Verdict for how cutoffs degrade gracefully. Conclusive verdicts
+// are identical across every option setting.
 func SolveCtx(ctx context.Context, q Query, d *DB, opts SolveOptions) (Verdict, error) {
 	return solver.SolveCtx(ctx, q, d, opts)
 }
 
-// Functional-option solving. SolveContext replaces the former proliferation
-// of entry points (Solve, SolveCtx, compiled plans, parallel variants) with
-// one governed call configured by options:
-//
-//	v, err := certainty.SolveContext(ctx, q, d,
-//	    certainty.WithBudget(1_000_000),
-//	    certainty.WithDeadline(2*time.Second),
-//	    certainty.WithShards(-1), // component-partitioned parallel solve
-//	)
-//
-// Conclusive verdicts are identical across every option combination;
-// options change resource limits and scheduling, never answers.
+// Batch solving.
 type (
-	// SolveOption configures SolveContext and SolveBatch.
-	SolveOption = solver.Option
 	// BatchInstance is one (query, database) instance of a batch.
 	BatchInstance = solver.BatchItem
 	// BatchVerdict is one batch instance's outcome.
 	BatchVerdict = solver.BatchResult
 )
 
-// Options for SolveContext and SolveBatch (see internal/solver for the full
-// set).
-var (
-	// WithBudget caps governor search steps (0 = unlimited).
-	WithBudget = solver.WithBudget
-	// WithDeadline bounds wall-clock solve time.
-	WithDeadline = solver.WithDeadline
-	// WithShards enables component-partitioned parallel solving with at
-	// most n data shards per query component (< 0 = automatic).
-	WithShards = solver.WithShards
-	// WithDegradeSamples caps post-cutoff Monte-Carlo sampling (< 0
-	// disables it).
-	WithDegradeSamples = solver.WithDegradeSamples
-	// WithSampleSeed makes the degradation sampler deterministic.
-	WithSampleSeed = solver.WithSampleSeed
-	// WithObserver streams batch results as items complete (SolveBatch).
-	WithObserver = solver.WithObserver
-)
-
-// SolveContext is the unified governed solve: cancellation from ctx, limits
-// and scheduling from the options.
-func SolveContext(ctx context.Context, q Query, d *DB, opts ...SolveOption) (Verdict, error) {
-	return solver.Solve(ctx, q, d, opts...)
-}
-
 // SolveBatch decides many instances at once, amortizing classification and
 // plan compilation across items that share a canonical query and fanning
-// the work out on the bounded worker pool. Results are indexed in item
-// order; add WithObserver to stream them as they complete.
-func SolveBatch(ctx context.Context, items []BatchInstance, opts ...SolveOption) []BatchVerdict {
-	return solver.SolveBatch(ctx, items, opts...)
+// the work out on the bounded worker pool; opts applies to every item.
+// Results are indexed in item order.
+func SolveBatch(ctx context.Context, items []BatchInstance, opts SolveOptions) []BatchVerdict {
+	return solver.SolveBatch(ctx, items, opts, nil, nil)
 }
 
 // CertainBruteForce decides certainty by enumerating every repair
-// (exponential ground truth).
-func CertainBruteForce(q Query, d *DB) bool { return solver.BruteForce(q, d) }
-
-// CertainBruteForceCtx is CertainBruteForce honoring ctx (cancellation,
-// or a budget/deadline governor attached by SolveCtx-style callers).
-func CertainBruteForceCtx(ctx context.Context, q Query, d *DB) (bool, error) {
+// (exponential ground truth), honoring ctx (cancellation, or a
+// budget/deadline governor attached by SolveCtx-style callers).
+func CertainBruteForce(ctx context.Context, q Query, d *DB) (bool, error) {
 	return solver.BruteForceCtx(ctx, q, d)
 }
 
 // CertainAnswers lifts certainty to queries with free variables: it
 // returns the tuples ā (over the listed variables, in order) for which
-// q[x̄↦ā] holds in every repair, along with the possible answers.
-func CertainAnswers(q Query, free []string, d *DB) (*Answers, error) {
-	return answers.Certain(q, free, d)
-}
-
-// CertainAnswersParallel is CertainAnswers with per-candidate decisions
-// fanned out across workers goroutines (0 = GOMAXPROCS).
-func CertainAnswersParallel(q Query, free []string, d *DB, workers int) (*Answers, error) {
-	return answers.CertainParallel(q, free, d, workers)
+// q[x̄↦ā] holds in every repair, along with the possible answers. Each
+// candidate's solve runs under ctx and opts; a candidate cut off by them
+// fails the call with the cutoff error.
+func CertainAnswers(ctx context.Context, q Query, free []string, d *DB, opts SolveOptions) (*Answers, error) {
+	return answers.Certain(ctx, q, free, d, opts)
 }
 
 // PossibleAnswers returns the tuples for which q[x̄↦ā] holds in at least
@@ -273,13 +226,11 @@ func PossibleAnswers(q Query, free []string, d *DB) ([]Answer, error) {
 	return answers.Possible(q, free, d)
 }
 
-// FalsifyingRepair searches for a repair falsifying q, with pruning.
-func FalsifyingRepair(q Query, d *DB) ([]Fact, bool) { return solver.FalsifyingRepair(q, d) }
-
-// FalsifyingRepairCtx is FalsifyingRepair honoring ctx; on cancellation
-// the partial search is abandoned and ctx's error returned.
-func FalsifyingRepairCtx(ctx context.Context, q Query, d *DB) ([]Fact, bool, error) {
-	return solver.FalsifyingRepairContext(ctx, q, d)
+// FalsifyingRepair searches for a repair falsifying q, with pruning,
+// honoring ctx; on cancellation the partial search is abandoned and ctx's
+// error returned.
+func FalsifyingRepair(ctx context.Context, q Query, d *DB) ([]Fact, bool, error) {
+	return solver.FalsifyingRepair(ctx, q, d)
 }
 
 // Eval reports whether d satisfies q (ordinary, non-certain semantics).

@@ -174,12 +174,12 @@ func TestFacadeClassifyCatalog(t *testing.T) {
 func TestFacadeFalsifyingRepair(t *testing.T) {
 	q := ConferenceQuery()
 	d := ConferenceDB()
-	rep, found := FalsifyingRepair(q, d)
-	if !found || len(rep) != d.NumBlocks() {
-		t.Errorf("falsifying repair: found=%v len=%d", found, len(rep))
+	rep, found, err := FalsifyingRepair(context.Background(), q, d)
+	if err != nil || !found || len(rep) != d.NumBlocks() {
+		t.Errorf("falsifying repair: found=%v len=%d err=%v", found, len(rep), err)
 	}
-	if !CertainBruteForce(MustParseQuery("R(x | y)"), MustParseDB("R(a | b)")) {
-		t.Error("singleton certain")
+	if certain, err := CertainBruteForce(context.Background(), MustParseQuery("R(x | y)"), MustParseDB("R(a | b)")); err != nil || !certain {
+		t.Errorf("singleton certain: %v, %v", certain, err)
 	}
 	if len(Embeddings(q, d)) == 0 {
 		t.Error("embeddings exist")
@@ -190,18 +190,24 @@ func TestFacadeFalsifyingRepair(t *testing.T) {
 func TestFacadeSweep(t *testing.T) {
 	d := ConferenceDB()
 
-	// Parallel answers agree with sequential.
+	// Certain answers agree with brute force on every candidate.
 	q := MustParseQuery("R(x | r)")
-	seq, err := CertainAnswers(q, []string{"x"}, d)
+	ans, err := CertainAnswers(context.Background(), q, []string{"x"}, d, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CertainAnswersParallel(q, []string{"x"}, d, 2)
-	if err != nil {
-		t.Fatal(err)
+	var brute []Answer
+	for _, a := range ans.Possible {
+		certain, err := CertainBruteForce(context.Background(), q.Substitute(Valuation{"x": a[0]}), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if certain {
+			brute = append(brute, a)
+		}
 	}
-	if len(par.Certain) != len(seq.Certain) {
-		t.Errorf("parallel answers differ: %v vs %v", par.Certain, seq.Certain)
+	if len(ans.Certain) != len(brute) {
+		t.Errorf("certain answers differ from brute force: %v vs %v", ans.Certain, brute)
 	}
 
 	// Probabilistic ranking.
@@ -321,17 +327,17 @@ func TestFacadeGovernedSolve(t *testing.T) {
 	q := Q0()
 	d := MustParseDB("R0(a | b), R0(a | c), S0(b, z | a), S0(c, z | a)")
 
-	// Unlimited: agrees with Solve.
+	// Unlimited: agrees with brute force.
 	v, err := SolveCtx(context.Background(), q, d, SolveOptions{})
 	if err != nil {
 		t.Fatalf("SolveCtx: %v", err)
 	}
-	res, err := Solve(q, d)
+	want, err := CertainBruteForce(context.Background(), q, d)
 	if err != nil {
-		t.Fatalf("Solve: %v", err)
+		t.Fatalf("CertainBruteForce: %v", err)
 	}
-	if v.Outcome == OutcomeUnknown || v.Result.Certain != res.Certain {
-		t.Fatalf("governed verdict %v/%v disagrees with Solve %v", v.Outcome, v.Result.Certain, res.Certain)
+	if v.Outcome == OutcomeUnknown || v.Result.Certain != want {
+		t.Fatalf("governed verdict %v/%v disagrees with brute force %v", v.Outcome, v.Result.Certain, want)
 	}
 
 	// A one-step budget on this coNP instance degrades to unknown with a
@@ -364,8 +370,8 @@ func TestFacadeGovernedCancellation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := CertainBruteForceCtx(ctx, MustParseQuery("R(x | y)"), bruteDB); err == nil {
-		t.Fatal("CertainBruteForceCtx ignored a canceled context")
+	if _, err := CertainBruteForce(ctx, MustParseQuery("R(x | y)"), bruteDB); err == nil {
+		t.Fatal("CertainBruteForce ignored a canceled context")
 	}
 
 	// A large certain q0 ring: the falsifying search needs hundreds of
@@ -387,7 +393,7 @@ func TestFacadeGovernedCancellation(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := FalsifyingRepairCtx(ctx, Q0(), ringDB); err == nil {
-		t.Fatal("FalsifyingRepairCtx ignored a canceled context")
+	if _, _, err := FalsifyingRepair(ctx, Q0(), ringDB); err == nil {
+		t.Fatal("FalsifyingRepair ignored a canceled context")
 	}
 }

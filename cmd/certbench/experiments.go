@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"time"
@@ -38,11 +39,14 @@ func runE1(ctx *benchCtx) {
 	sat := prob.CountSatisfyingRepairs(q, d)
 	fmt.Printf("repairs satisfying q: %v of %v (paper: \"true in only three repairs\")\n",
 		sat, d.NumRepairs())
-	res, err := solver.SolveResult(q, d)
+	v, err := solver.SolveCtx(context.Background(), q, d, solver.Options{})
 	must(err)
+	res := v.Result
 	fmt.Printf("certain: %v  via %s\n", res.Certain, res.Method)
 	fmt.Printf("agrees with brute force: %v\n", res.Certain == solver.BruteForce(q, d))
-	if rep, found := solver.FalsifyingRepair(q, d); found {
+	rep, found, err := solver.FalsifyingRepair(context.Background(), q, d)
+	must(err)
+	if found {
 		fmt.Println("a falsifying repair:")
 		for _, f := range rep {
 			fmt.Printf("  %s\n", f)
@@ -132,7 +136,11 @@ func runE3(ctx *benchCtx) {
 			f := gen.RandomMonotoneSAT(n, ratio*n, 3, int64(n*100+ratio))
 			d0 := gen.MonotoneSATQ0DB(f)
 			var certain bool
-			dur := timed(func() { certain = solver.CertainByFalsifying(q0, d0) })
+			dur := timed(func() {
+				var err error
+				certain, err = solver.CertainByFalsifying(context.Background(), q0, d0)
+				must(err)
+			})
 			fmt.Printf("  %-6d %-8d %-8d %-8d %-22v %-10v %-12s\n",
 				n, ratio, ratio*n, d0.Len(), d0.NumRepairs(), certain, ms(dur))
 		}
@@ -157,7 +165,7 @@ func runE4(ctx *benchCtx) {
 		var fast, slow bool
 		fastT := timed(func() {
 			var err error
-			fast, err = solver.CertainTerminal(q, d)
+			fast, err = solver.CertainTerminal(context.Background(), q, d)
 			must(err)
 		})
 		slowS := "-"
@@ -183,7 +191,7 @@ func runE5(ctx *benchCtx) {
 	d := gen.Figure6DB()
 	fmt.Printf("Fig. 6 database: %d facts, purified: %v\n", d.Len(), engine.IsPurified(q, d))
 	shape, _ := core.MatchCycleShape(q, true)
-	certain, err := solver.CertainACk(q, shape, d)
+	certain, err := solver.CertainACk(context.Background(), q, shape, d)
 	must(err)
 	fmt.Printf("certain: %v (paper, Fig. 7: falsifying repairs exist → false)\n", certain)
 	fmt.Printf("agrees with brute force: %v\n", certain == solver.BruteForce(q, d))
@@ -205,7 +213,7 @@ func runE5(ctx *benchCtx) {
 			var res bool
 			dur := timed(func() {
 				var err error
-				res, err = solver.CertainACk(qk, shapeK, dk)
+				res, err = solver.CertainACk(context.Background(), qk, shapeK, dk)
 				must(err)
 			})
 			fmt.Printf("  %-4d %-6d %-8d %-8d %-14v %-12s %-10v\n",
@@ -231,13 +239,13 @@ func runE6(ctx *benchCtx) {
 		var direct, viaLemma bool
 		tDirect := timed(func() {
 			var err error
-			direct, err = solver.CertainCk(q, shape, d)
+			direct, err = solver.CertainCk(context.Background(), q, shape, d)
 			must(err)
 		})
 		tLemma := timed(func() {
 			completed, err := reduction.Lemma9(aq, q, d)
 			must(err)
-			viaLemma, err = solver.CertainACk(aq, shapeA, completed)
+			viaLemma, err = solver.CertainACk(context.Background(), aq, shapeA, completed)
 			must(err)
 		})
 		bruteS := "-"
@@ -281,7 +289,7 @@ func runE7(ctx *benchCtx) {
 		})
 		tR := timed(func() {
 			var err error
-			viaRec, err = solver.CertainFO(q, d)
+			viaRec, err = solver.CertainFO(context.Background(), q, d)
 			must(err)
 		})
 		bruteS, agree := "-", fmt.Sprintf("%v", viaFormula == viaRec)
@@ -428,10 +436,10 @@ func runE10(ctx *benchCtx) {
 		var method solver.Method
 		for seed := int64(0); seed < seeds; seed++ {
 			d := gen.RandomDB(nq.q, gen.Config{Embeddings: 2, Noise: 2, Domain: 2}, seed)
-			res, err := solver.SolveResult(nq.q, d)
+			v, err := solver.SolveCtx(context.Background(), nq.q, d, solver.Options{})
 			must(err)
-			method = res.Method
-			if res.Certain != solver.BruteForce(nq.q, d) {
+			method = v.Result.Method
+			if v.Result.Certain != solver.BruteForce(nq.q, d) {
 				validated = false
 			}
 		}
@@ -491,12 +499,16 @@ func runE11(ctx *benchCtx) {
 	for _, n := range sizes {
 		d := gen.RandomDB(q, gen.Config{Embeddings: n, Noise: n, Domain: 1 + n/2}, int64(n))
 		var searchCert bool
-		durSearch := timed(func() { searchCert = solver.CertainByFalsifying(q, d) })
+		durSearch := timed(func() {
+			var err error
+			searchCert, err = solver.CertainByFalsifying(context.Background(), q, d)
+			must(err)
+		})
 		var res solver.Result
 		durSolve := timed(func() {
-			var err error
-			res, err = solver.SolveResult(q, d)
+			v, err := solver.SolveCtx(context.Background(), q, d, solver.Options{})
 			must(err)
+			res = v.Result
 		})
 		method = res.Method.String()
 		agree := fmt.Sprintf("%v", searchCert == res.Certain)
@@ -525,8 +537,16 @@ func runE12(ctx *benchCtx) {
 		f := gen.RandomMonotoneSAT(n, 3*n, 2, int64(n*100+3))
 		d := gen.MonotoneSATQ0DB(f)
 		var dynCert, statCert bool
-		tD := timed(func() { _, found := solver.FalsifyingRepair(q0, d); dynCert = !found })
-		tS := timed(func() { _, found := solver.FalsifyingRepairStatic(q0, d); statCert = !found })
+		tD := timed(func() {
+			_, found, err := solver.FalsifyingRepair(context.Background(), q0, d)
+			must(err)
+			dynCert = !found
+		})
+		tS := timed(func() {
+			_, found, err := solver.FalsifyingRepairStatic(context.Background(), q0, d)
+			must(err)
+			statCert = !found
+		})
 		fmt.Printf("  %-6d %-8v %-10v %-12s %-12s\n", n, dynCert, dynCert == statCert, ms(tD), ms(tS))
 	}
 
@@ -557,13 +577,13 @@ func runE12(ctx *benchCtx) {
 	shapeA, _ := core.MatchCycleShape(aq, true)
 	d := gen.CycleDB(gen.CycleConfig{K: k, Components: 8, Width: 2, SkipSk: true})
 	tDirect := timed(func() {
-		_, err := solver.CertainCk(q, shape, d)
+		_, err := solver.CertainCk(context.Background(), q, shape, d)
 		must(err)
 	})
 	tLemma := timed(func() {
 		completed, err := reduction.Lemma9(aq, q, d)
 		must(err)
-		_, err = solver.CertainACk(aq, shapeA, completed)
+		_, err = solver.CertainACk(context.Background(), aq, shapeA, completed)
 		must(err)
 	})
 	fmt.Printf("  direct: %s   lemma9 (materializes |D|^%d S%d facts): %s\n",

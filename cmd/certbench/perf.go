@@ -289,7 +289,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		e, err := measure(fmt.Sprintf("fo/interned/emb=%d", n), "fo", "interned", n, func() error {
-			_, err := prog.Certain(foQ, d)
+			_, err := prog.Certain(context.Background(), foQ, d)
 			return err
 		})
 		if err != nil {
@@ -325,7 +325,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		d := gen.RandomDB(termQ, gen.Config{Embeddings: emb, Noise: 2, Domain: 3}, int64(n))
 		d.Digest()
 		e, err := measure(fmt.Sprintf("terminal/indexed/emb=%d", emb), "terminal", "indexed", emb, func() error {
-			_, err := solver.CertainTerminal(termQ, d)
+			_, err := solver.CertainTerminal(context.Background(), termQ, d)
 			return err
 		})
 		if err != nil {
@@ -344,7 +344,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		d := gen.CycleDB(gen.CycleConfig{K: 3, Components: c, Width: 2, EncodeAll: true})
 		d.Digest()
 		e, err := measure(fmt.Sprintf("ack/seq/comps=%d", c), "ack", "seq", c, func() error {
-			_, err := solver.CertainACk(ackQ, shape, d)
+			_, err := solver.CertainACk(context.Background(), ackQ, shape, d)
 			return err
 		})
 		if err != nil {
@@ -360,8 +360,8 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		d := gen.MonotoneSATQ0DB(f)
 		d.Digest()
 		e, err := measure(fmt.Sprintf("falsifying/indexed/vars=%d", v), "falsifying", "indexed", v, func() error {
-			solver.CertainByFalsifying(falsQ, d)
-			return nil
+			_, err := solver.CertainByFalsifying(context.Background(), falsQ, d)
+			return err
 		})
 		if err != nil {
 			return err
@@ -374,7 +374,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		d := gen.RandomDB(foQ, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
 		d.Digest()
 		seed, err := measure(fmt.Sprintf("solve/per-call/emb=%d", n), "solve", "seed", n, func() error {
-			_, err := solver.SolveResult(foQ, d)
+			_, err := solver.SolveCtx(context.Background(), foQ, d, solver.Options{})
 			return err
 		})
 		if err != nil {
@@ -385,7 +385,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		planned, err := measure(fmt.Sprintf("solve/plan/emb=%d", n), "solve", "plan", n, func() error {
-			_, err := p.Solve(d)
+			_, err := p.SolveCtx(context.Background(), d, solver.Options{})
 			return err
 		})
 		if err != nil {
@@ -463,7 +463,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		sharded, err := measure(fmt.Sprintf("solve/sharded/comps=%d", c), "solve", "sharded", c, func() error {
-			_, err := solver.Solve(context.Background(), foQ, d, solver.WithShards(shardWorkers))
+			_, err := solver.SolveCtx(context.Background(), foQ, d, solver.Options{Shards: shardWorkers})
 			return err
 		})
 		if err != nil {
@@ -499,7 +499,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		memo, err := measure(fmt.Sprintf("batch/memo/items=%d", n), "batch", "memo", n, func() error {
-			for _, r := range solver.SolveBatch(context.Background(), items) {
+			for _, r := range solver.SolveBatch(context.Background(), items, solver.Options{}, nil, nil) {
 				if r.Err != nil {
 					return r.Err
 				}
@@ -554,7 +554,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			if _, err := mutate(); err != nil {
 				return err
 			}
-			_, err := p.SolveSharded(context.Background(), d, 0, solver.Options{})
+			_, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, nil)
 			return err
 		})
 		if err != nil {

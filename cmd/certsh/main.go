@@ -183,9 +183,10 @@ func (s *shell) help() {
   budget <steps>         search-step limit per solve (0 = none)
   exit                   leave
 
-Ctrl-C during 'certain' cancels the solve, not the shell. A solve cut off
-by the timeout, budget, or Ctrl-C reports an unknown verdict with partial
-evidence and a sampled repair-satisfaction estimate.
+Ctrl-C during 'certain' or 'answers' cancels the solve, not the shell. A
+'certain' cut off by the timeout, budget, or Ctrl-C reports an unknown
+verdict with partial evidence and a sampled repair-satisfaction estimate;
+an 'answers' candidate cut off fails the command with the cause.
 `)
 }
 
@@ -369,7 +370,7 @@ func (s *shell) certain(q cq.Query) error {
 			}
 			return nil
 		}
-		if rep, found, err := solver.FalsifyingRepairContext(ctx, q, s.d); err == nil && found {
+		if rep, found, err := solver.FalsifyingRepair(ctx, q, s.d); err == nil && found {
 			fmt.Fprintln(s.out, "falsifying repair:")
 			for _, f := range rep {
 				fmt.Fprintf(s.out, "  %s\n", f)
@@ -395,7 +396,9 @@ func (s *shell) answers(rest string) error {
 	if err != nil {
 		return err
 	}
-	res, err := answers.Certain(q, free, s.d)
+	ctx, stop := s.solveContext()
+	defer stop()
+	res, err := answers.Certain(ctx, q, free, s.d, solver.Options{Budget: s.budget, Timeout: s.timeout})
 	if err != nil {
 		return err
 	}

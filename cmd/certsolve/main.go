@@ -360,7 +360,7 @@ func run(ctx context.Context, queryText, queryFile, dbFile, method string, witne
 		for i := range vars {
 			vars[i] = strings.TrimSpace(vars[i])
 		}
-		res, err := answers.Certain(q, vars, d)
+		res, err := answers.Certain(ctx, q, vars, d, solver.Options{Budget: budget, Timeout: timeout})
 		if err != nil {
 			return err
 		}
@@ -389,20 +389,10 @@ func run(ctx context.Context, queryText, queryFile, dbFile, method string, witne
 		return fmt.Errorf("-shards requires the auto method")
 	}
 
-	opts := solver.Options{Budget: budget, Timeout: timeout}
 	var certain bool
 	switch method {
 	case "auto":
-		var v solver.Verdict
-		var err error
-		if shards != 0 {
-			v, err = solver.Solve(ctx, q, d,
-				solver.WithShards(shards),
-				solver.WithBudget(budget),
-				solver.WithDeadline(timeout))
-		} else {
-			v, err = solver.SolveCtx(ctx, q, d, opts)
-		}
+		v, err := solver.SolveCtx(ctx, q, d, solver.Options{Budget: budget, Timeout: timeout, Shards: shards})
 		if err != nil {
 			return err
 		}
@@ -440,7 +430,7 @@ func run(ctx context.Context, queryText, queryFile, dbFile, method string, witne
 		g := govern.New(ctx, govern.Options{Budget: budget, Timeout: timeout})
 		defer g.Close()
 		var err error
-		certain, err = solver.CertainByFalsifyingCtx(g.Attach(), q, d)
+		certain, err = solver.CertainByFalsifying(g.Attach(), q, d)
 		if err != nil {
 			return fmt.Errorf("search aborted after %d steps: %w", g.Steps(), err)
 		}
@@ -451,7 +441,7 @@ func run(ctx context.Context, queryText, queryFile, dbFile, method string, witne
 	fmt.Printf("certain: %v\n", certain)
 
 	if witness && !certain {
-		rep, found, err := solver.FalsifyingRepairContext(ctx, q, d)
+		rep, found, err := solver.FalsifyingRepair(ctx, q, d)
 		if err != nil {
 			return fmt.Errorf("witness search aborted: %w", err)
 		}

@@ -1,6 +1,7 @@
 package certainty_test
 
 import (
+	"context"
 	"fmt"
 
 	certainty "github.com/cqa-go/certainty"
@@ -44,7 +45,7 @@ func ExampleRewriteFO() {
 func ExampleCertainAnswers() {
 	d := certainty.ConferenceDB()
 	q := certainty.MustParseQuery("R(x | 'A')")
-	res, err := certainty.CertainAnswers(q, []string{"x"}, d)
+	res, err := certainty.CertainAnswers(context.Background(), q, []string{"x"}, d, certainty.SolveOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -79,7 +80,10 @@ func ExampleFalsifyingRepair() {
 		S(b | a)
 	`)
 	q := certainty.MustParseQuery("R(x | y), S(y | x)")
-	rep, found := certainty.FalsifyingRepair(q, d)
+	rep, found, err := certainty.FalsifyingRepair(context.Background(), q, d)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(found)
 	for _, f := range rep {
 		fmt.Println(f)

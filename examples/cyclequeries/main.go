@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -30,7 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("certain: %v (Fig. 7 exhibits falsifying repairs)\n", res.Certain)
-	if rep, ok := certainty.FalsifyingRepair(q, d); ok {
+	rep, ok, err := certainty.FalsifyingRepair(context.Background(), q, d)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ok {
 		fmt.Println("one falsifying repair (cf. Fig. 7):")
 		for _, f := range rep {
 			fmt.Printf("  %s\n", f)

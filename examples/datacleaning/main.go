@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -39,7 +40,7 @@ func main() {
 
 	// Which (employee, building) pairs are certain?
 	q := certainty.MustParseQuery("Emp(e | n, dept), Dept(dept | b)")
-	res, err := certainty.CertainAnswers(q, []string{"n", "b"}, d)
+	res, err := certainty.CertainAnswers(context.Background(), q, []string{"n", "b"}, d, certainty.SolveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func main() {
 	// A quick statistical screen before running the exact solver.
 	boolean := certainty.MustParseQuery("Emp(e | n, 'engineering'), Dept('engineering' | 'bldg1')")
 	est, witness := certainty.EstimateCertain(boolean, d, 200, 1)
-	exact, err := certainty.Certain(boolean, d)
+	exact, err := certainty.Solve(boolean, d)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n\"someone certainly sits in engineering/bldg1\": sampled=%v exact=%v\n", est, exact)
+	fmt.Printf("\n\"someone certainly sits in engineering/bldg1\": sampled=%v exact=%v\n", est, exact.Certain)
 	if witness != nil {
 		fmt.Println("(sampling found a counterexample repair)")
 	}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,11 @@ func main() {
 	fmt.Printf("certain: %v (method: %s)\n", res.Certain, res.Method)
 
 	// Not certain — exhibit a repair where the answer is no.
-	if rep, found := certainty.FalsifyingRepair(q, d); found {
+	rep, found, err := certainty.FalsifyingRepair(context.Background(), q, d)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if found {
 		fmt.Println("a repair falsifying q:")
 		for _, f := range rep {
 			fmt.Printf("  %s\n", f)

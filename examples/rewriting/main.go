@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,7 @@ func main() {
 	// Free variables: "which services certainly have SOME owner?" and
 	// "which (service, owner) pairs are certain?"
 	owners := certainty.MustParseQuery("Owns(s | o)")
-	ans, err := certainty.CertainAnswers(owners, []string{"s", "o"}, d)
+	ans, err := certainty.CertainAnswers(context.Background(), owners, []string{"s", "o"}, d, certainty.SolveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,18 +6,18 @@
 package answers
 
 import (
+	"context"
 	"fmt"
 	"math/big"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/engine"
 	"github.com/cqa-go/certainty/internal/fo"
 	"github.com/cqa-go/certainty/internal/prob"
+	"github.com/cqa-go/certainty/internal/shard"
 	"github.com/cqa-go/certainty/internal/solver"
 )
 
@@ -64,11 +64,15 @@ func Possible(q cq.Query, free []string, d *db.DB) ([]Answer, error) {
 	return out, nil
 }
 
-// Certain computes the certain answers of q with the given free variables,
-// dispatching each candidate's Boolean instantiation through the
-// classifier-driven solver. Candidates are the possible answers (certain ⊆
-// possible, since every repair is a subset of d).
-func Certain(q cq.Query, free []string, d *db.DB) (*Result, error) {
+// Certain computes the certain answers of q with the given free variables.
+// Candidates are the possible answers (certain ⊆ possible, since every
+// repair is a subset of d); they are decided on the shared worker pool and
+// come back in candidate order. Outside the rewriting fast path below,
+// each candidate's Boolean instantiation is decided by solver.SolveCtx
+// under ctx, with opts applying to each candidate's solve; a candidate
+// whose solve is cut off (an unknown verdict) fails the call with its
+// cutoff error.
+func Certain(ctx context.Context, q cq.Query, free []string, d *db.DB, opts solver.Options) (*Result, error) {
 	possible, err := Possible(q, free, d)
 	if err != nil {
 		return nil, err
@@ -85,23 +89,34 @@ func Certain(q cq.Query, free []string, d *db.DB) (*Result, error) {
 			}
 		}
 	}
-	for _, a := range possible {
+	certain := make([]bool, len(possible))
+	errs := make([]error, len(possible))
+	err = shard.ForEach(ctx, len(possible), func(i int) {
 		v := make(cq.Valuation, len(free))
-		for i, x := range free {
-			v[x] = a[i]
+		for k, x := range free {
+			v[x] = possible[i][k]
 		}
-		var certain bool
-		var err error
 		if compiled != nil {
-			certain, err = compiled.EvalWith(d, v)
-		} else {
-			certain, err = solver.Certain(q.Substitute(v), d)
+			certain[i], errs[i] = compiled.EvalWith(d, v)
+			return
 		}
+		verdict, err := solver.SolveCtx(ctx, q.Substitute(v), d, opts)
+		if err == nil && verdict.Outcome == solver.OutcomeUnknown {
+			err = verdict.Err
+		}
+		certain[i], errs[i] = verdict.Outcome == solver.OutcomeCertain, err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if certain {
-			res.Certain = append(res.Certain, a)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i, ok := range certain {
+		if ok {
+			res.Certain = append(res.Certain, possible[i])
 		}
 	}
 	return res, nil
@@ -124,53 +139,6 @@ func CertainBruteForce(q cq.Query, free []string, d *db.DB) ([]Answer, error) {
 		}
 	}
 	return out, nil
-}
-
-// CertainParallel is Certain with the per-candidate decisions fanned out
-// across workers goroutines (0 means GOMAXPROCS). Candidates are decided
-// on immutable inputs, so results are identical to the sequential version.
-func CertainParallel(q cq.Query, free []string, d *db.DB, workers int) (*Result, error) {
-	possible, err := Possible(q, free, d)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res := &Result{Free: append([]string(nil), free...), Possible: possible}
-	certain := make([]bool, len(possible))
-	errs := make([]error, len(possible))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				v := make(cq.Valuation, len(free))
-				for k, x := range free {
-					v[x] = possible[i][k]
-				}
-				certain[i], errs[i] = solver.Certain(q.Substitute(v), d)
-			}
-		}()
-	}
-	for i := range possible {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, ok := range certain {
-		if ok {
-			res.Certain = append(res.Certain, possible[i])
-		}
-	}
-	return res, nil
 }
 
 func checkFree(q cq.Query, free []string) error {

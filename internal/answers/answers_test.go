@@ -1,12 +1,16 @@
 package answers
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"reflect"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/gen"
+	"github.com/cqa-go/certainty/internal/govern"
+	"github.com/cqa-go/certainty/internal/solver"
 )
 
 var bigOne = big.NewRat(1, 1)
@@ -15,7 +19,7 @@ func TestConferenceAnswers(t *testing.T) {
 	d := gen.ConferenceDB()
 	// "Which conferences are certainly rank A?"
 	q := cq.MustParseQuery("R(x | 'A')")
-	res, err := Certain(q, []string{"x"}, d)
+	res, err := Certain(context.Background(), q, []string{"x"}, d, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +35,7 @@ func TestConferenceAnswers(t *testing.T) {
 	// "Which cities certainly host some conference?" Rome is the city of
 	// KDD 2017 in every repair; Paris only in some.
 	q2 := cq.MustParseQuery("C(x, y | c)")
-	res2, err := Certain(q2, []string{"c"}, d)
+	res2, err := Certain(context.Background(), q2, []string{"c"}, d, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func TestConferenceAnswers(t *testing.T) {
 func TestMultipleFreeVariables(t *testing.T) {
 	d := gen.ConferenceDB()
 	q := cq.MustParseQuery("C(x, y | c), R(x | r)")
-	res, err := Certain(q, []string{"x", "r"}, d)
+	res, err := Certain(context.Background(), q, []string{"x", "r"}, d, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func TestBooleanAnswer(t *testing.T) {
 	// tuple is the single possible answer iff the query is satisfiable.
 	d := gen.ConferenceDB()
 	q := cq.ConferenceQuery()
-	res, err := Certain(q, nil, d)
+	res, err := Certain(context.Background(), q, nil, d, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +83,10 @@ func TestBooleanAnswer(t *testing.T) {
 func TestErrors(t *testing.T) {
 	d := gen.ConferenceDB()
 	q := cq.MustParseQuery("R(x | y)")
-	if _, err := Certain(q, []string{"zzz"}, d); err == nil {
+	if _, err := Certain(context.Background(), q, []string{"zzz"}, d, solver.Options{}); err == nil {
 		t.Error("unknown free variable must be rejected")
 	}
-	if _, err := Certain(q, []string{"x", "x"}, d); err == nil {
+	if _, err := Certain(context.Background(), q, []string{"x", "x"}, d, solver.Options{}); err == nil {
 		t.Error("duplicate free variable must be rejected")
 	}
 }
@@ -103,7 +107,7 @@ func TestCertainAgainstBruteForce(t *testing.T) {
 	for _, c := range cases {
 		for seed := int64(0); seed < 15; seed++ {
 			d := gen.RandomDB(c.q, gen.Config{Embeddings: 3, Noise: 2, Domain: 2}, seed)
-			fast, err := Certain(c.q, c.free, d)
+			fast, err := Certain(context.Background(), c.q, c.free, d, solver.Options{})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.q, seed, err)
 			}
@@ -135,7 +139,7 @@ func TestCertainAgainstBruteForce(t *testing.T) {
 // every candidate of a coNP-classified query.
 func TestCertainOnCoNPQuery(t *testing.T) {
 	d := gen.MonotoneSATQ0DB(gen.RandomMonotoneSAT(3, 5, 2, 1))
-	res, err := Certain(cq.Q0(), []string{"y"}, d)
+	res, err := Certain(context.Background(), cq.Q0(), []string{"y"}, d, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +152,24 @@ func TestCertainOnCoNPQuery(t *testing.T) {
 	}
 }
 
-// TestCertainParallelAgrees: the parallel answer computation matches the
-// sequential one across classes and worker counts.
+// TestCertainBudgetCutoffFails: a candidate decided by the solver under limits
+// that cut its solve off fails the whole call with the cutoff error rather
+// than being reported as not certain.
+func TestCertainBudgetCutoffFails(t *testing.T) {
+	q := cq.Q0()
+	free := []string{"z"} // freezing z keeps the strong cycle: no fast path
+	d := gen.MonotoneSATQ0DB(gen.RandomMonotoneSAT(3, 5, 2, 1))
+	if _, err := Certain(context.Background(), q, free, d, solver.Options{}); err != nil {
+		t.Fatalf("unlimited: %v", err)
+	}
+	_, err := Certain(context.Background(), q, free, d, solver.Options{Budget: 1, DegradeSamples: -1})
+	if !errors.Is(err, govern.ErrBudget) {
+		t.Fatalf("err = %v, want the budget cutoff", err)
+	}
+}
+
+// TestCertainParallelAgrees: the fanned-out answer computation matches
+// brute-force enumeration across classes.
 func TestCertainParallelAgrees(t *testing.T) {
 	cases := []struct {
 		q    cq.Query
@@ -162,23 +182,20 @@ func TestCertainParallelAgrees(t *testing.T) {
 	for _, c := range cases {
 		for seed := int64(0); seed < 10; seed++ {
 			d := gen.RandomDB(c.q, gen.Config{Embeddings: 3, Noise: 2, Domain: 2}, seed)
-			seq, err := Certain(c.q, c.free, d)
+			want, err := CertainBruteForce(c.q, c.free, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{0, 1, 4} {
-				par, err := CertainParallel(c.q, c.free, d, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(par.Certain, seq.Certain) {
-					t.Errorf("%s seed %d workers %d: parallel=%v sequential=%v",
-						c.q, seed, workers, par.Certain, seq.Certain)
-				}
+			got, err := Certain(context.Background(), c.q, c.free, d, solver.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Certain, want) {
+				t.Errorf("%s seed %d: Certain=%v brute force=%v", c.q, seed, got.Certain, want)
 			}
 		}
 	}
-	if _, err := CertainParallel(cq.MustParseQuery("R(x | y)"), []string{"zzz"}, gen.ConferenceDB(), 2); err == nil {
+	if _, err := Certain(context.Background(), cq.MustParseQuery("R(x | y)"), []string{"zzz"}, gen.ConferenceDB(), solver.Options{}); err == nil {
 		t.Error("bad free variable must be rejected")
 	}
 }
@@ -208,7 +225,7 @@ func TestWithProbabilities(t *testing.T) {
 		t.Errorf("highest-probability answer first: %v", got)
 	}
 	// Certain answers are exactly the probability-1 answers.
-	res, err := Certain(q, []string{"x", "r"}, d)
+	res, err := Certain(context.Background(), q, []string{"x", "r"}, d, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,24 +311,13 @@ func (d *DB) NumRepairs() *big.Int {
 // EachRepair enumerates all repairs, invoking yield with each repair as a
 // fact slice (one fact per block, in block order). Enumeration stops early
 // if yield returns false. The slice passed to yield is reused across calls;
-// copy it to retain. Returns false iff some yield returned false.
+// copy it to retain. Returns false iff some yield returned false. It is
+// EachRepairCtx run to completion.
 func (d *DB) EachRepair(yield func(repair []Fact) bool) bool {
-	blocks := d.Blocks()
-	repair := make([]Fact, len(blocks))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(blocks) {
-			return yield(repair)
-		}
-		for _, f := range blocks[i] {
-			repair[i] = f
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0)
+	// A background context carries no governor limit, so the enumeration
+	// is never cut off and the error is always nil.
+	done, _ := d.EachRepairCtx(context.Background(), yield)
+	return done
 }
 
 // EachRepairCtx is EachRepair with cooperative cancellation: one governor

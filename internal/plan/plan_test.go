@@ -95,8 +95,8 @@ func TestBounded(t *testing.T) {
 }
 
 // TestPlanSolvesCanonically: the cached plan decides the same instances as
-// solving the original query directly (decisions are invariant under the
-// canonicalization's variable renaming).
+// brute-force enumeration over the original query (decisions are invariant
+// under the canonicalization's variable renaming).
 func TestPlanSolvesCanonically(t *testing.T) {
 	c := NewCache(8)
 	q := cq.MustParseQuery("Emp(name | dept), Dept(dept | floor)")
@@ -106,29 +106,23 @@ func TestPlanSolvesCanonically(t *testing.T) {
 	}
 	for seed := int64(0); seed < 5; seed++ {
 		d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 3, Domain: 3}, seed)
-		want, err := solver.Certain(q, d)
+		want := solver.BruteForce(q, d)
+		got, err := p.SolveCtx(context.Background(), d, solver.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Solve(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Certain != want {
-			t.Fatalf("seed %d: plan %v, direct %v", seed, got.Certain, want)
+		if got.Result.Certain != want {
+			t.Fatalf("seed %d: plan %v, brute force %v", seed, got.Result.Certain, want)
 		}
 	}
 	// Also across an explicit fact set with constants shared by the query.
 	d := db.MustParse("Emp(alice | sales), Emp(alice | hr), Dept(sales | 1), Dept(hr | 1)")
-	want, err := solver.Certain(q, d)
+	want := solver.BruteForce(q, d)
+	v, err := p.SolveCtx(context.Background(), d, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Solve(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Certain != want {
-		t.Fatalf("explicit instance: plan %v, direct %v", res.Certain, want)
+	if v.Result.Certain != want {
+		t.Fatalf("explicit instance: plan %v, brute force %v", v.Result.Certain, want)
 	}
 }

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -172,7 +173,7 @@ func TestLemma9C3ToAC3(t *testing.T) {
 		if !ok {
 			t.Fatal("C(3) shape")
 		}
-		direct, err := solver.CertainCk(c3, shape, d)
+		direct, err := solver.CertainCk(context.Background(), c3, shape, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +182,7 @@ func TestLemma9C3ToAC3(t *testing.T) {
 		}
 		// And the AC(k) solver on the completed instance.
 		shapeAC, _ := core.MatchCycleShape(ac3, true)
-		viaAC, err := solver.CertainACk(ac3, shapeAC, completed)
+		viaAC, err := solver.CertainACk(context.Background(), ac3, shapeAC, completed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
-	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
 	"github.com/cqa-go/certainty/internal/solver"
 )
@@ -65,24 +64,12 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	gopts, clamped, err := s.cfg.Policy.Clamp(govern.Options{
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		Budget:  req.Budget,
-	})
+	opts, clamped, err := s.requestLimits(req.TimeoutMS, req.Budget, req.DegradeSamples, req.SampleSeed)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, CodePolicy, err.Error())
 		return
 	}
-	opts := solver.Options{
-		Timeout:        gopts.Timeout,
-		Budget:         gopts.Budget,
-		DegradeSamples: req.DegradeSamples,
-		SampleSeed:     req.SampleSeed,
-		SampleTimeout:  s.cfg.SampleTimeout,
-	}
-	if s.cfg.DegradeSamples != 0 && (opts.DegradeSamples == 0 || opts.DegradeSamples > s.cfg.DegradeSamples) {
-		opts.DegradeSamples = s.cfg.DegradeSamples
-	}
+	opts.Shards = req.Shards
 
 	// Resolve every item up front: parse failures and cached verdicts are
 	// settled before any admission, the rest queue for solving.
@@ -212,21 +199,15 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	batchOpts := []solver.Option{
-		solver.WithPlanCache(s.plans),
-		solver.WithShards(req.Shards),
-		solver.WithOptions(opts),
-		solver.WithObserver(func(br solver.BatchResult) {
-			mu.Lock()
-			out := finish(br)
-			results[out.Index] = out
-			mu.Unlock()
-			if streamOut != nil {
-				streamOut.emit(out)
-			}
-		}),
-	}
-	solver.SolveBatch(ctx, items, batchOpts...)
+	solver.SolveBatch(ctx, items, opts, s.plans, func(br solver.BatchResult) {
+		mu.Lock()
+		out := finish(br)
+		results[out.Index] = out
+		mu.Unlock()
+		if streamOut != nil {
+			streamOut.emit(out)
+		}
+	})
 	elapsed := time.Since(start)
 
 	s.reg.Counter(metricBatchTotal).Inc()
@@ -236,16 +217,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	if streamOut != nil {
 		return // every result already on the wire
 	}
-	resp := BatchSolveResponse{Results: results, ElapsedMS: elapsed.Milliseconds()}
-	if clamped.Any() {
-		resp.Clamped = &ClampReport{
-			Timeout:   clamped.Timeout,
-			Budget:    clamped.Budget,
-			TimeoutMS: opts.Timeout.Milliseconds(),
-			BudgetVal: opts.Budget,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, BatchSolveResponse{Results: results, Clamped: clamped, ElapsedMS: elapsed.Milliseconds()})
 }
 
 // contextWithDrain derives a context cancelled by either the request's

@@ -8,7 +8,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
 )
 
@@ -104,6 +106,24 @@ func TestBatchSharded(t *testing.T) {
 		if p.Verdict != nil && p.Verdict.Result.Certain != q.Verdict.Result.Certain {
 			t.Errorf("item %d: sharded verdict differs", i)
 		}
+	}
+}
+
+// TestBatchClampReport: a batch whose limits exceed the server policy runs
+// under the clamped limits and says so in its response; one within the
+// policy carries no report.
+func TestBatchClampReport(t *testing.T) {
+	s := New(Config{Registry: obs.NewRegistry(), Policy: govern.Policy{MaxBudget: 1 << 20, MaxTimeout: 5 * time.Second}})
+	req := batchFixture()
+	req.Budget, req.TimeoutMS = 1<<30, 60_000
+	resp := decodeBatch(t, doJSON(t, s, nil, "POST", "/v1/solve/batch", req))
+	want := ClampReport{Timeout: true, Budget: true, TimeoutMS: 5000, BudgetVal: 1 << 20}
+	if resp.Clamped == nil || *resp.Clamped != want {
+		t.Fatalf("Clamped = %+v, want %+v", resp.Clamped, want)
+	}
+	req.Budget, req.TimeoutMS = 1000, 1000
+	if resp := decodeBatch(t, doJSON(t, s, nil, "POST", "/v1/solve/batch", req)); resp.Clamped != nil {
+		t.Fatalf("Clamped = %+v for limits within policy, want none", resp.Clamped)
 	}
 }
 

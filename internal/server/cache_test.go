@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
@@ -72,6 +73,26 @@ func TestVerdictCacheHit(t *testing.T) {
 	}
 	if st.Classify.Len != 1 {
 		t.Fatalf("classify stats = %+v, want one canonical entry", st.Classify)
+	}
+}
+
+// TestVerdictCacheHitClampReport: a verdict served from the cache still
+// reports the policy's clamp of the request's limits, exactly as the solve
+// that filled the cache did.
+func TestVerdictCacheHitClampReport(t *testing.T) {
+	s := New(Config{Registry: obs.NewRegistry(), Policy: govern.Policy{MaxBudget: 1 << 20, MaxTimeout: 5 * time.Second}})
+	req := SolveRequest{Query: "R(x | y)", DB: "R(a | b), R(a | c)", Budget: 1 << 30, TimeoutMS: 60_000}
+	want := ClampReport{Timeout: true, Budget: true, TimeoutMS: 5000, BudgetVal: 1 << 20}
+	first := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
+	if first.Cached || first.Clamped == nil || *first.Clamped != want {
+		t.Fatalf("first solve: cached=%v Clamped=%+v, want a fresh solve reporting %+v", first.Cached, first.Clamped, want)
+	}
+	second := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
+	if !second.Cached {
+		t.Fatal("second solve must hit the verdict cache")
+	}
+	if second.Clamped == nil || *second.Clamped != want {
+		t.Fatalf("cache hit: Clamped = %+v, want %+v", second.Clamped, want)
 	}
 }
 

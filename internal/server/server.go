@@ -498,23 +498,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	gopts, clamped, err := s.cfg.Policy.Clamp(govern.Options{
-		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-		Budget:  req.Budget,
-	})
+	opts, clamped, err := s.requestLimits(req.TimeoutMS, req.Budget, req.DegradeSamples, req.SampleSeed)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, CodePolicy, err.Error())
 		return
-	}
-	opts := solver.Options{
-		Timeout:        gopts.Timeout,
-		Budget:         gopts.Budget,
-		DegradeSamples: req.DegradeSamples,
-		SampleSeed:     req.SampleSeed,
-		SampleTimeout:  s.cfg.SampleTimeout,
-	}
-	if s.cfg.DegradeSamples != 0 && (opts.DegradeSamples == 0 || opts.DegradeSamples > s.cfg.DegradeSamples) {
-		opts.DegradeSamples = s.cfg.DegradeSamples
 	}
 
 	// Memoized serving: a conclusive verdict for the same canonical query
@@ -532,14 +519,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 					Cached:    true,
 				},
 				Verdict: v,
-			}
-			if clamped.Any() {
-				resp.Clamped = &ClampReport{
-					Timeout:   clamped.Timeout,
-					Budget:    clamped.Budget,
-					TimeoutMS: opts.Timeout.Milliseconds(),
-					BudgetVal: opts.Budget,
-				}
+				Clamped: clamped,
 			}
 			s.countSolve(cls.Class.Code(), v)
 			s.logf("solve %s: %s from verdict cache", cls.Class.Code(), v.Outcome)
@@ -642,6 +622,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			Delta:     delta,
 		},
 		Verdict:   v,
+		Clamped:   clamped,
 		ElapsedMS: elapsed.Milliseconds(),
 	}
 	switch mode {
@@ -650,16 +631,43 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	case modeProbe:
 		resp.Breaker = BreakerProbe
 	}
+	s.logf("solve %s: %s in %v (breaker=%q)", cls.Class.Code(), v.Outcome, elapsed, resp.Breaker)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// requestLimits turns a request's limits into the solver options it runs
+// under: the timeout and budget clamped through the server policy, the
+// degradation sample count capped at the server's, and the server's sample
+// timeout. The report is nil unless the policy tightened a requested limit;
+// an error means the policy refuses the request.
+func (s *Server) requestLimits(timeoutMS, budget int64, degradeSamples int, sampleSeed int64) (solver.Options, *ClampReport, error) {
+	gopts, clamped, err := s.cfg.Policy.Clamp(govern.Options{
+		Timeout: time.Duration(timeoutMS) * time.Millisecond,
+		Budget:  budget,
+	})
+	if err != nil {
+		return solver.Options{}, nil, err
+	}
+	opts := solver.Options{
+		Timeout:        gopts.Timeout,
+		Budget:         gopts.Budget,
+		DegradeSamples: degradeSamples,
+		SampleSeed:     sampleSeed,
+		SampleTimeout:  s.cfg.SampleTimeout,
+	}
+	if s.cfg.DegradeSamples != 0 && (opts.DegradeSamples == 0 || opts.DegradeSamples > s.cfg.DegradeSamples) {
+		opts.DegradeSamples = s.cfg.DegradeSamples
+	}
+	var report *ClampReport
 	if clamped.Any() {
-		resp.Clamped = &ClampReport{
+		report = &ClampReport{
 			Timeout:   clamped.Timeout,
 			Budget:    clamped.Budget,
 			TimeoutMS: opts.Timeout.Milliseconds(),
 			BudgetVal: opts.Budget,
 		}
 	}
-	s.logf("solve %s: %s in %v (breaker=%q)", cls.Class.Code(), v.Outcome, elapsed, resp.Breaker)
-	writeJSON(w, http.StatusOK, resp)
+	return opts, report, nil
 }
 
 // solveHostedDelta runs one hosted solve through the compiled plan and the

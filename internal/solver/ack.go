@@ -76,13 +76,10 @@ func normalizeCycle(c []int) string {
 //     without marking all edges of a cycle in C, which holds iff every
 //     strong component of G contains a k-cycle outside C or an elementary
 //     cycle longer than k.
-func CertainACk(q cq.Query, shape *core.CycleShape, d *db.DB) (bool, error) {
-	return CertainACkCtx(context.Background(), q, shape, d)
-}
-
-// CertainACkCtx is CertainACk with cooperative cancellation: the governor
-// bounds the purification pass and the per-component cycle analysis.
-func CertainACkCtx(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db.DB) (bool, error) {
+//
+// The governor attached to ctx bounds the purification pass and the
+// per-component cycle analysis.
+func CertainACk(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db.DB) (bool, error) {
 	if shape == nil || shape.SkAtom < 0 {
 		return false, fmt.Errorf("solver: CertainACk requires an AC(k) shape")
 	}
@@ -97,20 +94,16 @@ func CertainACkCtx(ctx context.Context, q cq.Query, shape *core.CycleShape, d *d
 	if err != nil {
 		return false, err
 	}
-	return decideByComponentsCtx(ctx, cg, comps, cg.markedCycles(q, shape, d))
+	return decideByComponents(ctx, cg, comps, cg.markedCycles(q, shape, d))
 }
 
 // CertainCk decides db ∈ CERTAINTY(C(k)) in polynomial time (Corollary 1).
 // By Lemma 9, C(k) reduces to AC(k) with S_k containing every tuple over
 // the active domain; every k-cycle of the fact graph is then in C, so a
 // strong component is falsifiable iff it contains an elementary cycle
-// longer than k. The S_k relation is never materialized.
-func CertainCk(q cq.Query, shape *core.CycleShape, d *db.DB) (bool, error) {
-	return CertainCkCtx(context.Background(), q, shape, d)
-}
-
-// CertainCkCtx is CertainCk with cooperative cancellation.
-func CertainCkCtx(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db.DB) (bool, error) {
+// longer than k. The S_k relation is never materialized. The governor
+// attached to ctx bounds the work as in CertainACk.
+func CertainCk(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db.DB) (bool, error) {
 	if shape == nil || shape.SkAtom >= 0 {
 		return false, fmt.Errorf("solver: CertainCk requires a C(k) shape")
 	}
@@ -125,7 +118,7 @@ func CertainCkCtx(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db
 	if err != nil {
 		return false, err
 	}
-	return decideByComponentsCtx(ctx, cg, comps, nil)
+	return decideByComponents(ctx, cg, comps, nil)
 }
 
 // buildCycleGraph constructs the fact graph and its strong components. When
@@ -189,19 +182,9 @@ func (cg *cycleGraph) markedCycles(q cq.Query, shape *core.CycleShape, d *db.DB)
 // cannot occur on purified databases (every vertex lies on a cycle of
 // length k); they are treated as admitting no marking, which errs on the
 // side of "certain" and is exercised only through direct API misuse.
-func decideByComponents(cg *cycleGraph, comps [][]int, inC map[string]bool) bool {
-	for _, comp := range comps {
-		if markableComponent(cg, comp, inC) {
-			continue
-		}
-		return true // some strong component forces q in every repair
-	}
-	return false
-}
-
-// decideByComponentsCtx is decideByComponents with one governor step
-// charged per strong component.
-func decideByComponentsCtx(ctx context.Context, cg *cycleGraph, comps [][]int, inC map[string]bool) (bool, error) {
+//
+// One governor step is charged per strong component.
+func decideByComponents(ctx context.Context, cg *cycleGraph, comps [][]int, inC map[string]bool) (bool, error) {
 	g := govern.From(ctx)
 	for _, comp := range comps {
 		if err := g.Step(); err != nil {

@@ -22,7 +22,7 @@ type BatchItem struct {
 // Err is meaningful: Err is non-nil when the item failed outright (e.g. an
 // unclassifiable query), in which case Verdict is the zero value. A
 // degradation (budget or deadline cutoff) is not an error — it comes back as
-// a Verdict with OutcomeUnknown, same as in a single Solve.
+// a Verdict with OutcomeUnknown, same as in a single SolveCtx.
 type BatchResult struct {
 	Index   int
 	Verdict Verdict
@@ -33,6 +33,13 @@ const metricBatchItems = "solver_batch_items_total"
 
 func init() {
 	obs.Default.Help(metricBatchItems, "Batch items solved, by outcome (error for failed items).")
+}
+
+// PlanSource supplies compiled plans; *plan.Cache implements it. SolveBatch
+// uses it to amortize classification and rewriting compilation across
+// batches.
+type PlanSource interface {
+	Get(ctx context.Context, q cq.Query) (*Plan, error)
 }
 
 // planMemo compiles each distinct canonical query once per batch. When the
@@ -75,16 +82,17 @@ func (m *planMemo) get(ctx context.Context, q cq.Query) (*Plan, error) {
 // SolveBatch decides a batch of instances on the bounded worker pool,
 // amortizing plan compilation across items with the same canonical query
 // (one classification and one compiled rewriting per distinct query, via
-// WithPlanCache's source when given, a batch-local memo otherwise). Items
-// run concurrently — the fan-out shares the process-wide worker gate with
-// the shard layer, so WithShards composes without multiplying goroutines —
-// and results come back indexed in item order, one per item, errors inline.
+// plans when non-nil, a batch-local memo otherwise). Every item runs
+// Plan.SolveCtx under opts, so opts.Shards shards each item; the fan-out
+// shares the process-wide worker gate with the shard layer, so the two
+// compose without multiplying goroutines. Results come back indexed in item
+// order, one per item, errors inline.
 //
-// WithObserver streams each result as its item completes, before the call
-// returns; see the option for the ordering contract. A cancelled ctx stops
-// the fan-out: unstarted items report ctx's error.
-func SolveBatch(ctx context.Context, items []BatchItem, opts ...Option) []BatchResult {
-	cfg := newConfig(opts)
+// A non-nil observe streams each result as its item completes, before the
+// call returns. Calls are serialized (observe needs no locking) but arrive
+// in completion order, not item order — use BatchResult.Index to reorder.
+// A cancelled ctx stops the fan-out: unstarted items report ctx's error.
+func SolveBatch(ctx context.Context, items []BatchItem, opts Options, plans PlanSource, observe func(BatchResult)) []BatchResult {
 	results := make([]BatchResult, len(items))
 	for i := range results {
 		results[i] = BatchResult{Index: i, Err: ctx.Err()}
@@ -92,7 +100,7 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts ...Option) []BatchR
 			results[i].Err = context.Canceled // overwritten when the item runs
 		}
 	}
-	memo := &planMemo{source: cfg.plans, entries: make(map[string]*planEntry)}
+	memo := &planMemo{source: plans, entries: make(map[string]*planEntry)}
 	var obsMu sync.Mutex
 	_ = shard.ForEach(ctx, len(items), func(i int) {
 		ictx, sp := obs.StartSpan(ctx, "batch/item")
@@ -100,11 +108,7 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts ...Option) []BatchR
 		r := BatchResult{Index: i}
 		p, err := memo.get(ictx, items[i].Query)
 		if err == nil {
-			if cfg.shards != 0 {
-				r.Verdict, err = p.SolveSharded(ictx, items[i].DB, cfg.shards, cfg.opts)
-			} else {
-				r.Verdict, err = p.SolveCtx(ictx, items[i].DB, cfg.opts)
-			}
+			r.Verdict, err = p.SolveCtx(ictx, items[i].DB, opts)
 		}
 		r.Err = err
 		if err != nil {
@@ -116,9 +120,9 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts ...Option) []BatchR
 		}
 		sp.End()
 		results[i] = r
-		if cfg.observe != nil {
+		if observe != nil {
 			obsMu.Lock()
-			cfg.observe(r)
+			observe(r)
 			obsMu.Unlock()
 		}
 	})

@@ -18,16 +18,12 @@ import (
 
 // BruteForce decides db ∈ CERTAINTY(q) by enumerating every repair and
 // evaluating q on each. Exponential in the number of non-singleton blocks;
-// the ground truth for all other solvers.
+// the ground truth for all other solvers. It is BruteForceCtx run to
+// completion.
 func BruteForce(q cq.Query, d *db.DB) bool {
-	certain := true
-	d.EachRepair(func(r []db.Fact) bool {
-		if !engine.EvalRepair(q, r) {
-			certain = false
-			return false
-		}
-		return true
-	})
+	// A background context carries no governor limit, so the enumeration
+	// is never cut off and the error is always nil.
+	certain, _ := BruteForceCtx(context.Background(), q, d)
 	return certain
 }
 
@@ -107,120 +103,6 @@ func (s *selection) extend(binding cq.Valuation, anchor, next int) bool {
 	return false
 }
 
-// FalsifyingRepair searches for a repair of d falsifying q using
-// block-by-block backtracking with satisfaction pruning: as soon as the
-// partial selection already satisfies q, every completion does too, and the
-// branch is cut. Returns the falsifying repair and true if one exists.
-// Worst-case exponential (CERTAINTY(q) is coNP-complete for strong-cycle
-// queries), but vastly faster than plain enumeration on typical instances.
-func FalsifyingRepair(q cq.Query, d *db.DB) ([]db.Fact, bool) {
-	return falsifyingRepair(q, d, true)
-}
-
-// FalsifyingRepairStatic is FalsifyingRepair with the dynamic fail-first
-// block ordering disabled (blocks are tried in database order). Exposed for
-// the ordering ablation in the benchmark harness; prefer FalsifyingRepair.
-func FalsifyingRepairStatic(q cq.Query, d *db.DB) ([]db.Fact, bool) {
-	return falsifyingRepair(q, d, false)
-}
-
-func falsifyingRepair(q cq.Query, d *db.DB, dynamic bool) ([]db.Fact, bool) {
-	rels := make(map[string]bool, q.Len())
-	for _, a := range q.Atoms {
-		rels[a.Rel] = true
-	}
-	var relevant, irrelevant [][]db.Fact
-	for _, b := range d.Blocks() {
-		if rels[b[0].Rel] {
-			relevant = append(relevant, b)
-		} else {
-			irrelevant = append(irrelevant, b)
-		}
-	}
-	if q.IsEmpty() {
-		return nil, false // the empty query holds in every repair
-	}
-	sel := newSelection(q)
-	var chosen []db.Fact
-	done := make([]bool, len(relevant))
-	// Fail-first dynamic ordering: at each node, branch on the remaining
-	// block with the fewest safe (non-satisfying) choices. Blocks with zero
-	// safe choices cut the branch immediately, which makes the search
-	// behave like DPLL on constraint-style instances. The static variant
-	// processes blocks in database order instead.
-	var rec func(remaining int) bool
-	rec = func(remaining int) bool {
-		if remaining == 0 {
-			return true
-		}
-		safeOf := func(blk []db.Fact) []db.Fact {
-			var safe []db.Fact
-			for _, f := range blk {
-				sel.push(f)
-				if !sel.satisfiedUsing(f) {
-					safe = append(safe, f)
-				}
-				sel.pop(f)
-			}
-			return safe
-		}
-		var best int
-		var bestSafe []db.Fact
-		if dynamic {
-			best = -1
-			for i, blk := range relevant {
-				if done[i] {
-					continue
-				}
-				safe := safeOf(blk)
-				if best == -1 || len(safe) < len(bestSafe) {
-					best, bestSafe = i, safe
-					if len(safe) == 0 {
-						return false
-					}
-				}
-			}
-		} else {
-			best = -1
-			for i := range relevant {
-				if !done[i] {
-					best = i
-					break
-				}
-			}
-			bestSafe = safeOf(relevant[best])
-		}
-		done[best] = true
-		for _, f := range bestSafe {
-			sel.push(f)
-			chosen = append(chosen, f)
-			if rec(remaining - 1) {
-				return true
-			}
-			chosen = chosen[:len(chosen)-1]
-			sel.pop(f)
-		}
-		done[best] = false
-		return false
-	}
-	if !rec(len(relevant)) {
-		return nil, false
-	}
-	// Facts of relations outside q never influence satisfaction; complete
-	// the repair with an arbitrary choice per irrelevant block.
-	out := append([]db.Fact(nil), chosen...)
-	for _, b := range irrelevant {
-		out = append(out, b[0])
-	}
-	return out, true
-}
-
-// CertainByFalsifying decides certainty via FalsifyingRepair.
-func CertainByFalsifying(q cq.Query, d *db.DB) bool {
-	_, found := FalsifyingRepair(q, d)
-	return !found
-}
-
 // searchEvidence records the partial progress of a governed falsifying
 // search: how deep it got before being cut off, and the deepest partial
 // selection — the best falsifying candidate found so far (every completion
@@ -231,11 +113,50 @@ type searchEvidence struct {
 	bestChosen  []db.Fact // the selection at that depth
 }
 
-// falsifyingRepairGov is the governed core of the falsifying-repair search
-// (dynamic fail-first ordering): one governor step per search node. On
+// FalsifyingRepair searches for a repair of d falsifying q using
+// block-by-block backtracking with satisfaction pruning: as soon as the
+// partial selection already satisfies q, every completion does too, and the
+// branch is cut. Returns the falsifying repair and true if one exists.
+// Worst-case exponential (CERTAINTY(q) is coNP-complete for strong-cycle
+// queries), but vastly faster than plain enumeration on typical instances.
+//
+// The search charges one governor step per search node and aborts with the
+// governor's error (ctx.Err(), budget exhaustion, or an injected fault)
+// when the governor attached to ctx trips; the result is unspecified when
+// the error is non-nil. Use a governed ctx to bound the exponential search
+// on coNP-classified instances.
+func FalsifyingRepair(ctx context.Context, q cq.Query, d *db.DB) ([]db.Fact, bool, error) {
+	rep, found, _, err := falsifyingSearch(govern.From(ctx), q, d, true)
+	return rep, found, err
+}
+
+// FalsifyingRepairStatic is FalsifyingRepair with the dynamic fail-first
+// block ordering disabled (blocks are tried in database order). Exposed for
+// the ordering ablation in the benchmark harness; prefer FalsifyingRepair.
+func FalsifyingRepairStatic(ctx context.Context, q cq.Query, d *db.DB) ([]db.Fact, bool, error) {
+	rep, found, _, err := falsifyingSearch(govern.From(ctx), q, d, false)
+	return rep, found, err
+}
+
+// CertainByFalsifying decides certainty via FalsifyingRepair; the decision
+// is unspecified when the error is non-nil.
+func CertainByFalsifying(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
+	_, found, err := FalsifyingRepair(ctx, q, d)
+	if err != nil {
+		return false, err
+	}
+	return !found, nil
+}
+
+// falsifyingSearch is the falsifying-repair search under governor g: one
+// governor step per search node. With dynamic set it uses fail-first
+// ordering: each node branches on the remaining block with the fewest safe
+// (non-satisfying) choices, and a block with none cuts the branch at once,
+// so the search behaves like DPLL on constraint-style instances. Otherwise
+// each node branches on the first remaining block in database order. On
 // cutoff it returns the governor's error together with the evidence
 // accumulated so far.
-func falsifyingRepairGov(g *govern.Governor, q cq.Query, d *db.DB) ([]db.Fact, bool, searchEvidence, error) {
+func falsifyingSearch(g *govern.Governor, q cq.Query, d *db.DB, dynamic bool) ([]db.Fact, bool, searchEvidence, error) {
 	var ev searchEvidence
 	rels := make(map[string]bool, q.Len())
 	for _, a := range q.Atoms {
@@ -283,6 +204,9 @@ func falsifyingRepairGov(g *govern.Governor, q cq.Query, d *db.DB) ([]db.Fact, b
 					return false, nil
 				}
 			}
+			if !dynamic {
+				break
+			}
 		}
 		done[best] = true
 		for _, f := range bestSafe {
@@ -312,28 +236,11 @@ func falsifyingRepairGov(g *govern.Governor, q cq.Query, d *db.DB) ([]db.Fact, b
 	if !found {
 		return nil, false, ev, nil
 	}
+	// Facts of relations outside q never influence satisfaction; complete
+	// the repair with an arbitrary choice per irrelevant block.
 	out := append([]db.Fact(nil), chosen...)
 	for _, b := range irrelevant {
 		out = append(out, b[0])
 	}
 	return out, true, ev, nil
-}
-
-// FalsifyingRepairContext is FalsifyingRepair with cooperative
-// cancellation: the search aborts with the governor's error (ctx.Err(),
-// budget exhaustion, or an injected fault) when the governor trips. Use it
-// to bound the exponential search on coNP-classified instances.
-func FalsifyingRepairContext(ctx context.Context, q cq.Query, d *db.DB) ([]db.Fact, bool, error) {
-	rep, found, _, err := falsifyingRepairGov(govern.From(ctx), q, d)
-	return rep, found, err
-}
-
-// CertainByFalsifyingCtx is CertainByFalsifying with cooperative
-// cancellation; the decision is unspecified when the error is non-nil.
-func CertainByFalsifyingCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
-	_, found, err := FalsifyingRepairContext(ctx, q, d)
-	if err != nil {
-		return false, err
-	}
-	return !found, nil
 }

@@ -43,11 +43,11 @@ func oddRingDB(n int) *db.DB {
 
 func TestOddRingParity(t *testing.T) {
 	q := cq.Q0()
-	if !CertainByFalsifying(q, oddRingDB(5)) {
-		t.Error("odd ring should be certain (no proper 2-coloring of C5)")
+	if got, err := CertainByFalsifying(context.Background(), q, oddRingDB(5)); err != nil || !got {
+		t.Errorf("odd ring should be certain (no proper 2-coloring of C5): got %v, %v", got, err)
 	}
-	if CertainByFalsifying(q, oddRingDB(6)) {
-		t.Error("even ring should not be certain (C6 is 2-colorable)")
+	if got, err := CertainByFalsifying(context.Background(), q, oddRingDB(6)); err != nil || got {
+		t.Errorf("even ring should not be certain (C6 is 2-colorable): got %v, %v", got, err)
 	}
 }
 
@@ -71,15 +71,15 @@ func TestFaultInjectionCancelsSearch(t *testing.T) {
 			return err
 		}},
 		{"CertainByFalsifyingCtx", 5, func(ctx context.Context) error {
-			_, err := CertainByFalsifyingCtx(ctx, q0, ring)
+			_, err := CertainByFalsifying(ctx, q0, ring)
 			return err
 		}},
 		{"FalsifyingRepairContext", 5, func(ctx context.Context) error {
-			_, _, err := FalsifyingRepairContext(ctx, q0, ring)
+			_, _, err := FalsifyingRepair(ctx, q0, ring)
 			return err
 		}},
 		{"CertainFOCtx", 1, func(ctx context.Context) error {
-			_, err := CertainFOCtx(ctx, qFO, dFO)
+			_, err := CertainFO(ctx, qFO, dFO)
 			return err
 		}},
 	}
@@ -106,6 +106,41 @@ func TestFaultInjectionCancelsSearch(t *testing.T) {
 	}
 }
 
+// TestFalsifyingRepairStaticBudgetAndFault: the static-order search of the
+// ordering ablation runs under the same governor as the dispatched one, so
+// a step budget and the fault hook both stop it mid-search.
+func TestFalsifyingRepairStaticBudgetAndFault(t *testing.T) {
+	q0 := cq.Q0()
+	ring := oddRingDB(9)
+	boom := errors.New("injected fault")
+	cases := []struct {
+		name string
+		opts govern.Options
+		want error
+	}{
+		{"budget", govern.Options{Budget: 5}, govern.ErrBudget},
+		{"fault", govern.Options{Fault: func(step int64) error {
+			if step >= 5 {
+				return boom
+			}
+			return nil
+		}}, boom},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := govern.New(context.Background(), tc.opts)
+			defer g.Close()
+			_, _, err := FalsifyingRepairStatic(g.Attach(), q0, ring)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if g.Steps() < 5 || g.Steps() > 6 {
+				t.Fatalf("search stopped after %d steps, want the 5th or 6th", g.Steps())
+			}
+		})
+	}
+}
+
 // TestCanceledContextSurfaces verifies that an already-canceled context makes
 // every context-aware procedure return context.Canceled rather than compute.
 func TestCanceledContextSurfaces(t *testing.T) {
@@ -122,15 +157,15 @@ func TestCanceledContextSurfaces(t *testing.T) {
 			return err
 		}},
 		{"CertainByFalsifyingCtx", func(ctx context.Context) error {
-			_, err := CertainByFalsifyingCtx(ctx, q, d)
+			_, err := CertainByFalsifying(ctx, q, d)
 			return err
 		}},
 		{"CertainFOCtx", func(ctx context.Context) error {
-			_, err := CertainFOCtx(ctx, q, d)
+			_, err := CertainFO(ctx, q, d)
 			return err
 		}},
 		{"CertainTerminalCtx", func(ctx context.Context) error {
-			_, err := CertainTerminalCtx(ctx, cq.MustParseQuery("R(x | y), S(y | z)"), db.MustParse("R(a | b), S(b | c)"))
+			_, err := CertainTerminal(ctx, cq.MustParseQuery("R(x | y), S(y | z)"), db.MustParse("R(a | b), S(b | c)"))
 			return err
 		}},
 	}
@@ -282,8 +317,9 @@ func TestSolveCtxPanicContained(t *testing.T) {
 	}
 }
 
-// TestSolveCtxUnlimitedMatchesSolve: with zero options, SolveCtx is Solve
-// plus governance plumbing — outcomes must agree.
+// TestSolveCtxUnlimitedMatchesSolve: with zero options, SolveCtx is the
+// plain decision plus governance plumbing — outcomes must agree with
+// brute-force enumeration.
 func TestSolveCtxUnlimitedMatchesSolve(t *testing.T) {
 	cases := []struct {
 		name string
@@ -297,10 +333,7 @@ func TestSolveCtxUnlimitedMatchesSolve(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := SolveResult(tc.q, tc.d)
-			if err != nil {
-				t.Fatalf("Solve: %v", err)
-			}
+			want := BruteForce(tc.q, tc.d)
 			v, err := SolveCtx(context.Background(), tc.q, tc.d, Options{})
 			if err != nil {
 				t.Fatalf("SolveCtx: %v", err)
@@ -308,11 +341,11 @@ func TestSolveCtxUnlimitedMatchesSolve(t *testing.T) {
 			if v.Outcome == OutcomeUnknown {
 				t.Fatalf("unlimited solve returned unknown (err %v)", v.Err)
 			}
-			if v.Result.Certain != want.Certain {
-				t.Fatalf("Certain = %v, Solve says %v", v.Result.Certain, want.Certain)
+			if v.Result.Certain != want {
+				t.Fatalf("Certain = %v, brute force says %v", v.Result.Certain, want)
 			}
-			if (v.Outcome == OutcomeCertain) != want.Certain {
-				t.Fatalf("Outcome %v disagrees with Certain=%v", v.Outcome, want.Certain)
+			if (v.Outcome == OutcomeCertain) != want {
+				t.Fatalf("Outcome %v disagrees with Certain=%v", v.Outcome, want)
 			}
 		})
 	}

@@ -55,11 +55,11 @@ type DeltaReport struct {
 // memo — recomputing exactly the shards whose content changed and reusing
 // the memoized conclusive verdicts of the rest, recombined with the exact
 // OR/AND algebra of the shard join. Conclusive verdicts are byte-identical
-// to a from-scratch SolveSharded on d; the report says how much work the
+// to a from-scratch sharded solve of d; the report says how much work the
 // memo saved.
 //
-// maxShards and opts behave as in SolveSharded. memo may be nil, in which
-// case Resolve degenerates to a full re-solve with an all-recomputed
+// maxShards and opts behave as in SolveShardedMemo. memo may be nil, in
+// which case Resolve degenerates to a full re-solve with an all-recomputed
 // report.
 func (p *Plan) Resolve(ctx context.Context, d *db.DB, dl Delta, memo *ShardMemo, maxShards int, opts Options) (Verdict, DeltaReport, error) {
 	var rep DeltaReport

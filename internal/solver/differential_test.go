@@ -100,7 +100,8 @@ func TestPlanMatchesSolveCtx(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesSolve: the ungoverned Result path agrees byte for byte.
+// TestPlanMatchesSolve: the per-call and compiled-plan Results agree byte
+// for byte, and the plan advertises the method the per-call solve used.
 func TestPlanMatchesSolve(t *testing.T) {
 	for _, tc := range differentialCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,14 +113,15 @@ func TestPlanMatchesSolve(t *testing.T) {
 				t.Fatalf("Class %v disagrees with Classification %v", p.Class, p.Classification().Class)
 			}
 			for i, d := range tc.dbs {
-				want, err := SolveResult(tc.q, d)
+				wantV, err := SolveCtx(context.Background(), tc.q, d, Options{})
 				if err != nil {
-					t.Fatalf("db %d: Solve: %v", i, err)
+					t.Fatalf("db %d: SolveCtx: %v", i, err)
 				}
-				got, err := p.Solve(d)
+				gotV, err := p.SolveCtx(context.Background(), d, Options{})
 				if err != nil {
-					t.Fatalf("db %d: Plan.Solve: %v", i, err)
+					t.Fatalf("db %d: Plan.SolveCtx: %v", i, err)
 				}
+				want, got := wantV.Result, gotV.Result
 				w, _ := json.Marshal(want)
 				g, _ := json.Marshal(got)
 				if string(w) != string(g) {
@@ -146,7 +148,7 @@ func TestIndexedFOMatchesBaseline(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
 			d := gen.RandomDB(q, gen.Config{Embeddings: 5, Noise: 4, Domain: 3}, seed)
 			want, errW := CertainFOBaseline(q, d)
-			got, errG := CertainFO(q, d)
+			got, errG := CertainFO(context.Background(), q, d)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("q%d seed %d: error mismatch %v vs %v", qi, seed, errW, errG)
 			}

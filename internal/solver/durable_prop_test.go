@@ -102,7 +102,7 @@ func TestDurableInterleavedSolveProperty(t *testing.T) {
 					t.Fatalf("step %d (version %d): durable has %d facts, model %d", step, version, durable.Len(), len(model))
 				}
 				for _, n := range shardCountsUnderTest() {
-					v, err := Solve(ctx, q, durable, WithShards(n))
+					v, err := SolveCtx(ctx, q, durable, Options{Shards: n})
 					if err != nil {
 						t.Fatalf("step %d shards %d: %v", step, n, err)
 					}
@@ -111,7 +111,7 @@ func TestDurableInterleavedSolveProperty(t *testing.T) {
 					}
 				}
 				perm := shuffled(t, durable, r)
-				if v, err := Solve(ctx, q, perm, WithShards(2)); err != nil {
+				if v, err := SolveCtx(ctx, q, perm, Options{Shards: 2}); err != nil {
 					t.Fatalf("step %d shuffled: %v", step, err)
 				} else if got := verdictFingerprint(t, v); got != want {
 					t.Errorf("step %d shuffled:\n got %s\nwant %s", step, got, want)
@@ -135,7 +135,7 @@ func TestDurableInterleavedSolveProperty(t *testing.T) {
 			if recovered.Len() != len(model) {
 				t.Fatalf("recovered %d facts, model %d", recovered.Len(), len(model))
 			}
-			v, err := Solve(ctx, q, recovered, WithShards(2))
+			v, err := SolveCtx(ctx, q, recovered, Options{Shards: 2})
 			if err != nil {
 				t.Fatalf("recovered solve: %v", err)
 			}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/core"
@@ -52,7 +53,7 @@ func TestExhaustiveC2(t *testing.T) {
 	enumerateDatabases(t, candidates, func(d *db.DB) {
 		count++
 		want := BruteForce(q, d)
-		got, err := CertainTerminal(q, d)
+		got, err := CertainTerminal(context.Background(), q, d)
 		if err != nil {
 			t.Fatalf("db:\n%s: %v", d, err)
 		}
@@ -76,13 +77,15 @@ func TestExhaustiveAC2(t *testing.T) {
 			candidates = append(candidates, db.NewFact("S2", 2, a, b))
 		}
 	}
-	res, err := SolveResult(q, db.New())
+	v, err := SolveCtx(context.Background(), q, db.New(), Options{})
+	res := v.Result
 	if err != nil || res.Certain {
 		t.Fatalf("empty database sanity: %v %v", res, err)
 	}
 	enumerateDatabases(t, candidates, func(d *db.DB) {
 		want := BruteForce(q, d)
-		r, err := SolveResult(q, d)
+		v, err := SolveCtx(context.Background(), q, d, Options{})
+		r := v.Result
 		if err != nil {
 			t.Fatalf("db:\n%s: %v", d, err)
 		}
@@ -111,8 +114,8 @@ func TestExhaustiveQ0(t *testing.T) {
 	}
 	enumerateDatabases(t, candidates, func(d *db.DB) {
 		want := BruteForce(q, d)
-		if got := CertainByFalsifying(q, d); got != want {
-			t.Errorf("falsify=%v brute=%v on:\n%s", got, want, d)
+		if got, err := CertainByFalsifying(context.Background(), q, d); err != nil || got != want {
+			t.Errorf("falsify=%v (err %v) brute=%v on:\n%s", got, err, want, d)
 		}
 	})
 }
@@ -125,7 +128,7 @@ func TestExhaustiveFOPath(t *testing.T) {
 	candidates := append(binaryFacts("R", dom), binaryFacts("S", dom)...)
 	enumerateDatabases(t, candidates, func(d *db.DB) {
 		want := BruteForce(q, d)
-		got, err := CertainFO(q, d)
+		got, err := CertainFO(context.Background(), q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +182,8 @@ func TestExhaustiveOpenCase(t *testing.T) {
 	}
 	enumerateDatabases(t, candidates, func(d *db.DB) {
 		want := BruteForce(q, d)
-		res, err := SolveResult(q, d)
+		v, err := SolveCtx(context.Background(), q, d, Options{})
+		res := v.Result
 		if err != nil {
 			t.Fatalf("db:\n%s: %v", d, err)
 		}
@@ -217,7 +221,8 @@ func TestExhaustiveOpenCaseWithBlockChoices(t *testing.T) {
 			}
 		}
 		want := BruteForce(q, d)
-		res, err := SolveResult(q, d)
+		v, err := SolveCtx(context.Background(), q, d, Options{})
+		res := v.Result
 		if err != nil {
 			t.Fatalf("db:\n%s: %v", d, err)
 		}
@@ -246,7 +251,7 @@ func TestExhaustiveC3(t *testing.T) {
 	}
 	enumerateDatabases(t, candidates, func(d *db.DB) {
 		want := BruteForce(q, d)
-		got, err := CertainCk(q, shape, d)
+		got, err := CertainCk(context.Background(), q, shape, d)
 		if err != nil {
 			t.Fatalf("db:\n%s: %v", d, err)
 		}

@@ -22,7 +22,7 @@ func TestTerminalPairsAgainstBruteForce(t *testing.T) {
 			for seed := int64(0); seed < 20; seed++ {
 				d := gen.RandomDB(q, gen.Config{Embeddings: 2, Noise: 1, Domain: 2}, seed)
 				want := BruteForce(q, d)
-				got, err := CertainTerminal(q, d)
+				got, err := CertainTerminal(context.Background(), q, d)
 				if err != nil {
 					t.Fatalf("n=%d root=%v seed=%d: %v", n, withRoot, seed, err)
 				}
@@ -43,7 +43,8 @@ func TestOpenCaseSolvedViaSimplification(t *testing.T) {
 	q := gen.OpenCaseQuery()
 	for seed := int64(0); seed < 40; seed++ {
 		d := gen.RandomDB(q, gen.Config{Embeddings: 3, Noise: 2, Domain: 2}, seed)
-		res, err := SolveResult(q, d)
+		v, err := SolveCtx(context.Background(), q, d, Options{})
+		res := v.Result
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -72,7 +73,8 @@ func TestSimplificationAcrossClasses(t *testing.T) {
 	q := cq.MustParseQuery("R(u | 'a', x), S(y | x, z), T(x | y), P(x | z, w)")
 	for seed := int64(0); seed < 15; seed++ {
 		d := gen.RandomDB(q, gen.Config{Embeddings: 2, Noise: 1, Domain: 2}, seed)
-		res, err := SolveResult(q, d)
+		v, err := SolveCtx(context.Background(), q, d, Options{})
+		res := v.Result
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -113,8 +115,14 @@ func TestStaticOrderingAblationAgrees(t *testing.T) {
 	for _, q := range queries {
 		for seed := int64(0); seed < 20; seed++ {
 			d := gen.RandomDB(q, gen.Config{Embeddings: 3, Noise: 2, Domain: 2}, seed)
-			_, dyn := FalsifyingRepair(q, d)
-			repS, stat := FalsifyingRepairStatic(q, d)
+			_, dyn, err := FalsifyingRepair(context.Background(), q, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repS, stat, err := FalsifyingRepairStatic(context.Background(), q, d)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if dyn != stat {
 				t.Errorf("%s seed %d: dynamic=%v static=%v", q, seed, dyn, stat)
 			}
@@ -131,8 +139,14 @@ func TestStaticOrderingAblationAgrees(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		f := gen.RandomMonotoneSAT(4, 8, 2, seed)
 		d := gen.MonotoneSATQ0DB(f)
-		_, dyn := FalsifyingRepair(cq.Q0(), d)
-		_, stat := FalsifyingRepairStatic(cq.Q0(), d)
+		_, dyn, err := FalsifyingRepair(context.Background(), cq.Q0(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stat, err := FalsifyingRepairStatic(context.Background(), cq.Q0(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if dyn != stat || dyn != f.Satisfiable() {
 			t.Errorf("seed %d: dyn=%v stat=%v sat=%v", seed, dyn, stat, f.Satisfiable())
 		}
@@ -146,7 +160,8 @@ func TestCyclicSafeDispatch(t *testing.T) {
 	q := cq.MustParseQuery("R(w | x, y), S(w | y, z), T(w | z, x)")
 	for seed := int64(0); seed < 25; seed++ {
 		d := gen.RandomDB(q, gen.Config{Embeddings: 3, Noise: 2, Domain: 2}, seed)
-		res, err := SolveResult(q, d)
+		v, err := SolveCtx(context.Background(), q, d, Options{})
+		res := v.Result
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -160,7 +175,7 @@ func TestCyclicSafeDispatch(t *testing.T) {
 }
 
 // TestFalsifyingRepairContext: cancellation aborts the search with the
-// context error; an ample deadline reproduces the plain result.
+// context error; without one the search agrees with brute force.
 func TestFalsifyingRepairContext(t *testing.T) {
 	q := cq.Q0()
 	f := gen.RandomMonotoneSAT(24, 192, 3, 2408) // unsatisfiable: the E3 instance that takes ~200ms
@@ -168,7 +183,7 @@ func TestFalsifyingRepairContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, _, err := FalsifyingRepairContext(ctx, q, d)
+	_, _, err := FalsifyingRepair(ctx, q, d)
 	if err == nil {
 		t.Skip("instance solved before the 1ms deadline; cancellation path not exercised")
 	}
@@ -177,13 +192,12 @@ func TestFalsifyingRepairContext(t *testing.T) {
 	}
 
 	small := gen.MonotoneSATQ0DB(gen.RandomMonotoneSAT(4, 8, 2, 5))
-	rep, found, err := FalsifyingRepairContext(context.Background(), q, small)
+	rep, found, err := FalsifyingRepair(context.Background(), q, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, plainFound := FalsifyingRepair(q, small)
-	if found != plainFound {
-		t.Errorf("context variant disagrees: %v vs %v", found, plainFound)
+	if certain := BruteForce(q, small); found == certain {
+		t.Errorf("search found a falsifying repair: %v, brute force says certain: %v", found, certain)
 	}
 	if found && db.RepairDB(rep).NumBlocks() != small.NumBlocks() {
 		t.Error("witness must be a full repair")

@@ -122,14 +122,9 @@ func maskShape(q cq.Query) cq.Query {
 }
 
 // Certain decides db ∈ CERTAINTY(q) for the query the program was compiled
-// for (or any query with the same shape).
-func (p *FOProgram) Certain(q cq.Query, d *db.DB) (bool, error) {
-	return p.CertainCtx(context.Background(), q, d)
-}
-
-// CertainCtx is Certain with cooperative cancellation: one governor step is
-// charged per recursive rewriting step, exactly as in CertainFOCtx.
-func (p *FOProgram) CertainCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
+// for (or any query with the same shape). One governor step is charged per
+// recursive rewriting step, exactly as in CertainFO.
+func (p *FOProgram) Certain(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
 	if q.Len() != len(p.sched) {
 		return false, fmt.Errorf("solver: FO program compiled for %d atoms applied to %d-atom query", len(p.sched), q.Len())
 	}
@@ -151,15 +146,11 @@ func (p *FOProgram) CertainCtx(ctx context.Context, q cq.Query, d *db.DB) (bool,
 // (or use the plan cache) once and reuse the program.
 //
 // The returned error reports queries outside the method's scope (cyclic
-// attack graph, self-join, cyclic query).
-func CertainFO(q cq.Query, d *db.DB) (bool, error) {
-	return CertainFOCtx(context.Background(), q, d)
-}
-
-// CertainFOCtx is CertainFO with cooperative cancellation: one governor
-// step is charged per recursive rewriting step. The first step is charged
-// before compilation so that cancellation surfaces ahead of scope errors.
-func CertainFOCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
+// attack graph, self-join, cyclic query), or the governor's error when the
+// governor attached to ctx trips: one step is charged per recursive
+// rewriting step, the first before compilation so that cancellation
+// surfaces ahead of scope errors.
+func CertainFO(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
 	g := govern.From(ctx)
 	if err := g.Step(); err != nil {
 		return false, err

@@ -105,7 +105,7 @@ func growU32(s []uint32, n int) []uint32 {
 	return s[:n]
 }
 
-// certainInterned is the CertainCtx body: charge the entry step
+// certainInterned is the FOProgram.Certain body: charge the entry step
 // (cancellation surfaces before any database work), then resolve and
 // recurse.
 func (p *FOProgram) certainInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {

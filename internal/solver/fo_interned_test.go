@@ -75,7 +75,7 @@ func TestInternedFOVerdictParity(t *testing.T) {
 			if want != got {
 				t.Fatalf("db %d query %d (%v): interned=%v baseline=%v\ndb:\n%s", di, qi, q, got, want, d)
 			}
-			perCall, err := CertainFO(q, d)
+			perCall, err := CertainFO(context.Background(), q, d)
 			if err != nil {
 				t.Fatalf("db %d query %d: CertainFO: %v", di, qi, err)
 			}
@@ -106,7 +106,7 @@ func TestInternedFOGovernorStepParity(t *testing.T) {
 				}
 				return g.Steps()
 			}
-			si := steps(func(ctx context.Context) (bool, error) { return p.CertainCtx(ctx, q, d) })
+			si := steps(func(ctx context.Context) (bool, error) { return p.Certain(ctx, q, d) })
 			ss := steps(func(ctx context.Context) (bool, error) { return CertainFOBaselineCtx(ctx, q, d) })
 			if si != ss {
 				t.Fatalf("db %d query %d (%v): interned charged %d steps, seed reference %d", di, qi, q, si, ss)
@@ -131,7 +131,7 @@ func TestInternedFOBudgetCutoffParity(t *testing.T) {
 			defer g.Close()
 			return certain(g.Attach())
 		}
-		iv, ierr := run(func(ctx context.Context) (bool, error) { return p.CertainCtx(ctx, q, d) })
+		iv, ierr := run(func(ctx context.Context) (bool, error) { return p.Certain(ctx, q, d) })
 		sv, serr := run(func(ctx context.Context) (bool, error) { return CertainFOBaselineCtx(ctx, q, d) })
 		if iv != sv || (ierr == nil) != (serr == nil) {
 			t.Fatalf("budget %d: interned (%v, %v) vs seed reference (%v, %v)", budget, iv, ierr, sv, serr)

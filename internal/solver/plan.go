@@ -11,13 +11,13 @@ import (
 )
 
 // Plan is the immutable compiled decision strategy for one query: the
-// classification, the method Solve would select, the projection
+// classification, the method SolveCtx would select, the projection
 // simplification (with its reusable database rewriter) when it applies, and
 // the method's static artifacts — the FO rewriting program of Theorem 1 and
 // the safe certain rewriting of Theorem 6. All of this depends on the query
 // alone, so it is computed once by CompilePlan and reused across databases
-// and goroutines; executing a plan returns byte-identical Results and
-// Verdicts to Solve/SolveCtx on the same query.
+// and goroutines; executing a plan returns byte-identical Verdicts to
+// SolveCtx on the same query.
 //
 // Only the data-dependent work stays at solve time: candidate enumeration
 // (which keys on relation cardinalities and the block index) and the
@@ -45,11 +45,11 @@ type Plan struct {
 	safeProg   *fo.Compiled // compiled Theorem 6 rewriting when Method == MethodSafeRewriting
 }
 
-// CompilePlan classifies q, resolves the method Solve dispatches to
+// CompilePlan classifies q, resolves the method SolveCtx dispatches to
 // (including the projection-simplification attempt on non-polynomial
 // classes), and precompiles the method's static artifacts. It is the one
 // place a query is classified and its method chosen: every solve entry
-// point runs a plan. It fails exactly where Solve would fail before
+// point runs a plan. It fails exactly where SolveCtx would fail before
 // touching any database: on unclassifiable queries and on
 // rewriting-compilation errors.
 func CompilePlan(q cq.Query) (*Plan, error) {
@@ -120,26 +120,19 @@ func methodForClass(cls core.Classification) Method {
 // Classification returns the full classification of the plan's query.
 func (p *Plan) Classification() core.Classification { return p.cls }
 
-// Solve decides db ∈ CERTAINTY(q) for the plan's query with all per-query
-// work already done: SolveCtx with no limits, returning a bare Result.
-func (p *Plan) Solve(d *db.DB) (Result, error) {
-	v, err := p.SolveCtx(context.Background(), d, Options{})
-	if err != nil {
-		return Result{}, err
-	}
-	if v.Err != nil {
-		return Result{}, v.Err
-	}
-	return v.Result, nil
-}
-
-// SolveCtx is the resource-governed execution of the plan: the same
-// governor wiring, panic containment, and graceful degradation on cut-off
-// exponential searches as the package-level SolveCtx, which compiles a plan
-// and runs it through the same runner. Traced solves record the same span
-// tree minus the classify span (classification was paid at compile time),
-// with a plan=compiled attribute on the root.
+// SolveCtx decides db ∈ CERTAINTY(q) for the plan's query with all
+// per-query work already done: the same governor wiring, panic
+// containment, and graceful degradation on cut-off exponential searches as
+// the package-level SolveCtx, which compiles a plan and runs it through the
+// same runner. Traced solves record the same span tree minus the classify
+// span (classification was paid at compile time), with a plan=compiled
+// attribute on the root. With opts.Shards set, the plan runs
+// SolveShardedMemo with that shard cap and no memo.
 func (p *Plan) SolveCtx(ctx context.Context, d *db.DB, opts Options) (Verdict, error) {
+	if opts.Shards != 0 {
+		v, _, err := p.SolveShardedMemo(ctx, d, opts.Shards, opts, nil)
+		return v, err
+	}
 	ctx, root := obs.StartSpan(ctx, "solve")
 	root.SetAttr("plan", "compiled")
 	return p.solveUnder(ctx, root, d, opts)

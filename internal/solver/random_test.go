@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -28,7 +29,8 @@ func TestSolveRandomQueries(t *testing.T) {
 			if d.NumRepairs().Cmp(big.NewInt(4096)) > 0 {
 				continue
 			}
-			res, err := SolveResult(q, d)
+			v, err := SolveCtx(context.Background(), q, d, Options{})
+			res := v.Result
 			if err != nil {
 				t.Fatalf("q=%s dseed=%d: %v", q, dseed, err)
 			}
@@ -73,7 +75,8 @@ func TestSolveRandomKeySwappedQueries(t *testing.T) {
 			if d.NumRepairs().Cmp(big.NewInt(100_000)) > 0 {
 				continue
 			}
-			res, err := SolveResult(q, d)
+			v, err := SolveCtx(context.Background(), q, d, Options{})
+			res := v.Result
 			if err != nil {
 				t.Fatalf("%s dseed=%d: %v", fam, dseed, err)
 			}

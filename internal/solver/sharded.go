@@ -19,7 +19,7 @@ func init() {
 	obs.Default.Help(metricShardSolves, "Sub-instance solves executed by the shard join, by outcome.")
 }
 
-// SolveSharded executes the plan with component-partitioned data
+// SolveShardedMemo executes the plan with component-partitioned data
 // parallelism: the instance splits along the shard.Decompose partition, the
 // sub-instances are decided on the bounded worker pool, and the verdicts
 // recombine exactly — conjunction across variable-disjoint query
@@ -28,10 +28,11 @@ func init() {
 // verdicts are identical to SolveCtx's on the same instance.
 //
 // maxShards caps the data shards per query component; < 0 selects
-// GOMAXPROCS. The step budget in opts is split across shards with ceiling
-// division (a finite budget never becomes an unlimited share); the deadline
-// is shared, not split. When the partition yields at most one shard there is
-// nothing to fan out and the plan solves monolithically, byte-identically to
+// GOMAXPROCS and 0 keeps the finest partition. opts.Shards is ignored. The
+// step budget in opts is split across shards with ceiling division (a
+// finite budget never becomes an unlimited share); the deadline is shared,
+// not split. When the partition yields at most one shard there is nothing
+// to fan out and the plan solves monolithically, byte-identically to
 // SolveCtx.
 //
 // A cut-off sharded solve degrades like a monolithic one: OutcomeUnknown
@@ -39,19 +40,14 @@ func init() {
 // path, the Monte-Carlo sampling pass over the whole instance (a sampled
 // falsifying repair still upgrades the verdict to a conclusive
 // OutcomeNotCertain).
-func (p *Plan) SolveSharded(ctx context.Context, d *db.DB, maxShards int, opts Options) (Verdict, error) {
-	v, _, err := p.SolveShardedMemo(ctx, d, maxShards, opts, nil)
-	return v, err
-}
-
-// SolveShardedMemo is SolveSharded consulting a per-shard verdict memo: for
-// every data shard it first looks up the shard's content fingerprint and
-// reuses a memoized conclusive outcome instead of solving, then memoizes
-// the conclusive outcomes of the shards it did solve. The memo never
-// changes answers — a fingerprint addresses the shard's exact content, so a
-// hit replays the verdict the solve would have computed — and conclusive
-// verdicts stay byte-identical to SolveSharded and SolveCtx. The report
-// accounts for the reuse; memo may be nil (plain SolveSharded behavior).
+//
+// A non-nil memo is the per-shard verdict memo: for every data shard the
+// solve first looks up the shard's content fingerprint and reuses a
+// memoized conclusive outcome instead of solving, then memoizes the
+// conclusive outcomes of the shards it did solve. The memo never changes
+// answers — a fingerprint addresses the shard's exact content, so a hit
+// replays the verdict the solve would have computed. The report accounts
+// for the reuse.
 //
 // Plans carrying a database rewrite (projection simplification) skip the
 // memo: their shards are shards of the rewritten database, whose blocks are

@@ -36,7 +36,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 				}
 				want := verdictFingerprint(t, mono)
 				for _, n := range shardCountsUnderTest() {
-					sharded, err := Solve(ctx, tc.q, d, WithShards(n))
+					sharded, err := SolveCtx(ctx, tc.q, d, Options{Shards: n})
 					if err != nil {
 						t.Fatalf("db %d shards %d: %v", di, n, err)
 					}
@@ -78,7 +78,7 @@ func TestShardedDisconnectedQuery(t *testing.T) {
 			}
 			want := verdictFingerprint(t, mono)
 			for _, n := range shardCountsUnderTest() {
-				sharded, err := Solve(ctx, q, tc.d, WithShards(n))
+				sharded, err := SolveCtx(ctx, q, tc.d, Options{Shards: n})
 				if err != nil {
 					t.Fatalf("shards %d: %v", n, err)
 				}
@@ -128,7 +128,7 @@ func TestShardedShuffleProperty(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				perm := shuffled(t, d, r)
 				for _, n := range []int{1, 2, runtime.NumCPU(), 1 << 10} {
-					v, err := Solve(ctx, q, perm, WithShards(n))
+					v, err := SolveCtx(ctx, q, perm, Options{Shards: n})
 					if err != nil {
 						t.Fatalf("q%d seed %d trial %d shards %d: %v", qi, seed, trial, n, err)
 					}
@@ -148,7 +148,7 @@ func TestShardedBudgetSplit(t *testing.T) {
 	ctx := context.Background()
 	q := cq.ACk(3)
 	d := gen.CycleDB(gen.CycleConfig{K: 3, Components: 8, Width: 2})
-	v, err := Solve(ctx, q, d, WithShards(4), WithBudget(1), WithDegradeSamples(-1))
+	v, err := SolveCtx(ctx, q, d, Options{Shards: 4, Budget: 1, DegradeSamples: -1})
 	if err != nil {
 		t.Fatalf("budgeted sharded solve: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestShardedBudgetSplit(t *testing.T) {
 		t.Fatalf("unknown verdict missing cutoff cause/evidence: err=%v evidence=%v", v.Err, v.Evidence)
 	}
 	// And with room to breathe the same call is conclusive and correct.
-	full, err := Solve(ctx, q, d, WithShards(4))
+	full, err := SolveCtx(ctx, q, d, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,10 @@ func TestShardedBudgetSplit(t *testing.T) {
 	}
 }
 
-// TestSolveOptionDispatch pins the Solve facade's routing: zero options is
-// SolveCtx, WithPlanCache goes through the source, WithShards(1) falls back
-// to the monolithic plan path.
+// TestSolveOptionDispatch pins the routing of Options through every entry
+// point: shard caps (Shards: 1 falls back to the monolithic plan path) and
+// limits give the zero-option verdict through SolveCtx and Plan.SolveCtx
+// alike, and SolveBatch goes through its plan source.
 func TestSolveOptionDispatch(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
@@ -183,25 +184,45 @@ func TestSolveOptionDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &countingPlans{}
-	for _, opts := range [][]Option{
-		nil,
-		{WithShards(1)},
-		{WithShards(-1)},
-		{WithPlanCache(src)},
-		{WithPlanCache(src), WithShards(2)},
-		{WithBudget(1 << 20), WithDeadline(time.Minute)},
+	p, err := CompilePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{},
+		{Shards: 1},
+		{Shards: -1},
+		{Shards: 2},
+		{Budget: 1 << 20, Timeout: time.Minute},
+		{Shards: 2, Budget: 1 << 20, Timeout: time.Minute},
 	} {
-		v, err := Solve(ctx, q, d, opts...)
+		v, err := SolveCtx(ctx, q, d, opts)
 		if err != nil {
-			t.Fatalf("opts %d: %v", len(opts), err)
+			t.Fatalf("SolveCtx %+v: %v", opts, err)
 		}
 		if verdictFingerprint(t, v) != verdictFingerprint(t, want) {
-			t.Errorf("opts %v: verdict differs from SolveCtx", opts)
+			t.Errorf("SolveCtx %+v: verdict differs from the zero-option SolveCtx", opts)
+		}
+		v, err = p.SolveCtx(ctx, d, opts)
+		if err != nil {
+			t.Fatalf("Plan.SolveCtx %+v: %v", opts, err)
+		}
+		if verdictFingerprint(t, v) != verdictFingerprint(t, want) {
+			t.Errorf("Plan.SolveCtx %+v: verdict differs from the zero-option SolveCtx", opts)
+		}
+	}
+	src := &countingPlans{}
+	for _, opts := range []Options{{}, {Shards: 2}} {
+		r := SolveBatch(ctx, []BatchItem{{Query: q, DB: d}}, opts, src, nil)
+		if r[0].Err != nil {
+			t.Fatalf("SolveBatch %+v: %v", opts, r[0].Err)
+		}
+		if verdictFingerprint(t, r[0].Verdict) != verdictFingerprint(t, want) {
+			t.Errorf("SolveBatch %+v: verdict differs from the zero-option SolveCtx", opts)
 		}
 	}
 	if src.calls == 0 {
-		t.Error("WithPlanCache source was never consulted")
+		t.Error("SolveBatch's plan source was never consulted")
 	}
 }
 
@@ -233,11 +254,11 @@ func TestSolveBatch(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[int]int)
 	src := &countingPlans{}
-	results := SolveBatch(ctx, items, WithPlanCache(src), WithObserver(func(r BatchResult) {
+	results := SolveBatch(ctx, items, Options{}, src, func(r BatchResult) {
 		mu.Lock()
 		seen[r.Index]++
 		mu.Unlock()
-	}))
+	})
 	if len(results) != len(items) {
 		t.Fatalf("got %d results, want %d", len(results), len(items))
 	}
@@ -265,7 +286,7 @@ func TestSolveBatch(t *testing.T) {
 		t.Errorf("plan source consulted %d times, want 2 (one per distinct query)", src.calls)
 	}
 	// Sharded batches agree too.
-	shardedResults := SolveBatch(ctx, items, WithShards(2))
+	shardedResults := SolveBatch(ctx, items, Options{Shards: 2}, nil, nil)
 	for i := range items {
 		if shardedResults[i].Err != nil {
 			t.Fatalf("sharded item %d: %v", i, shardedResults[i].Err)
@@ -280,7 +301,7 @@ func TestSolveBatchCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
-	results := SolveBatch(ctx, []BatchItem{{Query: q, DB: db.MustParse(`R(a | b) S(b | c)`)}})
+	results := SolveBatch(ctx, []BatchItem{{Query: q, DB: db.MustParse(`R(a | b) S(b | c)`)}}, Options{}, nil, nil)
 	if results[0].Err == nil {
 		t.Fatal("cancelled batch reported success")
 	}
@@ -320,7 +341,7 @@ func TestWorkerBudgetShared(t *testing.T) {
 	}()
 
 	// Nested fan-out: batch items × shard joins.
-	results := SolveBatch(context.Background(), items, WithShards(4))
+	results := SolveBatch(context.Background(), items, Options{Shards: 4}, nil, nil)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)

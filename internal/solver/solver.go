@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -66,42 +67,17 @@ type Result struct {
 	SimplifiedClass core.Class      `json:"simplified_class"`
 }
 
-// SolveResult classifies q with the paper's effective method and dispatches
-// to the matching decision procedure. Polynomial-time whenever the class
-// guarantees it; before falling back to the exact exponential search on
-// coNP-classified or open queries, it tries the projection simplification,
-// which can move instances into a polynomial class (e.g. the §6.2
-// open-case query becomes AC(2)).
-//
-// Deprecated-style convenience: this is the original ungoverned entry
-// point, kept for callers that want a bare Result with no context. New code
-// should call Solve(ctx, q, d, ...Option), which adds cancellation, limits,
-// sharding, and plan reuse behind functional options.
-func SolveResult(q cq.Query, d *db.DB) (Result, error) {
-	p, err := CompilePlan(q)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.Solve(d)
-}
-
-// Certain is the convenience form of SolveResult returning just the
-// decision.
-func Certain(q cq.Query, d *db.DB) (bool, error) {
-	r, err := SolveResult(q, d)
-	return r.Certain, err
-}
-
 // SelfCheck runs the dispatched solver and, when the repair space is small
 // enough (at most maxRepairs), cross-checks it against brute-force
 // enumeration. It returns the dispatched result; a mismatch — which would
 // indicate a bug — is reported as an error. Intended as a debugging aid
 // for downstream integrations.
 func SelfCheck(q cq.Query, d *db.DB, maxRepairs int64) (Result, error) {
-	res, err := SolveResult(q, d)
+	v, err := SolveCtx(context.Background(), q, d, Options{})
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
+	res := v.Result
 	if d.NumRepairs().Cmp(big.NewInt(maxRepairs)) > 0 {
 		return res, nil
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/core"
@@ -15,7 +16,8 @@ func TestConferenceNotCertain(t *testing.T) {
 	if BruteForce(q, d) {
 		t.Fatal("Fig.1: query is true in only 3 of 4 repairs, so not certain")
 	}
-	res, err := SolveResult(q, d)
+	v, err := SolveCtx(context.Background(), q, d, Options{})
+	res := v.Result
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,9 +27,9 @@ func TestConferenceNotCertain(t *testing.T) {
 	if res.Method != MethodFO {
 		t.Errorf("conference query should dispatch to FO, got %v", res.Method)
 	}
-	rep, found := FalsifyingRepair(q, d)
-	if !found {
-		t.Fatal("a falsifying repair exists")
+	rep, found, err := FalsifyingRepair(context.Background(), q, d)
+	if err != nil || !found {
+		t.Fatalf("a falsifying repair exists (err %v)", err)
 	}
 	rd := db.RepairDB(rep)
 	if rd.NumBlocks() != d.NumBlocks() {
@@ -52,7 +54,7 @@ func TestConferenceCertainVariant(t *testing.T) {
 	if !BruteForce(q, d) {
 		t.Fatal("variant should be certain")
 	}
-	got, err := CertainFO(q, d)
+	got, err := CertainFO(context.Background(), q, d)
 	if err != nil || !got {
 		t.Errorf("CertainFO = %v, %v", got, err)
 	}
@@ -74,7 +76,7 @@ func TestCertainFOAgainstBruteForce(t *testing.T) {
 		for seed := int64(0); seed < 40; seed++ {
 			d := gen.RandomDB(q, gen.Config{Embeddings: 3, Noise: 3, Domain: 3}, seed)
 			want := BruteForce(q, d)
-			got, err := CertainFO(q, d)
+			got, err := CertainFO(context.Background(), q, d)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", q, seed, err)
 			}
@@ -86,14 +88,14 @@ func TestCertainFOAgainstBruteForce(t *testing.T) {
 }
 
 func TestCertainFOEmptyAndTrivial(t *testing.T) {
-	if got, err := CertainFO(cq.Query{}, db.New()); err != nil || !got {
+	if got, err := CertainFO(context.Background(), cq.Query{}, db.New()); err != nil || !got {
 		t.Error("empty query is always certain")
 	}
 	q := cq.MustParseQuery("R(x | y)")
-	if got, _ := CertainFO(q, db.New()); got {
+	if got, _ := CertainFO(context.Background(), q, db.New()); got {
 		t.Error("nonempty query on empty database is not certain")
 	}
-	if _, err := CertainFO(cq.Q1(), gen.RandomDB(cq.Q1(), gen.Config{Embeddings: 1, Noise: 0, Domain: 2}, 1)); err == nil {
+	if _, err := CertainFO(context.Background(), cq.Q1(), gen.RandomDB(cq.Q1(), gen.Config{Embeddings: 1, Noise: 0, Domain: 2}, 1)); err == nil {
 		t.Error("CertainFO must refuse cyclic attack graphs")
 	}
 }
@@ -103,7 +105,7 @@ func TestCertainTerminalC2AgainstBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 3, Domain: 3}, seed)
 		want := BruteForce(q, d)
-		got, err := CertainTerminal(q, d)
+		got, err := CertainTerminal(context.Background(), q, d)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -118,7 +120,7 @@ func TestCertainTerminalFigure4AgainstBruteForce(t *testing.T) {
 		for seed := int64(0); seed < 40; seed++ {
 			d := gen.RandomDB(q, gen.Config{Embeddings: 2, Noise: 1, Domain: 2}, seed)
 			want := BruteForce(q, d)
-			got, err := CertainTerminal(q, d)
+			got, err := CertainTerminal(context.Background(), q, d)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v\n%s", q, seed, err, d)
 			}
@@ -133,7 +135,7 @@ func TestCertainTerminalRejects(t *testing.T) {
 	// q1 has a strong cycle; the solver bails out before cycle checking on
 	// an empty (purified-away) database, so use a nonempty one.
 	d := gen.RandomDB(cq.Q1(), gen.Config{Embeddings: 1, Noise: 0, Domain: 2}, 7)
-	if _, err := CertainTerminal(cq.Q1(), d); err == nil {
+	if _, err := CertainTerminal(context.Background(), cq.Q1(), d); err == nil {
 		t.Error("CertainTerminal must refuse strong cycles")
 	}
 }
@@ -199,7 +201,7 @@ func TestFigure6NotCertain(t *testing.T) {
 	if !ok {
 		t.Fatal("AC(3) shape")
 	}
-	got, err := CertainACk(q, shape, d)
+	got, err := CertainACk(context.Background(), q, shape, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +214,9 @@ func TestFigure6NotCertain(t *testing.T) {
 	// The two Fig. 7 repairs falsify q; check one explicitly:
 	// anticlockwise matching a→b', b→c, c→a' plus a'→b, b'→c', wait —
 	// instead verify that some falsifying repair exists and spans all blocks.
-	rep, found := FalsifyingRepair(q, d)
-	if !found {
-		t.Fatal("falsifying repair must exist")
+	rep, found, err := FalsifyingRepair(context.Background(), q, d)
+	if err != nil || !found {
+		t.Fatalf("falsifying repair must exist (err %v)", err)
 	}
 	if db.RepairDB(rep).NumBlocks() != d.NumBlocks() {
 		t.Error("repair must cover all blocks")
@@ -227,7 +229,7 @@ func TestACkCertainInstances(t *testing.T) {
 		shape, _ := core.MatchCycleShape(q, true)
 		// Width 1: single k-cycle per component, encoded in Sk: certain.
 		d := gen.CycleDB(gen.CycleConfig{K: k, Components: 2, Width: 1, EncodeAll: true})
-		got, err := CertainACk(q, shape, d)
+		got, err := CertainACk(context.Background(), q, shape, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +242,7 @@ func TestACkCertainInstances(t *testing.T) {
 		// Width 2 with all cycles encoded: a long (>k) cycle lets a repair
 		// dodge every encoded cycle: not certain.
 		d2 := gen.CycleDB(gen.CycleConfig{K: k, Components: 1, Width: 2, EncodeAll: true})
-		got2, err := CertainACk(q, shape, d2)
+		got2, err := CertainACk(context.Background(), q, shape, d2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +257,7 @@ func TestACkCertainInstances(t *testing.T) {
 		// Width 2 with only aligned cycles encoded: a misaligned k-cycle is
 		// not in C: not certain.
 		d3 := gen.CycleDB(gen.CycleConfig{K: k, Components: 1, Width: 2, EncodeAll: false})
-		got3, err := CertainACk(q, shape, d3)
+		got3, err := CertainACk(context.Background(), q, shape, d3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +274,7 @@ func TestACkRandomAgainstBruteForce(t *testing.T) {
 		for seed := int64(0); seed < 50; seed++ {
 			d := gen.RandomDB(q, gen.Config{Embeddings: 3, Noise: 2, Domain: 2}, seed)
 			want := BruteForce(q, d)
-			got, err := CertainACk(q, shape, d)
+			got, err := CertainACk(context.Background(), q, shape, d)
 			if err != nil {
 				t.Fatalf("AC(%d) seed %d: %v", k, seed, err)
 			}
@@ -293,7 +295,7 @@ func TestCkAgainstBruteForce(t *testing.T) {
 		for seed := int64(0); seed < 50; seed++ {
 			d := gen.RandomDB(q, gen.Config{Embeddings: 3, Noise: 2, Domain: 2}, seed)
 			want := BruteForce(q, d)
-			got, err := CertainCk(q, shape, d)
+			got, err := CertainCk(context.Background(), q, shape, d)
 			if err != nil {
 				t.Fatalf("C(%d) seed %d: %v", k, seed, err)
 			}
@@ -304,11 +306,11 @@ func TestCkAgainstBruteForce(t *testing.T) {
 		// Structured instances: width-1 components are certain; width-2
 		// components contain longer cycles and are falsifiable.
 		d1 := gen.CycleDB(gen.CycleConfig{K: k, Components: 2, Width: 1, SkipSk: true})
-		if got, _ := CertainCk(q, shape, d1); !got {
+		if got, _ := CertainCk(context.Background(), q, shape, d1); !got {
 			t.Errorf("C(%d) width-1 must be certain", k)
 		}
 		d2 := gen.CycleDB(gen.CycleConfig{K: k, Components: 1, Width: 2, SkipSk: true})
-		if got, _ := CertainCk(q, shape, d2); got {
+		if got, _ := CertainCk(context.Background(), q, shape, d2); got {
 			t.Errorf("C(%d) width-2 must be falsifiable", k)
 		}
 	}
@@ -319,8 +321,8 @@ func TestQ0FalsifyingAgainstBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		d := gen.Q0DB(3, 2, 3, seed)
 		want := BruteForce(q, d)
-		if got := CertainByFalsifying(q, d); got != want {
-			t.Errorf("seed %d: falsifying=%v brute=%v on\n%s", seed, got, want, d)
+		if got, err := CertainByFalsifying(context.Background(), q, d); err != nil || got != want {
+			t.Errorf("seed %d: falsifying=%v (err %v) brute=%v on\n%s", seed, got, err, want, d)
 		}
 	}
 }
@@ -340,7 +342,8 @@ func TestSolveDispatch(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := gen.RandomDB(c.q, gen.Config{Embeddings: 2, Noise: 1, Domain: 2}, 42)
-		res, err := SolveResult(c.q, d)
+		v, err := SolveCtx(context.Background(), c.q, d, Options{})
+		res := v.Result
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
@@ -370,7 +373,8 @@ func TestSolveAgreesWithBruteForceAcrossCatalog(t *testing.T) {
 	for _, q := range queries {
 		for seed := int64(100); seed < 130; seed++ {
 			d := gen.RandomDB(q, gen.Config{Embeddings: 2, Noise: 2, Domain: 2}, seed)
-			res, err := SolveResult(q, d)
+			v, err := SolveCtx(context.Background(), q, d, Options{})
+			res := v.Result
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", q, seed, err)
 			}

@@ -29,14 +29,10 @@ import (
 //     Lemma 7); each partition is decided with the two-atom weak-cycle
 //     solver, and by Sublemma 5 the query is certain iff the union of the
 //     certain partitions satisfies q.
-func CertainTerminal(q cq.Query, d *db.DB) (bool, error) {
-	return CertainTerminalCtx(context.Background(), q, d)
-}
-
-// CertainTerminalCtx is CertainTerminal with cooperative cancellation: the
-// governor bounds the recursive induction steps as well as the embedded
-// purification passes.
-func CertainTerminalCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
+//
+// The governor attached to ctx bounds the recursive induction steps as well
+// as the embedded purification passes.
+func CertainTerminal(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
 	if err := govern.From(ctx).Step(); err != nil {
 		return false, err
 	}
@@ -80,7 +76,7 @@ func terminalStep(ctx context.Context, q cq.Query, fi int, d *db.DB) (bool, erro
 				blockOK = false
 				break
 			}
-			sub, err := CertainTerminalCtx(ctx, rest.Substitute(theta), d)
+			sub, err := CertainTerminal(ctx, rest.Substitute(theta), d)
 			if err != nil {
 				return false, err
 			}

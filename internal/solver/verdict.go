@@ -82,14 +82,22 @@ type Verdict struct {
 	Evidence *Evidence
 }
 
-// Options bounds a governed solve. The zero value imposes no limits, so
-// SolveCtx(ctx, q, d, Options{}) is Solve plus cancellation via ctx and
-// panic containment.
+// Options bounds and schedules a governed solve. The zero value imposes no
+// limits and solves monolithically, so SolveCtx(ctx, q, d, Options{}) is
+// the plain decision plus cancellation via ctx and panic containment.
+// Options change resource limits and scheduling, never conclusive answers.
 type Options struct {
 	// Budget caps the total number of search steps; 0 means unlimited.
+	// Under sharding it is split across shards.
 	Budget int64
-	// Timeout bounds wall-clock time; 0 means no deadline.
+	// Timeout bounds wall-clock time; 0 means no deadline. Under sharding
+	// it covers the whole solve: it is shared by all shards, not split.
 	Timeout time.Duration
+	// Shards enables component-partitioned solving with at most Shards
+	// data shards per query component (see internal/shard and
+	// Plan.SolveShardedMemo): 0 solves the instance monolithically, < 0
+	// selects GOMAXPROCS.
+	Shards int
 	// Fault is the governor's fault-injection hook (testing); nil disables.
 	Fault func(step int64) error
 	// DegradeSamples caps the uniform repair samples drawn after a cutoff
@@ -103,11 +111,12 @@ type Options struct {
 	SampleTimeout time.Duration
 }
 
-// SolveCtx is the resource-governed Solve: it dispatches exactly like
-// Solve, but every decision procedure runs under a Governor enforcing
-// ctx's cancellation plus the step budget and deadline of opts, and any
-// panic escaping the stack (malformed inputs deep in formula evaluation,
-// say) is converted into an error rather than crashing the process.
+// SolveCtx decides CERTAINTY(q) on d: it classifies q, dispatches to the
+// decision procedure the classification licenses, and runs it under a
+// Governor enforcing ctx's cancellation plus the step budget and deadline
+// of opts. Any panic escaping the stack (malformed inputs deep in formula
+// evaluation, say) is converted into an error rather than crashing the
+// process.
 //
 // On budget or deadline exhaustion in the exponential falsifying-repair
 // search, SolveCtx degrades gracefully instead of failing: it returns an
@@ -120,8 +129,16 @@ type Options struct {
 // OutcomeUnknown verdict without a sampling pass.
 //
 // The query is compiled into a Plan inside the trace's classify span, then
-// executed exactly as Plan.SolveCtx executes it.
+// executed exactly as Plan.SolveCtx executes it; with opts.Shards set, the
+// compiled plan runs the sharded path instead.
 func SolveCtx(ctx context.Context, q cq.Query, d *db.DB, opts Options) (Verdict, error) {
+	if opts.Shards != 0 {
+		p, err := CompilePlan(q)
+		if err != nil {
+			return Verdict{}, err
+		}
+		return p.SolveCtx(ctx, d, opts)
+	}
 	ctx, root := obs.StartSpan(ctx, "solve")
 	_, csp := obs.StartSpan(ctx, "classify")
 	var p *Plan
@@ -211,17 +228,17 @@ func (p *Plan) dispatch(ctx context.Context, g *govern.Governor, d *db.DB, opts 
 		// Cyclic hypergraph but safe: evaluate the Theorem 6 rewriting.
 		certain, err = p.safeProg.Eval(d)
 	case MethodFO:
-		certain, err = p.foProg.CertainCtx(ectx, q, d)
+		certain, err = p.foProg.Certain(ectx, q, d)
 	case MethodTerminal:
-		certain, err = CertainTerminalCtx(ectx, q, d)
+		certain, err = CertainTerminal(ectx, q, d)
 	case MethodACk:
-		certain, err = CertainACkCtx(ectx, q, cls.Shape, d)
+		certain, err = CertainACk(ectx, q, cls.Shape, d)
 	case MethodCk:
-		certain, err = CertainCkCtx(ectx, q, cls.Shape, d)
+		certain, err = CertainCk(ectx, q, cls.Shape, d)
 	default:
 		var found bool
 		var sev searchEvidence
-		_, found, sev, err = falsifyingRepairGov(govern.From(ectx), q, d)
+		_, found, sev, err = falsifyingSearch(govern.From(ectx), q, d, true)
 		if err != nil && g.Err() != nil {
 			// Governed cutoff on the exponential path: degrade to sampling.
 			endEvalSpan(esp, g)
