@@ -27,7 +27,8 @@ func pr3FOInstance(b testing.TB, n int) (cq.Query, *db.DB) {
 	return q, d
 }
 
-// BenchmarkTerminalIndexed: Theorem 3 over the relation-level index views.
+// BenchmarkTerminalIndexed: Theorem 3 over block sets of the interned view
+// (the name is kept for the recorded BENCH_*.json rows).
 func BenchmarkTerminalIndexed(b *testing.B) {
 	q := gen.TerminalPairsQuery(2, true)
 	for _, emb := range []int{2, 8, 32} {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/engine"
@@ -107,6 +108,9 @@ func BenchmarkSafeRewritingInterned(b *testing.B) {
 // region — exactly the steady state of a server solving the same plan over
 // a hosted database.
 func TestFOInternedAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	n := pr3FOScales[len(pr3FOScales)-1]
 	q, d := pr3FOInstance(t, n)
 	prog, err := solver.CompileFO(q)
@@ -133,6 +137,9 @@ func TestFOInternedAllocRegression(t *testing.T) {
 // a three-atom chain — a small constant independent of the data — while the
 // search itself runs out of pooled scratch.
 func TestEngineEvalInternedAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	q, d := pr8EngineInstance(t, 32)
 	d.Interned()
 	interned := testing.AllocsPerRun(50, func() {
@@ -142,5 +149,75 @@ func TestEngineEvalInternedAllocRegression(t *testing.T) {
 	const ceiling = 24 // query compile only; the search allocates nothing
 	if interned > ceiling {
 		t.Fatalf("interned engine Eval allocates %.0f/op, above the %d compile-only ceiling", interned, ceiling)
+	}
+}
+
+// warmAllocs measures the allocations of one warm decision: the columnar
+// view is built and a governor attached outside the measured region, as
+// for a server re-solving a plan over a hosted database.
+func warmAllocs(t *testing.T, d *db.DB, decide func(context.Context) (bool, error)) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	d.Interned()
+	g := govern.New(context.Background(), govern.Options{})
+	defer g.Close()
+	ctx := g.Attach()
+	return testing.AllocsPerRun(50, func() {
+		if _, err := decide(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTerminalAllocRegression pins Theorem 3 on the block-set plane: every
+// sub-instance (purification, Lemma 8 recursion, base-case partitions and
+// their union) is a block set over the one interned view, so no *db.DB is
+// built per step. Most of what remains is per-step attack-graph and cycle
+// work that depends on the query alone.
+func TestTerminalAllocRegression(t *testing.T) {
+	q := gen.TerminalPairsQuery(2, true)
+	d := gen.RandomDB(q, gen.Config{Embeddings: 8, Noise: 2, Domain: 3}, 8) // BenchmarkTerminalIndexed/emb=8
+	allocs := warmAllocs(t, d, func(ctx context.Context) (bool, error) { return solver.CertainTerminal(ctx, q, d) })
+	t.Logf("allocs/op: %.0f", allocs)
+	const ceiling = 3150
+	if allocs > ceiling {
+		t.Fatalf("CertainTerminal allocates %.0f/op, above the %d ceiling", allocs, ceiling)
+	}
+}
+
+// TestACkAllocRegression pins Theorem 4 on the 8-component AC(3) cycle
+// database: purification is a block-set fixpoint and the fact graph reads
+// interned columns.
+func TestACkAllocRegression(t *testing.T) {
+	q := cq.ACk(3)
+	shape, ok := core.MatchCycleShape(q, true)
+	if !ok {
+		t.Fatal("AC(3) shape match failed")
+	}
+	d := gen.CycleDB(gen.CycleConfig{K: 3, Components: 8, Width: 2, EncodeAll: true})
+	allocs := warmAllocs(t, d, func(ctx context.Context) (bool, error) { return solver.CertainACk(ctx, q, shape, d) })
+	t.Logf("allocs/op: %.0f", allocs)
+	const ceiling = 1150
+	if allocs > ceiling {
+		t.Fatalf("CertainACk allocates %.0f/op, above the %d ceiling", allocs, ceiling)
+	}
+}
+
+// TestCkAllocRegression pins Corollary 1 on the BenchmarkE6Ck/direct/k=3
+// instance.
+func TestCkAllocRegression(t *testing.T) {
+	q := cq.Ck(3)
+	shape, ok := core.MatchCycleShape(q, false)
+	if !ok {
+		t.Fatal("C(3) shape match failed")
+	}
+	d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 2, Domain: 3}, 3)
+	allocs := warmAllocs(t, d, func(ctx context.Context) (bool, error) { return solver.CertainCk(ctx, q, shape, d) })
+	t.Logf("allocs/op: %.0f", allocs)
+	const ceiling = 55
+	if allocs > ceiling {
+		t.Fatalf("CertainCk allocates %.0f/op, above the %d ceiling", allocs, ceiling)
 	}
 }

@@ -247,14 +247,17 @@ func Purify(q Query, d *DB) *DB { return engine.Purify(q, d) }
 // the attack graph of q is acyclic (Theorem 1).
 func RewriteFO(q Query) (Formula, error) { return fo.RewriteAcyclic(q) }
 
-// RewriteSQL renders the certain first-order rewriting as SQL (assuming a
-// table per relation with columns c1..cn and an active-domain view adom).
+// RewriteSQL renders the certain first-order rewriting of an FO-class query
+// as one self-contained SQL statement: the program Plan.EmitSQL emits and
+// POST /v1/compile serves (a table per relation with columns c1..cn; the
+// statement returns one boolean column `certain`).
 func RewriteSQL(q Query) (string, error) {
-	phi, err := fo.RewriteAcyclic(q)
+	p, err := solver.CompilePlan(q)
 	if err != nil {
 		return "", err
 	}
-	return fo.SQL(phi)
+	prog, err := p.EmitSQL()
+	return prog.Text, err
 }
 
 // EvalFormula evaluates a first-order sentence on a database with

@@ -100,15 +100,10 @@ func buildJSONReport(q cq.Query) jsonReport {
 	if cls.Class == core.ClassFO {
 		if phi, err := fo.RewriteAcyclic(q); err == nil {
 			rep.Rewriting = phi.String()
-			if sql, err := fo.SQL(phi); err == nil {
-				rep.SQL = sql
-			}
 		} else if phi, err := fo.RewriteSafe(q); err == nil {
 			rep.Rewriting = phi.String()
-			if sql, err := fo.SQL(phi); err == nil {
-				rep.SQL = sql
-			}
 		}
+		rep.SQL, _ = emittedSQL(q)
 	}
 	return rep
 }

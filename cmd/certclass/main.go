@@ -26,6 +26,7 @@ import (
 	"github.com/cqa-go/certainty/internal/gen"
 	"github.com/cqa-go/certainty/internal/jointree"
 	"github.com/cqa-go/certainty/internal/prob"
+	"github.com/cqa-go/certainty/internal/solver"
 )
 
 func main() {
@@ -195,11 +196,22 @@ func report(w io.Writer, q cq.Query) error {
 			return err
 		}
 		fmt.Fprintf(w, "certain FO rewriting:\n  %s\n", phi)
-		sql, err := fo.SQL(phi)
+		sql, err := emittedSQL(q)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "as SQL:\n  SELECT %s;\n", sql)
+		fmt.Fprintf(w, "as SQL:\n%s", sql)
 	}
 	return nil
+}
+
+// emittedSQL returns the self-contained SQL statement the query's plan
+// emits for its certain rewriting (the program /v1/compile serves).
+func emittedSQL(q cq.Query) (string, error) {
+	p, err := solver.CompilePlan(q)
+	if err != nil {
+		return "", err
+	}
+	prog, err := p.EmitSQL()
+	return prog.Text, err
 }

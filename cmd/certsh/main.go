@@ -139,11 +139,15 @@ func (s *shell) exec(line string) bool {
 				return rerr
 			}
 			fmt.Fprintf(s.out, "φ = %s\n", phi)
-			sql, rerr := fo.SQL(phi)
+			p, rerr := solver.CompilePlan(q)
 			if rerr != nil {
 				return rerr
 			}
-			fmt.Fprintf(s.out, "SQL: SELECT %s;\n", sql)
+			prog, rerr := p.EmitSQL()
+			if rerr != nil {
+				return rerr
+			}
+			fmt.Fprintf(s.out, "SQL:\n%s", prog.Text)
 			return nil
 		})
 	case "answers":

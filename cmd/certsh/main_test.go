@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/cqa-go/certainty/internal/cq"
+	"github.com/cqa-go/certainty/internal/solver"
 )
 
 // runScript executes commands against a fresh shell and returns the
@@ -56,10 +59,22 @@ func TestShellConferenceSession(t *testing.T) {
 
 func TestShellRewrite(t *testing.T) {
 	out := runScript(t, "rewrite R(x | y), S(y | z)")
-	for _, want := range []string{"φ =", "SQL: SELECT", "EXISTS"} {
+	for _, want := range []string{"φ =", "SQL:", "EXISTS"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rewrite output missing %q:\n%s", want, out)
 		}
+	}
+	// The printed SQL is the statement the query's plan emits.
+	p, err := solver.CompilePlan(cq.MustParseQuery("R(x | y), S(y | z)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := p.EmitSQL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out[strings.Index(out, "SQL:\n")+len("SQL:\n"):]; !strings.HasPrefix(got, prog.Text) {
+		t.Errorf("rewrite printed SQL\n%s\nwant Plan.EmitSQL's statement\n%s", got, prog.Text)
 	}
 	out = runScript(t, "rewrite R(x | y), S(y | x)")
 	if !strings.Contains(out, "error:") {

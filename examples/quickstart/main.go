@@ -66,5 +66,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("consistent SQL rewriting:\n  SELECT %s;\n", sql)
+	fmt.Printf("consistent SQL rewriting:\n%s", sql)
 }

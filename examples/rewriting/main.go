@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("certain rewriting (SQL, with adom view):\n  SELECT %s;\n\n", sql)
+	fmt.Printf("certain rewriting (SQL):\n%s\n", sql)
 	res, err := certainty.Solve(q, d)
 	if err != nil {
 		log.Fatal(err)

@@ -27,14 +27,14 @@ type blockRef struct {
 // not ready for use; call New.
 //
 // Storage is organized per relation (see relation.go): each relation owns
-// its facts, blocks, posting lists, and content digests, and relations are
-// the copy-on-write unit shared between a database and its clones. A
-// mutation therefore touches only the relation (and within it, the block)
-// it changes; every other relation's derived structure — including its
+// its facts, blocks, and content digests, and relations are the
+// copy-on-write unit shared between a database and its clones. A mutation
+// therefore touches only the relation (and within it, the block) it
+// changes; every other relation's derived structure — including its
 // memoized digest — survives untouched. The database-level content digest
 // is composed from the per-relation digests on demand.
 //
-// Reads (including the lazily built per-relation index parts) are safe for
+// Reads (including the lazily built digests and interned view) are safe for
 // concurrent use; mutations (Add, Remove, RemoveBlock) are not and must not
 // race with reads of the same DB. Clones taken before a mutation are
 // unaffected by it and stay safe to read.
@@ -236,8 +236,8 @@ func (d *DB) ActiveDomain() []string {
 // Clone returns a copy of the database sharing fact values (facts are
 // immutable by convention). The copy is structural and flat: the global
 // fact and block-order slices are duplicated, while the per-relation
-// structures — facts, blocks, posting lists, and digests — are shared by
-// reference and marked copy-on-write. A later mutation of either database
+// structures — facts, blocks, and digests — are shared by reference and
+// marked copy-on-write. A later mutation of either database
 // privatizes only the relation it touches, so a clone costs O(facts) for
 // the flat slices but no re-hashing or re-indexing, and mutating one fact
 // after a clone costs O(touched relation), not O(database).
@@ -469,7 +469,7 @@ func (d *DB) RepairAt(index *big.Int) ([]Fact, error) {
 
 // Remove deletes a fact, reporting whether it was present. Only the fact's
 // relation is touched: its structures are privatized if shared and updated
-// in place, while every other relation's facts, postings, and digests are
+// in place, while every other relation's facts, blocks, and digests are
 // untouched. The global fact and block-order slices are compacted with one
 // flat pass each.
 func (d *DB) Remove(f Fact) bool {

@@ -12,39 +12,25 @@ import (
 
 // Index telemetry, recorded into the process-wide registry. Handles are
 // resolved once at init, so the hot path pays one atomic add per (rare)
-// build/invalidation — reads of memoized structure record nothing.
+// invalidation or digest composition — reads of memoized structure record
+// nothing.
 var (
-	indexBuilds        = obs.Default.Counter("db_index_builds_total")
 	indexInvalidations = obs.Default.Counter("db_index_invalidations_total")
 	digestComputations = obs.Default.Counter("db_digest_computations_total")
 )
 
 func init() {
-	obs.Default.Help("db_index_builds_total", "Per-relation posting-list index builds (first use after mutation).")
 	obs.Default.Help("db_index_invalidations_total", "Copy-on-write relation privatizations caused by mutations.")
 	obs.Default.Help("db_digest_computations_total", "Relation digest compositions over per-block digests.")
 }
 
-// The structural index is maintained per relation (see relation.go): each
-// relation lazily builds and memoizes its posting lists, block list, and
-// content digests, and mutations invalidate only the relation they touch.
-// The accessors below are the read surface the solver hot paths consult:
-//
-//   - RelationFacts: relation → its facts in insertion order as one shared
-//     slice (FactsOf copies on every call; the relation pays the copy never —
-//     the slice IS the storage).
-//   - BlocksOf: relation → its blocks in first-insertion order.
-//   - BlockView: block ID → the block's facts as a shared slice.
-//   - FactsAt: (relation, argument position, value) → the facts carrying
-//     that value at that position, in insertion order. Embedding search uses
-//     these to narrow candidate scans when any atom position is determined,
-//     not just the full primary key.
-//   - Digest / RelationDigest / DigestOf: content digests composed from
-//     per-block digests, used by the serving layer to key verdict caches at
-//     relation granularity so a mutation invalidates only the cache entries
-//     whose queries read the touched relation.
-//
-// Every returned slice is shared and must be treated as immutable.
+// Each relation memoizes its content digests (see relation.go), and
+// mutations invalidate only the relation they touch. Digest, RelationDigest
+// and DigestOf compose content digests from per-block digests; the serving
+// layer keys verdict caches on them at relation granularity, so a mutation
+// invalidates only the cache entries whose queries read the touched
+// relation. Fact-level access for evaluation goes through the interned
+// columnar view (interned.go), not through this file.
 
 // computeDigest hashes a fact set order-independently: each fact is
 // rendered as its length-prefixed canonical encoding (including the key
@@ -157,60 +143,4 @@ func (d *DB) BlockDigests(rel string) map[string]string {
 		return nil
 	}
 	return r.blockDigestsOf()
-}
-
-// RelationFacts returns the facts of the given relation in insertion order
-// as a shared slice. The caller must not modify it; use FactsOf for an
-// owned copy. Stable: repeated calls return the same backing array until
-// the relation is mutated.
-func (d *DB) RelationFacts(rel string) []Fact {
-	r, ok := d.rels[rel]
-	if !ok {
-		return nil
-	}
-	return r.facts
-}
-
-// RelationSize returns the number of facts of the given relation without
-// materializing them.
-func (d *DB) RelationSize(rel string) int {
-	r, ok := d.rels[rel]
-	if !ok {
-		return 0
-	}
-	return len(r.facts)
-}
-
-// BlocksOf returns the blocks of the given relation in first-insertion
-// order, as shared slices the caller must not modify. Memoized per
-// relation; a mutation of another relation leaves it untouched.
-func (d *DB) BlocksOf(rel string) [][]Fact {
-	r, ok := d.rels[rel]
-	if !ok {
-		return nil
-	}
-	return r.blockListOf()
-}
-
-// BlockView returns the block of the given fact as a shared slice the
-// caller must not modify; use Block for an owned copy.
-func (d *DB) BlockView(f Fact) []Fact {
-	r, ok := d.rels[f.Rel]
-	if !ok {
-		return nil
-	}
-	return r.blocks[f.BlockID()]
-}
-
-// FactsAt returns the facts of rel whose argument at position pos equals
-// value, in insertion order, as a shared slice the caller must not modify.
-// It returns nil when pos is out of range for the relation's arity. This is
-// the per-(relation, position) posting-list index consulted by embedding
-// search when an atom has any determined position short of its full key.
-func (d *DB) FactsAt(rel string, pos int, value string) []Fact {
-	r, ok := d.rels[rel]
-	if !ok {
-		return nil
-	}
-	return r.postingsOf()[postingKey(pos, value)]
 }

@@ -78,6 +78,17 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// factsAtIndices maps fact indices of rel's interned columns back to the
+// facts they denote (indices are insertion positions).
+func factsAtIndices(d *DB, rel string, idx []uint32) []Fact {
+	facts := d.FactsOf(rel)
+	var out []Fact
+	for _, fi := range idx {
+		out = append(out, facts[fi])
+	}
+	return out
+}
+
 func TestBlocksOfMatchesDerivation(t *testing.T) {
 	d := indexTestDB(t)
 	// Reference: the per-call derivation the solver used to perform.
@@ -94,31 +105,43 @@ func TestBlocksOfMatchesDerivation(t *testing.T) {
 		}
 		return out
 	}
+	in := d.Interned()
 	for _, rel := range d.Relations() {
-		if got := d.BlocksOf(rel); !reflect.DeepEqual(got, want(rel)) {
-			t.Fatalf("BlocksOf(%s) = %v, want %v", rel, got, want(rel))
+		ir := in.Rel(rel)
+		var got [][]Fact
+		for b := 0; b < ir.NumBlocks(); b++ {
+			got = append(got, factsAtIndices(d, rel, ir.BlockSpan(b)))
+		}
+		if !reflect.DeepEqual(got, want(rel)) {
+			t.Fatalf("block spans of %s = %v, want %v", rel, got, want(rel))
 		}
 	}
-	if d.BlocksOf("missing") != nil {
-		t.Fatal("BlocksOf of an absent relation must be nil")
+	if in.Rel("missing") != nil {
+		t.Fatal("the view of an absent relation must be nil")
 	}
 }
 
 func TestRelationFactsShared(t *testing.T) {
 	d := indexTestDB(t)
+	in := d.Interned()
 	for _, rel := range d.Relations() {
-		if !reflect.DeepEqual(d.RelationFacts(rel), d.FactsOf(rel)) {
-			t.Fatalf("RelationFacts(%s) differs from FactsOf", rel)
+		ir := in.Rel(rel)
+		var cols []Fact
+		for i := 0; i < ir.NumFacts(); i++ {
+			args := make([]string, ir.Arity)
+			for p := range args {
+				args[p] = in.Syms.MustString(ir.Cols[p][i])
+			}
+			cols = append(cols, Fact{Rel: rel, KeyLen: ir.KeyLen, Args: args})
 		}
-		if d.RelationSize(rel) != len(d.FactsOf(rel)) {
-			t.Fatalf("RelationSize(%s) mismatch", rel)
+		if !reflect.DeepEqual(cols, d.FactsOf(rel)) {
+			t.Fatalf("columns of %s differ from FactsOf", rel)
 		}
 	}
-	// Memoized: same backing array across calls.
-	a := d.RelationFacts("R")
-	b := d.RelationFacts("R")
-	if &a[0] != &b[0] {
-		t.Fatal("RelationFacts is not memoized")
+	// Memoized: the same view and the same column arrays across calls.
+	a, b := d.Interned(), d.Interned()
+	if a != b || &a.Rel("R").Cols[0][0] != &b.Rel("R").Cols[0][0] {
+		t.Fatal("the interned view is not memoized")
 	}
 }
 
@@ -143,42 +166,62 @@ func TestFactsAtPostings(t *testing.T) {
 		{"S", 0, "b"}, {"S", 2, "a"}, {"S", 2, "d"},
 		{"R", 0, "zzz"}, {"R", 5, "a"}, {"Q", 0, "a"},
 	}
+	in := d.Interned()
 	for _, c := range cases {
-		got := d.FactsAt(c.rel, c.pos, c.value)
+		var got []Fact
+		ir := in.Rel(c.rel)
+		if id, ok := in.Syms.Lookup(c.value); ok && ir != nil && c.pos < ir.Arity {
+			got = factsAtIndices(d, c.rel, ir.Posting(c.pos, id))
+		}
 		if !reflect.DeepEqual(got, want(c.rel, c.pos, c.value)) {
-			t.Fatalf("FactsAt(%s,%d,%s) = %v, want %v", c.rel, c.pos, c.value, got, want(c.rel, c.pos, c.value))
+			t.Fatalf("Posting(%s,%d,%s) = %v, want %v", c.rel, c.pos, c.value, got, want(c.rel, c.pos, c.value))
 		}
 	}
 }
 
+// keyIDs returns the ids of f's key constants in in (intern.None for a
+// constant absent from the view).
+func keyIDs(in *Interned, f Fact) []uint32 {
+	var key []uint32
+	for _, a := range f.KeyArgs() {
+		id, _ := in.Syms.Lookup(a)
+		key = append(key, id)
+	}
+	return key
+}
+
 func TestBlockViewMatchesBlock(t *testing.T) {
 	d := indexTestDB(t)
+	in := d.Interned()
 	for _, f := range d.Facts() {
-		if !reflect.DeepEqual(d.BlockView(f), d.Block(f)) {
-			t.Fatalf("BlockView(%v) differs from Block", f)
+		span, ok := in.Rel(f.Rel).BlockOf(keyIDs(in, f))
+		if !ok || !reflect.DeepEqual(factsAtIndices(d, f.Rel, span), d.Block(f)) {
+			t.Fatalf("BlockOf(%v) differs from Block", f)
 		}
 	}
-	if d.BlockView(NewFact("R", 1, "nope", "x")) != nil {
-		t.Fatal("BlockView of an absent block must be nil")
+	// "c" is a constant of the view, but no R block has it as key.
+	if _, ok := in.Rel("R").BlockOf(keyIDs(in, NewFact("R", 1, "c", "x"))); ok {
+		t.Fatal("BlockOf of an absent block must report false")
 	}
 }
 
 func TestIndexInvalidationOnMutation(t *testing.T) {
 	d := MustParse("R(a | b)")
-	if n := len(d.BlocksOf("R")); n != 1 {
-		t.Fatalf("BlocksOf(R) = %d blocks, want 1", n)
+	if n := d.Interned().Rel("R").NumBlocks(); n != 1 {
+		t.Fatalf("R has %d blocks, want 1", n)
 	}
 	dig1 := d.Digest()
 
-	// Add a key-equal fact: the block list, postings, and digest must all
+	// Add a key-equal fact: the blocks, postings, and digest must all
 	// reflect it.
 	if err := d.Add(NewFact("R", 1, "a", "c")); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(d.BlocksOf("R")[0]); n != 2 {
+	in := d.Interned()
+	if n := len(in.Rel("R").BlockSpan(0)); n != 2 {
 		t.Fatalf("block size after Add = %d, want 2", n)
 	}
-	if len(d.FactsAt("R", 1, "c")) != 1 {
+	if c, ok := in.Syms.Lookup("c"); !ok || len(in.Rel("R").Posting(1, c)) != 1 {
 		t.Fatal("postings not rebuilt after Add")
 	}
 	if d.Digest() == dig1 {
@@ -197,7 +240,7 @@ func TestIndexInvalidationOnMutation(t *testing.T) {
 	if n := d.RemoveBlock(NewFact("R", 1, "a", "b")); n != 1 {
 		t.Fatalf("RemoveBlock = %d, want 1", n)
 	}
-	if d.BlocksOf("R") != nil || d.Len() != 0 {
+	if d.Interned().Rel("R") != nil || d.Len() != 0 {
 		t.Fatal("index stale after RemoveBlock")
 	}
 }
@@ -235,9 +278,12 @@ func TestConcurrentIndexReads(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 100; j++ {
 				_ = d.Digest()
-				_ = d.BlocksOf("R")
-				_ = d.RelationFacts("S")
-				_ = d.FactsAt("R", 0, "a")
+				in := d.Interned()
+				_ = in.Rel("R").BlockSpan(0)
+				_ = in.Rel("S").Cols
+				if a, ok := in.Syms.Lookup("a"); ok {
+					_ = in.Rel("R").Posting(0, a)
+				}
 			}
 		}()
 	}

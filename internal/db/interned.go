@@ -39,10 +39,10 @@ type Interned struct {
 }
 
 // IRel is one relation's columnar storage. Fact index i is the relation's
-// insertion position (identical to RelationFacts(rel)[i]); all index
-// structures yield fact indices in ascending order, which IS insertion
-// order — the invariant that makes interned enumeration byte-compatible
-// with the fact-level views (RelationFacts, BlockView, FactsAt).
+// insertion position (identical to FactsOf(rel)[i]); all index structures
+// yield fact indices in ascending order, which IS insertion order — the
+// invariant that makes interned enumeration byte-compatible with the
+// string reference implementations the tests keep.
 type IRel struct {
 	// Arity and KeyLen mirror the relation signature.
 	Arity  int
@@ -148,6 +148,15 @@ func (r *IRel) Posting(pos int, id uint32) []uint32 {
 
 // Arg returns the id of argument pos of fact fi.
 func (r *IRel) Arg(fi uint32, pos int) uint32 { return r.Cols[pos][fi] }
+
+// NumFacts returns the number of facts of the database.
+func (in *Interned) NumFacts() int {
+	n := 0
+	for _, r := range in.rels {
+		n += r.NumFacts()
+	}
+	return n
+}
 
 // Rel returns the columnar storage of the named relation, or nil when the
 // relation is absent.

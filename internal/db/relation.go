@@ -2,8 +2,6 @@ package db
 
 import (
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -12,17 +10,16 @@ import (
 // the copy-on-write unit of the database: Clone marks every relation shared,
 // and a mutation of a shared relation first produces a private deep copy, so
 // a mutation touches only the structures of the relation it changes — every
-// other relation (facts, blocks, postings, digests) is carried over by
-// pointer. This is what makes invalidation incremental: writing one fact no
-// longer discards the whole database's index and content digest, only the
-// touched relation's lazy parts (and, within it, only the touched block's
-// digest is recomputed).
+// other relation (facts, blocks, digests) is carried over by pointer. This
+// is what makes invalidation incremental: writing one fact no longer
+// discards the whole database's content digest, only the touched
+// relation's (and, within it, only the touched block's digest is
+// recomputed).
 //
 // Core fields (sig, facts, ids, blocks, blockOrder) are maintained eagerly
-// on every mutation. Lazy fields (postings, blockList, blockDigests,
-// digest) are built on first use under imu and then read without locks;
-// once a relation is shared it is immutable, so the memoized parts stay
-// valid forever.
+// on every mutation. The digest fields (blockDigests, digest) are built on
+// first use under imu; once a relation is shared it is immutable, so the
+// memoized parts stay valid forever.
 type relation struct {
 	sig        [2]int
 	facts      []Fact            // insertion order
@@ -35,8 +32,6 @@ type relation struct {
 	shared atomic.Bool
 
 	imu          sync.Mutex
-	postings     map[string][]Fact // lazily built: (pos, value) → facts
-	blockList    [][]Fact          // lazily built: blocks in first-insertion order
 	blockDigests map[string]string // block ID → content digest; incrementally maintained
 	digest       string            // composed relation digest; "" until composed
 }
@@ -49,23 +44,10 @@ func newRelation(sig [2]int) *relation {
 	}
 }
 
-// postingKey encodes (argument position, value) unambiguously within one
-// relation; NUL is safe as a separator because Validate rejects NUL bytes
-// in arguments.
-func postingKey(pos int, value string) string {
-	var b strings.Builder
-	b.Grow(len(value) + 4)
-	b.WriteString(strconv.Itoa(pos))
-	b.WriteByte(0)
-	b.WriteString(value)
-	return b.String()
-}
-
 // mutable returns a relation that may be updated in place: r itself when it
 // is exclusively owned, otherwise a private deep copy of the core fields.
-// The copy drops the lazily built postings and block list (they rebuild on
-// demand, scoped to this relation) but carries the per-block digests over —
-// the mutation recomputes only the digest of the block it touches.
+// The copy carries the per-block digests over — the mutation recomputes
+// only the digest of the block it touches.
 func (r *relation) mutable() *relation {
 	if !r.shared.Load() {
 		return r
@@ -96,7 +78,7 @@ func (r *relation) mutable() *relation {
 }
 
 // insert adds a fact known to be absent, updating the core structures
-// eagerly and the lazy structures incrementally where they exist. Must only
+// eagerly and the block digests incrementally where they exist. Must only
 // be called on an exclusively owned relation (after mutable).
 func (r *relation) insert(f Fact) {
 	idx := len(r.facts)
@@ -109,13 +91,6 @@ func (r *relation) insert(f Fact) {
 	}
 	r.blocks[bid] = append(blk, f)
 	r.imu.Lock()
-	if r.postings != nil {
-		for pos, v := range f.Args {
-			key := postingKey(pos, v)
-			r.postings[key] = append(r.postings[key], f)
-		}
-	}
-	r.blockList = nil // order-preserving rebuild is cheap and rare
 	if r.blockDigests != nil {
 		r.blockDigests[bid] = computeDigest(r.blocks[bid])
 	}
@@ -158,24 +133,6 @@ func (r *relation) remove(f Fact) (blockEmptied bool) {
 		r.blocks[bid] = kept
 	}
 	r.imu.Lock()
-	if r.postings != nil {
-		for pos, v := range f.Args {
-			key := postingKey(pos, v)
-			list := r.postings[key]
-			keptP := list[:0]
-			for _, g := range list {
-				if !g.Equal(f) {
-					keptP = append(keptP, g)
-				}
-			}
-			if len(keptP) == 0 {
-				delete(r.postings, key)
-			} else {
-				r.postings[key] = keptP
-			}
-		}
-	}
-	r.blockList = nil
 	if r.blockDigests != nil {
 		if blockEmptied {
 			delete(r.blockDigests, bid)
@@ -186,37 +143,6 @@ func (r *relation) remove(f Fact) (blockEmptied bool) {
 	r.digest = ""
 	r.imu.Unlock()
 	return blockEmptied
-}
-
-// postingsOf returns the lazily built (position, value) posting lists.
-func (r *relation) postingsOf() map[string][]Fact {
-	r.imu.Lock()
-	defer r.imu.Unlock()
-	if r.postings == nil {
-		indexBuilds.Inc()
-		r.postings = make(map[string][]Fact)
-		for _, f := range r.facts {
-			for pos, v := range f.Args {
-				key := postingKey(pos, v)
-				r.postings[key] = append(r.postings[key], f)
-			}
-		}
-	}
-	return r.postings
-}
-
-// blockListOf returns the relation's blocks in first-insertion order as a
-// memoized slice of shared slices.
-func (r *relation) blockListOf() [][]Fact {
-	r.imu.Lock()
-	defer r.imu.Unlock()
-	if r.blockList == nil && len(r.blockOrder) > 0 {
-		r.blockList = make([][]Fact, len(r.blockOrder))
-		for i, bid := range r.blockOrder {
-			r.blockList[i] = r.blocks[bid]
-		}
-	}
-	return r.blockList
 }
 
 // blockDigestsLocked builds the per-block digest map on first use. The

@@ -15,12 +15,12 @@ func TestEachEmbeddingCtxMatchesEachEmbedding(t *testing.T) {
 	d := db.MustParse("R(a | b), R(a | c), R(d | b), S(b | e), S(c | f)")
 	want := Embeddings(q, d)
 	var got []cq.Valuation
-	done, err := EachEmbeddingCtx(context.Background(), q, d, func(v cq.Valuation) bool {
+	done, err := eachEmbedding(govern.From(context.Background()), q, AllBlocks(d), func(v cq.Valuation) bool {
 		got = append(got, v)
 		return true
 	})
 	if err != nil || !done {
-		t.Fatalf("EachEmbeddingCtx: done=%v err=%v", done, err)
+		t.Fatalf("governed eachEmbedding: done=%v err=%v", done, err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d embeddings, EachEmbedding found %d", len(got), len(want))
@@ -41,7 +41,7 @@ func TestEachEmbeddingCtxFault(t *testing.T) {
 	})
 	defer g.Close()
 	var seen int
-	done, err := EachEmbeddingCtx(g.Attach(), q, d, func(cq.Valuation) bool {
+	done, err := eachEmbedding(g, q, AllBlocks(d), func(cq.Valuation) bool {
 		seen++
 		return true
 	})
@@ -63,7 +63,7 @@ func TestEachEmbeddingCtxCanceled(t *testing.T) {
 	cancel()
 	g := govern.New(ctx, govern.Options{CheckEvery: 1})
 	defer g.Close()
-	_, err := EachEmbeddingCtx(g.Attach(), q, d, func(cq.Valuation) bool { return true })
+	_, err := eachEmbedding(g, q, AllBlocks(d), func(cq.Valuation) bool { return true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -72,19 +72,19 @@ func TestEachEmbeddingCtxCanceled(t *testing.T) {
 func TestEvalCtxAndPurifyCtxAgree(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
 	d := db.MustParse("R(a | b), R(a | c), S(b | e), R(z | w)")
-	ok, err := EvalCtx(context.Background(), q, d)
+	ok, err := AllBlocks(d).Eval(context.Background(), q)
 	if err != nil {
-		t.Fatalf("EvalCtx: %v", err)
+		t.Fatalf("BlockSet.Eval: %v", err)
 	}
 	if want := Eval(q, d); ok != want {
-		t.Fatalf("EvalCtx = %v, Eval = %v", ok, want)
+		t.Fatalf("BlockSet.Eval = %v, Eval = %v", ok, want)
 	}
-	got, err := PurifyCtx(context.Background(), q, d)
+	s, err := AllBlocks(d).Purify(context.Background(), q)
 	if err != nil {
-		t.Fatalf("PurifyCtx: %v", err)
+		t.Fatalf("BlockSet.Purify: %v", err)
 	}
-	if want := Purify(q, d); !got.Equal(want) {
-		t.Fatalf("PurifyCtx = %v, Purify = %v", got, want)
+	if got, want := s.restrict(d), Purify(q, d); !got.Equal(want) {
+		t.Fatalf("BlockSet.Purify = %v, Purify = %v", got, want)
 	}
 }
 
@@ -101,14 +101,14 @@ func TestEmptyQuery(t *testing.T) {
 		t.Fatal("Eval(empty query) = false, want true")
 	}
 	var count int
-	done, err := EachEmbeddingCtx(context.Background(), q, d, func(v cq.Valuation) bool {
+	done, err := eachEmbedding(govern.From(context.Background()), q, AllBlocks(d), func(v cq.Valuation) bool {
 		count++
 		return true
 	})
 	if err != nil || !done || count != 1 {
-		t.Fatalf("EachEmbeddingCtx(empty query): done=%v err=%v count=%d, want one embedding", done, err, count)
+		t.Fatalf("governed eachEmbedding(empty query): done=%v err=%v count=%d, want one embedding", done, err, count)
 	}
-	if got := orderAtoms(q, d); got != nil {
+	if got := orderAtoms(q, AllBlocks(d)); got != nil {
 		t.Fatalf("orderAtoms(empty query) = %v, want nil", got)
 	}
 }

@@ -49,9 +49,10 @@ func MatchAtom(a cq.Atom, f db.Fact, binding cq.Valuation) (cq.Valuation, bool) 
 }
 
 // orderAtoms returns an evaluation order: start from the atom with the
-// fewest matching facts, then greedily prefer atoms with the most variables
-// already bound (so the block index applies as often as possible).
-func orderAtoms(q cq.Query, d *db.DB) []int {
+// fewest facts in the set, then greedily prefer atoms with the most
+// variables already bound (so the block index applies as often as
+// possible).
+func orderAtoms(q cq.Query, s BlockSet) []int {
 	n := q.Len()
 	if n == 0 {
 		// The empty query has no atoms to order; without this guard the
@@ -68,7 +69,10 @@ func orderAtoms(q cq.Query, d *db.DB) []int {
 				continue
 			}
 			b := a.Vars().Intersect(bound).Len()
-			size := d.RelationSize(a.Rel)
+			size := 0
+			if r := s.in.Rel(a.Rel); r != nil {
+				size = s.size(r)
+			}
 			if best == -1 || b > bestBound || (b == bestBound && size < bestSize) {
 				best, bestBound, bestSize = i, b, size
 			}
@@ -87,7 +91,7 @@ func orderAtoms(q cq.Query, d *db.DB) []int {
 // columnar view (see interned.go) and enumerates embeddings in the order
 // of the greedy atom order and fact insertion order.
 func EachEmbedding(q cq.Query, d *db.DB, yield func(cq.Valuation) bool) bool {
-	cont, _ := eachEmbeddingInterned(nil, q, d, yield)
+	cont, _ := eachEmbedding(nil, q, AllBlocks(d), yield)
 	return cont
 }
 
@@ -104,7 +108,7 @@ func Embeddings(q cq.Query, d *db.DB) []cq.Valuation {
 // Eval reports whether d ⊨ q: some valuation maps every atom of q into d.
 // The empty query is true everywhere.
 func Eval(q cq.Query, d *db.DB) bool {
-	sat, _ := evalInterned(nil, q, d)
+	sat, _ := eval(nil, q, AllBlocks(d))
 	return sat
 }
 
@@ -117,28 +121,16 @@ func EvalRepair(q cq.Query, repair []db.Fact) bool {
 // Purify implements Lemma 1: it returns a database purified relative to q —
 // every fact A of the result participates in some embedding θ with
 // A ∈ θ(q) ⊆ result — such that the result is in CERTAINTY(q) iff d is.
-// Whole blocks of irrelevant facts are removed until a fixpoint.
+// Whole blocks of irrelevant facts are removed until a fixpoint; d itself
+// is returned when it is already purified.
 func Purify(q cq.Query, d *db.DB) *db.DB {
-	out, _ := purifyInterned(nil, q, d)
-	return out
+	s, _ := purify(nil, q, AllBlocks(d))
+	return s.restrict(d)
 }
 
-// IsPurified reports whether d is purified relative to q: every fact occurs
-// in some embedding of q in d.
+// IsPurified reports whether d is purified relative to q: purification
+// keeps every block, that is, every fact occurs in some embedding of q in d.
 func IsPurified(q cq.Query, d *db.DB) bool {
-	used := make(map[string]struct{}, d.Len())
-	EachEmbedding(q, d, func(v cq.Valuation) bool {
-		for _, a := range q.Atoms {
-			if f, ok := db.FactFromAtom(a.Substitute(v)); ok {
-				used[f.ID()] = struct{}{}
-			}
-		}
-		return true
-	})
-	for _, f := range d.Facts() {
-		if _, ok := used[f.ID()]; !ok {
-			return false
-		}
-	}
-	return true
+	s, _ := purify(nil, q, AllBlocks(d))
+	return s.numFacts() == d.Len()
 }

@@ -34,7 +34,7 @@ type PlanStep struct {
 
 // Explain returns the evaluation plan EachEmbedding would use for q on d.
 func Explain(q cq.Query, d *db.DB) Plan {
-	order := orderAtoms(q, d)
+	order := orderAtoms(q, AllBlocks(d))
 	bound := make(cq.VarSet)
 	plan := Plan{Steps: make([]PlanStep, 0, len(order))}
 	for _, idx := range order {

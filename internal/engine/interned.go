@@ -28,7 +28,8 @@ type iArg struct {
 
 // iAtom is one compiled level of the embedding search.
 type iAtom struct {
-	rel  *db.IRel // nil when the relation is absent or signature-mismatched
+	rel  *db.IRel // nil when the relation is absent, signature-mismatched, or has no block in the set
+	keep bitset   // blocks of rel in the set; nil when every block is
 	args []iArg
 	// keyReady: every key position is determined (const or bound) at entry,
 	// so candidates narrow to one block probe.
@@ -46,11 +47,14 @@ type iProg struct {
 }
 
 // compileInterned lowers q (in the given evaluation order) against the
-// interned view. Constants absent from the view lower to intern.None, which
-// matches nothing — the search still walks the same nodes (and charges the
-// same governor steps) as with a present constant, it just finds no
-// candidates.
-func compileInterned(q cq.Query, order []int, in *db.Interned) *iProg {
+// block set's interned view. Constants absent from the view lower to
+// intern.None, which matches nothing — the search still walks the same
+// nodes (and charges the same governor steps) as with a present constant,
+// it just finds no candidates. Facts of blocks outside the set are skipped
+// before verification, so the search walks exactly the nodes it would walk
+// over the set materialized as a database.
+func compileInterned(q cq.Query, order []int, s BlockSet) *iProg {
+	in := s.in
 	p := &iProg{atoms: make([]iAtom, len(order)), in: in}
 	slots := make(map[string]uint16, 8)
 	for li, ai := range order {
@@ -58,6 +62,12 @@ func compileInterned(q cq.Query, order []int, in *db.Interned) *iProg {
 		ia := iAtom{args: make([]iArg, len(a.Args))}
 		if r := in.Rel(a.Rel); r != nil && r.Arity == len(a.Args) && r.KeyLen == a.KeyLen {
 			ia.rel = r
+			if s.keep != nil {
+				ia.keep = s.keep[r]
+				if ia.keep == nil {
+					ia.rel = nil
+				}
+			}
 		}
 		// Slots below entrySlots were bound by earlier atoms; only those
 		// (and constants) are determined when this level starts. A variable
@@ -241,11 +251,15 @@ func (p *iProg) level(g *govern.Governor, sc *iScratch, li int, leaf func(*iScra
 }
 
 // tryFact verifies candidate fi against level li's compiled arguments,
-// binding first-occurrence variables, and recurses on a match. Bind writes
-// need no undo: a slot is rewritten by its binding level before any deeper
-// read, and shallower levels never read it.
+// binding first-occurrence variables, and recurses on a match. Facts of
+// blocks outside the set are rejected first. Bind writes need no undo: a
+// slot is rewritten by its binding level before any deeper read, and
+// shallower levels never read it.
 func (p *iProg) tryFact(g *govern.Governor, sc *iScratch, li int, fi uint32, leaf func(*iScratch) (bool, error)) (bool, error) {
 	ia := &p.atoms[li]
+	if ia.keep != nil && !ia.keep.get(ia.rel.BlockOfFact[fi]) {
+		return true, nil
+	}
 	for pos := range ia.args {
 		ag := &ia.args[pos]
 		v := ia.rel.Cols[pos][fi]
@@ -276,11 +290,14 @@ func (p *iProg) valuation(sc *iScratch) cq.Valuation {
 	return v
 }
 
-// eachEmbeddingInterned is the interned implementation behind
-// EachEmbedding/EachEmbeddingCtx. g may be nil (no governor accounting, for
-// the ctx-less entry points).
-func eachEmbeddingInterned(g *govern.Governor, q cq.Query, d *db.DB, yield func(cq.Valuation) bool) (bool, error) {
-	p := compileInterned(q, orderAtoms(q, d), d.Interned())
+// eachEmbedding is the one body of every embedding enumeration over a block
+// set. One governor step is charged per search node, and enumeration aborts
+// with the governor's error on cancellation, deadline, or budget
+// exhaustion; g may be nil (no governor accounting, for EachEmbedding).
+// The bool result is false iff some yield returned false; it is
+// unspecified when the error is non-nil.
+func eachEmbedding(g *govern.Governor, q cq.Query, s BlockSet, yield func(cq.Valuation) bool) (bool, error) {
+	p := compileInterned(q, orderAtoms(q, s), s)
 	sc := getScratch(p)
 	defer putScratch(sc)
 	return p.level(g, sc, 0, func(sc *iScratch) (bool, error) {
@@ -288,10 +305,10 @@ func eachEmbeddingInterned(g *govern.Governor, q cq.Query, d *db.DB, yield func(
 	})
 }
 
-// evalInterned decides d ⊨ q on the interned plane without materializing
-// any valuation.
-func evalInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
-	p := compileInterned(q, orderAtoms(q, d), d.Interned())
+// eval decides whether the set satisfies q without materializing any
+// valuation; the one body of Eval and BlockSet.Eval.
+func eval(g *govern.Governor, q cq.Query, s BlockSet) (bool, error) {
+	p := compileInterned(q, orderAtoms(q, s), s)
 	sc := getScratch(p)
 	defer putScratch(sc)
 	found := false
@@ -305,20 +322,20 @@ func evalInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
 	return found, nil
 }
 
-// purifyInterned is Purify/PurifyCtx on the interned plane: used facts are
-// marked in per-relation bitsets straight from the matched fact indices
-// (no fact IDs, no map), and the keep predicate resolves each fact's block
-// ordinal with a per-relation cursor over the global insertion order.
-func purifyInterned(g *govern.Governor, q cq.Query, d *db.DB) (*db.DB, error) {
-	cur := d
+// purify is Lemma 1 over a block set, the one body of Purify and
+// BlockSet.Purify. Each round marks the facts some embedding uses in
+// per-relation bitsets straight from the matched fact indices (no fact
+// IDs, no map) and keeps the blocks all of whose facts are used: Lemma 1
+// removes whole blocks, and an unused fact marks its block irrelevant.
+// Rounds repeat until one drops nothing.
+func purify(g *govern.Governor, q cq.Query, s BlockSet) (BlockSet, error) {
 	for {
 		if g != nil {
-			// The ctx-less Purify enumerates without the counter; the
+			// The ungoverned Purify enumerates without the counter; the
 			// governed one counts one enumeration per purification round.
 			embeddingEnumerations.Inc()
 		}
-		in := cur.Interned()
-		p := compileInterned(q, orderAtoms(q, cur), in)
+		p := compileInterned(q, orderAtoms(q, s), s)
 		used := make(map[*db.IRel]bitset, len(p.atoms))
 		for _, ia := range p.atoms {
 			if ia.rel != nil && used[ia.rel] == nil {
@@ -334,32 +351,24 @@ func purifyInterned(g *govern.Governor, q cq.Query, d *db.DB) (*db.DB, error) {
 		})
 		putScratch(sc)
 		if err != nil {
-			return nil, err
+			return BlockSet{}, err
 		}
-		// A block with any unused fact is dropped whole (Lemma 1 removes
-		// blocks, and an unused fact marks its block irrelevant).
-		drop := make(map[string]bitset)
-		total := 0
-		for _, rel := range cur.Relations() {
-			ir := in.Rel(rel)
-			u := used[ir]
-			dropped := newBitset(ir.NumBlocks())
-			for fi := 0; fi < ir.NumFacts(); fi++ {
-				if u == nil || !u.get(uint32(fi)) {
-					dropped.set(ir.BlockOfFact[fi])
-					total++
+		next := NewBlockSet(s.in)
+		for r, u := range used {
+		blocks:
+			for b := 0; b < r.NumBlocks(); b++ {
+				for _, fi := range r.BlockSpan(b) {
+					if !u.get(fi) {
+						continue blocks
+					}
 				}
+				next.Add(r, uint32(b))
 			}
-			drop[rel] = dropped
 		}
-		if total == 0 {
-			return cur, nil
+		// next is a subset of s, so equal sizes mean nothing was dropped.
+		if next.numFacts() == s.numFacts() {
+			return next, nil
 		}
-		cursor := make(map[string]uint32, len(drop))
-		cur = cur.Restrict(func(f db.Fact) bool {
-			i := cursor[f.Rel]
-			cursor[f.Rel] = i + 1
-			return !drop[f.Rel].get(in.Rel(f.Rel).BlockOfFact[i])
-		})
+		s = next
 	}
 }

@@ -63,7 +63,7 @@ func TestInternedEmbeddingSequenceParity(t *testing.T) {
 				ref = append(ref, fmt.Sprint(v))
 				return true
 			})
-			cont, err := eachEmbeddingInterned(nil, q, d, func(v cq.Valuation) bool {
+			cont, err := eachEmbedding(nil, q, AllBlocks(d), func(v cq.Valuation) bool {
 				got = append(got, fmt.Sprint(v))
 				return true
 			})
@@ -101,7 +101,7 @@ func TestInternedGovernorStepParity(t *testing.T) {
 				return g.Steps()
 			}
 			si := steps(func(ctx context.Context) error {
-				_, err := EachEmbeddingCtx(ctx, q, d, func(cq.Valuation) bool { return true })
+				_, err := eachEmbedding(govern.From(ctx), q, AllBlocks(d), func(cq.Valuation) bool { return true })
 				return err
 			})
 			ss := steps(func(ctx context.Context) error {
@@ -125,19 +125,19 @@ func TestInternedPurifyParity(t *testing.T) {
 				continue // Purify of the empty query keeps everything; trivial
 			}
 			ref := purifyIndexed(q, d)
-			got, err := purifyInterned(nil, q, d)
-			if err != nil {
-				t.Fatalf("db %d query %d: %v", di, qi, err)
-			}
+			got := Purify(q, d)
 			if ref.Digest() != got.Digest() {
 				t.Fatalf("db %d query %d (%v): purified digests diverge\nref:\n%sgot:\n%s", di, qi, q, ref, got)
 			}
-			gctx, err := PurifyCtx(context.Background(), q, d)
+			s, err := AllBlocks(d).Purify(context.Background(), q)
 			if err != nil {
-				t.Fatalf("db %d query %d: PurifyCtx: %v", di, qi, err)
+				t.Fatalf("db %d query %d: BlockSet.Purify: %v", di, qi, err)
 			}
-			if gctx.Digest() != ref.Digest() {
-				t.Fatalf("db %d query %d: PurifyCtx diverged from reference", di, qi)
+			if s.restrict(d).Digest() != ref.Digest() {
+				t.Fatalf("db %d query %d: BlockSet.Purify diverged from reference", di, qi)
+			}
+			if IsPurified(q, d) != (ref.Len() == d.Len()) {
+				t.Fatalf("db %d query %d: IsPurified = %v with %d of %d facts kept", di, qi, IsPurified(q, d), ref.Len(), d.Len())
 			}
 		}
 	}
@@ -164,6 +164,47 @@ func TestInternedEarlyStopParity(t *testing.T) {
 		})
 		if ni != ns || ci != cs {
 			t.Fatalf("stopAfter=%d: interned (%d, %v) vs string (%d, %v)", stopAfter, ni, ci, ns, cs)
+		}
+	}
+}
+
+// TestBlockSetMatchesRestrictedDB pins the block-set contract the
+// polynomial procedures rely on: a search over a sub-instance given as a
+// block set walks the same embeddings, in the same order and for the same
+// governor steps, as a search over that sub-instance materialized as a
+// database.
+func TestBlockSetMatchesRestrictedDB(t *testing.T) {
+	queries := differentialQueries(t)
+	for di, d := range differentialDBs(t) {
+		for pi, pq := range queries {
+			s, err := purify(nil, pq, AllBlocks(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub := s.restrict(d)
+			if s.numFacts() != sub.Len() || s.Empty() != (sub.Len() == 0) {
+				t.Fatalf("db %d purifier %d: set holds %d facts, restricted db %d", di, pi, s.numFacts(), sub.Len())
+			}
+			for qi, q := range queries {
+				run := func(set BlockSet) ([]string, int64) {
+					g := govern.New(context.Background(), govern.Options{})
+					defer g.Close()
+					var seq []string
+					if _, err := eachEmbedding(g, q, set, func(v cq.Valuation) bool {
+						seq = append(seq, fmt.Sprint(v))
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					return seq, g.Steps()
+				}
+				got, gotSteps := run(s)
+				want, wantSteps := run(AllBlocks(sub))
+				if fmt.Sprint(got) != fmt.Sprint(want) || gotSteps != wantSteps {
+					t.Fatalf("db %d purifier %d query %d: block set gives %v in %d steps, restricted db %v in %d",
+						di, pi, qi, got, gotSteps, want, wantSteps)
+				}
+			}
 		}
 	}
 }

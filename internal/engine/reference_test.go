@@ -6,53 +6,17 @@ import (
 	"github.com/cqa-go/certainty/internal/govern"
 )
 
-// This file holds the string-indexed reference implementations the
-// interned plane is differentially tested against: map-backed valuations,
-// candidates drawn from the DB's fact-level block and posting views.
-
-// candidates returns the facts of d that could match atom a under binding,
-// as a shared slice from the database's memoized index (callers only read).
-// When all key terms of a are determined the block index narrows the scan to
-// a single block; failing that, any single determined position narrows it to
-// that position's posting list; only a fully undetermined atom scans the
-// whole relation. Posting lists preserve insertion order and only omit facts
-// MatchAtom would reject, so enumeration order is unchanged.
-func candidates(a cq.Atom, binding cq.Valuation, d *db.DB) []db.Fact {
-	key := make([]string, a.KeyLen)
-	keyDetermined := true
-	for i := 0; i < a.KeyLen; i++ {
-		t := a.Args[i]
-		if t.IsConst {
-			key[i] = t.Value
-			continue
-		}
-		v, ok := binding[t.Value]
-		if !ok {
-			keyDetermined = false
-			break
-		}
-		key[i] = v
-	}
-	if keyDetermined {
-		probe := db.Fact{Rel: a.Rel, KeyLen: a.KeyLen, Args: key}
-		return d.BlockView(probe)
-	}
-	for pos, t := range a.Args {
-		if t.IsConst {
-			return d.FactsAt(a.Rel, pos, t.Value)
-		}
-		if v, ok := binding[t.Value]; ok {
-			return d.FactsAt(a.Rel, pos, v)
-		}
-	}
-	return d.RelationFacts(a.Rel)
-}
+// This file holds the string reference implementations the interned plane
+// is differentially tested against: map-backed valuations over a relation
+// scan filtered by MatchAtom. The interned plane narrows candidates by block
+// probes and postings, which only ever skip facts MatchAtom rejects, so the
+// embedding order and the per-node step count must coincide.
 
 // eachEmbeddingIndexed is the reference enumerator: the same greedy atom
 // order and the same one-step-per-search-node governor charge as the
 // interned plane, over string valuations. g may be nil (no accounting).
 func eachEmbeddingIndexed(g *govern.Governor, q cq.Query, d *db.DB, yield func(cq.Valuation) bool) (bool, error) {
-	order := orderAtoms(q, d)
+	order := orderAtoms(q, AllBlocks(d))
 	var rec func(i int, binding cq.Valuation) (bool, error)
 	rec = func(i int, binding cq.Valuation) (bool, error) {
 		if g != nil {
@@ -64,7 +28,7 @@ func eachEmbeddingIndexed(g *govern.Governor, q cq.Query, d *db.DB, yield func(c
 			return yield(binding), nil
 		}
 		a := q.Atoms[order[i]]
-		for _, f := range candidates(a, binding, d) {
+		for _, f := range d.FactsOf(a.Rel) {
 			if next, ok := MatchAtom(a, f, binding); ok {
 				cont, err := rec(i+1, next)
 				if err != nil || !cont {

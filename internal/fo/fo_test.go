@@ -177,73 +177,6 @@ func TestRewriteFact(t *testing.T) {
 	}
 }
 
-func TestSQLRendering(t *testing.T) {
-	q := cq.MustParseQuery("R(x | y), S(y | z)")
-	phi, err := RewriteAcyclic(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sql, err := SQL(phi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"EXISTS", "adom", `"R"`, `"S"`, "c1 ="} {
-		if !strings.Contains(sql, want) {
-			t.Errorf("SQL missing %q:\n%s", want, sql)
-		}
-	}
-	if _, err := SQL(Eq{L: cq.Var("x"), R: cq.Const("a")}); err == nil {
-		t.Error("free variables must be rejected")
-	}
-	// Constant escaping.
-	s, err := SQL(NewAnd(Eq{L: cq.Const("it's"), R: cq.Const("it's")}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "'it''s'") {
-		t.Errorf("single quotes must be doubled: %s", s)
-	}
-}
-
-// TestSQLEscaping locks the hardened rendering: quotes double in both
-// literal and identifier position, backslashes pass through verbatim
-// (standard-conforming strings), quoted variable aliases cannot break out
-// of identifier position, and NUL anywhere is rejected like the snapshot
-// parsers reject it.
-func TestSQLEscaping(t *testing.T) {
-	cases := []struct {
-		name string
-		f    Formula
-		want string
-	}{
-		{"const quote", NewAnd(Eq{L: cq.Const(`a'b`), R: cq.Const(`a'b`)}), `'a''b'`},
-		{"const backslash", NewAnd(Eq{L: cq.Const(`a\b`), R: cq.Const(`a\b`)}), `'a\b'`},
-		{"rel quote", Atom{A: cq.NewAtom(`R"x`, 1, cq.Const("a"))}, `"R""x"`},
-		{"var quote", Exists{Vars: []string{`v"x`}, F: Eq{L: cq.Var(`v"x`), R: cq.Const("a")}}, `"a_v""x"`},
-	}
-	for _, c := range cases {
-		s, err := SQL(c.f)
-		if err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
-		if !strings.Contains(s, c.want) {
-			t.Errorf("%s: SQL missing %q:\n%s", c.name, c.want, s)
-		}
-	}
-
-	for _, f := range []Formula{
-		NewAnd(Eq{L: cq.Const("a\x00b"), R: cq.Const("c")}),
-		Atom{A: cq.NewAtom("R\x00", 1, cq.Const("a"))},
-		Exists{Vars: []string{"x\x00"}, F: Truth(true)},
-		Forall{Vars: []string{"y"}, F: Eq{L: cq.Var("y"), R: cq.Const("\x00")}},
-	} {
-		if _, err := SQL(f); err == nil || !strings.Contains(err.Error(), "NUL") {
-			t.Errorf("SQL(%v) = %v, want NUL rejection", f, err)
-		}
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	f := Exists{Vars: []string{"x"}, F: Implies{
 		Hyp:   Atom{A: cq.NewAtom("R", 1, cq.Var("x"))},

@@ -29,9 +29,6 @@ func TestPanicsBecomeErrors(t *testing.T) {
 	if _, err := Compile(bogus{}); !errors.As(err, &pe) {
 		t.Errorf("Compile(bogus): got %v, want PanicError", err)
 	}
-	if _, err := SQL(bogus{}); !errors.As(err, &pe) {
-		t.Errorf("SQL(bogus): got %v, want PanicError", err)
-	}
 }
 
 func TestGuardedEntryPointsStillWork(t *testing.T) {

@@ -7,9 +7,9 @@
 // hook for testing cancellation paths.
 //
 // A Governor rides inside a context.Context (Attach/From), so every
-// context-aware entry point of the stack — solver.SolveCtx,
-// engine.EachEmbeddingCtx, db.EachRepairCtx — shares one step counter and
-// one budget for the whole call tree.
+// context-aware entry point of the stack — solver.SolveCtx, the engine's
+// BlockSet.Eval/Purify, db.EachRepairCtx — shares one step counter and one
+// budget for the whole call tree.
 package govern
 
 import (

@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -16,36 +15,24 @@ import (
 )
 
 // cycleGraph is the k-partite fact graph of the Theorem 4 algorithm:
-// vertices are (cycle position, constant) pairs, edges come from the
+// vertices are (cycle position, constant id) pairs, edges come from the
 // R_i facts, and marked cycles C come from the S_k facts.
 type cycleGraph struct {
-	k      int
-	g      *graph.Digraph
-	ids    map[string]int // encoded (pos, value) → vertex id
-	names  []string       // vertex id → debug name
-	values []string       // vertex id → constant value
-	pos    []int          // vertex id → cycle position
+	k   int
+	g   *graph.Digraph
+	ids map[uint64]int // (pos, constant id) → vertex id
 }
 
-func newCycleGraph(k int) *cycleGraph {
-	return &cycleGraph{k: k, g: nil, ids: make(map[string]int)}
-}
+func vertexKey(pos int, id uint32) uint64 { return uint64(pos)<<32 | uint64(id) }
 
-func (cg *cycleGraph) vertexKey(pos int, value string) string {
-	return strconv.Itoa(pos) + "/" + strconv.Itoa(len(value)) + ":" + value
-}
-
-func (cg *cycleGraph) vertex(pos int, value string) int {
-	key := cg.vertexKey(pos, value)
-	if id, ok := cg.ids[key]; ok {
-		return id
+func (cg *cycleGraph) vertex(pos int, id uint32) int {
+	key := vertexKey(pos, id)
+	v, ok := cg.ids[key]
+	if !ok {
+		v = len(cg.ids)
+		cg.ids[key] = v
 	}
-	id := len(cg.names)
-	cg.ids[key] = id
-	cg.names = append(cg.names, fmt.Sprintf("x%d=%s", pos+1, value))
-	cg.values = append(cg.values, value)
-	cg.pos = append(cg.pos, pos)
-	return id
+	return v
 }
 
 // normalizeCycle rotates a cycle to start at its smallest vertex id.
@@ -77,24 +64,19 @@ func normalizeCycle(c []int) string {
 //     strong component of G contains a k-cycle outside C or an elementary
 //     cycle longer than k.
 //
-// The governor attached to ctx bounds the purification pass and the
+// The purified instance is a block set over d's interned view. The
+// governor attached to ctx bounds the purification pass and the
 // per-component cycle analysis.
 func CertainACk(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db.DB) (bool, error) {
 	if shape == nil || shape.SkAtom < 0 {
 		return false, fmt.Errorf("solver: CertainACk requires an AC(k) shape")
 	}
-	d, err := engine.PurifyCtx(ctx, q, d)
-	if err != nil {
+	s, err := engine.AllBlocks(d).Purify(ctx, q)
+	if err != nil || s.Empty() {
 		return false, err
 	}
-	if d.Len() == 0 {
-		return false, nil
-	}
-	cg, comps, err := buildCycleGraph(q, shape, d, true)
-	if err != nil {
-		return false, err
-	}
-	return decideByComponents(ctx, cg, comps, cg.markedCycles(q, shape, d))
+	cg, comps := buildCycleGraph(q, shape, s)
+	return decideByComponents(ctx, cg, comps, cg.markedCycles(q, shape, s))
 }
 
 // CertainCk decides db ∈ CERTAINTY(C(k)) in polynomial time (Corollary 1).
@@ -107,68 +89,62 @@ func CertainCk(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db.DB
 	if shape == nil || shape.SkAtom >= 0 {
 		return false, fmt.Errorf("solver: CertainCk requires a C(k) shape")
 	}
-	d, err := engine.PurifyCtx(ctx, q, d)
-	if err != nil {
+	s, err := engine.AllBlocks(d).Purify(ctx, q)
+	if err != nil || s.Empty() {
 		return false, err
 	}
-	if d.Len() == 0 {
-		return false, nil
-	}
-	cg, comps, err := buildCycleGraph(q, shape, d, false)
-	if err != nil {
-		return false, err
-	}
+	cg, comps := buildCycleGraph(q, shape, s)
 	return decideByComponents(ctx, cg, comps, nil)
 }
 
-// buildCycleGraph constructs the fact graph and its strong components. When
-// the database is purified, no edge crosses strong components (every fact
-// lies on a cycle witnessed by an embedding); the components are returned
-// as vertex sets.
-func buildCycleGraph(q cq.Query, shape *core.CycleShape, d *db.DB, withSk bool) (*cycleGraph, [][]int, error) {
+// buildCycleGraph constructs the fact graph of the set's R_i facts, in
+// insertion order, and its strong components. When the set is purified, no
+// edge crosses strong components (every fact lies on a cycle witnessed by
+// an embedding); the components are returned as vertex sets.
+func buildCycleGraph(q cq.Query, shape *core.CycleShape, s engine.BlockSet) (*cycleGraph, [][]int) {
 	k := shape.K
-	cg := newCycleGraph(k)
-	type pendingEdge struct{ u, v int }
-	var edges []pendingEdge
+	cg := &cycleGraph{k: k, ids: make(map[uint64]int)}
+	var edges [][2]int
 	for pos, atomIdx := range shape.CycleAtoms {
-		rel := q.Atoms[atomIdx].Rel
-		for _, f := range d.RelationFacts(rel) {
-			u := cg.vertex(pos, f.Args[0])
-			v := cg.vertex((pos+1)%k, f.Args[1])
-			edges = append(edges, pendingEdge{u, v})
+		eachFact(s, q.Atoms[atomIdx], func(r *db.IRel, fi uint32) {
+			edges = append(edges, [2]int{cg.vertex(pos, r.Cols[0][fi]), cg.vertex((pos+1)%k, r.Cols[1][fi])})
+		})
+	}
+	cg.g = graph.New(len(cg.ids))
+	for _, e := range edges {
+		cg.g.AddEdge(e[0], e[1])
+	}
+	return cg, cg.g.SCCs()
+}
+
+// eachFact calls fn for every fact of a's relation in the set, in
+// insertion order.
+func eachFact(s engine.BlockSet, a cq.Atom, fn func(r *db.IRel, fi uint32)) {
+	r := relOf(s.Interned(), a)
+	for fi := 0; r != nil && fi < r.NumFacts(); fi++ {
+		if s.Has(r, r.BlockOfFact[fi]) {
+			fn(r, uint32(fi))
 		}
 	}
-	cg.g = graph.New(len(cg.names))
-	for _, e := range edges {
-		cg.g.AddEdge(e.u, e.v)
-	}
-	return cg, cg.g.SCCs(), nil
 }
 
 // markedCycles returns the normalized encodings of the cycles in C, read
 // from the S_k facts through the shape's position permutation.
-func (cg *cycleGraph) markedCycles(q cq.Query, shape *core.CycleShape, d *db.DB) map[string]bool {
+func (cg *cycleGraph) markedCycles(q cq.Query, shape *core.CycleShape, s engine.BlockSet) map[string]bool {
 	out := make(map[string]bool)
-	rel := q.Atoms[shape.SkAtom].Rel
-	for _, f := range d.RelationFacts(rel) {
-		cycle := make([]int, shape.K)
-		ok := true
-		for j, val := range f.Args {
-			p := shape.SkPositions[j]
-			key := cg.vertexKey(p, val)
-			id, exists := cg.ids[key]
+	cycle := make([]int, shape.K)
+	eachFact(s, q.Atoms[shape.SkAtom], func(r *db.IRel, fi uint32) {
+		for j, p := range shape.SkPositions {
+			id, exists := cg.ids[vertexKey(p, r.Cols[j][fi])]
 			if !exists {
 				// The S_k fact references a value with no incident R-edge;
 				// it can never be fully marked, so it constrains nothing.
-				ok = false
-				break
+				return
 			}
 			cycle[p] = id
 		}
-		if ok {
-			out[normalizeCycle(cycle)] = true
-		}
-	}
+		out[normalizeCycle(cycle)] = true
+	})
 	return out
 }
 
@@ -215,14 +191,4 @@ func markableComponent(cg *cycleGraph, comp []int, inC map[string]bool) bool {
 		return true
 	}
 	return false
-}
-
-// sortedComponentSizes is a debugging helper exposing component structure.
-func sortedComponentSizes(comps [][]int) []int {
-	out := make([]int, len(comps))
-	for i, c := range comps {
-		out[i] = len(c)
-	}
-	sort.Ints(out)
-	return out
 }

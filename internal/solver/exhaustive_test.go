@@ -157,7 +157,7 @@ func TestExhaustiveTwoAtomSwapped(t *testing.T) {
 	}
 	enumerateDatabases(t, candidates, func(d *db.DB) {
 		want := BruteForce(q, d)
-		got, err := certainTwoAtomWeak(F, G, d)
+		got, err := twoAtomAllBlocks(F, G, d)
 		if err != nil {
 			t.Fatalf("db:\n%s: %v", d, err)
 		}

@@ -11,31 +11,6 @@ import (
 	"github.com/cqa-go/certainty/internal/jointree"
 )
 
-// unifyAtomFact unifies (possibly partially ground) atom a with fact f and
-// returns the valuation over vars(a) induced by f.
-func unifyAtomFact(a cq.Atom, f db.Fact) (cq.Valuation, bool) {
-	if a.Rel != f.Rel || len(a.Args) != len(f.Args) || a.KeyLen != f.KeyLen {
-		return nil, false
-	}
-	v := make(cq.Valuation)
-	for i, t := range a.Args {
-		if t.IsConst {
-			if t.Value != f.Args[i] {
-				return nil, false
-			}
-			continue
-		}
-		if prev, ok := v[t.Value]; ok {
-			if prev != f.Args[i] {
-				return nil, false
-			}
-			continue
-		}
-		v[t.Value] = f.Args[i]
-	}
-	return v, true
-}
-
 // shapePlaceholder stands in for every constant when only the query's shape
 // matters: the attack graph depends on the positions of variables, not on
 // which constants fill the ground positions.
@@ -141,9 +116,9 @@ func (p *FOProgram) Certain(ctx context.Context, q cq.Query, d *db.DB) (bool, er
 //
 // The unattacked-atom choices depend only on the query's shape, so they are
 // compiled once into an FOProgram and the recursion itself does no graph
-// work; candidate blocks come from the database's memoized per-relation
-// block index. Callers solving the same query repeatedly should compile
-// (or use the plan cache) once and reuse the program.
+// work; candidate blocks come from the database's interned view. Callers
+// solving the same query repeatedly should compile (or use the plan cache)
+// once and reuse the program.
 //
 // The returned error reports queries outside the method's scope (cyclic
 // attack graph, self-join, cyclic query), or the governor's error when the
@@ -160,25 +135,4 @@ func CertainFO(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
 		return false, err
 	}
 	return p.steppedInterned(g, q, d)
-}
-
-// candidateBlocks returns the blocks of a's relation that can possibly
-// match a, from the database's memoized index. When a's primary key is
-// ground (the common case in recursive calls, where the parent atom's
-// valuation instantiated the key), the block index narrows the search to a
-// single block. The returned blocks are shared slices; callers must not
-// modify them.
-func candidateBlocks(d *db.DB, a cq.Atom) [][]db.Fact {
-	key := make([]string, a.KeyLen)
-	for i := 0; i < a.KeyLen; i++ {
-		if a.Args[i].IsVar() {
-			return d.BlocksOf(a.Rel)
-		}
-		key[i] = a.Args[i].Value
-	}
-	block := d.BlockView(db.Fact{Rel: a.Rel, KeyLen: a.KeyLen, Args: key})
-	if len(block) == 0 {
-		return nil
-	}
-	return [][]db.Fact{block}
 }

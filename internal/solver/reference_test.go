@@ -7,6 +7,7 @@ import (
 	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
+	"github.com/cqa-go/certainty/internal/engine"
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/jointree"
 )
@@ -60,7 +61,7 @@ func certainFOBaseline(g *govern.Governor, q cq.Query, d *db.DB, memo map[string
 	for _, block := range candidateBlocksSeed(d, F) {
 		blockOK := true
 		for _, A := range block {
-			theta, ok := unifyAtomFact(F, A)
+			theta, ok := engine.MatchAtom(F, A, cq.Valuation{})
 			if !ok {
 				blockOK = false
 				break
@@ -97,8 +98,9 @@ func blocksOfSeed(d *db.DB, rel string) [][]db.Fact {
 	return out
 }
 
-// candidateBlocksSeed is candidateBlocks without the memoized index,
-// re-deriving block lists per call.
+// candidateBlocksSeed returns the blocks of a's relation that can match a,
+// re-deriving block lists per call: the one block of a ground key, else
+// every block.
 func candidateBlocksSeed(d *db.DB, a cq.Atom) [][]db.Fact {
 	key := make([]string, a.KeyLen)
 	for i := 0; i < a.KeyLen; i++ {

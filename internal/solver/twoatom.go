@@ -1,24 +1,49 @@
 package solver
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
+	"github.com/cqa-go/certainty/internal/intern"
 )
 
-// encodeVector returns an unambiguous length-prefixed encoding of a
-// constant vector, for use as a map key.
-func encodeVector(vals []string) string {
-	var b strings.Builder
-	for _, v := range vals {
-		b.WriteString(strconv.Itoa(len(v)))
-		b.WriteByte(':')
-		b.WriteString(v)
+// relOf returns the columnar storage of a's relation in in, or nil when the
+// relation is absent or its signature differs from a's (no fact of it can
+// match a).
+func relOf(in *db.Interned, a cq.Atom) *db.IRel {
+	r := in.Rel(a.Rel)
+	if r == nil || r.Arity != len(a.Args) || r.KeyLen != a.KeyLen {
+		return nil
 	}
-	return b.String()
+	return r
+}
+
+// unify matches atom a against fact fi of r, writing the id each variable
+// takes into vals (vals[i] for vars[i]; vars lists a's variables). It
+// reports false when the fact contradicts a constant or a repeated variable
+// of a.
+func unify(a cq.Atom, in *db.Interned, r *db.IRel, fi uint32, vars []string, vals []uint32) bool {
+	for i := range vals {
+		vals[i] = intern.None
+	}
+	for p, t := range a.Args {
+		id := r.Cols[p][fi]
+		if t.IsConst {
+			if in.Syms.MustString(id) != t.Value {
+				return false
+			}
+			continue
+		}
+		i := slices.Index(vars, t.Value)
+		if vals[i] != intern.None && vals[i] != id {
+			return false
+		}
+		vals[i] = id
+	}
+	return true
 }
 
 // This file decides CERTAINTY({F,G}) for two-atom self-join-free queries
@@ -50,120 +75,103 @@ func encodeVector(vals []string) string {
 // is not a tree). Hence:
 //
 //	db is certain ⟺ some component of the reduced signature graph is a tree.
-func certainTwoAtomWeak(F, G cq.Atom, d *db.DB) (bool, error) {
-	sharedF := F.Vars().Intersect(G.Vars())
+//
+// The instance is a block set over one interned view: blocks[0] lists
+// blocks of F's relation, blocks[1] blocks of G's.
+func certainTwoAtomWeak(F, G cq.Atom, in *db.Interned, blocks [2][]uint32) (bool, error) {
 	if !G.KeyVars().SubsetOf(F.Vars()) || !F.KeyVars().SubsetOf(G.Vars()) {
 		return false, fmt.Errorf("solver: two-atom solver requires a weak cycle: key(G) ⊆ vars(F) and key(F) ⊆ vars(G) (%s, %s)", F, G)
 	}
-	shared := sharedF.Sorted()
+	shared := F.Vars().Intersect(G.Vars()).Sorted()
 
-	sig := func(theta cq.Valuation) string {
-		vals := make([]string, len(shared))
-		for i, v := range shared {
-			vals[i] = theta[v]
-		}
-		return encodeVector(vals)
-	}
-
-	// options[blockID] = set of signatures available in the block;
-	// free[blockID] = true if the block has a fact that matches nothing.
+	// Number the blocks of both sides 0..n-1. A block's options are the
+	// signatures of its facts; free marks a fact that matches nothing.
+	// sigBlock[s][side] is the block of that side carrying signature s, or
+	// -1. The keys lie in the signature, so no signature spans two blocks
+	// of one side.
 	type blockInfo struct {
-		id      string
-		side    int // 0 = F's relation, 1 = G's relation
-		options map[string]bool
-		free    bool
+		opts []int
+		free bool
 	}
-	blocks := make(map[string]*blockInfo)
-	sigSides := make([]map[string][]string, 2) // side → signature → block IDs (singleton)
-	sigSides[0] = make(map[string][]string)
-	sigSides[1] = make(map[string][]string)
-
-	collect := func(atom cq.Atom, side int) {
-		for _, blk := range d.BlocksOf(atom.Rel) {
-			bid := blk[0].BlockID()
-			info := &blockInfo{id: bid, side: side, options: make(map[string]bool)}
-			blocks[bid] = info
-			for _, f := range blk {
-				theta, ok := unifyAtomFact(atom, f)
-				if !ok {
+	var info []blockInfo
+	sigIdx := make(map[string]int)
+	var sigBlock [][2]int
+	var buf []byte
+	for side, a := range [2]cq.Atom{F, G} {
+		r := relOf(in, a)
+		if r == nil {
+			continue
+		}
+		vars := a.Vars().Sorted()
+		vals := make([]uint32, len(vars))
+		for _, b := range blocks[side] {
+			bi := len(info)
+			info = append(info, blockInfo{})
+			for _, fi := range r.BlockSpan(int(b)) {
+				if !unify(a, in, r, fi, vars, vals) {
 					// A fact that does not match the atom's pattern joins
 					// with nothing: a free choice.
-					info.free = true
+					info[bi].free = true
 					continue
 				}
-				s := sig(theta)
-				if !info.options[s] {
-					info.options[s] = true
-					sigSides[side][s] = append(sigSides[side][s], bid)
+				buf = buf[:0]
+				for _, v := range shared {
+					buf = binary.LittleEndian.AppendUint32(buf, vals[slices.Index(vars, v)])
+				}
+				s, ok := sigIdx[string(buf)]
+				if !ok {
+					s = len(sigBlock)
+					sigIdx[string(buf)] = s
+					sigBlock = append(sigBlock, [2]int{-1, -1})
+				}
+				switch sigBlock[s][side] {
+				case bi:
+				case -1:
+					sigBlock[s][side] = bi
+					info[bi].opts = append(info[bi].opts, s)
+				default:
+					return false, fmt.Errorf("solver: signature spans multiple blocks; weak-cycle invariant violated")
 				}
 			}
 		}
 	}
-	collect(F, 0)
-	collect(G, 1)
 
-	// A signature is a live edge iff present on both sides. Since the keys
-	// are included in the signature, each side of a signature is a single
-	// block; assert that invariant.
-	type edge struct{ u, v string }
-	edgesBySig := make(map[string]edge)
-	edgesAt := make(map[string]map[string]bool) // blockID → live signatures
-	for s, us := range sigSides[0] {
-		vs, ok := sigSides[1][s]
-		if !ok {
-			continue
+	// A signature is a live edge iff present on both sides. Reduction:
+	// repeatedly remove blocks that have a free option or an option whose
+	// signature is not (or no longer) a live edge; removing a block kills
+	// its live edges, which makes their other endpoints removable.
+	live := make([]bool, len(sigBlock))
+	for s, bs := range sigBlock {
+		live[s] = bs[0] >= 0 && bs[1] >= 0
+	}
+	var queue []int
+	for b, bi := range info {
+		removable := bi.free
+		for _, s := range bi.opts {
+			removable = removable || !live[s]
 		}
-		if len(us) != 1 || len(vs) != 1 {
-			return false, fmt.Errorf("solver: signature spans multiple blocks; weak-cycle invariant violated")
-		}
-		edgesBySig[s] = edge{u: us[0], v: vs[0]}
-		for _, b := range []string{us[0], vs[0]} {
-			if edgesAt[b] == nil {
-				edgesAt[b] = make(map[string]bool)
-			}
-			edgesAt[b][s] = true
+		if removable {
+			queue = append(queue, b)
 		}
 	}
-
-	// Reduction: repeatedly remove blocks that have a free option or an
-	// option whose signature is not (or no longer) a live edge.
-	removable := func(b *blockInfo) bool {
-		if b.free {
-			return true
-		}
-		for s := range b.options {
-			if _, live := edgesBySig[s]; !live {
-				return true
-			}
-		}
-		return false
-	}
-	queue := make([]string, 0, len(blocks))
-	for bid, b := range blocks {
-		if removable(b) {
-			queue = append(queue, bid)
-		}
-	}
-	removed := make(map[string]bool)
+	removed := make([]bool, len(info))
 	for len(queue) > 0 {
-		bid := queue[0]
+		b := queue[0]
 		queue = queue[1:]
-		if removed[bid] {
+		if removed[b] {
 			continue
 		}
-		removed[bid] = true
-		for s := range edgesAt[bid] {
-			e, live := edgesBySig[s]
-			if !live {
+		removed[b] = true
+		for _, s := range info[b].opts {
+			if !live[s] {
 				continue
 			}
-			delete(edgesBySig, s)
-			other := e.u
-			if other == bid {
-				other = e.v
+			live[s] = false
+			other := sigBlock[s][0]
+			if other == b {
+				other = sigBlock[s][1]
 			}
-			delete(edgesAt[other], s)
-			if !removed[other] && removable(blocks[other]) {
+			if !removed[other] {
 				queue = append(queue, other)
 			}
 		}
@@ -172,36 +180,36 @@ func certainTwoAtomWeak(F, G cq.Atom, d *db.DB) (bool, error) {
 	// Remaining blocks: every option is a live edge. Falsifiable iff every
 	// connected component of the block/edge multigraph has #edges >=
 	// #vertices; certain iff some component is a tree.
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
+	parent := make([]int, len(info))
+	for b := range parent {
+		parent[b] = b
+	}
+	var find func(int) int
+	find = func(x int) int {
 		if parent[x] != x {
 			parent[x] = find(parent[x])
 		}
 		return parent[x]
 	}
-	compVerts := make(map[string]int)
-	compEdges := make(map[string]int)
-	for bid, b := range blocks {
-		if !removed[bid] {
-			parent[bid] = bid
-			_ = b
+	for s, ok := range live {
+		if ok {
+			parent[find(sigBlock[s][0])] = find(sigBlock[s][1])
 		}
 	}
-	for _, e := range edgesBySig {
-		ru, rv := find(e.u), find(e.v)
-		if ru != rv {
-			parent[ru] = rv
+	verts := make([]int, len(info))
+	edges := make([]int, len(info))
+	for b := range info {
+		if !removed[b] {
+			verts[find(b)]++
 		}
 	}
-	for bid := range parent {
-		compVerts[find(bid)]++
+	for s, ok := range live {
+		if ok {
+			edges[find(sigBlock[s][0])]++
+		}
 	}
-	for _, e := range edgesBySig {
-		compEdges[find(e.u)]++
-	}
-	for root, verts := range compVerts {
-		if compEdges[root] < verts {
+	for root := range info {
+		if verts[root] > 0 && edges[root] < verts[root] {
 			// This component is a tree: no falsifying choice exists within
 			// it, so every repair satisfies q.
 			return true, nil
