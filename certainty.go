@@ -199,9 +199,10 @@ type (
 // SolveBatch decides many instances at once, amortizing classification and
 // plan compilation across items that share a canonical query and fanning
 // the work out on the bounded worker pool; opts applies to every item.
-// Results are indexed in item order.
+// Each call compiles its plans afresh, for the canonical form of each
+// distinct query. Results are indexed in item order.
 func SolveBatch(ctx context.Context, items []BatchInstance, opts SolveOptions) []BatchVerdict {
-	return solver.SolveBatch(ctx, items, opts, nil, nil)
+	return solver.SolveBatch(ctx, items, opts, solver.NewPlanCache(0, nil), nil)
 }
 
 // CertainBruteForce decides certainty by enumerating every repair
@@ -411,13 +412,6 @@ func CanonicalizeQuery(q Query) (Query, map[string]string) { return cq.Canonical
 // RandomBID assigns random rational probabilities to an uncertain
 // database's facts (each block's mass at most 1); deterministic per seed.
 func RandomBID(d *DB, seed int64) *ProbDB { return prob.RandomBID(d, seed) }
-
-// CountSatisfyingDecomposed is CountSatisfyingRepairs factorized over
-// variable-disjoint query components — exponentially cheaper when q
-// decomposes.
-func CountSatisfyingDecomposed(q Query, d *DB) *big.Int {
-	return prob.CountSatisfyingDecomposed(q, d)
-}
 
 // ExplainPlan returns the evaluation order and index usage the engine
 // would apply for q on d.

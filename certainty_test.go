@@ -302,8 +302,8 @@ func TestFacadeSweep2(t *testing.T) {
 	if p.DB().Len() != d.Len() {
 		t.Error("RandomBID should cover all facts")
 	}
-	if got := CountSatisfyingDecomposed(ConferenceQuery(), d); got.Cmp(big.NewInt(3)) != 0 {
-		t.Errorf("decomposed count = %v", got)
+	if got := CountSatisfyingSharded(ConferenceQuery(), d, 0); got.Cmp(big.NewInt(3)) != 0 {
+		t.Errorf("sharded count = %v", got)
 	}
 	plan := ExplainPlan(ConferenceQuery(), d)
 	if len(plan.Steps) != 2 {

@@ -475,7 +475,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 
 	// Batch serving: a loop of independent SolveCtx calls re-classifies the
 	// query per item; SolveBatch memoizes the compiled plan per canonical
-	// query and fans items out on the worker pool.
+	// query in a fresh plan cache and fans items out on the worker pool.
 	batchSizes := []int{32, 128}
 	if quick {
 		batchSizes = []int{8, 16}
@@ -499,7 +499,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		memo, err := measure(fmt.Sprintf("batch/memo/items=%d", n), "batch", "memo", n, func() error {
-			for _, r := range solver.SolveBatch(context.Background(), items, solver.Options{}, nil, nil) {
+			for _, r := range solver.SolveBatch(context.Background(), items, solver.Options{}, solver.NewPlanCache(0, nil), nil) {
 				if r.Err != nil {
 					return r.Err
 				}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/lru"
-	"github.com/cqa-go/certainty/internal/obs"
 )
 
 // DefaultCacheSize bounds a classification cache built with NewCache. The
@@ -15,15 +14,15 @@ import (
 const DefaultCacheSize = 4096
 
 // Cache memoizes classifications by the canonical form of the query, so
-// that repeated Solve calls over renamed/reordered copies of the same query
-// (the answers fast path, per-candidate dispatch, interactive sessions) pay
-// for the attack-graph analysis once. The cache is a capped LRU: least
-// recently used classifications are evicted once the bound is reached.
-// Safe for concurrent use.
+// that repeated classifications of renamed/reordered copies of the same
+// query pay for the attack-graph analysis once. It backs the facade's
+// ClassificationCache; the serving stack caches compiled plans instead
+// (solver.PlanCache), which carry the same classification. The cache is a
+// capped LRU: least recently used classifications are evicted once the
+// bound is reached. Safe for concurrent use.
 type Cache struct {
 	mu sync.Mutex
 	c  *lru.Cache[string, cacheEntry]
-	m  *obs.CacheMetrics
 }
 
 type cacheEntry struct {
@@ -43,17 +42,6 @@ func NewCacheSize(size int) *Cache {
 	return &Cache{c: lru.New[string, cacheEntry](size)}
 }
 
-// Instrument mirrors the cache's hits, misses, evictions, and occupancy
-// into the given metrics (obs.NewCacheMetrics). A nil argument leaves the
-// cache uninstrumented. Must be called before the cache is shared across
-// goroutines.
-func (c *Cache) Instrument(m *obs.CacheMetrics) {
-	c.m = m
-	if m != nil {
-		m.SetSize(c.c.Len(), c.c.Cap())
-	}
-}
-
 // Classify is Classify with memoization. The classification is computed on
 // the caller's query (so atom indexes in the result match the input), but
 // the hit/miss decision uses the canonical key: a cache hit recomputes
@@ -70,17 +58,12 @@ func (c *Cache) Classify(q cq.Query) (Classification, error) {
 	e, ok := c.c.Get(key)
 	c.mu.Unlock()
 	if ok {
-		c.m.Hit()
 		return e.cls, e.err
 	}
-	c.m.Miss()
 	canon, _ := cq.Canonicalize(q)
 	cls, err := Classify(canon)
 	c.mu.Lock()
-	if c.c.Put(key, cacheEntry{cls: cls, err: err}) {
-		c.m.Evicted(1)
-	}
-	c.m.SetSize(c.c.Len(), c.c.Cap())
+	c.c.Put(key, cacheEntry{cls: cls, err: err})
 	c.mu.Unlock()
 	return cls, err
 }

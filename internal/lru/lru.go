@@ -1,10 +1,10 @@
 // Package lru implements a small, allocation-light, generics-based LRU map
-// used to bound every memoization layer in the serving stack: the
-// classification cache (internal/core), the compiled plan cache
-// (internal/plan), and the verdict cache (internal/server). Bounding these
-// caches is a robustness requirement, not just a memory optimization: an
-// adversarial stream of distinct queries must not grow server memory
-// without limit.
+// used to bound every memoization layer in the serving stack: the compiled
+// plan cache and the shard memo (internal/solver) and the verdict cache
+// (internal/server); the facade's classification cache (internal/core)
+// uses it too. Bounding these caches is a robustness requirement, not just
+// a memory optimization: an adversarial stream of distinct queries must not
+// grow server memory without limit.
 //
 // The zero Cache is not ready; call New. Cache is NOT safe for concurrent
 // use — callers wrap it in their own lock so they can combine the lookup

@@ -2,9 +2,9 @@ package obs
 
 // CacheMetrics is the registry-backed view of one memoization layer's
 // counters — the migration target for the bespoke lru.Stats plumbing. Each
-// cache (classification, compiled plans, verdicts) gets one instance,
-// labeled cache="<name>", and reports hits, misses, and evictions as they
-// happen plus occupancy as a gauge. A nil *CacheMetrics is valid and
+// cache (compiled plans, verdicts, shard memo) gets one instance, labeled
+// cache="<name>", and reports hits, misses, and evictions as they happen
+// plus occupancy as a gauge. A nil *CacheMetrics is valid and
 // inert, so cache wrappers can stay uninstrumented in tests.
 type CacheMetrics struct {
 	hits, misses, evictions *Counter

@@ -150,20 +150,20 @@ func labelKey(labels []L) string {
 // first use and panicking on a type mismatch — mixing types under one name
 // is a programming error that would silently corrupt the exposition.
 func (r *Registry) getFamily(name, typ string, edges []float64) *family {
+	// The type is read and fixed under r.mu: a family pre-registered by
+	// Help is untyped until its first metric, which concurrent first uses
+	// race to set. Once set it never changes, so later reads need no lock.
 	r.mu.RLock()
 	f, ok := r.families[name]
+	typed := ok && f.typ != ""
 	r.mu.RUnlock()
-	if !ok {
+	if !typed {
 		r.mu.Lock()
 		f, ok = r.families[name]
 		if !ok {
-			f = &family{name: name, typ: typ, edges: edges, series: make(map[string]*series)}
+			f = &family{name: name, series: make(map[string]*series)}
 			r.families[name] = f
 		}
-		r.mu.Unlock()
-	}
-	if f.typ == "" { // pre-registered by Help
-		r.mu.Lock()
 		if f.typ == "" {
 			f.typ = typ
 			f.edges = edges

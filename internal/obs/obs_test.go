@@ -45,6 +45,9 @@ func TestTypeMismatchPanics(t *testing.T) {
 // (run with -race in the obs-race CI job).
 func TestCounterConcurrency(t *testing.T) {
 	r := NewRegistry()
+	// Help pre-registers the counter's family untyped, as certd's server
+	// does, so the first concurrent uses also race to fix its type.
+	r.Help("concurrent_total", "Concurrent increments.")
 	const goroutines, perG = 16, 2000
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {

@@ -310,8 +310,9 @@ func TestRandomBIDProposition1(t *testing.T) {
 	}
 }
 
-// TestCountSatisfyingDecomposed agrees with plain enumeration and handles
-// irrelevant relations and empty components.
+// TestCountSatisfyingDecomposed: the count through the finest shard
+// decomposition agrees with plain enumeration and handles irrelevant
+// relations and empty components.
 func TestCountSatisfyingDecomposed(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), S(u | w)") // two components
 	for seed := int64(0); seed < 25; seed++ {
@@ -320,18 +321,18 @@ func TestCountSatisfyingDecomposed(t *testing.T) {
 		d.Add(db.NewFact("T", 1, "k", "1"))
 		d.Add(db.NewFact("T", 1, "k", "2"))
 		want := CountSatisfyingRepairs(q, d)
-		got := CountSatisfyingDecomposed(q, d)
+		got := CountSatisfyingSharded(q, d, 0)
 		if got.Cmp(want) != 0 {
 			t.Errorf("seed %d: decomposed=%v brute=%v", seed, got, want)
 		}
 	}
 	// A query that never holds zeroes the count.
 	empty := db.MustParse("T(k | 1), T(k | 2)")
-	if got := CountSatisfyingDecomposed(q, empty); got.Sign() != 0 {
+	if got := CountSatisfyingSharded(q, empty, 0); got.Sign() != 0 {
 		t.Errorf("no satisfying repairs expected, got %v", got)
 	}
 	// The empty query holds in every repair.
-	if got := CountSatisfyingDecomposed(cq.Query{}, empty); got.Cmp(empty.NumRepairs()) != 0 {
+	if got := CountSatisfyingSharded(cq.Query{}, empty, 0); got.Cmp(empty.NumRepairs()) != 0 {
 		t.Errorf("empty query: %v vs %v", got, empty.NumRepairs())
 	}
 }

@@ -108,43 +108,3 @@ func CertainViaProbability(q cq.Query, p *ProbDB) bool {
 func UniformProbability(q cq.Query, d *db.DB) *big.Rat {
 	return ProbabilityByWorlds(q, Uniform(d))
 }
-
-// CountSatisfyingDecomposed counts the repairs satisfying q exactly, like
-// CountSatisfyingRepairs, but factorizes the work: variable-disjoint
-// components of q are satisfied independently, and blocks of relations
-// outside q multiply the count without affecting satisfaction. The count
-// is then
-//
-//	∏_i ♯sat(q_i, db_i) × ∏ (irrelevant block sizes)
-//
-// which beats whole-database enumeration exponentially whenever q
-// decomposes. Within a component, counting still enumerates the
-// component's repairs (♯CERTAINTY is ♯P-hard in general).
-func CountSatisfyingDecomposed(q cq.Query, d *db.DB) *big.Int {
-	comps := q.ConnectedComponents()
-	total := big.NewInt(1)
-	claimed := make(map[string]bool, q.Len())
-	for _, comp := range comps {
-		atoms := make([]cq.Atom, len(comp))
-		for i, idx := range comp {
-			atoms[i] = q.Atoms[idx]
-			claimed[q.Atoms[idx].Rel] = true
-		}
-		sub := cq.Query{Atoms: atoms}
-		rels := make(map[string]bool, len(atoms))
-		for _, a := range atoms {
-			rels[a.Rel] = true
-		}
-		di := d.Restrict(func(f db.Fact) bool { return rels[f.Rel] })
-		total.Mul(total, CountSatisfyingRepairs(sub, di))
-		if total.Sign() == 0 {
-			return total
-		}
-	}
-	for _, blk := range d.Blocks() {
-		if !claimed[blk[0].Rel] {
-			total.Mul(total, big.NewInt(int64(len(blk))))
-		}
-	}
-	return total
-}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/obs"
@@ -28,12 +27,12 @@ const (
 // ndjsonContentType is the streaming batch response media type.
 const ndjsonContentType = "application/x-ndjson"
 
-// batchItem is one parsed, classified, not-yet-solved batch item.
+// batchItem is one parsed, planned, not-yet-solved batch item.
 type batchItem struct {
 	index int
 	q     cq.Query
 	d     *db.DB
-	cls   core.Classification
+	class string // the plan's class wire code
 	vkey  string // verdict-cache key; "" when caching is off
 }
 
@@ -123,19 +122,18 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			dbCache[dbText] = d
 		}
-		cls, err := s.classify.Classify(q)
+		p, err := s.plans.Get(r.Context(), q)
 		if err != nil {
 			results[i].Error = &ErrorBody{Code: CodeUnsupported, Message: err.Error()}
 			continue
 		}
-		item := batchItem{index: i, q: q, d: d, cls: cls}
+		item := batchItem{index: i, q: q, d: d, class: p.Class.Code()}
 		if s.verdicts != nil {
-			item.vkey = verdictKey(q, d)
+			item.vkey = verdictKey(p, d)
 			if v, ok := s.verdicts.get(item.vkey); ok {
-				v := v
 				results[i].Verdict = &v
 				results[i].Cached = true
-				s.countSolve(cls.Class.Code(), v)
+				s.countSolve(item.class, v)
 				continue
 			}
 		}
@@ -193,7 +191,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		if s.verdicts != nil && v.Err == nil && v.Outcome != solver.OutcomeUnknown {
 			s.verdicts.put(it.vkey, v)
 		}
-		s.countSolve(it.cls.Class.Code(), v)
+		s.countSolve(it.class, v)
 		s.reg.Counter(metricBatchItemsTotal, obs.L{K: "verdict", V: verdictKind(v)}).Inc()
 		return out
 	}

@@ -68,11 +68,40 @@ func TestVerdictCacheHit(t *testing.T) {
 	if st.Verdicts.Hits != 2 || st.Verdicts.Len != 2 {
 		t.Fatalf("verdict stats = %+v, want 2 hits over 2 entries", st.Verdicts)
 	}
-	if st.Plans.Len != 1 {
-		t.Fatalf("plan stats = %+v, want one compiled plan", st.Plans)
+	// Every request, cached or not, resolved through the one plan.
+	if st.Plans.Len != 1 || st.Plans.Misses != 1 || st.Plans.Hits != 3 {
+		t.Fatalf("plan stats = %+v, want one compiled plan with 1 miss and 3 hits", st.Plans)
 	}
-	if st.Classify.Len != 1 {
-		t.Fatalf("classify stats = %+v, want one canonical entry", st.Classify)
+}
+
+// TestPlanResolvedOncePerQuery: classify, solve and batch requests all read
+// their query's classification off one compiled plan, so renamings of a
+// classified query compile nothing more, and each request resolves the plan
+// at most once (a batch item at most twice: the handler and the batch
+// solver).
+func TestPlanResolvedOncePerQuery(t *testing.T) {
+	s := New(Config{Registry: obs.NewRegistry()})
+	rec := doJSON(t, s, nil, "POST", "/v1/classify", ClassifyRequest{Query: "R(x | y), S(y | z)"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("classify = %d: %s", rec.Code, rec.Body)
+	}
+	if st := decodeStatsz(t, s).Plans; st.Misses != 1 || st.Len != 1 {
+		t.Fatalf("after classify: plan stats %+v, want 1 miss over 1 plan", st)
+	}
+	decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve",
+		SolveRequest{Query: "S(b | c), R(a | b)", DB: "R(1 | 2) S(2 | 3)"}))
+	batch := decodeBatch(t, doJSON(t, s, nil, "POST", "/v1/solve/batch", BatchSolveRequest{
+		Items: []BatchSolveItem{{Query: "R(p | q), S(q | r)", DB: "R(1 | 2) R(1 | 4) S(2 | 3)"}},
+	}))
+	if it := batch.Results[0]; it.Error != nil || it.Verdict == nil {
+		t.Fatalf("batch item = %+v, want a verdict", it)
+	}
+	st := decodeStatsz(t, s).Plans
+	if st.Misses != 1 || st.Len != 1 {
+		t.Fatalf("after solve and batch: plan stats %+v, want still 1 miss over 1 plan", st)
+	}
+	if lookups := st.Hits + st.Misses; lookups > 4 {
+		t.Fatalf("%d plan lookups for classify + solve + one batch item, want at most 4", lookups)
 	}
 }
 

@@ -3,10 +3,9 @@ package server
 import (
 	"testing"
 
-	"github.com/cqa-go/certainty/internal/govern"
+	"github.com/cqa-go/certainty/internal/lru"
 	"github.com/cqa-go/certainty/internal/obs"
 	"github.com/cqa-go/certainty/internal/solver"
-	"github.com/cqa-go/certainty/internal/wal"
 )
 
 // TestHostedDeltaResolve drives the delta re-solve loop over HTTP: a hosted
@@ -89,34 +88,28 @@ func TestHostedDeltaResolve(t *testing.T) {
 	}
 }
 
-// TestHostedDeltaDisabled: a negative ShardMemoSize switches delta re-solve
-// off; hosted solves fall back to the monolithic path and never mark delta.
+// TestHostedDeltaDisabled: delta re-solve is a hosted-only path. A
+// stateless server builds no shard memo, reports an all-zero memo block and
+// never marks delta, even on a repeated solve of the same instance; a
+// hosted server's memo holds solver.DefaultShardMemoSize entries.
 func TestHostedDeltaDisabled(t *testing.T) {
-	st, err := wal.Open(wal.Options{
-		Dir:      t.TempDir(),
-		Fsync:    wal.FsyncNever,
-		Registry: obs.NewRegistry(),
-	})
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
-	t.Cleanup(func() { st.Close() })
-	s := New(Config{
-		Policy:        govern.Policy{DefaultBudget: 1 << 20, MaxBudget: 1 << 20},
-		Registry:      obs.NewRegistry(),
-		Store:         st,
-		ShardMemoSize: -1,
-	})
+	s := New(Config{Registry: obs.NewRegistry(), VerdictCacheSize: -1})
 	if s.shardMemo != nil {
-		t.Fatal("negative ShardMemoSize still built a memo")
+		t.Fatal("stateless server built a shard memo")
 	}
-	decodeMutate(t, doJSON(t, s, nil, "POST", "/v1/db/facts",
-		DBMutateRequest{Facts: "R(a | b) S(b | c) R(d | e) S(e | f)"}))
-	resp := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", SolveRequest{Query: "R(x | y), S(y | z)"}))
-	if resp.Delta {
-		t.Error("delta marker set with the memo disabled")
+	req := SolveRequest{Query: "R(x | y), S(y | z)", DB: "R(a | b) S(b | c) R(d | e) S(e | f)"}
+	for i := 0; i < 2; i++ {
+		if resp := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req)); resp.Delta {
+			t.Errorf("solve %d: delta marker set on a stateless server", i)
+		}
 	}
-	if got := decodeStatsz(t, s); got.ShardMemo.Cap != 0 {
-		t.Errorf("statsz shard memo = %+v, want all-zero when disabled", got.ShardMemo)
+	if got := decodeStatsz(t, s); got.ShardMemo != (lru.Stats{}) || got.ShardMemoInvalidations != 0 {
+		t.Errorf("stateless statsz shard memo = %+v (%d invalidations), want all-zero",
+			got.ShardMemo, got.ShardMemoInvalidations)
+	}
+
+	hosted, _ := newStoreServer(t, nil)
+	if got := decodeStatsz(t, hosted); got.ShardMemo.Cap != solver.DefaultShardMemoSize {
+		t.Errorf("hosted shard memo capacity = %d, want %d", got.ShardMemo.Cap, solver.DefaultShardMemoSize)
 	}
 }

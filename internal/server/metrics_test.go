@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/intern"
@@ -57,8 +56,8 @@ func TestMetricsGolden(t *testing.T) {
 		BreakerCooldown:  5 * time.Second,
 	}
 	cfg.now = clock.Now
-	cfg.solve = func(ctx context.Context, q cq.Query, d *db.DB, opts solver.Options) (solver.Verdict, error) {
-		if len(q.Atoms) == 1 { // the FO query concludes
+	cfg.solve = func(ctx context.Context, p *solver.Plan, d *db.DB, opts solver.Options) (solver.Verdict, error) {
+		if len(p.Query.Atoms) == 1 { // the FO query concludes
 			return solver.Verdict{Outcome: solver.OutcomeCertain, Result: solver.Result{Certain: true}}, nil
 		}
 		// The hard query is always cut off by its budget.
@@ -101,8 +100,8 @@ func TestMetricsGolden(t *testing.T) {
 		`cache_hits_total{cache="verdicts"}`:   "1",
 		`cache_misses_total{cache="verdicts"}`: "3", // first FO + both hard requests
 		`cache_entries{cache="verdicts"}`:      "1",
-		`cache_hits_total{cache="classify"}`:   "2",
-		`cache_misses_total{cache="classify"}`: "2",
+		`cache_hits_total{cache="plans"}`:      "2",
+		`cache_misses_total{cache="plans"}`:    "2",
 	}
 	for series, value := range want {
 		if got, ok := samples[series]; !ok {
@@ -127,7 +126,7 @@ func TestMetricsGolden(t *testing.T) {
 // TestStatszMatchesLRUStats is the migration regression test: /v1/statsz now
 // reads the obs registry, and its numbers must be identical to the
 // lru-internal counters that backed it before — occupancy, capacity, hits,
-// misses, and evictions for all three caches — over a workload that
+// misses, and evictions for both caches — over a workload that
 // exercises hits, misses, singleflight, and eviction.
 func TestStatszMatchesLRUStats(t *testing.T) {
 	s := New(Config{
@@ -148,9 +147,6 @@ func TestStatszMatchesLRUStats(t *testing.T) {
 		}
 	}
 	got := decodeStatsz(t, s)
-	if want := s.classify.Stats(); got.Classify != want {
-		t.Errorf("classify stats = %+v, lru reports %+v", got.Classify, want)
-	}
 	if want := s.plans.Stats(); got.Plans != want {
 		t.Errorf("plans stats = %+v, lru reports %+v", got.Plans, want)
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/emit"
@@ -21,7 +20,6 @@ import (
 	"github.com/cqa-go/certainty/internal/intern"
 	"github.com/cqa-go/certainty/internal/lru"
 	"github.com/cqa-go/certainty/internal/obs"
-	"github.com/cqa-go/certainty/internal/plan"
 	"github.com/cqa-go/certainty/internal/solver"
 	"github.com/cqa-go/certainty/internal/wal"
 )
@@ -59,9 +57,10 @@ type Config struct {
 	DegradeSamples int
 	SampleTimeout  time.Duration
 	// PlanCacheSize bounds the compiled-plan cache (default
-	// plan.DefaultCacheSize). Plans are keyed by the query's canonical
-	// form and compiled at most once per form, singleflighted across
-	// concurrent requests.
+	// solver.DefaultPlanCacheSize). Plans are keyed by the query's
+	// canonical form and compiled at most once per form, singleflighted
+	// across concurrent requests; every request reads its query's
+	// classification, verdict-cache key and decision method off its plan.
 	PlanCacheSize int
 	// VerdictCacheSize bounds the verdict cache, keyed by (canonical
 	// query, database content digest). Only conclusive verdicts are
@@ -69,16 +68,6 @@ type Config struct {
 	// budget and are always recomputed. Default 4096; negative disables
 	// verdict caching.
 	VerdictCacheSize int
-	// ShardMemoSize bounds the per-shard verdict memo behind delta
-	// re-solve (only active with a hosted Store: inline databases are
-	// one-shot, so shard memoization cannot pay off). Hosted solves run
-	// through the shard decomposition and memoize each shard's conclusive
-	// sub-verdict by content fingerprint; a /v1/db mutation invalidates
-	// only the entries whose fingerprints cover the touched blocks, so the
-	// next solve recomputes exactly the shards that changed. Default
-	// solver.DefaultShardMemoSize; negative disables delta re-solve
-	// (hosted solves then take the monolithic path).
-	ShardMemoSize int
 	// Logger, when non-nil, receives one line per solve and lifecycle
 	// event.
 	Logger *log.Logger
@@ -96,34 +85,35 @@ type Config struct {
 	// it enables the /v1/db mutation endpoints, and solve requests with an
 	// empty DB field run against its current snapshot instead of an empty
 	// inline database. The server does not own the store's lifecycle —
-	// certd opens it before New and closes it after Drain.
+	// certd opens it before New and closes it after Drain. Hosted solves
+	// run through the shard decomposition and memoize each shard's
+	// conclusive sub-verdict by content fingerprint (at most
+	// solver.DefaultShardMemoSize entries); a /v1/db mutation invalidates
+	// only the entries whose fingerprints cover the touched blocks, so the
+	// next solve recomputes exactly the shards that changed. Inline
+	// databases are one-shot, so their solves never memoize.
 	Store *wal.Store
 
 	// now and solve are test seams: a fake clock for the breaker automaton
-	// and a replacement solve function. Nil means real clock / real solver.
+	// and a replacement for the exact solve of a request's plan. Nil means
+	// real clock / real solver.
 	now   func() time.Time
-	solve func(context.Context, cq.Query, *db.DB, solver.Options) (solver.Verdict, error)
+	solve func(context.Context, *solver.Plan, *db.DB, solver.Options) (solver.Verdict, error)
 }
 
 // Server is the resilient CERTAINTY(q) service. Create with New, expose
 // via Handler, stop with BeginDrain then Drain.
 type Server struct {
 	cfg      Config
-	classify *core.Cache
-	plans    *plan.Cache
+	plans    *solver.PlanCache
 	verdicts *verdictCache
 	breakers *breakerSet
 	mux      *http.ServeMux
 
-	// shardMemo is the delta re-solve state (nil when disabled or
-	// stateless); defaultSolve records that cfg.solve was not overridden
-	// by a test seam, which is what licenses routing hosted solves
-	// through the memoized sharded path.
-	shardMemo    *solver.ShardMemo
-	defaultSolve bool
+	// shardMemo is the delta re-solve state (nil when stateless).
+	shardMemo *solver.ShardMemo
 
 	reg        *obs.Registry
-	classifyM  *obs.CacheMetrics
 	plansM     *obs.CacheMetrics
 	verdictsM  *obs.CacheMetrics
 	shardMemoM *obs.CacheMetrics
@@ -195,8 +185,6 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		classify: core.NewCache(),
-		plans:    plan.NewCache(cfg.PlanCacheSize),
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
 		slots:    make(chan struct{}, cfg.Workers),
 	}
@@ -219,32 +207,17 @@ func New(cfg Config) *Server {
 	s.mInternBytes = s.reg.Gauge(metricInternBytes)
 	s.mInternHits = s.reg.Gauge(metricInternHits)
 	s.mInternMisses = s.reg.Gauge(metricInternMisses)
-	s.classifyM = obs.NewCacheMetrics(s.reg, "classify")
-	s.classify.Instrument(s.classifyM)
 	s.plansM = obs.NewCacheMetrics(s.reg, "plans")
-	s.plans.Instrument(s.plansM)
+	s.plans = solver.NewPlanCache(cfg.PlanCacheSize, s.plansM)
 	if cfg.VerdictCacheSize > 0 {
 		s.verdictsM = obs.NewCacheMetrics(s.reg, "verdicts")
 		s.verdicts = newVerdictCache(cfg.VerdictCacheSize, s.verdictsM)
 	}
-	if cfg.Store != nil && cfg.ShardMemoSize >= 0 {
+	if cfg.Store != nil {
 		s.reg.Help(metricDeltaReused, "Shard sub-verdicts reused from the memo by hosted solves.")
 		s.reg.Help(metricDeltaRecomputed, "Shard sub-verdicts recomputed by hosted solves.")
 		s.shardMemoM = obs.NewCacheMetrics(s.reg, "shard_memo")
-		s.shardMemo = solver.NewShardMemo(cfg.ShardMemoSize, s.shardMemoM)
-	}
-	s.defaultSolve = s.cfg.solve == nil
-	if s.cfg.solve == nil {
-		// The default solve path goes through the compiled-plan cache:
-		// classification, method selection, and the FO program are computed
-		// once per canonical query and reused across requests.
-		s.cfg.solve = func(ctx context.Context, q cq.Query, d *db.DB, opts solver.Options) (solver.Verdict, error) {
-			p, err := s.plans.Get(ctx, q)
-			if err != nil {
-				return solver.Verdict{}, err
-			}
-			return p.SolveCtx(ctx, d, opts)
-		}
+		s.shardMemo = solver.NewShardMemo(0, s.shardMemoM)
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -293,23 +266,18 @@ func newVerdictCache(size int, m *obs.CacheMetrics) *verdictCache {
 	return vc
 }
 
-// verdictKey joins the canonical query key and a content digest of the
-// relations the query reads; NUL cannot occur in either part. Scoping the
-// digest to the query's relations (instead of the whole database) is the
-// incremental-invalidation contract: CERTAINTY(q) is determined by the
+// verdictKey joins the plan's canonical query key and a content digest of
+// the relations the query reads; NUL cannot occur in either part. Scoping
+// the digest to the query's relations (instead of the whole database) is
+// the incremental-invalidation contract: CERTAINTY(q) is determined by the
 // facts of q's relations alone, so a mutation that touches only other
 // relations leaves every cached verdict for q addressable and valid.
-func verdictKey(q cq.Query, d *db.DB) string {
-	return cq.CanonicalKey(q) + "\x00" + d.DigestOf(queryRels(q))
-}
-
-// queryRels returns the relation names the query mentions.
-func queryRels(q cq.Query) []string {
-	rels := make([]string, len(q.Atoms))
-	for i, a := range q.Atoms {
+func verdictKey(p *solver.Plan, d *db.DB) string {
+	rels := make([]string, len(p.Query.Atoms))
+	for i, a := range p.Query.Atoms {
 		rels[i] = a.Rel
 	}
-	return rels
+	return p.Key + "\x00" + d.DigestOf(rels)
 }
 
 func (vc *verdictCache) get(key string) (solver.Verdict, bool) {
@@ -492,11 +460,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cls, err := s.classify.Classify(q)
+	// The plan is the request's one per-query lookup: classification,
+	// breaker class, verdict-cache key and decision method all come off it.
+	p, err := s.plans.Get(r.Context(), q)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, CodeUnsupported, err.Error())
 		return
 	}
+	class := p.Class.Code()
 
 	opts, clamped, err := s.requestLimits(req.TimeoutMS, req.Budget, req.DegradeSamples, req.SampleSeed)
 	if err != nil {
@@ -509,11 +480,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// straight from the cache — no worker slot, no breaker interaction.
 	var vkey string
 	if s.verdicts != nil {
-		vkey = verdictKey(q, d)
+		vkey = verdictKey(p, d)
 		if v, ok := s.verdicts.get(vkey); ok {
 			resp := SolveResponse{
 				Envelope: Envelope{
-					Class:     cls.Class,
+					Class:     p.Class,
 					Method:    methodCode(v.Result.Method),
 					DBVersion: dbVersion,
 					Cached:    true,
@@ -521,8 +492,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				Verdict: v,
 				Clamped: clamped,
 			}
-			s.countSolve(cls.Class.Code(), v)
-			s.logf("solve %s: %s from verdict cache", cls.Class.Code(), v.Outcome)
+			s.countSolve(class, v)
+			s.logf("solve %s: %s from verdict cache", class, v.Outcome)
 			writeJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -552,7 +523,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// mode — in particular a half-open probe — is now guaranteed to reach
 	// br.record below, so a shed, drained, or abandoned request can never
 	// strand the breaker's single probe slot.
-	br := s.breakers.forClass(cls.Class)
+	br := s.breakers.forClass(p.Class)
 	mode := modeFull
 	if br != nil {
 		mode = br.admit()
@@ -571,24 +542,26 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var delta bool
 	switch {
 	case mode == modeShortCircuit:
-		v, err = solver.Degraded(ctx, q, d, opts)
-	case s.shardMemo != nil && dbVersion != nil && s.defaultSolve:
+		v, err = p.Degraded(ctx, d, opts)
+	case s.cfg.solve != nil:
+		v, err = s.cfg.solve(ctx, p, d, opts)
+	case s.shardMemo != nil && dbVersion != nil:
 		// Delta re-solve: hosted solves run through the shard
 		// decomposition with the per-shard verdict memo, so only the
 		// shards whose block content changed since the last solve are
 		// recomputed — the rest reuse their memoized conclusive
 		// sub-verdicts. Conclusive verdicts are identical to the
 		// monolithic path's.
-		v, delta, err = s.solveHostedDelta(ctx, q, d, opts)
+		v, delta, err = s.solveHostedDelta(ctx, p, d, opts)
 	default:
-		v, err = s.cfg.solve(ctx, q, d, opts)
+		v, err = p.SolveCtx(ctx, d, opts)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
 		if br != nil {
 			br.record(mode, false, false) // neutral: no exact-path signal
 		}
-		s.logf("solve %s: internal error after %v: %v", cls.Class.Code(), elapsed, err)
+		s.logf("solve %s: internal error after %v: %v", class, elapsed, err)
 		s.writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
@@ -611,12 +584,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.verdicts != nil && v.Err == nil && v.Outcome != solver.OutcomeUnknown {
 		s.verdicts.put(vkey, v)
 	}
-	s.countSolve(cls.Class.Code(), v)
-	s.reg.Histogram(metricSolveSeconds, nil, obs.L{K: "class", V: cls.Class.Code()}).Observe(elapsed.Seconds())
+	s.countSolve(class, v)
+	s.reg.Histogram(metricSolveSeconds, nil, obs.L{K: "class", V: class}).Observe(elapsed.Seconds())
 
 	resp := SolveResponse{
 		Envelope: Envelope{
-			Class:     cls.Class,
+			Class:     p.Class,
 			Method:    methodCode(v.Result.Method),
 			DBVersion: dbVersion,
 			Delta:     delta,
@@ -631,7 +604,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	case modeProbe:
 		resp.Breaker = BreakerProbe
 	}
-	s.logf("solve %s: %s in %v (breaker=%q)", cls.Class.Code(), v.Outcome, elapsed, resp.Breaker)
+	s.logf("solve %s: %s in %v (breaker=%q)", class, v.Outcome, elapsed, resp.Breaker)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -670,7 +643,7 @@ func (s *Server) requestLimits(timeoutMS, budget int64, degradeSamples int, samp
 	return opts, report, nil
 }
 
-// solveHostedDelta runs one hosted solve through the compiled plan and the
+// solveHostedDelta runs one hosted solve through the request's plan and the
 // per-shard verdict memo, publishes the reused/recomputed counters, and
 // reports whether any shard sub-verdict was reused (the response's "delta"
 // marker). The shard cap is 0 — the finest partition — deliberately: memo
@@ -680,11 +653,7 @@ func (s *Server) requestLimits(timeoutMS, budget int64, degradeSamples int, samp
 // of them; with one shard per co-occurrence group a mutation recomputes
 // exactly the groups it touched. Scheduling is unaffected — shards fan out
 // on the bounded worker pool either way.
-func (s *Server) solveHostedDelta(ctx context.Context, q cq.Query, d *db.DB, opts solver.Options) (solver.Verdict, bool, error) {
-	p, err := s.plans.Get(ctx, q)
-	if err != nil {
-		return solver.Verdict{}, false, err
-	}
+func (s *Server) solveHostedDelta(ctx context.Context, p *solver.Plan, d *db.DB, opts solver.Options) (solver.Verdict, bool, error) {
 	v, rep, err := p.SolveShardedMemo(ctx, d, 0, opts, s.shardMemo)
 	if rep.ShardsReused > 0 {
 		s.reg.Counter(metricDeltaReused).Add(uint64(rep.ShardsReused))
@@ -706,7 +675,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, CodeMalformed, "body: "+err.Error())
 		return
 	}
-	s.respondClassify(w, req.Query, false)
+	s.respondClassify(w, r, req.Query, false)
 }
 
 // handleClassifyGet is the read-only alias GET /v1/classify?q=<query>.
@@ -724,17 +693,19 @@ func (s *Server) handleClassifyGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, CodeMalformed, "missing query parameter q")
 		return
 	}
-	s.respondClassify(w, query, true)
+	s.respondClassify(w, r, query, true)
 }
 
-// respondClassify is the shared tail of both classify endpoints.
-func (s *Server) respondClassify(w http.ResponseWriter, query string, cacheable bool) {
+// respondClassify is the shared tail of both classify endpoints. The
+// classification is read off the query's compiled plan, so a query that is
+// later solved (or was solved before) shares the one lookup.
+func (s *Server) respondClassify(w http.ResponseWriter, r *http.Request, query string, cacheable bool) {
 	q, err := cq.ParseQuery(query)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeMalformed, "query: "+err.Error())
 		return
 	}
-	cls, err := s.classify.Classify(q)
+	p, err := s.plans.Get(r.Context(), q)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, CodeUnsupported, err.Error())
 		return
@@ -743,9 +714,9 @@ func (s *Server) respondClassify(w http.ResponseWriter, query string, cacheable 
 		w.Header().Set("Cache-Control", "public, max-age=86400")
 	}
 	writeJSON(w, http.StatusOK, ClassifyResponse{
-		Envelope: Envelope{Class: cls.Class},
-		Reason:   cls.Reason,
-		InP:      cls.Class.InP(),
+		Envelope: Envelope{Class: p.Class},
+		Reason:   p.Classification().Reason,
+		InP:      p.Class.InP(),
 	})
 }
 
@@ -753,7 +724,7 @@ func (s *Server) respondClassify(w http.ResponseWriter, query string, cacheable 
 // executable backend program (SQL or Datalog). Compilation is per-query
 // work with no database involved, so like classify it bypasses the worker
 // pool; plans come from the shared compiled-plan cache, so a query that is
-// later solved natively pays classification only once.
+// later classified or solved natively pays classification only once.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeError(w, http.StatusServiceUnavailable, CodeShutdown, "server is draining")
@@ -896,16 +867,14 @@ func (s *Server) publishInternStats(st intern.Stats) {
 	s.mInternMisses.Set(st.Misses)
 }
 
-// handleStatsz reports the serving-layer cache counters: classification,
-// compiled plans, and verdicts. Since the metrics migration the numbers are
-// read from the obs registry rather than the lru internals; the JSON shape
-// and values are unchanged. The interned data plane adds the hosted view's
-// symbol-table census.
+// handleStatsz reports the serving-layer cache counters: compiled plans,
+// verdicts and, on a hosted server, the shard memo. The numbers are read
+// from the obs registry rather than the lru internals. The interned data
+// plane adds the hosted view's symbol-table census.
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	resp := StatszResponse{
-		Classify: statsFrom(s.classifyM),
-		Plans:    statsFrom(s.plansM),
-		Intern:   s.internStats(),
+		Plans:  statsFrom(s.plansM),
+		Intern: s.internStats(),
 	}
 	if s.verdicts != nil {
 		resp.Verdicts = statsFrom(s.verdictsM)

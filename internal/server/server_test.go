@@ -100,8 +100,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // blockingSolve returns a solve hook that signals entry on entered and then
 // blocks until the gate closes (conclusive verdict) or the context is
 // cancelled (partial verdict with Steps=42), mirroring a governed solve.
-func blockingSolve(entered chan struct{}, gate chan struct{}) func(context.Context, cq.Query, *db.DB, solver.Options) (solver.Verdict, error) {
-	return func(ctx context.Context, q cq.Query, d *db.DB, opts solver.Options) (solver.Verdict, error) {
+func blockingSolve(entered chan struct{}, gate chan struct{}) func(context.Context, *solver.Plan, *db.DB, solver.Options) (solver.Verdict, error) {
+	return func(ctx context.Context, p *solver.Plan, d *db.DB, opts solver.Options) (solver.Verdict, error) {
 		entered <- struct{}{}
 		select {
 		case <-gate:
@@ -310,6 +310,38 @@ func TestBreakerResilience(t *testing.T) {
 	}
 }
 
+// TestDegradedReportsPlanClassification: a breaker-open verdict reports the
+// same classification as the exact verdict for the same request. The query
+// has two strong cycles and atom order decides which one the reason names,
+// so both verdicts must take it from the request's plan, which is compiled
+// for the query's canonical form.
+func TestDegradedReportsPlanClassification(t *testing.T) {
+	cfg := Config{BreakerThreshold: 1, VerdictCacheSize: -1}
+	cfg.now = (&fakeClock{t: time.Unix(1000, 0)}).Now
+	s := New(cfg)
+	req := SolveRequest{
+		Query:          "T1(u | v), U1(v, w | u), R0(x | y), S0(y, z | x)",
+		DB:             oddRingText(5) + "T1(a | b) T1(a | c) U1(b, d | a)",
+		Budget:         3,
+		DegradeSamples: 8,
+		SampleSeed:     1,
+	}
+	// The exact search is cut off at its budget (the sampler may then find
+	// a falsifying repair, which still counts as a cutoff for the breaker).
+	exact := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
+	if ev := exact.Verdict.Evidence; exact.Breaker != "" || ev == nil || ev.Steps == 0 {
+		t.Fatalf("first solve: breaker %q evidence %+v, want a cut-off exact search", exact.Breaker, ev)
+	}
+	open := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
+	if open.Breaker != BreakerOpen {
+		t.Fatalf("second solve: Breaker = %q, want open", open.Breaker)
+	}
+	want, got := exact.Verdict.Result.Classification, open.Verdict.Result.Classification
+	if got.Class != want.Class || got.Reason != want.Reason {
+		t.Fatalf("breaker-open classification %s (%q), exact verdict's %s (%q)", got.Class, got.Reason, want.Class, want.Reason)
+	}
+}
+
 // TestShedDoesNotLeakBreakerProbe is a regression test: a hard-class
 // request that is shed (or otherwise fails admission) after its breaker's
 // cooldown has elapsed must NOT consume the half-open probe slot. If it
@@ -330,8 +362,8 @@ func TestShedDoesNotLeakBreakerProbe(t *testing.T) {
 		BreakerCooldown:  5 * time.Second,
 	}
 	cfg.now = clock.Now
-	cfg.solve = func(ctx context.Context, q cq.Query, d *db.DB, opts solver.Options) (solver.Verdict, error) {
-		if len(q.Atoms) == 1 { // the FO filler query: block until released
+	cfg.solve = func(ctx context.Context, p *solver.Plan, d *db.DB, opts solver.Options) (solver.Verdict, error) {
+		if len(p.Query.Atoms) == 1 { // the FO filler query: block until released
 			entered <- struct{}{}
 			<-gate
 			return solver.Verdict{Outcome: solver.OutcomeCertain, Result: solver.Result{Certain: true}}, nil

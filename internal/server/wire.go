@@ -189,11 +189,12 @@ const (
 // shapes.
 type Envelope struct {
 	// Class is the wire code of the query's complexity classification
-	// (e.g. "fo", "conp-complete"); see core.Class.
+	// (e.g. "fo", "conp-complete"); see core.Class. Every endpoint reads it
+	// off the query's shared compiled plan.
 	Class core.Class `json:"class"`
 	// Method is the wire code of the decision method the class selects
 	// (e.g. "fo-rewriting", "safe-rewriting"). Empty on /v1/classify, which
-	// reports the class without committing to an execution plan.
+	// reports the class alone even though it resolves the same plan.
 	Method string `json:"method,omitempty"`
 	// DBVersion is set when the request ran against the hosted database
 	// (empty DB on a server started with -data-dir): the version of the
@@ -391,14 +392,14 @@ type HealthResponse struct {
 }
 
 // StatszResponse is the body of /v1/statsz: occupancy and hit/miss/eviction
-// counters for each serving-layer cache. Verdicts is all-zero when the
-// verdict cache is disabled (VerdictCacheSize < 0).
+// counters for each serving-layer cache. Plans counts one lookup per
+// solve, classify and compile request and per batch item. Verdicts is
+// all-zero when the verdict cache is disabled (VerdictCacheSize < 0).
 type StatszResponse struct {
-	Classify lru.Stats `json:"classify"`
 	Plans    lru.Stats `json:"plans"`
 	Verdicts lru.Stats `json:"verdicts"`
 	// ShardMemo is the per-shard verdict memo behind delta re-solve
-	// (all-zero when stateless or disabled). Its eviction counter reports
+	// (all-zero when stateless). Its eviction counter reports
 	// capacity evictions only; mutation-driven invalidations are counted
 	// separately in ShardMemoInvalidations.
 	ShardMemo lru.Stats `json:"shard_memo"`

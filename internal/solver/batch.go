@@ -35,64 +35,20 @@ func init() {
 	obs.Default.Help(metricBatchItems, "Batch items solved, by outcome (error for failed items).")
 }
 
-// PlanSource supplies compiled plans; *plan.Cache implements it. SolveBatch
-// uses it to amortize classification and rewriting compilation across
-// batches.
-type PlanSource interface {
-	Get(ctx context.Context, q cq.Query) (*Plan, error)
-}
-
-// planMemo compiles each distinct canonical query once per batch. When the
-// caller supplied a PlanSource it is consulted first (so batches share the
-// process-wide cache); otherwise compilation results — including failures —
-// are memoized locally for the duration of the batch. Each key's entry is
-// resolved under its own sync.Once, so concurrent items carrying the same
-// query wait for one compile instead of racing to run their own.
-type planMemo struct {
-	source  PlanSource
-	mu      sync.Mutex
-	entries map[string]*planEntry
-}
-
-type planEntry struct {
-	once sync.Once
-	p    *Plan
-	err  error
-}
-
-func (m *planMemo) get(ctx context.Context, q cq.Query) (*Plan, error) {
-	key := cq.CanonicalKey(q)
-	m.mu.Lock()
-	e, ok := m.entries[key]
-	if !ok {
-		e = &planEntry{}
-		m.entries[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() {
-		if m.source != nil {
-			e.p, e.err = m.source.Get(ctx, q)
-		} else {
-			e.p, e.err = CompilePlan(q)
-		}
-	})
-	return e.p, e.err
-}
-
 // SolveBatch decides a batch of instances on the bounded worker pool,
 // amortizing plan compilation across items with the same canonical query
-// (one classification and one compiled rewriting per distinct query, via
-// plans when non-nil, a batch-local memo otherwise). Every item runs
-// Plan.SolveCtx under opts, so opts.Shards shards each item; the fan-out
-// shares the process-wide worker gate with the shard layer, so the two
-// compose without multiplying goroutines. Results come back indexed in item
-// order, one per item, errors inline.
+// through plans: one classification and one compiled rewriting per
+// distinct query. Callers without a process-wide cache pass a fresh
+// NewPlanCache. Every item runs Plan.SolveCtx under opts, so opts.Shards
+// shards each item; the fan-out shares the process-wide worker gate with
+// the shard layer, so the two compose without multiplying goroutines.
+// Results come back indexed in item order, one per item, errors inline.
 //
 // A non-nil observe streams each result as its item completes, before the
 // call returns. Calls are serialized (observe needs no locking) but arrive
 // in completion order, not item order — use BatchResult.Index to reorder.
 // A cancelled ctx stops the fan-out: unstarted items report ctx's error.
-func SolveBatch(ctx context.Context, items []BatchItem, opts Options, plans PlanSource, observe func(BatchResult)) []BatchResult {
+func SolveBatch(ctx context.Context, items []BatchItem, opts Options, plans *PlanCache, observe func(BatchResult)) []BatchResult {
 	results := make([]BatchResult, len(items))
 	for i := range results {
 		results[i] = BatchResult{Index: i, Err: ctx.Err()}
@@ -100,13 +56,12 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts Options, plans Plan
 			results[i].Err = context.Canceled // overwritten when the item runs
 		}
 	}
-	memo := &planMemo{source: plans, entries: make(map[string]*planEntry)}
 	var obsMu sync.Mutex
 	_ = shard.ForEach(ctx, len(items), func(i int) {
 		ictx, sp := obs.StartSpan(ctx, "batch/item")
 		sp.SetInt("item", int64(i))
 		r := BatchResult{Index: i}
-		p, err := memo.get(ictx, items[i].Query)
+		p, err := plans.Get(ictx, items[i].Query)
 		if err == nil {
 			r.Verdict, err = p.SolveCtx(ictx, items[i].DB, opts)
 		}

@@ -1,4 +1,4 @@
-package plan
+package solver
 
 import (
 	"context"
@@ -9,11 +9,10 @@ import (
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/gen"
-	"github.com/cqa-go/certainty/internal/solver"
 )
 
 func TestSharedAcrossIsomorphicQueries(t *testing.T) {
-	c := NewCache(8)
+	c := NewPlanCache(8, nil)
 	a := cq.MustParseQuery("R(x | y), S(y | z)")
 	b := cq.MustParseQuery("S(q | r), R(p | q)") // same canonical form
 	pa, err := c.Get(context.Background(), a)
@@ -27,8 +26,8 @@ func TestSharedAcrossIsomorphicQueries(t *testing.T) {
 	if pa != pb {
 		t.Fatal("isomorphic queries must share one compiled plan")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.Stats().Len != 1 {
+		t.Fatalf("Len = %d, want 1", c.Stats().Len)
 	}
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", s)
@@ -36,10 +35,10 @@ func TestSharedAcrossIsomorphicQueries(t *testing.T) {
 }
 
 func TestConcurrentGetsCompileOnce(t *testing.T) {
-	c := NewCache(8)
+	c := NewPlanCache(8, nil)
 	q := cq.MustParseQuery("R(x | y), S(y | z), T(z | w)")
 	const n = 16
-	plans := make([]*solver.Plan, n)
+	plans := make([]*Plan, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -59,13 +58,13 @@ func TestConcurrentGetsCompileOnce(t *testing.T) {
 			t.Fatal("concurrent gets must return the single-flighted plan")
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if c.Stats().Len != 1 {
+		t.Fatalf("Len = %d, want 1", c.Stats().Len)
 	}
 }
 
 func TestErrorsCached(t *testing.T) {
-	c := NewCache(8)
+	c := NewPlanCache(8, nil)
 	selfJoin := cq.MustParseQuery("R(x | y), R(y | x)")
 	if _, err := c.Get(context.Background(), selfJoin); err == nil {
 		t.Fatal("self-join must fail to compile")
@@ -79,15 +78,15 @@ func TestErrorsCached(t *testing.T) {
 }
 
 func TestBounded(t *testing.T) {
-	c := NewCache(2)
+	c := NewPlanCache(2, nil)
 	for i := 0; i < 5; i++ {
 		q := cq.MustParseQuery(fmt.Sprintf("R%d(x | y)", i))
 		if _, err := c.Get(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want capacity 2", c.Len())
+	if c.Stats().Len != 2 {
+		t.Fatalf("Len = %d, want capacity 2", c.Stats().Len)
 	}
 	if s := c.Stats(); s.Evictions != 3 {
 		t.Fatalf("Evictions = %d, want 3", s.Evictions)
@@ -98,7 +97,7 @@ func TestBounded(t *testing.T) {
 // brute-force enumeration over the original query (decisions are invariant
 // under the canonicalization's variable renaming).
 func TestPlanSolvesCanonically(t *testing.T) {
-	c := NewCache(8)
+	c := NewPlanCache(8, nil)
 	q := cq.MustParseQuery("Emp(name | dept), Dept(dept | floor)")
 	p, err := c.Get(context.Background(), q)
 	if err != nil {
@@ -106,8 +105,8 @@ func TestPlanSolvesCanonically(t *testing.T) {
 	}
 	for seed := int64(0); seed < 5; seed++ {
 		d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 3, Domain: 3}, seed)
-		want := solver.BruteForce(q, d)
-		got, err := p.SolveCtx(context.Background(), d, solver.Options{})
+		want := BruteForce(q, d)
+		got, err := p.SolveCtx(context.Background(), d, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +116,8 @@ func TestPlanSolvesCanonically(t *testing.T) {
 	}
 	// Also across an explicit fact set with constants shared by the query.
 	d := db.MustParse("Emp(alice | sales), Emp(alice | hr), Dept(sales | 1), Dept(hr | 1)")
-	want := solver.BruteForce(q, d)
-	v, err := p.SolveCtx(context.Background(), d, solver.Options{})
+	want := BruteForce(q, d)
+	v, err := p.SolveCtx(context.Background(), d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

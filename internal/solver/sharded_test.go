@@ -175,7 +175,7 @@ func TestShardedBudgetSplit(t *testing.T) {
 // TestSolveOptionDispatch pins the routing of Options through every entry
 // point: shard caps (Shards: 1 falls back to the monolithic plan path) and
 // limits give the zero-option verdict through SolveCtx and Plan.SolveCtx
-// alike, and SolveBatch goes through its plan source.
+// alike, and SolveBatch goes through its plan cache.
 func TestSolveOptionDispatch(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
@@ -211,9 +211,9 @@ func TestSolveOptionDispatch(t *testing.T) {
 			t.Errorf("Plan.SolveCtx %+v: verdict differs from the zero-option SolveCtx", opts)
 		}
 	}
-	src := &countingPlans{}
+	plans := NewPlanCache(0, nil)
 	for _, opts := range []Options{{}, {Shards: 2}} {
-		r := SolveBatch(ctx, []BatchItem{{Query: q, DB: d}}, opts, src, nil)
+		r := SolveBatch(ctx, []BatchItem{{Query: q, DB: d}}, opts, plans, nil)
 		if r[0].Err != nil {
 			t.Fatalf("SolveBatch %+v: %v", opts, r[0].Err)
 		}
@@ -221,21 +221,9 @@ func TestSolveOptionDispatch(t *testing.T) {
 			t.Errorf("SolveBatch %+v: verdict differs from the zero-option SolveCtx", opts)
 		}
 	}
-	if src.calls == 0 {
-		t.Error("SolveBatch's plan source was never consulted")
+	if st := plans.Stats(); st.Len != 1 || st.Hits+st.Misses != 2 {
+		t.Errorf("plan cache stats %+v, want one plan over two lookups", st)
 	}
-}
-
-type countingPlans struct {
-	mu    sync.Mutex
-	calls int
-}
-
-func (c *countingPlans) Get(ctx context.Context, q cq.Query) (*Plan, error) {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	return CompilePlan(q)
 }
 
 // TestSolveBatch: batch results match individual solves item-for-item, the
@@ -253,8 +241,8 @@ func TestSolveBatch(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	src := &countingPlans{}
-	results := SolveBatch(ctx, items, Options{}, src, func(r BatchResult) {
+	plans := NewPlanCache(0, nil)
+	results := SolveBatch(ctx, items, Options{}, plans, func(r BatchResult) {
 		mu.Lock()
 		seen[r.Index]++
 		mu.Unlock()
@@ -280,13 +268,14 @@ func TestSolveBatch(t *testing.T) {
 			t.Errorf("observer saw item %d %d times, want 1", i, seen[i])
 		}
 	}
-	// Two distinct canonical queries → two source lookups, not four: the
-	// batch memo deduplicates repeats before hitting the source.
-	if src.calls != 2 {
-		t.Errorf("plan source consulted %d times, want 2 (one per distinct query)", src.calls)
+	// Two distinct canonical queries → two compiled plans over four
+	// lookups. A lookup that waits on a concurrent compilation counts as a
+	// miss, so hits and misses are checked only in sum.
+	if st := plans.Stats(); st.Len != 2 || st.Hits+st.Misses != 4 {
+		t.Errorf("plan cache stats %+v, want 2 plans over 4 lookups", st)
 	}
 	// Sharded batches agree too.
-	shardedResults := SolveBatch(ctx, items, Options{Shards: 2}, nil, nil)
+	shardedResults := SolveBatch(ctx, items, Options{Shards: 2}, NewPlanCache(0, nil), nil)
 	for i := range items {
 		if shardedResults[i].Err != nil {
 			t.Fatalf("sharded item %d: %v", i, shardedResults[i].Err)
@@ -301,7 +290,7 @@ func TestSolveBatchCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
-	results := SolveBatch(ctx, []BatchItem{{Query: q, DB: db.MustParse(`R(a | b) S(b | c)`)}}, Options{}, nil, nil)
+	results := SolveBatch(ctx, []BatchItem{{Query: q, DB: db.MustParse(`R(a | b) S(b | c)`)}}, Options{}, NewPlanCache(0, nil), nil)
 	if results[0].Err == nil {
 		t.Fatal("cancelled batch reported success")
 	}
@@ -341,7 +330,7 @@ func TestWorkerBudgetShared(t *testing.T) {
 	}()
 
 	// Nested fan-out: batch items × shard joins.
-	results := SolveBatch(context.Background(), items, Options{Shards: 4}, nil, nil)
+	results := SolveBatch(context.Background(), items, Options{Shards: 4}, NewPlanCache(0, nil), nil)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/govern"
@@ -332,27 +331,24 @@ func sampleInto(ctx context.Context, v *Verdict, q cq.Query, d *db.DB, opts Opti
 // short-circuits hard queries straight to the Monte-Carlo degraded path.
 var ErrExactSkipped = errors.New("solver: exact search skipped (degraded mode)")
 
-// Degraded answers a CERTAINTY(q) request with the bounded Monte-Carlo
-// degradation pass only, skipping the exact decision procedure entirely.
-// It is the fast fallback a resilient server uses when repeated cutoffs
-// show the exact coNP-path search cannot finish within policy: the verdict
-// is OutcomeUnknown with Err = ErrExactSkipped and a sampled
-// repair-satisfaction estimate — unless a sampled repair falsifies q, which
-// is a conclusive OutcomeNotCertain witness. The classification is still
-// exact (it is polynomial in the query alone).
-func Degraded(ctx context.Context, q cq.Query, d *db.DB, opts Options) (Verdict, error) {
-	cls, err := core.Classify(q)
-	if err != nil {
-		return Verdict{}, err
-	}
+// Degraded answers a CERTAINTY(q) request for the plan's query with the
+// bounded Monte-Carlo degradation pass only, skipping the exact decision
+// procedure entirely. It is the fast fallback a resilient server uses when
+// repeated cutoffs show the exact coNP-path search cannot finish within
+// policy: the verdict is OutcomeUnknown with Err = ErrExactSkipped and a
+// sampled repair-satisfaction estimate — unless a sampled repair falsifies
+// q, which is a conclusive OutcomeNotCertain witness. The classification
+// is the plan's, so a degraded verdict reports exactly what an exact solve
+// of the same plan reports.
+func (p *Plan) Degraded(ctx context.Context, d *db.DB, opts Options) (Verdict, error) {
 	v := Verdict{
 		Outcome:  OutcomeUnknown,
-		Result:   Result{Classification: cls, SimplifiedClass: cls.Class, Method: MethodFalsifying},
+		Result:   Result{Classification: p.cls, SimplifiedClass: p.Class, Method: MethodFalsifying},
 		Err:      ErrExactSkipped,
 		Evidence: &Evidence{},
 	}
-	err = govern.Safe(func() error {
-		sampleInto(ctx, &v, q, d, opts)
+	err := govern.Safe(func() error {
+		sampleInto(ctx, &v, p.Query, d, opts)
 		return nil
 	})
 	if err != nil {

@@ -165,7 +165,11 @@ func TestVerdictJSONErrorCodes(t *testing.T) {
 // TestDegradedSolve exercises the breaker short-circuit path: no exact
 // search, classification still exact, sampling evidence present.
 func TestDegradedSolve(t *testing.T) {
-	v, err := Degraded(context.Background(), cq.Q0(), oddRingDB(5), Options{DegradeSamples: 100, SampleSeed: 1})
+	p, err := CompilePlan(cq.Q0())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := p.Degraded(context.Background(), oddRingDB(5), Options{DegradeSamples: 100, SampleSeed: 1})
 	if err != nil {
 		t.Fatalf("Degraded: %v", err)
 	}
@@ -183,7 +187,7 @@ func TestDegradedSolve(t *testing.T) {
 	}
 	// On an instance with abundant falsifying repairs the sampler finds a
 	// conclusive witness even without the exact search.
-	v2, err := Degraded(context.Background(), cq.Q0(), db.MustParse("R0(a | b), R0(a | c)"), Options{DegradeSamples: 50, SampleSeed: 3})
+	v2, err := p.Degraded(context.Background(), db.MustParse("R0(a | b), R0(a | c)"), Options{DegradeSamples: 50, SampleSeed: 3})
 	if err != nil {
 		t.Fatalf("Degraded: %v", err)
 	}
