@@ -221,3 +221,59 @@ func TestCkAllocRegression(t *testing.T) {
 		t.Fatalf("CertainCk allocates %.0f/op, above the %d ceiling", allocs, ceiling)
 	}
 }
+
+// TestDeltaResolveAllocRegression pins delta re-solve on the hosted
+// benchmark's instance: 1,000 width-2 C(3) components plus 200 facts of an
+// unrelated relation. After one R1 fact is toggled in place, Plan.Resolve
+// syncs the memo's kept partition, so it re-links, fingerprints and builds
+// only the component the toggle touched, and solves only that shard.
+// Decomposing the whole database on every re-solve made about 238k
+// allocations per step.
+func TestDeltaResolveAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	q := cq.Ck(3)
+	d := gen.CycleDB(gen.CycleConfig{K: 3, Components: 1000, Width: 2, SkipSk: true})
+	for _, f := range gen.RandomDB(cq.MustParseQuery("U(x | y)"), gen.Config{Noise: 200, Domain: 150}, 1).Facts() {
+		if err := d.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := solver.CompilePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := solver.NewShardMemo(0, nil)
+	if _, _, err := p.SolveShardedMemo(ctx, d, 0, solver.Options{}, memo); err != nil {
+		t.Fatal(err)
+	}
+	toggle := db.Fact{Rel: "R1", KeyLen: 1, Args: []string{"v0_0_0", "toggle"}}
+	present := false
+	allocs := testing.AllocsPerRun(20, func() {
+		var dl solver.Delta
+		if present {
+			d.Remove(toggle)
+			dl.Del = []db.Fact{toggle}
+		} else {
+			if err := d.Add(toggle); err != nil {
+				t.Fatal(err)
+			}
+			dl.Ins = []db.Fact{toggle}
+		}
+		present = !present
+		_, rep, err := p.Resolve(ctx, d, dl, memo, 0, solver.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ShardsReused != 999 || rep.ShardsRecomputed != 1 {
+			t.Fatalf("report %+v, want 999 reused and 1 recomputed", rep)
+		}
+	})
+	t.Logf("allocs/step: %.0f", allocs)
+	const ceiling = 5000
+	if allocs > ceiling {
+		t.Fatalf("delta re-solve allocates %.0f per step, above the %d ceiling", allocs, ceiling)
+	}
+}

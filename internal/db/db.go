@@ -270,23 +270,31 @@ func (d *DB) Restrict(keep func(Fact) bool) *DB {
 	return c
 }
 
-// PartitionFacts splits the database into n sub-databases in one validated
-// pass: fact i goes to part label(i, f), and labels outside [0, n) drop the
-// fact. Each part preserves the original insertion order, so partitions are
-// deterministic for a given database and label function. The shard layer
-// uses this to materialize all of a decomposition's sub-instances in O(facts)
-// instead of one Restrict scan per shard.
-func (d *DB) PartitionFacts(n int, label func(i int, f Fact) int) []*DB {
-	parts := make([]*DB, n)
-	for i := range parts {
-		parts[i] = New()
+// BlockFacts returns the facts of block bid (a Fact.BlockID) of relation
+// rel in insertion order, or nil when the block is absent. The slice is the
+// database's own: callers must not modify it, and must not hold it across a
+// mutation of d.
+func (d *DB) BlockFacts(rel, bid string) []Fact {
+	r, ok := d.rels[rel]
+	if !ok {
+		return nil
 	}
-	for i, f := range d.facts {
-		if g := label(i, f); g >= 0 && g < n {
-			parts[g].addValidated(f)
+	return r.blocks[bid]
+}
+
+// WithBlocks returns the sub-database made of whole blocks of d: block
+// bids[i] of relation rels[i], inserted block by block in the order given.
+// The facts were validated on insertion into d, so the copy skips
+// re-validation; absent blocks contribute nothing. The shard layer builds
+// each sub-instance of a decomposition this way, only when it is solved.
+func (d *DB) WithBlocks(rels, bids []string) *DB {
+	c := New()
+	for i, bid := range bids {
+		for _, f := range d.BlockFacts(rels[i], bid) {
+			c.addValidated(f)
 		}
 	}
-	return parts
+	return c
 }
 
 // WithoutBlock returns the database with the entire block of f removed

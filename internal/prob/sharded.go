@@ -19,12 +19,13 @@ type shardCounts struct {
 // countShards enumerates every shard of dec in parallel on the worker pool
 // and returns the per-component tallies. Enumeration within a shard is the
 // exponential ♯CERTAINTY ground truth; the decomposition is what shrinks
-// each exponent from "all blocks" to "blocks of one shard".
+// each exponent from "all blocks" to "blocks of one shard". Each shard's
+// database is built when its enumeration starts.
 func countShards(dec *shard.Decomposition) [][]shardCounts {
 	type flatShard struct{ comp, idx int }
 	var flat []flatShard
 	counts := make([][]shardCounts, len(dec.Components))
-	for j, shards := range dec.Shards {
+	for j, shards := range dec.Blocks {
 		counts[j] = make([]shardCounts, len(shards))
 		for i := range shards {
 			flat = append(flat, flatShard{comp: j, idx: i})
@@ -32,7 +33,7 @@ func countShards(dec *shard.Decomposition) [][]shardCounts {
 	}
 	_ = shard.ForEach(context.Background(), len(flat), func(k int) {
 		fs := flat[k]
-		di := dec.Shards[fs.comp][fs.idx]
+		di := dec.Shard(fs.comp, fs.idx)
 		counts[fs.comp][fs.idx] = shardCounts{
 			repairs:    di.NumRepairs(),
 			satisfying: CountSatisfyingRepairs(dec.Components[fs.comp], di),

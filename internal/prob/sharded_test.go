@@ -1,6 +1,7 @@
 package prob
 
 import (
+	"math/big"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -95,5 +96,41 @@ func TestShardedCountShuffleProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardedCountSharedRelation: query components that share a relation
+// read the same facts, so the decomposition merges them into one
+// self-joining component. Mapping each relation to a single component
+// would leave the other component without facts, and the combine would
+// read that as "no repair satisfies it".
+func TestShardedCountSharedRelation(t *testing.T) {
+	d := db.MustParse(`R(a | b) R(a | c) R(c | d) S(b | e) S(b | f)`)
+	cases := []struct {
+		q     string
+		count int64
+		pr    *big.Rat
+	}{
+		{"R(x | y), R(u | v)", 4, big.NewRat(1, 1)},
+		{"R(x | y), S(y | z), R(u | v)", 2, big.NewRat(1, 2)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.q, func(t *testing.T) {
+			q := cq.MustParseQuery(tc.q)
+			if got := CountSatisfyingRepairs(q, d); got.Cmp(big.NewInt(tc.count)) != 0 {
+				t.Fatalf("CountSatisfyingRepairs = %s, want %d", got, tc.count)
+			}
+			if got := UniformProbability(q, d); got.Cmp(tc.pr) != 0 {
+				t.Fatalf("UniformProbability = %s, want %s", got.RatString(), tc.pr.RatString())
+			}
+			for _, n := range []int{0, 1, 2, 1 << 10} {
+				if got := CountSatisfyingSharded(q, d, n); got.Cmp(big.NewInt(tc.count)) != 0 {
+					t.Errorf("maxShards=%d: CountSatisfyingSharded = %s, want %d", n, got, tc.count)
+				}
+				if got := UniformProbabilitySharded(q, d, n); got.Cmp(tc.pr) != 0 {
+					t.Errorf("maxShards=%d: UniformProbabilitySharded = %s, want %s", n, got.RatString(), tc.pr.RatString())
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,8 @@
 package shard
 
 import (
-	"github.com/cqa-go/certainty/internal/cq"
+	"sort"
+
 	"github.com/cqa-go/certainty/internal/db"
 )
 
@@ -21,10 +22,11 @@ import (
 // never a correctness requirement.
 
 // ShardFingerprint returns the content address of shard idx of component
-// comp, computed against the parent database the decomposition was built
-// from. The parent's per-block digests are maintained incrementally by the
-// copy-on-write index, so after a mutation only the touched block is
-// re-hashed; fingerprinting the other shards reads memoized digests.
+// comp; d must be the database the decomposition was taken from. A shard
+// that is one co-occurrence component carries its fingerprint across the
+// versions a Partition is synced to, so it is hashed once, when first
+// asked for; a shard packed from several components is hashed from its
+// blocks' digests in d on every call.
 //
 // Fingerprints of shards with different block content always differ: the
 // block IDs pin the key set and the digests pin each block's facts, and
@@ -32,36 +34,48 @@ import (
 // canonical component key scopes the address to the query, so one memo can
 // safely serve every query shape.
 func (dec *Decomposition) ShardFingerprint(d *db.DB, comp, idx int) string {
-	bids := dec.Blocks[comp][idx]
-	parts := make([]string, 0, 1+2*len(bids))
-	parts = append(parts, dec.componentKey(comp))
-	for _, bid := range bids {
-		parts = append(parts, bid, d.BlockDigests(dec.blockRel[bid])[bid])
+	g := dec.groups[comp][idx]
+	if len(g) == 1 {
+		return g[0].fingerprint(dec.compKeys[comp], d)
 	}
-	return db.HashParts(parts)
+	var rels, bids []string
+	for _, c := range g {
+		rels = append(rels, c.rels...)
+		bids = append(bids, c.blocks...)
+	}
+	sort.Sort(blockPairs{rels: rels, bids: bids})
+	return fingerprint(dec.compKeys[comp], d, rels, bids)
 }
 
 // ComponentFingerprints returns the fingerprints of every shard of
 // component comp, in shard order — the batch the solver's memo pre-pass
 // looks up before fanning out.
 func (dec *Decomposition) ComponentFingerprints(d *db.DB, comp int) []string {
-	fps := make([]string, len(dec.Shards[comp]))
+	fps := make([]string, len(dec.Blocks[comp]))
 	for i := range fps {
 		fps[i] = dec.ShardFingerprint(d, comp, i)
 	}
 	return fps
 }
 
-// componentKey memoizes the canonical key of component comp; queries equal
-// up to variable renaming and atom reordering share fingerprints.
-func (dec *Decomposition) componentKey(comp int) string {
-	dec.fpMu.Lock()
-	defer dec.fpMu.Unlock()
-	if dec.compKeys == nil {
-		dec.compKeys = make([]string, len(dec.Components))
+// fingerprint hashes the component key with the (block ID, digest in d)
+// pairs of the sorted block list bids, where rels[i] is the relation of
+// bids[i].
+func fingerprint(key string, d *db.DB, rels, bids []string) string {
+	parts := make([]string, 0, 1+2*len(bids))
+	parts = append(parts, key)
+	for i, bid := range bids {
+		parts = append(parts, bid, d.BlockDigests(rels[i])[bid])
 	}
-	if dec.compKeys[comp] == "" {
-		dec.compKeys[comp] = cq.CanonicalKey(dec.Components[comp])
-	}
-	return dec.compKeys[comp]
+	return db.HashParts(parts)
+}
+
+// blockPairs sorts parallel (relation, block ID) slices by block ID.
+type blockPairs struct{ rels, bids []string }
+
+func (p blockPairs) Len() int           { return len(p.bids) }
+func (p blockPairs) Less(i, j int) bool { return p.bids[i] < p.bids[j] }
+func (p blockPairs) Swap(i, j int) {
+	p.bids[i], p.bids[j] = p.bids[j], p.bids[i]
+	p.rels[i], p.rels[j] = p.rels[j], p.rels[i]
 }

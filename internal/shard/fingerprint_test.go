@@ -59,7 +59,7 @@ func fingerprintsByBlockset(t testing.TB, q cq.Query, d *db.DB) map[string]strin
 	out := make(map[string]string)
 	seen := make(map[string]string) // fingerprint → blockset
 	for j := range dec.Components {
-		for i := range dec.Shards[j] {
+		for i := range dec.Blocks[j] {
 			key := fmt.Sprintf("c%d|%s", j, strings.Join(dec.Blocks[j][i], ","))
 			fp := dec.ShardFingerprint(d, j, i)
 			if prev, dup := seen[fp]; dup && prev != key {
@@ -173,8 +173,8 @@ func TestComponentFingerprintsMatchShardFingerprint(t *testing.T) {
 	dec := Decompose(q, d, 0)
 	for j := range dec.Components {
 		fps := dec.ComponentFingerprints(d, j)
-		if len(fps) != len(dec.Shards[j]) {
-			t.Fatalf("component %d: %d fingerprints for %d shards", j, len(fps), len(dec.Shards[j]))
+		if len(fps) != len(dec.Blocks[j]) {
+			t.Fatalf("component %d: %d fingerprints for %d shards", j, len(fps), len(dec.Blocks[j]))
 		}
 		for i, fp := range fps {
 			if got := dec.ShardFingerprint(d, j, i); got != fp {

@@ -2,21 +2,23 @@
 // sub-instances that can be solved in parallel and recombined exactly.
 //
 // The partition works at two levels. First the query splits into its
-// variable-disjoint connected components q = q₁ ∧ … ∧ q_m; a repair
-// satisfies q iff it satisfies every qⱼ, and satisfaction of qⱼ depends only
-// on the facts of qⱼ's relations, so
+// variable-disjoint connected components, and components that share a
+// relation are merged, so that q = q₁ ∧ … ∧ q_m with the qⱼ reading
+// pairwise disjoint relations. A repair of d is then an independent choice
+// of repairs of the dⱼ (the facts of qⱼ's relations); it satisfies q iff it
+// satisfies every qⱼ, and satisfaction of qⱼ depends only on dⱼ, so
 //
 //	certain(q, db) = ∧ⱼ certain(qⱼ, dbⱼ).
 //
-// Second, for one connected qⱼ, the facts of its relations split by the
-// connected components of the fact co-occurrence graph: facts in the same
-// block are linked (a repair picks exactly one of them), and facts sharing a
-// constant at positions of the same query variable are linked (they could be
-// assigned by one embedding). Every embedding of the connected qⱼ maps atoms
-// that share variables to facts that agree on those variables' values, so
-// the embedding's image is connected in the graph and lies inside a single
-// component D₁ … D_k. A repair of dbⱼ is an independent choice of repairs of
-// the components, and it satisfies qⱼ iff some component's part does, so
+// Second, for one qⱼ, the blocks of its relations split by the connected
+// components of the block co-occurrence graph: two blocks are linked when
+// they hold facts sharing a constant at positions of the same query
+// variable (they could be assigned by one embedding). Every embedding of the
+// connected qⱼ maps atoms that share variables to facts that agree on those
+// variables' values, so the embedding's image lies inside a single
+// component D₁ … D_k, and each component is a union of whole blocks. A
+// repair of dbⱼ is an independent choice of repairs of the components, and
+// it satisfies qⱼ iff some component's part does, so
 //
 //	certain(qⱼ, dbⱼ) = ∨ᵢ certain(qⱼ, Dᵢ),
 //	♯sat(qⱼ, dbⱼ)    = ∏ᵢ Nᵢ − ∏ᵢ (Nᵢ − sᵢ)      (Nᵢ repairs, sᵢ satisfying),
@@ -26,9 +28,15 @@
 // positions does not mean an embedding actually uses both facts — so the
 // partition may be coarser than optimal, but coarser is always sound: the
 // invariant that no embedding crosses a shard boundary is preserved by any
-// merging of components. Blocks of relations outside q multiply the repair
-// count and cancel out of certainty and probability.
+// merging of components. A qⱼ with a self-join is never data-sharded (two
+// facts of one relation can co-occur in an embedding without sharing any
+// value), so all of its blocks form one component. Blocks of relations
+// outside q multiply the repair count and cancel out of certainty and
+// probability.
 //
+// The block partition is a Partition, which Sync keeps up to date across
+// versions of a database by diffing content digests, so a re-solve after a
+// small write re-links only the components the write touched (partition.go).
 // The package computes only the decomposition; the solver layer runs the
 // per-shard decisions (internal/solver), and the counting layer applies the
 // product/convolution algebra (internal/prob). Both fan out on the bounded
@@ -39,7 +47,6 @@ package shard
 
 import (
 	"sort"
-	"sync"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
@@ -60,15 +67,15 @@ func init() {
 }
 
 // Decomposition is the exact split of one (query, database) instance:
-// Components[j] is the j-th variable-disjoint query component and Shards[j]
-// its independent data shards, each a union of whole blocks and closed under
-// the fact co-occurrence graph. IrrelevantBlocks are the sizes of the blocks
-// whose relation does not occur in the query; they multiply repair counts
-// and are irrelevant to certainty.
+// Components[j] is the j-th query component and Blocks[j] the block lists
+// of its independent data shards, each a union of whole blocks and closed
+// under the block co-occurrence graph. IrrelevantBlocks are the sizes of the
+// blocks whose relation does not occur in the query; they multiply repair
+// counts and are irrelevant to certainty. A shard's database is built only
+// when Shard asks for it.
 type Decomposition struct {
 	Query            cq.Query
 	Components       []cq.Query
-	Shards           [][]*db.DB
 	IrrelevantBlocks []int
 
 	// Blocks[j][i] is the sorted list of block IDs (Fact.BlockID) making up
@@ -77,21 +84,15 @@ type Decomposition struct {
 	// ShardFingerprint hashes.
 	Blocks [][][]string
 
-	// blockRel maps each relevant block ID to its relation name, so
-	// fingerprinting can look the block's digest up in the parent database
-	// without parsing the ID.
-	blockRel map[string]string
-
-	// compKeys memoizes the canonical key of each query component, filled
-	// lazily under fpMu by ShardFingerprint.
-	fpMu     sync.Mutex
-	compKeys []string
+	d        *db.DB           // the database the decomposition was taken from
+	compKeys []string         // canonical key of each query component
+	groups   [][][]*component // groups[j][i]: the components packed into shard i of component j
 }
 
 // NumShards is the total number of data shards across all query components.
 func (dec *Decomposition) NumShards() int {
 	n := 0
-	for _, s := range dec.Shards {
+	for _, s := range dec.Blocks {
 		n += len(s)
 	}
 	return n
@@ -101,7 +102,7 @@ func (dec *Decomposition) NumShards() int {
 // component — the width of the disjunction the solver joins.
 func (dec *Decomposition) MaxComponentShards() int {
 	m := 0
-	for _, s := range dec.Shards {
+	for _, s := range dec.Blocks {
 		if len(s) > m {
 			m = len(s)
 		}
@@ -109,231 +110,114 @@ func (dec *Decomposition) MaxComponentShards() int {
 	return m
 }
 
-// varOcc is one occurrence of a multi-occurrence variable: relation rel,
-// argument position pos.
-type varOcc struct {
-	v   string
-	pos int
+// Shard builds the database of shard i of query component j: the whole
+// blocks of the parent database that make it up. Every call builds a new
+// database, so callers build a shard when they solve or count it, and a
+// shard whose verdict is memoized is never built.
+func (dec *Decomposition) Shard(j, i int) *db.DB {
+	g := dec.groups[j][i]
+	if len(g) == 1 {
+		return dec.d.WithBlocks(g[0].rels, g[0].blocks)
+	}
+	var rels, bids []string
+	for _, c := range g {
+		rels = append(rels, c.rels...)
+		bids = append(bids, c.blocks...)
+	}
+	return dec.d.WithBlocks(rels, bids)
 }
 
-// Decompose partitions (q, d) as described in the package comment.
-// maxShards, when positive, caps the number of data shards per query
-// component: co-occurrence components are then packed into at most maxShards
-// groups, largest-first onto the least-loaded group, which balances shard
-// sizes for the worker pool. maxShards ≤ 0 keeps one shard per component
-// (maximum parallelism). Query components containing a self-join are never
-// data-sharded (two facts of one relation can co-occur in an embedding
-// without sharing any value, so the co-occurrence graph argument needs
-// self-join-freedom); they come back as a single shard.
+// Decompose partitions (q, d) as described in the package comment: a fresh
+// Partition synced once to d. maxShards, when positive, caps the number of
+// data shards per query component: co-occurrence components are then
+// packed into at most maxShards groups, largest-first onto the
+// least-loaded group, which balances shard sizes for the worker pool.
+// maxShards ≤ 0 keeps one shard per component (maximum parallelism).
+// Query components containing a self-join come back as a single shard.
 func Decompose(q cq.Query, d *db.DB, maxShards int) *Decomposition {
-	decomposeTotal.Inc()
-	dec := &Decomposition{Query: q}
+	pt := NewPartition(q)
+	dec, _ := pt.Sync(d, maxShards)
+	sizes := make(map[string]int)
+	for _, f := range d.Facts() {
+		if _, relevant := pt.rels[f.Rel]; !relevant {
+			sizes[f.BlockID()]++
+		}
+	}
+	for _, n := range sizes {
+		dec.IrrelevantBlocks = append(dec.IrrelevantBlocks, n)
+	}
+	sort.Ints(dec.IrrelevantBlocks)
+	return dec
+}
 
-	// Query components, and each relation's component. A variable occurs in
-	// exactly one component, so the per-variable buckets below can never link
-	// facts across components; relations are unique per component for
-	// self-join-free queries, and self-joining components opt out of data
-	// sharding anyway.
+// queryComponents splits q into its connected components and merges the
+// components that share a relation, returning each group's atom indexes in
+// query order and the groups in order of their first atom. A merged group
+// holds a self-join, so it is never data-sharded.
+func queryComponents(q cq.Query) [][]int {
 	comps := q.ConnectedComponents()
-	relComp := make(map[string]int)
-	selfJoin := make([]bool, len(comps))
-	for j, comp := range comps {
-		atoms := make([]cq.Atom, len(comp))
-		for i, idx := range comp {
-			atoms[i] = q.Atoms[idx]
-		}
-		sub := cq.Query{Atoms: atoms}
-		dec.Components = append(dec.Components, sub)
-		selfJoin[j] = sub.HasSelfJoin()
-		for _, a := range atoms {
-			relComp[a.Rel] = j
-		}
-	}
-
-	// Occurrence lists of multi-occurrence variables, grouped by relation: a
-	// variable occurring once cannot link two facts. Occurrences in q's order
-	// keep the bucket construction deterministic.
-	occCount := make(map[string]int)
-	for _, a := range q.Atoms {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				occCount[t.Value]++
-			}
-		}
-	}
-	relOccs := make(map[string][]varOcc)
-	for _, a := range q.Atoms {
-		for pos, t := range a.Args {
-			if t.IsVar() && occCount[t.Value] > 1 {
-				relOccs[a.Rel] = append(relOccs[a.Rel], varOcc{v: t.Value, pos: pos})
-			}
-		}
-	}
-
-	// One union-find pass over the whole database. Facts of irrelevant
-	// relations contribute their block sizes and drop out; relevant facts are
-	// linked within their block and through the (variable, value) buckets.
-	facts := d.Facts()
-	parent := make([]int, len(facts))
+	parent := make([]int, len(comps))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(i int) int {
+	find := func(i int) int {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	irrelevantBlocks := make(map[string]int)
-	blockFirst := make(map[string]int)
-	blockRel := make(map[string]string)
-	bucketFirst := make(map[string]int)
-	factComp := make([]int, len(facts)) // query component of each fact; -1 irrelevant
-	for i, f := range facts {
-		j, ok := relComp[f.Rel]
-		if !ok {
-			factComp[i] = -1
-			irrelevantBlocks[f.BlockID()]++
-			continue
-		}
-		factComp[i] = j
-		bid := f.BlockID()
-		if first, seen := blockFirst[bid]; seen {
-			union(i, first)
-		} else {
-			blockFirst[bid] = i
-			blockRel[bid] = f.Rel
-		}
-		for _, oc := range relOccs[f.Rel] {
-			if oc.pos >= len(f.Args) {
-				continue // arity mismatch with the query; the fact matches no atom
-			}
-			key := oc.v + "\x00" + f.Args[oc.pos]
-			if first, seen := bucketFirst[key]; seen {
-				union(i, first)
+	owner := make(map[string]int)
+	for j, comp := range comps {
+		for _, idx := range comp {
+			rel := q.Atoms[idx].Rel
+			if o, ok := owner[rel]; ok {
+				parent[find(j)] = find(o)
 			} else {
-				bucketFirst[key] = i
+				owner[rel] = j
 			}
 		}
 	}
-
-	// Collect co-occurrence components per query component, ordered by first
-	// fact index so the decomposition is deterministic for a given database.
-	rootIdx := make(map[int]int) // union-find root -> index into cocomps
-	var cocomps []cocomp
-	cocompOf := make([]int, len(facts))
-	perComp := make([][]int, len(comps)) // query comp -> its cocomp indexes in first-fact order
-	for i := range facts {
-		if factComp[i] < 0 {
-			cocompOf[i] = -1
-			continue
+	// ConnectedComponents lists components by first atom, so appending in
+	// that order keeps the groups ordered by first atom too.
+	var out [][]int
+	slot := make(map[int]int)
+	for j, comp := range comps {
+		r := find(j)
+		k, ok := slot[r]
+		if !ok {
+			k = len(out)
+			slot[r] = k
+			out = append(out, nil)
 		}
-		r := find(i)
-		ci, seen := rootIdx[r]
-		if !seen {
-			ci = len(cocomps)
-			rootIdx[r] = ci
-			cocomps = append(cocomps, cocomp{first: i})
-			perComp[factComp[i]] = append(perComp[factComp[i]], ci)
-		}
-		cocomps[ci].size++
-		cocompOf[i] = ci
+		out[k] = append(out[k], comp...)
 	}
-
-	// Pack each query component's co-occurrence components into shard groups
-	// and assign every group a global index, then materialize all groups in
-	// one validated pass over the facts.
-	groupOf := make([]int, len(cocomps))
-	totalGroups := 0
-	groupsPer := make([]int, len(comps))
-	for j, cis := range perComp {
-		want := len(cis)
-		if selfJoin[j] || (maxShards > 0 && want > maxShards) {
-			want = maxShards
-			if selfJoin[j] {
-				want = 1
-			}
-		}
-		if want < 1 && len(cis) > 0 {
-			want = len(cis)
-		}
-		groupsPer[j] = assignGroups(cis, cocomps, groupOf, want, totalGroups)
-		totalGroups += groupsPer[j]
+	for _, g := range out {
+		sort.Ints(g)
 	}
-	parts := d.PartitionFacts(totalGroups, func(i int, _ db.Fact) int {
-		if cocompOf[i] < 0 {
-			return -1
-		}
-		return groupOf[cocompOf[i]]
-	})
-	// Record each shard's block-ID list: a block lies entirely within one
-	// co-occurrence component (its facts are unioned pairwise above), so the
-	// block → group assignment is a function of the block's first fact.
-	// Sorted lists make the fingerprints insertion-order independent.
-	shardBlocks := make([][]string, totalGroups)
-	for bid, i := range blockFirst {
-		shardBlocks[groupOf[cocompOf[i]]] = append(shardBlocks[groupOf[cocompOf[i]]], bid)
-	}
-	for _, bids := range shardBlocks {
-		sort.Strings(bids)
-	}
-	dec.blockRel = blockRel
-
-	base := 0
-	dec.Shards = make([][]*db.DB, len(comps))
-	dec.Blocks = make([][][]string, len(comps))
-	for j := range comps {
-		dec.Shards[j] = parts[base : base+groupsPer[j] : base+groupsPer[j]]
-		dec.Blocks[j] = shardBlocks[base : base+groupsPer[j] : base+groupsPer[j]]
-		base += groupsPer[j]
-	}
-
-	for _, n := range irrelevantBlocks {
-		dec.IrrelevantBlocks = append(dec.IrrelevantBlocks, n)
-	}
-	sort.Ints(dec.IrrelevantBlocks)
-	instancesTotal.Add(uint64(dec.NumShards()))
-	return dec
+	return out
 }
 
-// cocomp is one connected component of the fact co-occurrence graph: the
-// index of its first fact (for deterministic ordering) and its fact count
-// (for balanced packing).
-type cocomp struct {
-	first int
-	size  int
-}
-
-// assignGroups packs the co-occurrence components cis into at most want
-// groups (longest-processing-time greedy: components sorted by size
-// descending, ties broken by first fact index, each placed on the currently
-// lightest group). It writes base-offset group numbers into groupOf and
-// returns how many groups were used.
-func assignGroups(cis []int, cocomps []cocomp, groupOf []int, want, base int) int {
-	if len(cis) == 0 {
-		return 0
-	}
-	if want >= len(cis) {
-		// One group per component, in first-fact order.
-		for g, ci := range cis {
-			groupOf[ci] = base + g
+// packGroups packs the components cs (in partition order) into at most want
+// groups: one group per component when want covers them all, otherwise
+// longest-processing-time greedy — components sorted by fact count
+// descending, ties broken by partition order, each placed on the currently
+// lightest group. Each group lists its components in partition order.
+func packGroups(cs []*component, want int) [][]*component {
+	groups := make([][]*component, 0, min(want, len(cs)))
+	if want >= len(cs) {
+		for i := range cs {
+			groups = append(groups, cs[i:i+1:i+1])
 		}
-		return len(cis)
+		return groups
 	}
-	order := make([]int, len(cis))
-	copy(order, cis)
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := cocomps[order[a]], cocomps[order[b]]
-		if ca.size != cb.size {
-			return ca.size > cb.size
-		}
-		return ca.first < cb.first
-	})
+	order := make([]int, len(cs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cs[order[a]].size > cs[order[b]].size })
 	load := make([]int, want)
+	groupOf := make([]int, len(cs))
 	for _, ci := range order {
 		g := 0
 		for k := 1; k < want; k++ {
@@ -341,8 +225,12 @@ func assignGroups(cis []int, cocomps []cocomp, groupOf []int, want, base int) in
 				g = k
 			}
 		}
-		load[g] += cocomps[ci].size
-		groupOf[ci] = base + g
+		load[g] += cs[ci].size
+		groupOf[ci] = g
 	}
-	return want
+	groups = groups[:want]
+	for ci, c := range cs {
+		groups[groupOf[ci]] = append(groups[groupOf[ci]], c)
+	}
+	return groups
 }

@@ -17,9 +17,9 @@ import (
 func collectFacts(t *testing.T, dec *Decomposition) map[string]int {
 	t.Helper()
 	seen := make(map[string]int)
-	for _, shards := range dec.Shards {
-		for _, s := range shards {
-			for _, f := range s.Facts() {
+	for j, shards := range dec.Blocks {
+		for i := range shards {
+			for _, f := range dec.Shard(j, i).Facts() {
 				seen[f.ID()]++
 			}
 		}
@@ -75,9 +75,9 @@ func TestDecomposeKeepsBlocksWhole(t *testing.T) {
 		dec := Decompose(q, d, maxShards)
 		owner := make(map[string]int)
 		g := 0
-		for _, shards := range dec.Shards {
-			for _, s := range shards {
-				for _, f := range s.Facts() {
+		for j, shards := range dec.Blocks {
+			for i := range shards {
+				for _, f := range dec.Shard(j, i).Facts() {
 					bid := f.BlockID()
 					if prev, ok := owner[bid]; ok && prev != g {
 						t.Fatalf("maxShards=%d: block %q split across shards %d and %d", maxShards, bid, prev, g)
@@ -99,8 +99,9 @@ func TestDecomposeLinksJoinValues(t *testing.T) {
 	if got := dec.NumShards(); got != 2 {
 		t.Fatalf("NumShards = %d, want 2 (two join chains)", got)
 	}
-	for _, shards := range dec.Shards {
-		for _, s := range shards {
+	for j, shards := range dec.Blocks {
+		for i := range shards {
+			s := dec.Shard(j, i)
 			var hasR, hasS bool
 			for _, f := range s.Facts() {
 				hasR = hasR || f.Rel == "R"
@@ -133,9 +134,9 @@ func TestDecomposeMaxShardsCap(t *testing.T) {
 
 func countAll(dec *Decomposition) int {
 	n := 0
-	for _, shards := range dec.Shards {
-		for _, s := range shards {
-			n += s.Len()
+	for j, shards := range dec.Blocks {
+		for i := range shards {
+			n += dec.Shard(j, i).Len()
 		}
 	}
 	return n
@@ -150,11 +151,11 @@ func TestDecomposeSelfJoinSingleShard(t *testing.T) {
 	if len(dec.Components) != 1 {
 		t.Fatalf("components = %d, want 1", len(dec.Components))
 	}
-	if got := len(dec.Shards[0]); got != 1 {
+	if got := len(dec.Blocks[0]); got != 1 {
 		t.Errorf("self-join component has %d shards, want 1", got)
 	}
-	if dec.Shards[0][0].Len() != d.Len() {
-		t.Errorf("single shard holds %d facts, want %d", dec.Shards[0][0].Len(), d.Len())
+	if dec.Shard(0, 0).Len() != d.Len() {
+		t.Errorf("single shard holds %d facts, want %d", dec.Shard(0, 0).Len(), d.Len())
 	}
 }
 
@@ -165,8 +166,8 @@ func TestDecomposeMultiComponentQuery(t *testing.T) {
 	if len(dec.Components) != 2 {
 		t.Fatalf("components = %d, want 2", len(dec.Components))
 	}
-	if len(dec.Shards[0]) != 2 || len(dec.Shards[1]) != 1 {
-		t.Errorf("shards per component = %d,%d, want 2,1", len(dec.Shards[0]), len(dec.Shards[1]))
+	if len(dec.Blocks[0]) != 2 || len(dec.Blocks[1]) != 1 {
+		t.Errorf("shards per component = %d,%d, want 2,1", len(dec.Blocks[0]), len(dec.Blocks[1]))
 	}
 }
 

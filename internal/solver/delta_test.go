@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/cq"
@@ -434,5 +437,233 @@ func TestResolveReusesAcrossMutations(t *testing.T) {
 	}
 	if rep2 != (DeltaReport{ShardsReused: 4, Invalidated: 1}) {
 		t.Errorf("report after undo = %+v, want 4 reused / 0 recomputed / 1 invalidated", rep2)
+	}
+}
+
+// sameDecomposition describes the first difference between two
+// decompositions of the same database — components, their shard block
+// lists in order, and the shard fingerprints — or returns "" when they
+// agree byte for byte.
+func sameDecomposition(got, want *shard.Decomposition, d *db.DB) string {
+	if fmt.Sprint(got.Components) != fmt.Sprint(want.Components) {
+		return fmt.Sprintf("components %v, want %v", got.Components, want.Components)
+	}
+	if !reflect.DeepEqual(got.Blocks, want.Blocks) {
+		return fmt.Sprintf("blocks %v, want %v", got.Blocks, want.Blocks)
+	}
+	for j := range want.Components {
+		g, w := got.ComponentFingerprints(d, j), want.ComponentFingerprints(d, j)
+		if !reflect.DeepEqual(g, w) {
+			return fmt.Sprintf("component %d fingerprints %v, want %v", j, g, w)
+		}
+	}
+	return ""
+}
+
+// TestDeltaPartitionMatchesFresh is the maintained-partition differential
+// property: random mutation schedules run through the durable store, and
+// long-lived partitions are synced to every published snapshot, to every
+// second snapshot (skipping versions), to an older snapshot right after a
+// newer one, and to a single database mutated in place. After every sync
+// the decomposition — components, block lists and their order, shard
+// fingerprints — equals a fresh shard.Decompose of the same database, at
+// the finest partition and under a shard cap.
+func TestDeltaPartitionMatchesFresh(t *testing.T) {
+	scenarios := append(deltaScenarios(), struct {
+		name string
+		q    cq.Query
+	}{"self-join", cq.MustParseQuery("R(x | y), R(y | z), S(z | w)")})
+	for _, sc := range scenarios {
+		for seed := int64(0); seed < 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", sc.name, seed), func(t *testing.T) {
+				r := rand.New(rand.NewSource(4243 + seed*7717))
+				st, err := wal.Open(wal.Options{
+					Dir:      t.TempDir(),
+					Fsync:    wal.FsyncNever,
+					Registry: obs.NewRegistry(),
+				})
+				if err != nil {
+					t.Fatalf("wal.Open: %v", err)
+				}
+				defer st.Close()
+
+				every := shard.NewPartition(sc.q)
+				skipping := shard.NewPartition(sc.q)
+				backward := shard.NewPartition(sc.q)
+				inPlace := shard.NewPartition(sc.q)
+				mutated := db.New()
+				check := func(step int, how string, pt *shard.Partition, d *db.DB) {
+					t.Helper()
+					for _, maxShards := range []int{0, 2} {
+						got, _ := pt.Sync(d, maxShards)
+						if diff := sameDecomposition(got, shard.Decompose(sc.q, d, maxShards), d); diff != "" {
+							t.Fatalf("step %d, %s, maxShards=%d: %s", step, how, maxShards, diff)
+						}
+					}
+				}
+
+				var snaps []*db.DB
+				model := map[string]db.Fact{}
+				for step := 0; step < 14; step++ {
+					ins, del := mutationStep(sc.q, model, r)
+					if _, _, err := st.Mutate(ins, del, -1); err != nil {
+						t.Fatalf("step %d: Mutate: %v", step, err)
+					}
+					for _, f := range del {
+						delete(model, f.ID())
+						mutated.Remove(f)
+					}
+					for _, f := range ins {
+						model[f.ID()] = f
+						if err := mutated.Add(f); err != nil {
+							t.Fatalf("step %d: in-place Add %v: %v", step, f, err)
+						}
+					}
+					snap, _ := st.DB()
+					if !mutated.Equal(snap) {
+						t.Fatalf("step %d: in-place database diverged from the store", step)
+					}
+					snaps = append(snaps, snap)
+
+					check(step, "every snapshot", every, snap)
+					if step%2 == 1 {
+						check(step, "every second snapshot", skipping, snap)
+					}
+					check(step, "newest snapshot", backward, snap)
+					if step >= 2 {
+						check(step, "older snapshot after a newer one", backward, snaps[step-2])
+					}
+					check(step, "in place", inPlace, mutated)
+				}
+			})
+		}
+	}
+}
+
+// TestShardMemoBoundsPartitions: the partitions the memo keeps count
+// against its capacity in components. The least recently synced partition
+// is evicted first, a partition larger than the capacity is not kept, and
+// the verdict-entry count is unaffected by either.
+func TestShardMemoBoundsPartitions(t *testing.T) {
+	ctx := context.Background()
+	var text strings.Builder
+	for i := 0; i < 5; i++ {
+		fmt.Fprintf(&text, "R(a%d | b%d) R(a%d | x%d) S(b%d | c%d)\n", i, i, i, i, i, i)
+		fmt.Fprintf(&text, "T(a%d | b%d) T(a%d | x%d) U(b%d | c%d)\n", i, i, i, i, i, i)
+		fmt.Fprintf(&text, "X(a%d | b%d) X(a%d | x%d) Y(b%d | c%d)\n", i, i, i, i, i, i)
+	}
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&text, "V(a%d | b%d) V(a%d | x%d) W(b%d | c%d)\n", i, i, i, i, i, i)
+	}
+	d := db.MustParse(text.String())
+	solve := func(memo *ShardMemo, q string) {
+		t.Helper()
+		p, err := CompilePlan(cq.MustParseQuery(q))
+		if err != nil {
+			t.Fatalf("CompilePlan %s: %v", q, err)
+		}
+		if _, _, err := p.SolveShardedMemo(ctx, d, 0, Options{}, memo); err != nil {
+			t.Fatalf("SolveShardedMemo %s: %v", q, err)
+		}
+	}
+	kept := func(memo *ShardMemo) (int, int) {
+		memo.mu.Lock()
+		defer memo.mu.Unlock()
+		return len(memo.parts), memo.partComps
+	}
+
+	memo := NewShardMemo(10, nil)
+	solve(memo, "R(x | y), S(y | z)")
+	solve(memo, "T(x | y), U(y | z)")
+	if n, comps := kept(memo); n != 2 || comps != 10 {
+		t.Fatalf("two 5-component partitions: kept %d holding %d components, want 2 holding 10", n, comps)
+	}
+	solve(memo, "R(x | y), S(y | z)") // R–S is now the most recently synced
+	solve(memo, "X(x | y), Y(y | z)") // a third 5-component partition: evicts T–U
+	if n, comps := kept(memo); n != 2 || comps != 10 {
+		t.Fatalf("after a third plan: kept %d holding %d components, want 2 holding 10", n, comps)
+	}
+	memo.mu.Lock()
+	_, rs := memo.parts[cq.CanonicalKey(cq.MustParseQuery("R(x | y), S(y | z)"))]
+	_, tu := memo.parts[cq.CanonicalKey(cq.MustParseQuery("T(x | y), U(y | z)"))]
+	memo.mu.Unlock()
+	if !rs || tu {
+		t.Errorf("kept R–S %v, T–U %v; want the least recently synced T–U evicted", rs, tu)
+	}
+	solve(memo, "V(x | y), W(y | z)") // 12 components: over the capacity, never kept
+	if n, comps := kept(memo); n != 2 || comps != 10 {
+		t.Errorf("after an oversized partition: kept %d holding %d components, want 2 holding 10", n, comps)
+	}
+	if got := memo.Len(); got != 10 {
+		t.Errorf("memo.Len() = %d, want the 10 verdict entries the capacity holds", got)
+	}
+}
+
+// TestDeltaPartitionConcurrentSnapshots: concurrent memoized solves of
+// different versions share the memo's one kept partition, as concurrent
+// hosted reads of older and newer snapshots do. Every verdict equals a
+// memo-less solve of its own snapshot.
+func TestDeltaPartitionConcurrentSnapshots(t *testing.T) {
+	ctx := context.Background()
+	p, err := CompilePlan(cq.MustParseQuery("R(x | y), S(y | z)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&text, "R(a%d | b%d) R(a%d | x%d) S(b%d | c%d)\n", i, i, i, i, i, i)
+	}
+	snaps := []*db.DB{db.MustParse(text.String())}
+	for k := 0; k < 12; k++ {
+		next := snaps[len(snaps)-1].Clone()
+		// Completing group k%8's second chain makes the version certain;
+		// the next edit to that group undoes it.
+		f := db.Fact{Rel: "S", KeyLen: 1, Args: []string{fmt.Sprintf("x%d", k%8), "c"}}
+		if next.Has(f) {
+			next.Remove(f)
+		} else if err := next.Add(f); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, next)
+	}
+	want := make([]string, len(snaps))
+	for k, d := range snaps {
+		v, err := p.SolveCtx(ctx, d, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = verdictFingerprint(t, v)
+	}
+
+	memo := NewShardMemo(0, nil)
+	const workers, rounds = 4, 24
+	got := make([][]Verdict, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				v, _, err := p.SolveShardedMemo(ctx, snaps[(g*5+i*7)%len(snaps)], 0, Options{}, memo)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g] = append(got[g], v)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < workers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("worker %d: %v", g, errs[g])
+		}
+		for i, v := range got[g] {
+			k := (g*5 + i*7) % len(snaps)
+			if fp := verdictFingerprint(t, v); fp != want[k] {
+				t.Errorf("worker %d round %d (version %d): got %s, want %s", g, i, k, fp, want[k])
+			}
+		}
 	}
 }

@@ -3,8 +3,11 @@ package solver
 import (
 	"sync"
 
+	"github.com/cqa-go/certainty/internal/cq"
+	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/lru"
 	"github.com/cqa-go/certainty/internal/obs"
+	"github.com/cqa-go/certainty/internal/shard"
 )
 
 // DefaultShardMemoSize bounds the shard memo when the caller passes no
@@ -32,6 +35,13 @@ const DefaultShardMemoSize = 4096
 // index makes that eviction block-granular — an entry survives every
 // mutation whose touched blocks its fingerprint excludes.
 //
+// The memo also keeps the last shard.Partition of each plan key, which
+// sharded solves sync instead of partitioning anew. The partitions' total
+// component count stays within the memo's capacity: the least recently
+// synced partition is evicted first, and a partition larger than the
+// capacity is not kept. Len, Stats and the cache metrics count verdict
+// entries only.
+//
 // Safe for concurrent use.
 type ShardMemo struct {
 	mu      sync.Mutex
@@ -39,6 +49,18 @@ type ShardMemo struct {
 	byBlock map[string]map[string]struct{} // block ID → fingerprints covering it
 	m       *obs.CacheMetrics
 	inval   uint64
+
+	parts     map[string]*keptPartition // plan key → its last partition
+	partComps int                       // components across parts
+	syncs     uint64                    // sync clock, for least-recently-synced eviction
+}
+
+// keptPartition is one plan's partition with its component count and the
+// clock reading of its last sync.
+type keptPartition struct {
+	pt     *shard.Partition
+	comps  int
+	synced uint64
 }
 
 // shardMemoEntry is one memoized shard verdict: the conclusive outcome and
@@ -59,6 +81,7 @@ func NewShardMemo(size int, m *obs.CacheMetrics) *ShardMemo {
 		c:       lru.New[string, shardMemoEntry](size),
 		byBlock: make(map[string]map[string]struct{}),
 		m:       m,
+		parts:   make(map[string]*keptPartition),
 	}
 	m.SetSize(0, sm.c.Cap())
 	return sm
@@ -167,4 +190,49 @@ func (sm *ShardMemo) Stats() lru.Stats {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	return sm.c.Stats()
+}
+
+// decompose returns the decomposition of d for the plan with key key and
+// exec query q, syncing the partition kept for key (created on first use)
+// under the partition's own lock, then accounts the partition against the
+// memo's capacity. Partitions are keyed by canonical query, so one serves
+// every query with that key.
+func (sm *ShardMemo) decompose(key string, q cq.Query, d *db.DB, maxShards int) (*shard.Decomposition, shard.SyncStats) {
+	sm.mu.Lock()
+	kp := sm.parts[key]
+	if kp == nil {
+		kp = &keptPartition{pt: shard.NewPartition(q)}
+		sm.parts[key] = kp
+	}
+	sm.mu.Unlock()
+
+	dec, st := kp.pt.Sync(d, maxShards)
+
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if sm.parts[key] != kp {
+		return dec, st // evicted while syncing
+	}
+	sm.partComps -= kp.comps
+	if st.Components > sm.c.Cap() {
+		delete(sm.parts, key)
+		return dec, st
+	}
+	sm.partComps += st.Components
+	kp.comps = st.Components
+	sm.syncs++
+	kp.synced = sm.syncs
+	for sm.partComps > sm.c.Cap() {
+		// The partition just synced is the most recent, so it is never
+		// the oldest while others remain.
+		oldest := key
+		for k, e := range sm.parts {
+			if e.synced < sm.parts[oldest].synced {
+				oldest = k
+			}
+		}
+		sm.partComps -= sm.parts[oldest].comps
+		delete(sm.parts, oldest)
+	}
+	return dec, st
 }

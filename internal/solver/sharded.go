@@ -47,7 +47,11 @@ func init() {
 // conclusive outcomes of the shards it did solve. The memo never changes
 // answers — a fingerprint addresses the shard's exact content, so a hit
 // replays the verdict the solve would have computed. The report accounts
-// for the reuse.
+// for the reuse. The memo also keeps the plan's shard.Partition, which the
+// solve syncs to d instead of partitioning d anew, so after a small write
+// only the touched components are re-linked and re-fingerprinted. Without
+// a memo the partition is built fresh. Either way a shard's database is
+// built only when the shard is solved.
 //
 // Plans carrying a database rewrite (projection simplification) skip the
 // memo: their shards are shards of the rewritten database, whose blocks are
@@ -110,10 +114,26 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 			return Verdict{}, 0, err
 		}
 	}
+	// The memo engages only for plans without a database rewrite: execD is
+	// then the caller's database, whose per-block digests the copy-on-write
+	// index maintains incrementally, so fingerprinting is cheap and the
+	// fingerprints are stable across mutations of other blocks. The memo
+	// also keeps the plan's partition, which this sync brings up to date
+	// with execD instead of partitioning it anew.
+	useMemo := memo != nil && p.rewriteDB == nil
+
 	_, dsp := obs.StartSpan(ctx, "shard/decompose")
-	dec := shard.Decompose(p.execQ, execD, maxShards)
+	var dec *shard.Decomposition
+	var st shard.SyncStats
+	if useMemo {
+		dec, st = memo.decompose(p.Key, p.execQ, execD, maxShards)
+	} else {
+		dec, st = shard.NewPartition(p.execQ).Sync(execD, maxShards)
+	}
 	dsp.SetInt("components", int64(len(dec.Components)))
 	dsp.SetInt("shards", int64(dec.NumShards()))
+	dsp.SetInt("touched_blocks", int64(st.Touched))
+	dsp.SetInt("rebuilt", int64(st.Rebuilt))
 	dsp.End()
 
 	// Component plans: the single-component case (every connected query)
@@ -141,12 +161,6 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 		DegradeSamples: -1, // degradation sampling happens once, below, on the whole instance
 	}
 
-	// The memo engages only for plans without a database rewrite: execD is
-	// then the caller's database, whose per-block digests the copy-on-write
-	// index maintains incrementally, so fingerprinting is cheap and the
-	// fingerprints are stable across mutations of other blocks.
-	useMemo := memo != nil && p.rewriteDB == nil
-
 	// Conjunction across query components, evaluated in order with early
 	// exit: one not-certain component settles the whole instance.
 	outcome := OutcomeCertain
@@ -162,7 +176,7 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 				rep:    rep,
 			}
 		}
-		cv, steps, err := solveComponent(ctx, plans[j], dec.Shards[j], j, shardOpts, mc)
+		cv, steps, err := solveComponent(ctx, plans[j], len(dec.Blocks[j]), func(i int) *db.DB { return dec.Shard(j, i) }, j, shardOpts, mc)
 		totalSteps += steps
 		if err != nil {
 			return Verdict{}, totalSteps, err
@@ -252,18 +266,19 @@ func (p *Plan) execStage() *Plan {
 // with zero solves, memoized not-certain shards drop out of the fan-out,
 // and only the misses are actually solved — whose conclusive outcomes are
 // memoized afterwards. Reuse changes scheduling only; the combine below
-// sees exactly the outcomes a full fan-out would have produced.
-func solveComponent(ctx context.Context, pj *Plan, shards []*db.DB, compIdx int, shardOpts Options, mc *memoScope) (shardOutcome, int64, error) {
-	if len(shards) == 0 {
+// sees exactly the outcomes a full fan-out would have produced. The
+// component has n shards, and shardDB(i) builds shard i when it is solved.
+func solveComponent(ctx context.Context, pj *Plan, n int, shardDB func(i int) *db.DB, compIdx int, shardOpts Options, mc *memoScope) (shardOutcome, int64, error) {
+	if n == 0 {
 		// No facts for this component's relations: no embedding can exist,
 		// so the component is falsified by every repair (components are
 		// non-empty queries).
 		return shardOutcome{outcome: OutcomeNotCertain, solved: true}, 0, nil
 	}
-	results := make([]shardOutcome, len(shards))
-	pending := make([]int, 0, len(shards))
+	results := make([]shardOutcome, n)
+	pending := make([]int, 0, n)
 	if mc != nil {
-		for i := range shards {
+		for i := 0; i < n; i++ {
 			if o, ok := mc.memo.Get(mc.fps[i]); ok {
 				results[i] = shardOutcome{outcome: o, solved: true}
 				mc.rep.ShardsReused++
@@ -276,7 +291,7 @@ func solveComponent(ctx context.Context, pj *Plan, shards []*db.DB, compIdx int,
 			pending = append(pending, i)
 		}
 	} else {
-		for i := range shards {
+		for i := 0; i < n; i++ {
 			pending = append(pending, i)
 		}
 	}
@@ -285,10 +300,11 @@ func solveComponent(ctx context.Context, pj *Plan, shards []*db.DB, compIdx int,
 	_ = shard.ForEach(fanCtx, len(pending), func(k int) {
 		i := pending[k]
 		sctx, sp := obs.StartSpan(fanCtx, "shard/solve")
+		di := shardDB(i)
 		sp.SetInt("component", int64(compIdx))
 		sp.SetInt("shard", int64(i))
-		sp.SetInt("facts", int64(shards[i].Len()))
-		v, err := pj.SolveCtx(sctx, shards[i], shardOpts)
+		sp.SetInt("facts", int64(di.Len()))
+		v, err := pj.SolveCtx(sctx, di, shardOpts)
 		if err != nil {
 			results[i] = shardOutcome{err: err, solved: true}
 			sp.SetAttr("error", err.Error())

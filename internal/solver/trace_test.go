@@ -2,6 +2,8 @@ package solver
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/cq"
@@ -230,5 +232,62 @@ func TestDisabledTracingAddsNoAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %.1f per solve, want 0", allocs)
+	}
+}
+
+// TestDecomposeSpanDeltaCounts: the shard/decompose span of a memoized
+// re-solve says how much of the partition the sync touched. On a
+// 16-component chain database the first solve builds all 32 blocks into 16
+// components; after a one-block toggle the re-solve touches that block and
+// rebuilds its one component.
+func TestDecomposeSpanDeltaCounts(t *testing.T) {
+	var text strings.Builder
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&text, "R(a%d | b%d) R(a%d | x%d) S(b%d | c%d) S(b%d | e%d)\n", i, i, i, i, i, i, i, i)
+	}
+	d := db.MustParse(text.String())
+	p, err := CompilePlan(cq.MustParseQuery("R(x | y), S(y | z)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewShardMemo(0, nil)
+	decompose := func() *obs.SpanRecord {
+		t.Helper()
+		tr := obs.NewTracer(obs.TracerOptions{})
+		if _, _, err := p.SolveShardedMemo(obs.WithTracer(context.Background(), tr), d, 0, Options{}, memo); err != nil {
+			t.Fatal(err)
+		}
+		recs := tr.Snapshot()
+		sp := findSpan(recs, "shard/decompose")
+		if sp == nil {
+			t.Fatalf("no shard/decompose span in\n%s", obs.FormatTree(recs))
+		}
+		return sp
+	}
+	for _, step := range []struct {
+		name             string
+		edit             func()
+		touched, rebuilt string
+	}{
+		{"cold", func() {}, "32", "16"},
+		{"toggle on", func() {
+			if err := d.Add(db.Fact{Rel: "S", KeyLen: 1, Args: []string{"b0", "ctoggle"}}); err != nil {
+				t.Fatal(err)
+			}
+		}, "1", "1"},
+		{"toggle off", func() { d.Remove(db.Fact{Rel: "S", KeyLen: 1, Args: []string{"b0", "ctoggle"}}) }, "1", "1"},
+		{"unchanged", func() {}, "0", "0"},
+	} {
+		step.edit()
+		sp := decompose()
+		if got := attr(sp, "touched_blocks"); got != step.touched {
+			t.Errorf("%s: touched_blocks = %q, want %s", step.name, got, step.touched)
+		}
+		if got := attr(sp, "rebuilt"); got != step.rebuilt {
+			t.Errorf("%s: rebuilt = %q, want %s", step.name, got, step.rebuilt)
+		}
+		if got := attr(sp, "shards"); got != "16" {
+			t.Errorf("%s: shards = %q, want 16", step.name, got)
+		}
 	}
 }
