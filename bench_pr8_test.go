@@ -171,19 +171,30 @@ func warmAllocs(t *testing.T, d *db.DB, decide func(context.Context) (bool, erro
 	})
 }
 
-// TestTerminalAllocRegression pins Theorem 3 on the block-set plane: every
-// sub-instance (purification, Lemma 8 recursion, base-case partitions and
-// their union) is a block set over the one interned view, so no *db.DB is
-// built per step. Most of what remains is per-step attack-graph and cycle
-// work that depends on the query alone.
+// TestTerminalAllocRegression pins Theorem 3 on the compiled plan: the
+// plan's program carries the unattacked-atom order and the base case's
+// 2-cycles and key positions, so a warm solve does no attack-graph or
+// cycle work, substitutes no string valuation, and purifies once per leaf
+// of the Lemma 8 recursion over block sets of the one interned view. What
+// remains is mostly the leaf's purification, partitions and evaluation.
 func TestTerminalAllocRegression(t *testing.T) {
 	q := gen.TerminalPairsQuery(2, true)
 	d := gen.RandomDB(q, gen.Config{Embeddings: 8, Noise: 2, Domain: 3}, 8) // BenchmarkTerminalIndexed/emb=8
-	allocs := warmAllocs(t, d, func(ctx context.Context) (bool, error) { return solver.CertainTerminal(ctx, q, d) })
+	p, err := solver.CompilePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Method != solver.MethodTerminal {
+		t.Fatalf("plan method %v, want %v", p.Method, solver.MethodTerminal)
+	}
+	allocs := warmAllocs(t, d, func(ctx context.Context) (bool, error) {
+		v, err := p.SolveCtx(ctx, d, solver.Options{})
+		return v.Result.Certain, err
+	})
 	t.Logf("allocs/op: %.0f", allocs)
-	const ceiling = 3150
+	const ceiling = 900
 	if allocs > ceiling {
-		t.Fatalf("CertainTerminal allocates %.0f/op, above the %d ceiling", allocs, ceiling)
+		t.Fatalf("terminal plan allocates %.0f/op, above the %d ceiling", allocs, ceiling)
 	}
 }
 

@@ -88,7 +88,7 @@ func (c *Compiled) compile(f Formula, slots map[string]int) (inode, error) {
 			c.maxArity = len(srcs)
 		}
 		ord := len(c.iatoms)
-		c.iatoms = append(c.iatoms, iAtomRef{rel: g.A.Rel, arity: len(srcs)})
+		c.iatoms = append(c.iatoms, iAtomRef{rel: g.A.Rel, arity: len(srcs), keyLen: g.A.KeyLen})
 		return func(rt *irt) bool {
 			r := rt.rels[ord]
 			if r == nil {

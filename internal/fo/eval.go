@@ -76,6 +76,9 @@ func eval(f Formula, d *db.DB, domain []string, env cq.Valuation) bool {
 		if !ok {
 			panic(fmt.Sprintf("fo: unbound variable in atom %s under %v", g.A, env))
 		}
+		if _, k, ok := d.Signature(fact.Rel); !ok || k != fact.KeyLen {
+			return false
+		}
 		return d.Has(fact)
 	case Eq:
 		return termValue(g.L, env) == termValue(g.R, env)

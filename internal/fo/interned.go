@@ -12,11 +12,13 @@ import (
 type inode func(rt *irt) bool
 
 // iAtomRef names a relation an atom probes; it is resolved to columnar
-// storage once per evaluation (nil when absent or arity-mismatched, making
-// the atom uniformly false — exactly d.Has on a fact that cannot exist).
+// storage once per evaluation (nil when absent or stored with another
+// signature, making the atom uniformly false — exactly as the reference
+// evaluator and the query engine treat such a relation).
 type iAtomRef struct {
-	rel   string
-	arity int
+	rel    string
+	arity  int
+	keyLen int
 }
 
 // irt is the pooled interned runtime: the slot environment, the resolved
@@ -124,7 +126,7 @@ func (c *Compiled) run(d *db.DB, binding cq.Valuation) bool {
 	rt.rels = rt.rels[:0]
 	for _, ar := range c.iatoms {
 		r := in.Rel(ar.rel)
-		if r != nil && r.Arity != ar.arity {
+		if r != nil && (r.Arity != ar.arity || r.KeyLen != ar.keyLen) {
 			r = nil
 		}
 		rt.rels = append(rt.rels, r)

@@ -109,6 +109,30 @@ func TestInternedCompiledEdgeCases(t *testing.T) {
 	}
 }
 
+// TestKeyLengthMismatchProbesFalse: a relation stored with another key
+// length than the atom's matches no fact in either evaluator, as in the
+// query engine, so a rewriting never reads a relation the query cannot
+// embed into.
+func TestKeyLengthMismatchProbesFalse(t *testing.T) {
+	phi := Atom{A: cq.MustParseQuery("R('a' | 'b', 'c')").Atoms[0]}
+	d := db.MustParse("R(a, b, c)")
+	compiled, err := Compile(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interned, err := compiled.Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interp, err := Eval(phi, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interned || interp {
+		t.Fatalf("interned=%v interpreted=%v, want both false", interned, interp)
+	}
+}
+
 // TestCompiledEvalWithMatchesInterpreter: Compiled.EvalWith resolves bound
 // values on the interned plane — ids for values in the database, the
 // constants' ids for values the formula names, pseudo-ids for values absent

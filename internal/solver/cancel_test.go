@@ -61,6 +61,11 @@ func TestFaultInjectionCancelsSearch(t *testing.T) {
 	// primary-key query over enough blocks to guarantee several steps.
 	qFO := cq.MustParseQuery("R(x | y)")
 	dFO := db.MustParse("R(a | b), R(a | c), R(d | e), R(d | f), R(g | h), R(g | i)")
+	// C(2) has no unattacked atom, so its recursion is a single leaf: after
+	// the entry step, every step is charged by the base case's purification
+	// or evaluation.
+	qC2 := cq.Ck(2)
+	dC2 := db.MustParse("R1(a | b), R1(a | c), R2(b | a), R2(c | a), R1(d | e), R2(e | d)")
 	cases := []struct {
 		name    string
 		faultAt int64
@@ -80,6 +85,10 @@ func TestFaultInjectionCancelsSearch(t *testing.T) {
 		}},
 		{"CertainFOCtx", 1, func(ctx context.Context) error {
 			_, err := CertainFO(ctx, qFO, dFO)
+			return err
+		}},
+		{"CertainTerminal", 4, func(ctx context.Context) error {
+			_, err := CertainTerminal(ctx, qC2, dC2)
 			return err
 		}},
 	}

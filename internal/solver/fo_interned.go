@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"sync"
 
 	"github.com/cqa-go/certainty/internal/cq"
@@ -87,13 +88,17 @@ func (p *FOProgram) compileStep(q cq.Query, ai int, slots map[string]uint16) {
 }
 
 // foScratch is the pooled runtime of the interned recursion: the slot
-// environment, the key probe buffer, the resolved constant ids, and the
-// resolved per-level relations. A warm run allocates nothing.
+// environment, the key probe buffer, the resolved constant ids, the
+// resolved per-level relations, and the caller's context, query and
+// database for a Theorem 3 leaf. A warm run allocates nothing.
 type foScratch struct {
 	env    []uint32
 	key    []uint32
 	consts []uint32
 	rels   []*db.IRel
+	ctx    context.Context
+	q      cq.Query
+	d      *db.DB
 }
 
 var foScratchPool = sync.Pool{New: func() any { return new(foScratch) }}
@@ -105,16 +110,6 @@ func growU32(s []uint32, n int) []uint32 {
 	return s[:n]
 }
 
-// certainInterned is the FOProgram.Certain body: charge the entry step
-// (cancellation surfaces before any database work), then resolve and
-// recurse.
-func (p *FOProgram) certainInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
-	if err := g.Step(); err != nil {
-		return false, err
-	}
-	return p.steppedInterned(g, q, d)
-}
-
 // steppedInterned runs the interned recursion after the entry step has been
 // charged. Constants resolve to their ids — or intern.None when absent from
 // the database, which matches no fact and no block, exactly as an unknown
@@ -122,10 +117,14 @@ func (p *FOProgram) certainInterned(g *govern.Governor, q cq.Query, d *db.DB) (b
 // nil on absence or signature mismatch: every block of such a relation
 // fails unification on its first fact, so the level is false without
 // recursing.
-func (p *FOProgram) steppedInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
+func (p *FOProgram) steppedInterned(ctx context.Context, g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
 	in := d.Interned()
 	sc := foScratchPool.Get().(*foScratch)
-	defer foScratchPool.Put(sc)
+	sc.ctx, sc.q, sc.d = ctx, q, d
+	defer func() {
+		sc.ctx, sc.q, sc.d = nil, cq.Query{}, nil // the pool outlives the call
+		foScratchPool.Put(sc)
+	}()
 
 	sc.consts = sc.consts[:0]
 	for _, cr := range p.constRefs {
@@ -158,9 +157,13 @@ func (p *FOProgram) irun(g *govern.Governor, sc *foScratch, level int) (bool, er
 	return p.istepped(g, sc, level)
 }
 
+// istepped runs one level; past the last, Theorem 3's base case remains.
 func (p *FOProgram) istepped(g *govern.Governor, sc *foScratch, level int) (bool, error) {
 	if level == len(p.sched) {
-		return true, nil
+		if p.base == nil {
+			return true, nil
+		}
+		return p.base.certain(sc.ctx, sc.q, sc.d, sc.env)
 	}
 	st := &p.sched[level]
 	r := sc.rels[level]

@@ -68,7 +68,7 @@ func TestInternedFOVerdictParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("db %d query %d: baseline: %v", di, qi, err)
 			}
-			got, err := p.certainInterned(govern.From(context.Background()), q, d)
+			got, err := p.Certain(context.Background(), q, d)
 			if err != nil {
 				t.Fatalf("db %d query %d: interned: %v", di, qi, err)
 			}

@@ -13,8 +13,8 @@ import (
 // Plan is the immutable compiled decision strategy for one query: the
 // classification, the method SolveCtx would select, the projection
 // simplification (with its reusable database rewriter) when it applies, and
-// the method's static artifacts — the FO rewriting program of Theorem 1 and
-// the safe certain rewriting of Theorem 6. All of this depends on the query
+// the method's static artifacts — the compiled recursion of Theorems 1 and 3
+// and the safe certain rewriting of Theorem 6. All of this depends on the query
 // alone, so it is computed once by CompilePlan and reused across databases
 // and goroutines; executing a plan returns byte-identical Verdicts to
 // SolveCtx on the same query.
@@ -41,7 +41,7 @@ type Plan struct {
 	execQ      cq.Query            // the query actually dispatched (== Query unless simplified)
 	execCls    core.Classification // its classification
 	rewriteDB  func(*db.DB) (*db.DB, error)
-	foProg     *FOProgram   // compiled Theorem 1 program when Method == MethodFO
+	prog       *FOProgram   // compiled recursion when Method is MethodFO or MethodTerminal
 	safeProg   *fo.Compiled // compiled Theorem 6 rewriting when Method == MethodSafeRewriting
 }
 
@@ -51,7 +51,7 @@ type Plan struct {
 // place a query is classified and its method chosen: every solve entry
 // point runs a plan. It fails exactly where SolveCtx would fail before
 // touching any database: on unclassifiable queries and on
-// rewriting-compilation errors.
+// rewriting- or program-compilation errors.
 func CompilePlan(q cq.Query) (*Plan, error) {
 	cls, err := core.Classify(q)
 	if err != nil {
@@ -85,12 +85,10 @@ func CompilePlan(q cq.Query) (*Plan, error) {
 		if p.safeProg, err = fo.Compile(phi); err != nil {
 			return nil, err
 		}
-	case MethodFO:
-		prog, err := CompileFO(p.execQ)
-		if err != nil {
+	case MethodFO, MethodTerminal:
+		if p.prog, err = compileProgram(p.execQ, p.Method == MethodTerminal); err != nil {
 			return nil, err
 		}
-		p.foProg = prog
 	}
 	return p, nil
 }

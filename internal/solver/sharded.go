@@ -250,7 +250,7 @@ func (p *Plan) execStage() *Plan {
 		cls:      p.execCls,
 		execQ:    p.execQ,
 		execCls:  p.execCls,
-		foProg:   p.foProg,
+		prog:     p.prog,
 		safeProg: p.safeProg,
 	}
 }

@@ -2,6 +2,9 @@ package solver
 
 import (
 	"context"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/core"
@@ -131,12 +134,84 @@ func TestCertainTerminalFigure4AgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestTerminalBaseSharedKeyPartitions: two weak terminal 2-cycles share x,
+// which lies in every key (Lemma 7), so the base case partitions each
+// cycle's blocks by x. At x1 the first cycle's partition is a falsifiable
+// 4-cycle and the second's is certain; at x2 the roles swap. Every fact
+// survives purification and each cycle taken whole is certain, but no x
+// has both partitions certain, so the union of the certain partitions
+// (Sublemma 5) has no embedding and the query is not certain.
+func TestTerminalBaseSharedKeyPartitions(t *testing.T) {
+	q := cq.MustParseQuery("F(x, a | b), G(x, b | a), H(x, c | d), I(x, d | c)")
+	fourCycle := func(f, g, x string) string {
+		return fmt.Sprintf("%[1]s(%[3]s, a | b), %[1]s(%[3]s, a | d), %[1]s(%[3]s, c | b), %[1]s(%[3]s, c | d), "+
+			"%[2]s(%[3]s, b | a), %[2]s(%[3]s, b | c), %[2]s(%[3]s, d | a), %[2]s(%[3]s, d | c)", f, g, x)
+	}
+	pair := func(f, g, x string) string { return fmt.Sprintf("%s(%s, a | b), %s(%s, b | a)", f, x, g, x) }
+	d := db.MustParse(strings.Join([]string{fourCycle("F", "G", "x1"), pair("H", "I", "x1"), pair("F", "G", "x2"), fourCycle("H", "I", "x2")}, ", "))
+	if BruteForce(q, d) {
+		t.Fatal("instance must not be certain")
+	}
+	for _, whole := range [][2]cq.Atom{{q.Atoms[0], q.Atoms[1]}, {q.Atoms[2], q.Atoms[3]}} {
+		if ok, err := twoAtomAllBlocks(whole[0], whole[1], d); err != nil || !ok {
+			t.Fatalf("cycle {%s, %s} taken whole: certain=%v err=%v, want certain", whole[0], whole[1], ok, err)
+		}
+	}
+	got, err := CertainTerminal(context.Background(), q, d)
+	if err != nil || got {
+		t.Fatalf("CertainTerminal = %v, %v; want not certain", got, err)
+	}
+}
+
+// TestTerminalPlanConcurrentSolves: one compiled terminal plan, whose
+// program carries the base case, is shared by goroutines solving different
+// databases, and every verdict equals brute force.
+func TestTerminalPlanConcurrentSolves(t *testing.T) {
+	q := gen.TerminalPairsQuery(2, true)
+	p, err := CompilePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs := make([]*db.DB, 6)
+	want := make([]bool, len(dbs))
+	for i := range dbs {
+		dbs[i] = gen.RandomDB(q, gen.Config{Embeddings: 3, Noise: 2, Domain: 3}, int64(i))
+		want[i] = BruteForce(q, dbs[i])
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for i, d := range dbs {
+					v, err := p.SolveCtx(context.Background(), d, Options{})
+					if err != nil || v.Result.Certain != want[i] {
+						t.Errorf("db %d: certain=%v err=%v, want %v", i, v.Result.Certain, err, want[i])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestCertainTerminalRejects(t *testing.T) {
-	// q1 has a strong cycle; the solver bails out before cycle checking on
-	// an empty (purified-away) database, so use a nonempty one.
-	d := gen.RandomDB(cq.Q1(), gen.Config{Embeddings: 1, Noise: 0, Domain: 2}, 7)
-	if _, err := CertainTerminal(context.Background(), cq.Q1(), d); err == nil {
-		t.Error("CertainTerminal must refuse strong cycles")
+	// Out-of-scope queries are refused before any data is read: on a
+	// database with embeddings, on an empty one, and on one that
+	// purification would empty.
+	cases := []struct {
+		q cq.Query
+		d *db.DB
+	}{
+		{cq.Q1(), gen.RandomDB(cq.Q1(), gen.Config{Embeddings: 1, Noise: 0, Domain: 2}, 7)},
+		{cq.Q1(), db.New()},
+		{cq.Q0(), db.MustParse("R0(a | b)")},
+	}
+	for _, c := range cases {
+		if _, err := CertainTerminal(context.Background(), c.q, c.d); err == nil {
+			t.Errorf("CertainTerminal(%s) on\n%s\nmust refuse strong cycles", c.q, c.d)
+		}
 	}
 }
 

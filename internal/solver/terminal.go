@@ -10,8 +10,6 @@ import (
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/engine"
-	"github.com/cqa-go/certainty/internal/govern"
-	"github.com/cqa-go/certainty/internal/jointree"
 )
 
 // CertainTerminal decides db ∈ CERTAINTY(q) in polynomial time for acyclic
@@ -19,10 +17,9 @@ import (
 // implementing the proof of Theorem 3:
 //
 //   - Induction step: while an unattacked atom F exists, the query is
-//     certain iff for some constant vector ā over key(F) (equivalently:
-//     for some block of F's relation; Corollary 8.11 of [Wijsen, TODS
-//     2012]), after purification every fact of that block unifies with F
-//     and makes the instantiated remainder certain (Lemma 8). Lemma 5
+//     certain iff for some block of F's relation (Corollary 8.11 of
+//     [Wijsen, TODS 2012]) every fact of that block unifies with F and
+//     makes the instantiated remainder certain (Lemma 8). Lemma 5
 //     guarantees the remainder's attack cycles stay weak and terminal.
 //   - Base case: every atom lies on a weak terminal 2-cycle; by Lemma 6
 //     the attack graph is a disjoint union of 2-cycles {Fi, Gi}. The facts
@@ -32,141 +29,112 @@ import (
 //     solver, and by Sublemma 5 the query is certain iff the union of the
 //     certain partitions satisfies q.
 //
-// Every sub-instance the proof builds — the purified instance of Lemma 1,
-// the recursion of Lemma 8, the partitions and their union of Sublemma 5 —
-// is a block set over d's one interned view; no intermediate database is
-// built. The governor attached to ctx bounds the recursive induction steps
-// as well as the embedded purification passes.
+// The induction is Theorem 1's recursion, run as a compiled FOProgram whose
+// leaves decide the compiled base case over block sets of d's interned
+// view, so queries outside the method's scope are refused before any data
+// is read. The governor attached to ctx bounds the induction steps as well
+// as each leaf's purification and evaluation.
 func CertainTerminal(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
-	return certainTerminal(ctx, q, engine.AllBlocks(d))
+	return certainCompiled(ctx, q, d, true)
 }
 
-// certainTerminal is CertainTerminal over the block set s.
-func certainTerminal(ctx context.Context, q cq.Query, s engine.BlockSet) (bool, error) {
-	if err := govern.From(ctx).Step(); err != nil {
-		return false, err
-	}
-	if q.IsEmpty() {
-		return true, nil
-	}
-	s, err := s.Purify(ctx, q)
-	if err != nil {
-		return false, err
-	}
-	if s.Empty() {
-		return false, nil
-	}
-	g, err := core.BuildAttackGraph(q, jointree.TieBreakLex)
-	if err != nil {
-		return false, err
-	}
-	if !g.AllCyclesWeakAndTerminal() {
-		return false, fmt.Errorf("solver: CertainTerminal requires all attack cycles weak and terminal: %s", q)
-	}
-	if un := g.Unattacked(); len(un) > 0 {
-		return terminalStep(ctx, q, un[0], s)
-	}
-	return terminalBase(ctx, q, g, s)
+// termBase is Theorem 3's compiled base case: the residual atoms the
+// recursion leaves, with the slots a leaf rebuilds them from, and their
+// weak terminal 2-cycles.
+type termBase struct {
+	atoms  []int   // original atom index of each residual atom
+	slots  [][]int // per residual atom and argument: the slot binding it, or -1
+	cycles []termCycle
 }
 
-// terminalStep handles the induction step for unattacked atom q.Atoms[fi]
-// over the purified set s.
-func terminalStep(ctx context.Context, q cq.Query, fi int, s engine.BlockSet) (bool, error) {
-	F := q.Atoms[fi]
-	rest := q.Without(fi)
-	in := s.Interned()
-	r := relOf(in, F)
-	if r == nil {
-		return false, nil
-	}
-	vars := F.Vars().Sorted()
-	vals := make([]uint32, len(vars))
-	// By Lemma 8 a block qualifies iff every fact of it unifies with F and
-	// leaves a certain remainder. (Facts of the block outside F's pattern
-	// make the block unusable: a repair choosing such a fact has no F-image
-	// with this key.) A block whose key contradicts F's constants fails on
-	// its first fact, so scanning every block of the set finds exactly the
-	// candidates a key probe would.
-	blockOK := func(b int) (bool, error) {
-		for _, fi := range r.BlockSpan(b) {
-			if !unify(F, in, r, fi, vars, vals) {
-				return false, nil
-			}
-			theta := make(cq.Valuation, len(vars))
-			for i, v := range vars {
-				theta[v] = in.Syms.MustString(vals[i])
-			}
-			sub, err := certainTerminal(ctx, rest.Substitute(theta), s)
-			if err != nil || !sub {
-				return false, err
-			}
-		}
-		return true, nil
-	}
-	for b := 0; b < r.NumBlocks(); b++ {
-		if !s.Has(r, uint32(b)) {
-			continue
-		}
-		ok, err := blockOK(b)
-		if err != nil || ok {
-			return ok, err
-		}
-	}
-	return false, nil
+// termCycle is one 2-cycle {F, G} of the base case (residual atom indices)
+// with, per side, the key positions of the variables the cycle shares with
+// other cycles, in one variable order.
+type termCycle struct {
+	atoms [2]int
+	keys  [2][]int
 }
 
-// terminalBase handles the base case: the attack graph is a disjoint union
-// of weak terminal 2-cycles and s is purified relative to q.
-func terminalBase(ctx context.Context, q cq.Query, g *core.AttackGraph, s engine.BlockSet) (bool, error) {
+// compileBase compiles the base case from the masked residual cur (whose
+// atom i is q's atom orig[i]), its attack graph g, and the slots of the
+// variables the recursion grounded.
+func compileBase(q, cur cq.Query, g *core.AttackGraph, orig []int, slots map[string]uint16) (*termBase, error) {
+	// Every atom must lie on a cycle; terminal 2-cycles are disjoint.
 	cycles := g.TerminalWeakCycles()
-	// Every atom must belong to exactly one cycle.
-	inCycle := make(map[int]bool)
+	if 2*len(cycles) != cur.Len() {
+		return nil, fmt.Errorf("solver: base case expects every atom on a 2-cycle: %s", q)
+	}
+	b := &termBase{atoms: orig, slots: make([][]int, len(orig))}
+	for i, ai := range orig {
+		b.slots[i] = make([]int, len(q.Atoms[ai].Args))
+		for j, t := range q.Atoms[ai].Args {
+			b.slots[i][j] = -1
+			if s, ok := slots[t.Value]; ok && t.IsVar() {
+				b.slots[i][j] = int(s)
+			}
+		}
+	}
 	for _, c := range cycles {
-		inCycle[c.F] = true
-		inCycle[c.G] = true
+		// Shared variables x̄_i: variables of cycle i occurring in other
+		// cycles. Grounded variables are constants of the masked residual.
+		vars := cur.Atoms[c.F].Vars().Union(cur.Atoms[c.G].Vars())
+		shared := make(cq.VarSet)
+		for ai, a := range cur.Atoms {
+			if ai != c.F && ai != c.G {
+				shared.AddAll(vars.Intersect(a.Vars()))
+			}
+		}
+		tc := termCycle{atoms: [2]int{c.F, c.G}}
+		for side, ai := range tc.atoms {
+			pos, err := keyPositions(cur.Atoms[ai], shared.Sorted())
+			if err != nil {
+				return nil, err
+			}
+			tc.keys[side] = pos
+		}
+		b.cycles = append(b.cycles, tc)
 	}
-	if len(inCycle) != q.Len() {
-		return false, fmt.Errorf("solver: base case expects every atom on a 2-cycle: %s", q)
-	}
+	return b, nil
+}
 
-	// Shared variables x̄_i: variables of cycle i occurring in other cycles.
-	cycleVars := make([]cq.VarSet, len(cycles))
-	for i, c := range cycles {
-		cycleVars[i] = q.Atoms[c.F].Vars().Union(q.Atoms[c.G].Vars())
+// certain decides the base case at a leaf of the recursion, where env holds
+// the ids the ancestors bound: it rebuilds the residual, purifies d for it
+// (Lemma 1), partitions each cycle's blocks by the shared-variable values
+// read off their keys, and evaluates the residual on the union of the
+// partitions the two-atom solver finds certain (Sublemma 5).
+func (b *termBase) certain(ctx context.Context, q cq.Query, d *db.DB, env []uint32) (bool, error) {
+	in := d.Interned()
+	res := cq.Query{Atoms: make([]cq.Atom, len(b.atoms))}
+	for i, ai := range b.atoms {
+		a := q.Atoms[ai]
+		args := slices.Clone(a.Args)
+		for j, s := range b.slots[i] {
+			if s >= 0 {
+				args[j] = cq.Const(in.Syms.MustString(env[s]))
+			}
+		}
+		res.Atoms[i] = cq.Atom{Rel: a.Rel, KeyLen: a.KeyLen, Args: args}
 	}
-	in := s.Interned()
+	s, err := engine.AllBlocks(d).Purify(ctx, res)
+	if err != nil || s.Empty() {
+		return false, err
+	}
 	good := engine.NewBlockSet(in) // ⋃ T db_i U: union of certain partitions
 	var buf []byte
-
-	for i, c := range cycles {
-		shared := make(cq.VarSet)
-		for j := range cycles {
-			if j != i {
-				shared.AddAll(cycleVars[i].Intersect(cycleVars[j]))
-			}
-		}
-		sharedSeq := shared.Sorted()
-		atoms := [2]cq.Atom{q.Atoms[c.F], q.Atoms[c.G]}
+	for _, c := range b.cycles {
+		atoms := [2]cq.Atom{res.Atoms[c.atoms[0]], res.Atoms[c.atoms[1]]}
 		rels := [2]*db.IRel{relOf(in, atoms[0]), relOf(in, atoms[1])}
-
-		// Partition db_i (the blocks of the cycle's relations) by the value
-		// vector of the shared variables. Lemma 7 puts the shared variables
-		// inside both keys, so the vector is read off a block's key and
-		// every partition is a block set.
+		// Partition db_i (the cycle's blocks) by the value vector of the
+		// shared variables; every partition is a block set.
 		partitions := make(map[string]*[2][]uint32)
-		for side, a := range atoms {
-			pos, err := keyPositions(a, sharedSeq)
-			if err != nil {
-				return false, err
-			}
-			r := rels[side]
-			for b := 0; r != nil && b < r.NumBlocks(); b++ {
-				if !s.Has(r, uint32(b)) {
+		for side, r := range rels {
+			for blk := 0; r != nil && blk < r.NumBlocks(); blk++ {
+				if !s.Has(r, uint32(blk)) {
 					continue
 				}
-				first := r.BlockSpan(b)[0]
+				first := r.BlockSpan(blk)[0]
 				buf = buf[:0]
-				for _, p := range pos {
+				for _, p := range c.keys[side] {
 					buf = binary.LittleEndian.AppendUint32(buf, r.Cols[p][first])
 				}
 				part := partitions[string(buf)]
@@ -174,7 +142,7 @@ func terminalBase(ctx context.Context, q cq.Query, g *core.AttackGraph, s engine
 					part = new([2][]uint32)
 					partitions[string(buf)] = part
 				}
-				part[side] = append(part[side], uint32(b))
+				part[side] = append(part[side], uint32(blk))
 			}
 		}
 		for _, part := range partitions {
@@ -186,14 +154,14 @@ func terminalBase(ctx context.Context, q cq.Query, g *core.AttackGraph, s engine
 				continue
 			}
 			for side, r := range rels {
-				for _, b := range part[side] {
-					good.Add(r, b)
+				for _, blk := range part[side] {
+					good.Add(r, blk)
 				}
 			}
 		}
 	}
 	// Sublemma 5: db ∈ CERTAINTY(q) ⟺ ⋃ T db_i U ⊨ q.
-	return good.Eval(ctx, q)
+	return good.Eval(ctx, res)
 }
 
 // keyPositions returns, for each variable, a primary-key position of a

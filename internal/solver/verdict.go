@@ -214,8 +214,8 @@ func (p *Plan) run(ctx context.Context, g *govern.Governor, d *db.DB, opts Optio
 }
 
 // dispatch runs the plan's decision procedure on the exec-stage instance
-// (p.execQ, d) over the precompiled artifacts: the FO program, the safe
-// rewriting.
+// (p.execQ, d) over the precompiled artifacts: the program of Theorems 1
+// and 3, the safe rewriting.
 func (p *Plan) dispatch(ctx context.Context, g *govern.Governor, d *db.DB, opts Options) (Verdict, error) {
 	q, cls := p.execQ, p.execCls
 	res := Result{Classification: cls, SimplifiedClass: cls.Class, Method: p.Method}
@@ -226,10 +226,8 @@ func (p *Plan) dispatch(ctx context.Context, g *govern.Governor, d *db.DB, opts 
 	case MethodSafeRewriting:
 		// Cyclic hypergraph but safe: evaluate the Theorem 6 rewriting.
 		certain, err = p.safeProg.Eval(d)
-	case MethodFO:
-		certain, err = p.foProg.Certain(ectx, q, d)
-	case MethodTerminal:
-		certain, err = CertainTerminal(ectx, q, d)
+	case MethodFO, MethodTerminal:
+		certain, err = p.prog.Certain(ectx, q, d)
 	case MethodACk:
 		certain, err = CertainACk(ectx, q, cls.Shape, d)
 	case MethodCk:
