@@ -288,3 +288,46 @@ func TestDeltaResolveAllocRegression(t *testing.T) {
 		t.Fatalf("delta re-solve allocates %.0f per step, above the %d ceiling", allocs, ceiling)
 	}
 }
+
+// TestParseAllocRegression pins the one-pass ingest on solve-inline's most
+// common instance, about 250 facts of R(x | y), S(y | z). certd parses each
+// inline database and digests the query's relations for the verdict key.
+// Building the string facts, the digest and the interned view one after
+// another made 4,335 allocations on this instance for the first two and
+// 5,830 with the view. Parse now leaves the view built, so the solver's
+// Interned() allocates nothing.
+func TestParseAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	q := cq.MustParseQuery("R(x | y), S(y | z)")
+	text := gen.RandomDB(q, gen.Config{Embeddings: 2, Noise: 125, Domain: 100}, 1).String()
+	rels := []string{"R", "S"}
+	var d *db.DB
+	ingest := testing.AllocsPerRun(20, func() {
+		var err error
+		if d, err = db.Parse(text); err != nil {
+			t.Fatal(err)
+		}
+		d.DigestOf(rels)
+	})
+	// Each call reads the view of a database just parsed (AllocsPerRun
+	// makes one warm-up call before its runs).
+	parsed := make([]*db.DB, 21)
+	for i := range parsed {
+		parsed[i] = db.MustParse(text)
+	}
+	next := 0
+	view := testing.AllocsPerRun(len(parsed)-1, func() {
+		parsed[next].Interned()
+		next++
+	})
+	t.Logf("%d facts: Parse + DigestOf %.0f allocs/op, Interned %.0f", d.Len(), ingest, view)
+	const ceiling = 1500
+	if ingest > ceiling {
+		t.Fatalf("Parse + DigestOf allocates %.0f/op, above the %d ceiling", ingest, ceiling)
+	}
+	if view != 0 {
+		t.Fatalf("Interned() after Parse allocates %.0f/op, want 0", view)
+	}
+}

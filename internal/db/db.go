@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/govern"
 )
 
@@ -47,7 +46,8 @@ type DB struct {
 	root string     // memoized composed digest; "" until computed
 
 	// interned memoizes the dense-id columnar view (see interned.go).
-	// Built lazily, dropped on mutation, shared by clones (immutable).
+	// Built by Parse or on first use, dropped on mutation, shared by
+	// clones (immutable).
 	interned atomic.Pointer[Interned]
 }
 
@@ -382,49 +382,6 @@ func Union(a, b *DB) (*DB, error) {
 		}
 	}
 	return c, nil
-}
-
-// Parse reads a database in the textual format: one fact per line (or
-// comma-separated), e.g.
-//
-//	C(PODS, 2016 | Rome)
-//	C(PODS, 2016 | Paris)
-//	R(PODS | A)
-//
-// Bare identifiers and numbers denote constants; quoted strings are also
-// constants. Variables are not allowed in database files.
-//
-// Parse is hardened against adversarial input: NUL bytes are rejected up
-// front, rows wider than MaxArity and signature conflicts between rows of
-// the same relation are reported as errors, and no input can panic.
-func Parse(input string) (*DB, error) {
-	if i := strings.IndexByte(input, 0); i >= 0 {
-		return nil, fmt.Errorf("db: input contains a NUL byte at offset %d", i)
-	}
-	q, err := cq.ParseQuery(input)
-	if err != nil {
-		return nil, err
-	}
-	d := New()
-	for _, a := range q.Atoms {
-		args := make([]string, len(a.Args))
-		for i, t := range a.Args {
-			args[i] = t.Value // identifiers are constants in database files
-		}
-		if err := d.Add(Fact{Rel: a.Rel, KeyLen: a.KeyLen, Args: args}); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-// MustParse is Parse panicking on error.
-func MustParse(input string) *DB {
-	d, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // String renders the database with one fact per line, grouped by block in

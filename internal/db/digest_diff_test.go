@@ -158,3 +158,28 @@ func postingLen(d *DB, rel string, pos int, val string) int {
 	}
 	return 0
 }
+
+// TestDigestGolden pins the digest bytes: /v1/db serves them and the verdict
+// cache and shard fingerprints are keyed on them, so a rewrite of the
+// hashing must reproduce them exactly. The database mixes quoted, numeric
+// and multi-fact blocks; an absent relation takes part in DigestOf.
+func TestDigestGolden(t *testing.T) {
+	d := MustParse(`# quoted, numeric and multi-fact blocks
+C(PODS, 2016 | Rome)
+C(PODS, 2016 | Paris)
+C('ICDT', 2017 | 'Venice, Lido')
+Q('it\'s', 'a\\b' | -3.5)
+N(1, -2 | 3.5)
+N(1, -2 | 4), N(7, 0.5 | '')
+`)
+	for _, c := range []struct{ name, got, want string }{
+		{"Digest", d.Digest(), "1e0d04e34aa5cfa380b350bfb786d3a39e29a2cd65743996097ec55ab9feee2b"},
+		{"RelationDigest(C)", d.RelationDigest("C"), "fd42ec969edec1ca9869e653ef08b73183fc35873a6f82322357b79e53b44cc3"},
+		{"DigestOf(N, C, X)", d.DigestOf([]string{"N", "C", "X"}), "36b14e4ea47779062510da90528b023e55db0f84e119ebbc12b09748972f7eb1"},
+		{"BlockDigests(C)[PODS, 2016]", d.BlockDigests("C")[NewFact("C", 2, "PODS", "2016", "Rome").BlockID()], "ac84ac2ea5b2f2a86d5d562af5bbbef9179f9a467c533fb33d85a9ce9da9fbcb"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}

@@ -64,35 +64,59 @@ func (f Fact) Validate() error {
 // KeyArgs returns the primary-key constants.
 func (f Fact) KeyArgs() []string { return f.Args[:f.KeyLen] }
 
-// encodeParts writes a length-prefixed, unambiguous encoding of parts.
-func encodeParts(b *strings.Builder, parts []string) {
-	for _, p := range parts {
-		b.WriteString(strconv.Itoa(len(p)))
-		b.WriteByte(':')
-		b.WriteString(p)
+// appendID appends the canonical encoding of a fact with relation rel and
+// arguments args: the relation, a slash, then each argument behind its
+// decimal length and a colon, which keeps the encoding unambiguous even
+// when constants contain delimiter characters. Fact.ID and Fact.BlockID
+// are this encoding, and the content digests hash it.
+func appendID(dst []byte, rel string, args []string) []byte {
+	dst = append(dst, rel...)
+	dst = append(dst, '/')
+	for _, a := range args {
+		dst = appendPart(dst, a)
 	}
+	return dst
+}
+
+// appendPart appends s behind its decimal length and a colon.
+func appendPart[S ~string | ~[]byte](dst []byte, s S) []byte {
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	dst = append(dst, ':')
+	return append(dst, s...)
+}
+
+// idLen returns the length of appendID's encoding of rel and args.
+func idLen(rel string, args []string) int {
+	n := len(rel) + 1
+	for _, a := range args {
+		n += decimalLen(len(a)) + 1 + len(a)
+	}
+	return n
+}
+
+// decimalLen returns the number of decimal digits of n >= 0.
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // ID returns a canonical encoding identifying the fact (relation plus all
 // arguments), safe for use as a map key even when constants contain
 // delimiter characters.
 func (f Fact) ID() string {
-	var b strings.Builder
-	b.WriteString(f.Rel)
-	b.WriteByte('/')
-	encodeParts(&b, f.Args)
-	return b.String()
+	var buf [64]byte
+	return string(appendID(buf[:0], f.Rel, f.Args))
 }
 
 // BlockID returns a canonical encoding of the fact's block: the relation
 // plus the primary-key arguments. Two facts are key-equal iff their
 // BlockIDs coincide.
 func (f Fact) BlockID() string {
-	var b strings.Builder
-	b.WriteString(f.Rel)
-	b.WriteByte('/')
-	encodeParts(&b, f.KeyArgs())
-	return b.String()
+	var buf [64]byte
+	return string(appendID(buf[:0], f.Rel, f.KeyArgs()))
 }
 
 // KeyEqual reports whether f and g are key-equal: same relation name and

@@ -6,22 +6,23 @@ import (
 	"testing"
 )
 
+var parseDBSeeds = []string{
+	"C(PODS, 2016 | Rome)\nC(PODS, 2016 | Paris)\nR(PODS | A)",
+	"R(a | b), R(a | c), S(b | d)",
+	"R('quo\\'ted', 'a\\\\b' | x)",
+	"R('line\\\nbreak' | x)",
+	"N(1, -2 | 3.5)",
+	"R(a | b)\nR(a, b | c)", // duplicate relation, conflicting signature
+	"R(a)\nR(a | b)",        // duplicate relation, conflicting key length
+	"R(\x00 | b)",           // NUL byte
+	"# comment only",
+	"",
+}
+
 // FuzzParseDB checks that the database text parser never panics and that
 // whatever it accepts round-trips through String as the same fact set.
 func FuzzParseDB(f *testing.F) {
-	seeds := []string{
-		"C(PODS, 2016 | Rome)\nC(PODS, 2016 | Paris)\nR(PODS | A)",
-		"R(a | b), R(a | c), S(b | d)",
-		"R('quo\\'ted', 'a\\\\b' | x)",
-		"R('line\\\nbreak' | x)",
-		"N(1, -2 | 3.5)",
-		"R(a | b)\nR(a, b | c)", // duplicate relation, conflicting signature
-		"R(a)\nR(a | b)",        // duplicate relation, conflicting key length
-		"R(\x00 | b)",           // NUL byte
-		"# comment only",
-		"",
-	}
-	for _, s := range seeds {
+	for _, s := range parseDBSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,16 +23,27 @@ func TestParseRejectsNUL(t *testing.T) {
 }
 
 // TestParseRejectsOversizedRow: rows wider than MaxArity are errors, not
-// memory bombs.
+// memory bombs. The scan stops a row at argument MaxArity+1, so a row a
+// hundred times too wide costs no more memory than one just too wide.
 func TestParseRejectsOversizedRow(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("R(k")
-	for i := 0; i <= MaxArity; i++ {
-		b.WriteString(", a")
-	}
-	b.WriteString(")")
-	if _, err := Parse(b.String()); err == nil || !strings.Contains(err.Error(), "arity") {
-		t.Errorf("oversized row: err = %v, want an arity error", err)
+	for _, args := range []int{MaxArity + 1, 100 * MaxArity} {
+		var b strings.Builder
+		b.WriteString("R(k")
+		for i := 0; i < args; i++ {
+			b.WriteString(", a")
+		}
+		b.WriteString(")")
+		input := b.String()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(input)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "arity") {
+			t.Errorf("row of %d arguments: err = %v, want an arity error", args+1, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+			t.Errorf("row of %d arguments: Parse allocated %d bytes before rejecting it, want under 64 KiB", args+1, alloc)
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package db
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"github.com/cqa-go/certainty/internal/obs"
 )
@@ -38,16 +39,43 @@ func init() {
 // sequence is hashed with per-entry length prefixes so concatenation is
 // unambiguous.
 func computeDigest(facts []Fact) string {
-	enc := make([]string, len(facts))
-	for i, f := range facts {
-		var b strings.Builder
-		b.WriteString(strconv.Itoa(f.KeyLen))
-		b.WriteByte('|')
-		b.WriteString(f.ID())
-		enc[i] = b.String()
+	var g digester
+	return hexDigest(g.sum(facts))
+}
+
+// digester computes computeDigest's hash in buffers it reuses from one fact
+// set to the next.
+type digester struct {
+	enc   []byte   // the facts' encodings, back to back
+	spans [][2]int // each encoding's [start, end) in enc
+	msg   []byte   // the sorted encodings with their length prefixes
+}
+
+func (g *digester) sum(facts []Fact) [sha256.Size]byte {
+	g.enc, g.spans = g.enc[:0], g.spans[:0]
+	for _, f := range facts {
+		start := len(g.enc)
+		g.enc = strconv.AppendInt(g.enc, int64(f.KeyLen), 10)
+		g.enc = append(g.enc, '|')
+		g.enc = appendID(g.enc, f.Rel, f.Args)
+		g.spans = append(g.spans, [2]int{start, len(g.enc)})
 	}
-	sort.Strings(enc)
-	return hashParts(enc)
+	enc := g.enc
+	slices.SortFunc(g.spans, func(a, b [2]int) int {
+		return bytes.Compare(enc[a[0]:a[1]], enc[b[0]:b[1]])
+	})
+	g.msg = g.msg[:0]
+	for _, sp := range g.spans {
+		g.msg = appendPart(g.msg, enc[sp[0]:sp[1]])
+	}
+	return sha256.Sum256(g.msg)
+}
+
+// hexDigest renders a SHA-256 sum as lowercase hex.
+func hexDigest(sum [sha256.Size]byte) string {
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // HashParts is the digest composition used throughout the index — a
@@ -59,15 +87,15 @@ func HashParts(parts []string) string { return hashParts(parts) }
 // hashParts hashes a sequence of strings with per-entry length prefixes so
 // concatenation is unambiguous, returning the hex digest.
 func hashParts(parts []string) string {
-	h := sha256.New()
-	var lenBuf [16]byte
-	for _, e := range parts {
-		n := strconv.AppendInt(lenBuf[:0], int64(len(e)), 10)
-		h.Write(n)
-		h.Write([]byte{':'})
-		h.Write([]byte(e))
+	size := 0
+	for _, p := range parts {
+		size += decimalLen(len(p)) + 1 + len(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	msg := make([]byte, 0, size)
+	for _, p := range parts {
+		msg = appendPart(msg, p)
+	}
+	return hexDigest(sha256.Sum256(msg))
 }
 
 // Digest returns a content digest of the database: two databases have equal

@@ -1,6 +1,8 @@
 package db
 
 import (
+	"slices"
+
 	"github.com/cqa-go/certainty/internal/intern"
 	"github.com/cqa-go/certainty/internal/obs"
 )
@@ -14,14 +16,17 @@ func init() {
 // Interned is the dense-id columnar view of a database: every relation name
 // and constant is interned to a uint32, and each relation's facts are stored
 // as per-column []uint32 with block-offset arrays. It is an immutable
-// snapshot built lazily on first use (DB.Interned) and dropped on mutation;
-// evaluation hot paths in engine/fo/solver run entirely over it, touching
-// strings only at the boundary (query compile, result materialization).
+// snapshot. Parse builds it in the same pass as the database; a database
+// built or changed by Add and Remove builds it on first use (DB.Interned)
+// and drops it on mutation. Evaluation hot paths in engine/fo/solver run
+// entirely over it, touching strings only at the boundary (query compile,
+// result materialization).
 //
 // Id assignment is deterministic: relation names and arguments are interned
-// by one pass over the global fact insertion order. Snapshots preserve that
-// order, so a save→reload round-trip reproduces the exact same ids (locked
-// by TestInternedSnapshotStableIDs). Digests are computed from strings and
+// by one pass over the global fact insertion order, each fact's relation
+// name before its arguments. Snapshots preserve that order, so a
+// save→reload round-trip reproduces the exact same ids (locked by
+// TestInternedSnapshotStableIDs). Digests are computed from strings and
 // never consult this view, so interning is digest-compatible by
 // construction.
 type Interned struct {
@@ -59,10 +64,28 @@ type IRel struct {
 	// BlockOfFact maps each fact index to its block ordinal.
 	BlockOfFact []uint32
 
-	blockIdx map[uint64][]uint32   // hash(key ids) → block ordinals (verify on probe)
-	factIdx  map[uint64][]uint32   // hash(all ids) → fact indices (verify on probe)
-	postings []map[uint32][]uint32 // per position: id → ascending fact indices
+	// The fact and block hash indexes chain the entries sharing a hash
+	// through factNext and blockNext, newest first, ending in noIndex.
+	// Probes verify against the columns and blockKeys, so a collision costs
+	// a comparison, never a wrong answer.
+	factIdx   map[uint64]uint32 // hash(all ids) → newest fact index
+	factNext  []uint32
+	blockIdx  map[uint64]uint32 // hash(key ids) → newest block ordinal
+	blockNext []uint32
+	blockKeys []uint32  // block b's key ids at [b*KeyLen, (b+1)*KeyLen)
+	postings  []posting // per position
 }
+
+// posting indexes one column: the facts carrying the id whose run is
+// k = at[id] are facts[off[k]:off[k+1]], in ascending order.
+type posting struct {
+	at    map[uint32]uint32
+	off   []uint32
+	facts []uint32
+}
+
+// noIndex ends a hash chain.
+const noIndex = ^uint32(0)
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -81,15 +104,10 @@ func hashIDs(ids []uint32) uint64 {
 }
 
 // NumFacts returns the number of facts of the relation.
-func (r *IRel) NumFacts() int {
-	if len(r.Cols) == 0 {
-		return 0
-	}
-	return len(r.Cols[0])
-}
+func (r *IRel) NumFacts() int { return len(r.BlockOfFact) }
 
 // NumBlocks returns the number of blocks of the relation.
-func (r *IRel) NumBlocks() int { return len(r.BlockOff) - 1 }
+func (r *IRel) NumBlocks() int { return len(r.blockNext) }
 
 // BlockSpan returns the fact indices of block b (insertion order) as a
 // shared sub-slice of ByBlock. Zero-alloc.
@@ -108,15 +126,31 @@ func (r *IRel) keyMatches(fi uint32, key []uint32) bool {
 	return true
 }
 
+// chain returns the head of the hash chain for h in idx.
+func chain(idx map[uint64]uint32, h uint64) uint32 {
+	if head, ok := idx[h]; ok {
+		return head
+	}
+	return noIndex
+}
+
+// findBlock returns the ordinal of the block with the given key ids.
+func (r *IRel) findBlock(key []uint32) (uint32, bool) {
+	k := uint32(r.KeyLen)
+	for b := chain(r.blockIdx, hashIDs(key)); b != noIndex; b = r.blockNext[b] {
+		if slices.Equal(r.blockKeys[b*k:(b+1)*k], key) {
+			return b, true
+		}
+	}
+	return 0, false
+}
+
 // BlockOf returns the fact indices of the block with the given key ids
 // (len(key) must be KeyLen), or (nil, false) when no such block exists.
 // Zero-alloc: the result is a shared sub-slice of ByBlock.
 func (r *IRel) BlockOf(key []uint32) ([]uint32, bool) {
-	for _, b := range r.blockIdx[hashIDs(key)] {
-		span := r.BlockSpan(int(b))
-		if r.keyMatches(span[0], key) {
-			return span, true
-		}
+	if b, ok := r.findBlock(key); ok {
+		return r.BlockSpan(int(b)), true
 	}
 	return nil, false
 }
@@ -124,7 +158,7 @@ func (r *IRel) BlockOf(key []uint32) ([]uint32, bool) {
 // FactIndex returns the index of the fact with exactly the given argument
 // ids (len(args) must be Arity), or (0, false) when absent. Zero-alloc.
 func (r *IRel) FactIndex(args []uint32) (uint32, bool) {
-	for _, fi := range r.factIdx[hashIDs(args)] {
+	for fi := chain(r.factIdx, hashIDs(args)); fi != noIndex; fi = r.factNext[fi] {
 		if r.keyMatches(fi, args) {
 			return fi, true
 		}
@@ -141,9 +175,14 @@ func (r *IRel) HasTuple(args []uint32) bool {
 }
 
 // Posting returns the ascending fact indices carrying id at argument
-// position pos, as a shared slice. Zero-alloc.
+// position pos, as a shared slice, or nil when none does. Zero-alloc.
 func (r *IRel) Posting(pos int, id uint32) []uint32 {
-	return r.postings[pos][id]
+	pl := &r.postings[pos]
+	k, ok := pl.at[id]
+	if !ok {
+		return nil
+	}
+	return pl.facts[pl.off[k]:pl.off[k+1]:pl.off[k+1]]
 }
 
 // Arg returns the id of argument pos of fact fi.
@@ -176,11 +215,12 @@ func (in *Interned) IsDomainSym(id uint32) bool {
 // Stats reports the symbol-table census and hit/miss telemetry of this view.
 func (in *Interned) Stats() intern.Stats { return in.Syms.Stats() }
 
-// Interned returns the dense-id columnar view of the database, building it
-// on first use. The view is an immutable snapshot: mutations drop the
-// pointer and the next call rebuilds. Clones share the view (it is
-// immutable), so cloning stays O(facts) flat copies. Safe for concurrent
-// readers; like all DB reads it must not race with mutations.
+// Interned returns the dense-id columnar view of the database. A parsed
+// database has it from Parse; otherwise it is built on first use. The view
+// is an immutable snapshot: mutations drop the pointer and the next call
+// rebuilds. Clones share the view (it is immutable), so cloning stays
+// O(facts) flat copies. Safe for concurrent readers; like all DB reads it
+// must not race with mutations.
 func (d *DB) Interned() *Interned {
 	if in := d.interned.Load(); in != nil {
 		return in
@@ -192,83 +232,194 @@ func (d *DB) Interned() *Interned {
 	return in
 }
 
-// buildInterned constructs the columnar view. Pass 1 interns symbols in
-// global fact insertion order (fixing the deterministic id assignment and
-// the active domain); pass 2 lays out each relation column-wise and builds
-// the block/fact/posting indexes from the relation's own insertion-ordered
-// structures.
+// buildInterned constructs the columnar view of a database built by Add.
+// The first pass interns every fact in global insertion order, which fixes
+// the ids and the active domain; a relation's facts keep their relative
+// order in it, so the pass also collects each relation's rows. The second
+// pass numbers each relation's blocks in its block order, which after a
+// removal can differ from the order its facts open them, and adds the rows.
 func (d *DB) buildInterned() *Interned {
 	internBuilds.Inc()
-	syms := intern.NewTable()
-	in := &Interned{
-		Syms: syms,
-		rels: make(map[string]*IRel, len(d.rels)),
-	}
-	seen := make(map[uint32]struct{})
-	for _, f := range d.facts {
-		syms.Intern(f.Rel)
-		for _, a := range f.Args {
-			id := syms.Intern(a)
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				in.domain = append(in.domain, id)
-			}
-		}
-	}
-	in.isDomainSym = make([]bool, syms.Len())
-	for _, id := range in.domain {
-		in.isDomainSym[id] = true
-	}
-
+	in := newInterned(len(d.rels))
+	rows := make(map[string][]uint32, len(d.rels))
 	for name, r := range d.rels {
-		ir := &IRel{
-			Arity:       r.sig[0],
-			KeyLen:      r.sig[1],
-			Cols:        make([][]uint32, r.sig[0]),
-			ByBlock:     make([]uint32, 0, len(r.facts)),
-			BlockOff:    make([]uint32, 1, len(r.blockOrder)+1),
-			BlockOfFact: make([]uint32, len(r.facts)),
-			blockIdx:    make(map[uint64][]uint32, len(r.blockOrder)),
-			factIdx:     make(map[uint64][]uint32, len(r.facts)),
-			postings:    make([]map[uint32][]uint32, r.sig[0]),
-		}
-		for p := range ir.Cols {
-			ir.Cols[p] = make([]uint32, len(r.facts))
-			ir.postings[p] = make(map[uint32][]uint32)
-		}
-		args := make([]uint32, r.sig[0])
-		for i, f := range r.facts {
-			for p, a := range f.Args {
-				id, _ := syms.Lookup(a)
-				ir.Cols[p][i] = id
-				ir.postings[p][id] = append(ir.postings[p][id], uint32(i))
-				args[p] = id
+		rows[name] = make([]uint32, 0, len(r.facts)*r.sig[0])
+	}
+	for _, f := range d.facts {
+		rows[f.Rel] = in.intern(rows[f.Rel], f.Rel, f.Args)
+	}
+	for name, r := range d.rels {
+		ir := newIRel(r.sig, len(r.facts), len(r.blockOrder))
+		key := make([]uint32, ir.KeyLen)
+		for _, bid := range r.blockOrder {
+			for p, a := range r.blocks[bid][0].KeyArgs() {
+				key[p], _ = in.Syms.Lookup(a)
 			}
-			h := hashIDs(args)
-			ir.factIdx[h] = append(ir.factIdx[h], uint32(i))
+			ir.block(key)
 		}
-		for b, bid := range r.blockOrder {
-			blk := r.blocks[bid]
-			for _, f := range blk {
-				fi := uint32(r.ids[f.ID()])
-				ir.ByBlock = append(ir.ByBlock, fi)
-				ir.BlockOfFact[fi] = uint32(b)
-			}
-			ir.BlockOff = append(ir.BlockOff, uint32(len(ir.ByBlock)))
-			first := ir.ByBlock[ir.BlockOff[b]]
-			kh := hashIDs(keyOf(ir, first))
-			ir.blockIdx[kh] = append(ir.blockIdx[kh], uint32(b))
+		row := rows[name]
+		for i := 0; i < len(row); i += ir.Arity {
+			ir.add(row[i : i+ir.Arity])
 		}
 		in.rels[name] = ir
 	}
+	in.finish()
 	return in
 }
 
-// keyOf reads the key ids of fact fi into a fresh slice (build-time only).
-func keyOf(r *IRel, fi uint32) []uint32 {
-	key := make([]uint32, r.KeyLen)
-	for p := 0; p < r.KeyLen; p++ {
-		key[p] = r.Cols[p][fi]
+// The ingest routine below builds a view fact by fact: Parse feeds it each
+// scanned atom, buildInterned each fact of a database built by Add. Both
+// intern a fact's relation name and then its arguments with intern, add
+// the argument ids to the relation's columns with IRel.add, and lay every
+// relation out with finish.
+
+func newInterned(rels int) *Interned {
+	return &Interned{Syms: intern.NewTable(), rels: make(map[string]*IRel, rels)}
+}
+
+// intern interns a fact's relation name and then its arguments, recording
+// first occurrences in the active domain, and appends the argument ids to
+// row.
+func (in *Interned) intern(row []uint32, rel string, args []string) []uint32 {
+	in.Syms.Intern(rel)
+	for _, a := range args {
+		id := in.Syms.Intern(a)
+		for int(id) >= len(in.isDomainSym) {
+			in.isDomainSym = append(in.isDomainSym, false)
+		}
+		if !in.isDomainSym[id] {
+			in.isDomainSym[id] = true
+			in.domain = append(in.domain, id)
+		}
+		row = append(row, id)
 	}
-	return key
+	return row
+}
+
+// finish lays out every relation and sizes the domain vector to the table.
+func (in *Interned) finish() {
+	for len(in.isDomainSym) < in.Syms.Len() {
+		in.isDomainSym = append(in.isDomainSym, false)
+	}
+	scratch := make([]uint32, in.Syms.Len())
+	for _, r := range in.rels {
+		if n := r.NumBlocks(); n > len(scratch) {
+			scratch = make([]uint32, n)
+		}
+		r.layout(scratch)
+	}
+}
+
+// newIRel returns an empty relation with the signature sig and room for
+// the given numbers of facts and blocks.
+func newIRel(sig [2]int, facts, blocks int) *IRel {
+	r := &IRel{
+		Arity:       sig[0],
+		KeyLen:      sig[1],
+		Cols:        make([][]uint32, sig[0]),
+		BlockOfFact: make([]uint32, 0, facts),
+		factIdx:     make(map[uint64]uint32, facts),
+		factNext:    make([]uint32, 0, facts),
+		blockIdx:    make(map[uint64]uint32, blocks),
+		blockNext:   make([]uint32, 0, blocks),
+		blockKeys:   make([]uint32, 0, blocks*sig[1]),
+	}
+	for p := range r.Cols {
+		r.Cols[p] = make([]uint32, 0, facts)
+	}
+	return r
+}
+
+// block returns the ordinal of the block with the given key ids, numbering
+// a new block next when there is none; fresh reports a new block.
+func (r *IRel) block(key []uint32) (b uint32, fresh bool) {
+	if b, ok := r.findBlock(key); ok {
+		return b, false
+	}
+	h := hashIDs(key)
+	b = uint32(len(r.blockNext))
+	r.blockNext = append(r.blockNext, chain(r.blockIdx, h))
+	r.blockIdx[h] = b
+	r.blockKeys = append(r.blockKeys, key...)
+	return b, true
+}
+
+// add appends the fact with argument ids args to the columns, unless the
+// relation holds it already, and groups it into the block of its key. It
+// reports whether the fact is new and whether it opened a new block.
+func (r *IRel) add(args []uint32) (fresh, newBlock bool) {
+	if _, ok := r.FactIndex(args); ok {
+		return false, false
+	}
+	h := hashIDs(args)
+	r.factNext = append(r.factNext, chain(r.factIdx, h))
+	r.factIdx[h] = uint32(len(r.BlockOfFact))
+	for p, id := range args {
+		r.Cols[p] = append(r.Cols[p], id)
+	}
+	b, newBlock := r.block(args[:r.KeyLen])
+	r.BlockOfFact = append(r.BlockOfFact, b)
+	return true, newBlock
+}
+
+// layout groups the facts by block — blocks in ordinal order, facts
+// ascending within each — and builds each column's posting. count is
+// zeroed scratch with an entry per symbol and per block, which layout
+// leaves zeroed.
+func (r *IRel) layout(count []uint32) {
+	nb := r.NumBlocks()
+	r.BlockOff = make([]uint32, nb+1)
+	for _, b := range r.BlockOfFact {
+		r.BlockOff[b+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		r.BlockOff[b] += r.BlockOff[b-1]
+	}
+	r.ByBlock = make([]uint32, len(r.BlockOfFact))
+	for fi, b := range r.BlockOfFact {
+		r.ByBlock[r.BlockOff[b]+count[b]] = uint32(fi)
+		count[b]++
+	}
+	clear(count[:nb])
+	r.postings = make([]posting, r.Arity)
+	for p, col := range r.Cols {
+		r.postings[p] = newPosting(col, count)
+	}
+}
+
+// newPosting indexes col by id, numbering the runs in first-occurrence
+// order. count is zeroed scratch with an entry per symbol, which newPosting
+// leaves zeroed: it counts each id's facts, then holds the id's next slot
+// with the placed bit set.
+func newPosting(col, count []uint32) posting {
+	const placed = 1 << 31
+	runs := 0
+	for _, id := range col {
+		if count[id] == 0 {
+			runs++
+		}
+		count[id]++
+	}
+	pl := posting{
+		at:    make(map[uint32]uint32, runs),
+		off:   make([]uint32, runs+1),
+		facts: make([]uint32, len(col)),
+	}
+	next := uint32(0)
+	for fi, id := range col {
+		if c := count[id]; c&placed == 0 {
+			k := uint32(len(pl.at))
+			pl.at[id] = k
+			pl.off[k] = next
+			count[id] = next | placed
+			next += c
+		}
+		pl.facts[count[id]&^placed] = uint32(fi)
+		count[id]++
+	}
+	pl.off[runs] = next
+	for _, id := range col {
+		count[id] = 0
+	}
+	return pl
 }

@@ -1,6 +1,8 @@
 package db
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -150,9 +152,18 @@ func (r *relation) remove(f Fact) (blockEmptied bool) {
 // incrementally, so after a mutation only the touched block is re-hashed.
 func (r *relation) blockDigestsLocked() map[string]string {
 	if r.blockDigests == nil {
-		r.blockDigests = make(map[string]string, len(r.blocks))
-		for bid, blk := range r.blocks {
-			r.blockDigests[bid] = computeDigest(blk)
+		// One digester and one hex string serve every block.
+		var g digester
+		const width = 2 * sha256.Size
+		hexes := make([]byte, 0, width*len(r.blockOrder))
+		for _, bid := range r.blockOrder {
+			sum := g.sum(r.blocks[bid])
+			hexes = hex.AppendEncode(hexes, sum[:])
+		}
+		all := string(hexes)
+		r.blockDigests = make(map[string]string, len(r.blockOrder))
+		for i, bid := range r.blockOrder {
+			r.blockDigests[bid] = all[i*width : (i+1)*width]
 		}
 	}
 	return r.blockDigests

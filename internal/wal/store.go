@@ -273,6 +273,10 @@ func (s *Store) recover() error {
 			cur = db.New()
 		}
 	}
+	// Only recovery reads the seed. Keeping it for the store's lifetime
+	// would hold the caller's database, and the interned view Parse built
+	// for it, after the first write replaces the snapshot that shares them.
+	s.opts.Seed = nil
 
 	// Replay the log beyond the snapshot. Corruption is tolerated only as
 	// a torn tail of the FINAL segment (the only place a crash can leave

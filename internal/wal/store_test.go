@@ -214,6 +214,23 @@ func TestStoreSeed(t *testing.T) {
 	}
 }
 
+// TestStoreReleasesSeed: Open keeps no reference to its seed, so the
+// caller's database and its interned view can be collected once the
+// store's first write replaces the snapshot that shares them. Until then
+// the first snapshot shares the seed's view instead of building its own.
+func TestStoreReleasesSeed(t *testing.T) {
+	seed := db.MustParse(`R(a | b) R(a | b2) S(x | y)`)
+	opts := testOpts(t)
+	opts.Seed = seed
+	s := mustOpen(t, opts)
+	if s.opts.Seed != nil {
+		t.Fatal("the store holds a reference to its seed after Open")
+	}
+	if d, _ := s.DB(); d.Interned() != seed.Interned() {
+		t.Fatal("the first snapshot does not share the seed's interned view")
+	}
+}
+
 // mutationScript is the fixed write history the crash tests replay.
 func mutationScript() []struct{ ins, del []db.Fact } {
 	return []struct{ ins, del []db.Fact }{
