@@ -7,6 +7,7 @@ package certainty
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/core"
@@ -286,6 +287,132 @@ func TestDeltaResolveAllocRegression(t *testing.T) {
 	const ceiling = 5000
 	if allocs > ceiling {
 		t.Fatalf("delta re-solve allocates %.0f per step, above the %d ceiling", allocs, ceiling)
+	}
+}
+
+// hostedResolve is the hosted benchmark's C(3) instance at a given number
+// of width-2 components, plus 200 facts of an unrelated relation, with a
+// compiled plan and a warm shard memo. Each write goes through Clone, as
+// the WAL store's commits do, and toggles one R1 fact.
+type hostedResolve struct {
+	p       *solver.Plan
+	rels    []string
+	memo    *solver.ShardMemo
+	d       *db.DB
+	present bool
+}
+
+func newHostedResolve(tb testing.TB, comps int) *hostedResolve {
+	tb.Helper()
+	q := cq.Ck(3)
+	d := gen.CycleDB(gen.CycleConfig{K: 3, Components: comps, Width: 2, SkipSk: true})
+	for _, f := range gen.RandomDB(cq.MustParseQuery("U(x | y)"), gen.Config{Noise: 200, Domain: 150}, 1).Facts() {
+		if err := d.Add(f); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	p, err := solver.CompilePlan(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := &hostedResolve{p: p, memo: solver.NewShardMemo(0, nil), d: d}
+	for _, a := range q.Atoms {
+		h.rels = append(h.rels, a.Rel)
+	}
+	d.DigestOf(h.rels)
+	if _, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, h.memo); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// write publishes the next version: a clone with the toggle fact flipped.
+func (h *hostedResolve) write(tb testing.TB) solver.Delta {
+	toggle := db.Fact{Rel: "R1", KeyLen: 1, Args: []string{"v0_0_0", "toggle"}}
+	next := h.d.Clone()
+	var dl solver.Delta
+	if h.present {
+		next.Remove(toggle)
+		dl.Del = []db.Fact{toggle}
+	} else {
+		if err := next.Add(toggle); err != nil {
+			tb.Fatal(err)
+		}
+		dl.Ins = []db.Fact{toggle}
+	}
+	h.d, h.present = next, !h.present
+	return dl
+}
+
+// resolve is the read side of a hosted write: the verdict key's digest of
+// the query's relations, then the memoized re-solve.
+func (h *hostedResolve) resolve(tb testing.TB, dl solver.Delta) solver.DeltaReport {
+	h.d.DigestOf(h.rels)
+	_, rep, err := h.p.Resolve(context.Background(), h.d, dl, h.memo, 0, solver.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
+
+// BenchmarkHostedResolve times the read side of one hosted write on the
+// hosted C(3) instance: DigestOf of the query's relations plus
+// Plan.Resolve, after a store-style toggle write that runs outside the
+// timer.
+func BenchmarkHostedResolve(b *testing.B) {
+	for _, comps := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("comps=%d", comps), func(b *testing.B) {
+			h := newHostedResolve(b, comps)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dl := h.write(b)
+				b.StartTimer()
+				h.resolve(b, dl)
+			}
+		})
+	}
+}
+
+// TestHostedResolveScaleAllocRegression pins the read side of a hosted
+// write as flat in the database's size: on the hosted C(3) instance at
+// 1,000 and at 4,000 components, DigestOf of the query's relations plus
+// Plan.Resolve after one store-style toggle write must allocate the same
+// to within 10%, in allocations and in bytes. A full digest diff, an
+// ordered decomposition or a memo lookup per component each grow with the
+// database; before kept outcomes and sorted digests, the same read side
+// allocated 318 KB at 1,000 components and 1,186 KB at 4,000.
+func TestHostedResolveScaleAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	measure := func(comps int) (allocs, bytes float64) {
+		h := newHostedResolve(t, comps)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 20
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			dl := h.write(t)
+			runtime.ReadMemStats(&before)
+			rep := h.resolve(t, dl)
+			runtime.ReadMemStats(&after)
+			if rep.ShardsReused != comps-1 || rep.ShardsRecomputed != 1 {
+				t.Fatalf("comps=%d: report %+v, want %d reused and 1 recomputed", comps, rep, comps-1)
+			}
+			allocs += float64(after.Mallocs - before.Mallocs)
+			bytes += float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		return allocs / runs, bytes / runs
+	}
+	a1, b1 := measure(1000)
+	a4, b4 := measure(4000)
+	t.Logf("allocs/op %.0f at 1,000 components, %.0f at 4,000; B/op %.0f and %.0f", a1, a4, b1, b4)
+	if a4 > 1.1*a1 || a1 > 1.1*a4 {
+		t.Errorf("allocs/op %.0f at 1,000 components and %.0f at 4,000 differ by 10%% or more", a1, a4)
+	}
+	if b4 > 1.1*b1 || b1 > 1.1*b4 {
+		t.Errorf("B/op %.0f at 1,000 components and %.0f at 4,000 differ by 10%% or more", b1, b4)
 	}
 }
 

@@ -140,6 +140,117 @@ func TestIncrementalIndexMatchesRebuilt(t *testing.T) {
 	}
 }
 
+// TestCloneChainDigestsMatchFreshParse is the copy-on-write sibling of
+// TestIncrementalIndexMatchesRebuilt: a chain of clones, each mutated
+// once or a few times as the WAL store's commits do, with a sibling clone
+// of the same parent mutated on the side. After every step every
+// RelationDigest and DigestOf of the new clone equals that of a fresh
+// parse of its facts, the digests of every older clone are where they
+// were, every block whose digest differs from the parent's is in the
+// change log since the parent's version, and a sibling's version is not in
+// the log. Some steps digest the parent before cloning, so the copy
+// carries its sorted block digests over; others leave them to be built on
+// the copy.
+func TestCloneChainDigestsMatchFreshParse(t *testing.T) {
+	rels := []string{"R", "S", "U"}
+	type frozen struct {
+		d       *DB
+		digests map[string]string
+	}
+	freeze := func(d *DB) frozen {
+		f := frozen{d: d, digests: map[string]string{}}
+		for _, rel := range rels {
+			f.digests[rel] = d.RelationDigest(rel)
+		}
+		return f
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		r := rand.New(rand.NewSource(4711 + seed))
+		randomFact := func() Fact {
+			v := func() string { return fmt.Sprintf("v%d", r.Intn(5)) }
+			return Fact{Rel: rels[r.Intn(len(rels))], KeyLen: 1, Args: []string{v(), v()}}
+		}
+		mutate := func(d *DB) {
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				f := randomFact()
+				if d.Has(f) {
+					d.Remove(f)
+				} else if err := d.Add(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cur := MustParse("R(v0 | v1) R(v0 | v2) S(v1 | v3) U(v4 | v4)")
+		var older []frozen
+		for step := 0; step < 60; step++ {
+			if r.Intn(2) == 0 {
+				cur.DigestOf(rels)
+				cur.BlockDigests("R")
+			}
+			next, sibling := cur.Clone(), cur.Clone()
+			mutate(next)
+			mutate(sibling)
+			for _, d := range []*DB{next, sibling} {
+				fresh := MustParse(d.String())
+				for _, rel := range rels {
+					if got, want := d.RelationDigest(rel), fresh.RelationDigest(rel); got != want {
+						t.Fatalf("seed %d step %d: RelationDigest(%s) %s, fresh parse %s", seed, step, rel, got, want)
+					}
+				}
+				if got, want := d.DigestOf(rels), fresh.DigestOf(rels); got != want {
+					t.Fatalf("seed %d step %d: DigestOf %s, fresh parse %s", seed, step, got, want)
+				}
+			}
+			for _, rel := range rels {
+				v, sv := cur.RelationVersion(rel), sibling.RelationVersion(rel)
+				changed, ok := next.ChangedBlocks(rel, v)
+				if v == 0 || next.RelationVersion(rel) == 0 {
+					continue // the relation appeared or vanished: its log starts anew
+				}
+				if !ok {
+					t.Fatalf("seed %d step %d: %s's change log since the parent's version %d is missing", seed, step, rel, v)
+				}
+				logged := map[string]bool{}
+				for _, bid := range changed {
+					logged[bid] = true
+				}
+				before, after := cur.BlockDigests(rel), next.BlockDigests(rel)
+				for bid := range union(before, after) {
+					if before[bid] != after[bid] && !logged[bid] {
+						t.Fatalf("seed %d step %d: block %s of %s changed but is not in the log %v", seed, step, bid, rel, changed)
+					}
+				}
+				if sv != v {
+					if _, ok := next.ChangedBlocks(rel, sv); ok {
+						t.Fatalf("seed %d step %d: %s's log reaches a sibling's version %d", seed, step, rel, sv)
+					}
+				}
+			}
+			older = append(older, freeze(cur), freeze(sibling))
+			for i, o := range older {
+				for _, rel := range rels {
+					if got := o.d.RelationDigest(rel); got != o.digests[rel] {
+						t.Fatalf("seed %d step %d: older clone %d's RelationDigest(%s) moved: %s -> %s", seed, step, i, rel, o.digests[rel], got)
+					}
+				}
+			}
+			cur = next
+		}
+	}
+}
+
+// union returns the keys of a and b.
+func union(a, b map[string]string) map[string]bool {
+	out := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		out[k] = true
+	}
+	for k := range b {
+		out[k] = true
+	}
+	return out
+}
+
 // numBlocks returns the number of blocks of rel in d's interned view.
 func numBlocks(d *DB, rel string) int {
 	if r := d.Interned().Rel(rel); r != nil {

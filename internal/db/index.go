@@ -85,17 +85,33 @@ func hexDigest(sum [sha256.Size]byte) string {
 func HashParts(parts []string) string { return hashParts(parts) }
 
 // hashParts hashes a sequence of strings with per-entry length prefixes so
-// concatenation is unambiguous, returning the hex digest.
+// concatenation is unambiguous, returning the hex digest. The message is
+// streamed through a fixed buffer, so only the result is allocated.
 func hashParts(parts []string) string {
-	size := 0
+	h := sha256.New()
+	var buf [1024]byte
+	n := 0
 	for _, p := range parts {
-		size += decimalLen(len(p)) + 1 + len(p)
+		if n+20 > len(buf) { // room for the longest length prefix
+			h.Write(buf[:n])
+			n = 0
+		}
+		n += len(strconv.AppendInt(buf[n:n], int64(len(p)), 10))
+		buf[n] = ':'
+		n++
+		for len(p) > 0 {
+			if n == len(buf) {
+				h.Write(buf[:n])
+				n = 0
+			}
+			c := copy(buf[n:], p)
+			n += c
+			p = p[c:]
+		}
 	}
-	msg := make([]byte, 0, size)
-	for _, p := range parts {
-		msg = appendPart(msg, p)
-	}
-	return hexDigest(sha256.Sum256(msg))
+	h.Write(buf[:n])
+	var sum [sha256.Size]byte
+	return hexDigest([sha256.Size]byte(h.Sum(sum[:0])))
 }
 
 // Digest returns a content digest of the database: two databases have equal
@@ -171,4 +187,34 @@ func (d *DB) BlockDigests(rel string) map[string]string {
 		return nil
 	}
 	return r.blockDigestsOf()
+}
+
+// RelationVersion returns the version of rel's content, or 0 when the
+// relation is absent. Every mutation of a relation, in place or on a
+// copy-on-write copy, gives it a new version from one process-wide
+// counter, so two databases whose rel has one version hold the same facts
+// for it.
+func (d *DB) RelationVersion(rel string) uint64 {
+	r, ok := d.rels[rel]
+	if !ok {
+		return 0
+	}
+	return r.version
+}
+
+// ChangedBlocks returns the block IDs (Fact.BlockID) of rel that mutations
+// touched since the relation was at version since: oldest first, possibly
+// repeated, and empty when since is the current version. ok is false when
+// the relation's change log does not reach back to since: the relation is
+// absent, since is older than the log's bound, or since is no version of
+// this relation's history (a sibling clone's, another database's). Only
+// blocks in the list can differ between the two versions. The slice is
+// shared with d: treat it as read-only and do not hold it across a
+// mutation of d.
+func (d *DB) ChangedBlocks(rel string, since uint64) (bids []string, ok bool) {
+	r, present := d.rels[rel]
+	if !present {
+		return nil, false
+	}
+	return r.changedSince(since)
 }

@@ -232,6 +232,11 @@ func (d *DB) Interned() *Interned {
 	return in
 }
 
+// InternedIfBuilt returns the columnar view the database holds — from
+// Parse, an earlier Interned call, or the database it was cloned from —
+// without building one, or nil when it holds none.
+func (d *DB) InternedIfBuilt() *Interned { return d.interned.Load() }
+
 // buildInterned constructs the columnar view of a database built by Add.
 // The first pass interns every fact in global insertion order, which fixes
 // the ids and the active domain; a relation's facts keep their relative

@@ -103,6 +103,7 @@ func relationOf(name string, ir *IRel, syms *intern.Table) *relation {
 		ids:        make(map[string]int, n),
 		blocks:     make(map[string][]Fact, nb),
 		blockOrder: make([]string, nb),
+		version:    versions.Add(1),
 	}
 	args := make([]string, n*arity)
 	size := 0

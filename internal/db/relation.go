@@ -3,7 +3,7 @@ package db
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,10 +18,11 @@ import (
 // relation's (and, within it, only the touched block's digest is
 // recomputed).
 //
-// Core fields (sig, facts, ids, blocks, blockOrder) are maintained eagerly
-// on every mutation. The digest fields (blockDigests, digest) are built on
-// first use under imu; once a relation is shared it is immutable, so the
-// memoized parts stay valid forever.
+// Core fields (sig, facts, ids, blocks, blockOrder) and the version and
+// change log are maintained eagerly on every mutation. The digest fields
+// (blockDigests, sorted, digest) are built on first use under imu; once a
+// relation is shared it is immutable, so the memoized parts stay valid
+// forever.
 type relation struct {
 	sig        [2]int
 	facts      []Fact            // insertion order
@@ -29,27 +30,50 @@ type relation struct {
 	blocks     map[string][]Fact // Fact.BlockID() → facts, insertion order
 	blockOrder []string          // block IDs in first-insertion order
 
+	// version names the relation's content: every mutation, in place or on
+	// a private copy, draws a new one from the process-wide counter, so two
+	// relations with one version hold the same facts.
+	version uint64
+	// The change log: the block each recent mutation touched (changed) and
+	// the version it started from (since), oldest first. Versions along one
+	// relation's history increase, so since is sorted. It keeps between
+	// ChangeLogLen/2 and ChangeLogLen entries once full.
+	since   []uint64
+	changed []string
+
 	// shared is set when a second database gains a reference to this
 	// struct (Clone). A shared relation must never be mutated in place.
 	shared atomic.Bool
 
 	imu          sync.Mutex
 	blockDigests map[string]string // block ID → content digest; incrementally maintained
+	sorted       []string          // the values of blockDigests, sorted; maintained with it
 	digest       string            // composed relation digest; "" until composed
 }
 
+// ChangeLogLen bounds a relation's change log: ChangedBlocks reaches back
+// at least ChangeLogLen/2 and at most ChangeLogLen mutations. A reader that
+// synced longer ago falls back to a full digest diff.
+const ChangeLogLen = 64
+
+// versions is the process-wide relation version counter; 0 is never drawn,
+// so it can stand for "absent".
+var versions atomic.Uint64
+
 func newRelation(sig [2]int) *relation {
 	return &relation{
-		sig:    sig,
-		ids:    make(map[string]int),
-		blocks: make(map[string][]Fact),
+		sig:     sig,
+		ids:     make(map[string]int),
+		blocks:  make(map[string][]Fact),
+		version: versions.Add(1),
 	}
 }
 
 // mutable returns a relation that may be updated in place: r itself when it
 // is exclusively owned, otherwise a private deep copy of the core fields.
-// The copy carries the per-block digests over — the mutation recomputes
-// only the digest of the block it touches.
+// The copy carries the per-block digests, their sorted list and the change
+// log over — the mutation recomputes only the digest of the block it
+// touches.
 func (r *relation) mutable() *relation {
 	if !r.shared.Load() {
 		return r
@@ -61,6 +85,9 @@ func (r *relation) mutable() *relation {
 		ids:        make(map[string]int, len(r.ids)+1),
 		blocks:     make(map[string][]Fact, len(r.blocks)+1),
 		blockOrder: append([]string(nil), r.blockOrder...),
+		version:    r.version,
+		since:      append(make([]uint64, 0, ChangeLogLen), r.since...),
+		changed:    append(make([]string, 0, ChangeLogLen), r.changed...),
 	}
 	for k, v := range r.ids {
 		c.ids[k] = v
@@ -70,13 +97,44 @@ func (r *relation) mutable() *relation {
 	}
 	r.imu.Lock()
 	if r.blockDigests != nil {
-		c.blockDigests = make(map[string]string, len(r.blockDigests))
+		c.blockDigests = make(map[string]string, len(r.blockDigests)+1)
 		for k, v := range r.blockDigests {
 			c.blockDigests[k] = v
 		}
+		c.sorted = append(make([]string, 0, len(r.sorted)+1), r.sorted...)
 	}
 	r.imu.Unlock()
 	return c
+}
+
+// touch records a mutation of block bid: a new version, and a log entry
+// naming the block and the version the mutation started from. Must only be
+// called on an exclusively owned relation.
+func (r *relation) touch(bid string) {
+	if len(r.since) == ChangeLogLen {
+		n := copy(r.since, r.since[ChangeLogLen/2:])
+		copy(r.changed, r.changed[ChangeLogLen/2:])
+		clear(r.changed[n:])
+		r.since, r.changed = r.since[:n], r.changed[:n]
+	}
+	r.since = append(r.since, r.version)
+	r.changed = append(r.changed, bid)
+	r.version = versions.Add(1)
+}
+
+// changedSince returns the blocks touched since the relation was at
+// version v, oldest first and possibly repeated, or ok == false when the
+// log does not reach back to v (or v is no version of this relation's
+// history). The slice is the log's own, capacity-clipped.
+func (r *relation) changedSince(v uint64) (bids []string, ok bool) {
+	if v == r.version {
+		return nil, true
+	}
+	i, found := slices.BinarySearch(r.since, v)
+	if !found {
+		return nil, false
+	}
+	return r.changed[i:len(r.changed):len(r.changed)], true
 }
 
 // insert adds a fact known to be absent, updating the core structures
@@ -92,9 +150,10 @@ func (r *relation) insert(f Fact) {
 		r.blockOrder = append(r.blockOrder, bid)
 	}
 	r.blocks[bid] = append(blk, f)
+	r.touch(bid)
 	r.imu.Lock()
 	if r.blockDigests != nil {
-		r.blockDigests[bid] = computeDigest(r.blocks[bid])
+		r.setBlockDigestLocked(bid, computeDigest(r.blocks[bid]))
 	}
 	r.digest = ""
 	r.imu.Unlock()
@@ -134,22 +193,42 @@ func (r *relation) remove(f Fact) (blockEmptied bool) {
 	} else {
 		r.blocks[bid] = kept
 	}
+	r.touch(bid)
 	r.imu.Lock()
 	if r.blockDigests != nil {
-		if blockEmptied {
-			delete(r.blockDigests, bid)
-		} else {
-			r.blockDigests[bid] = computeDigest(r.blocks[bid])
+		dg := ""
+		if !blockEmptied {
+			dg = computeDigest(r.blocks[bid])
 		}
+		r.setBlockDigestLocked(bid, dg)
 	}
 	r.digest = ""
 	r.imu.Unlock()
 	return blockEmptied
 }
 
-// blockDigestsLocked builds the per-block digest map on first use. The
-// caller must hold imu. Once built, insert/remove maintain the map
-// incrementally, so after a mutation only the touched block is re-hashed.
+// setBlockDigestLocked sets block bid's digest to dg, or drops it when dg
+// is "", keeping the sorted list in step by binary search. The caller
+// holds imu and the digests are built.
+func (r *relation) setBlockDigestLocked(bid, dg string) {
+	if old, ok := r.blockDigests[bid]; ok {
+		if i, found := slices.BinarySearch(r.sorted, old); found {
+			r.sorted = slices.Delete(r.sorted, i, i+1)
+		}
+	}
+	if dg == "" {
+		delete(r.blockDigests, bid)
+		return
+	}
+	r.blockDigests[bid] = dg
+	i, _ := slices.BinarySearch(r.sorted, dg)
+	r.sorted = slices.Insert(r.sorted, i, dg)
+}
+
+// blockDigestsLocked builds the per-block digest map and its sorted list
+// on first use. The caller must hold imu. Once built, insert/remove
+// maintain both incrementally, so after a mutation only the touched block
+// is re-hashed.
 func (r *relation) blockDigestsLocked() map[string]string {
 	if r.blockDigests == nil {
 		// One digester and one hex string serve every block.
@@ -162,9 +241,12 @@ func (r *relation) blockDigestsLocked() map[string]string {
 		}
 		all := string(hexes)
 		r.blockDigests = make(map[string]string, len(r.blockOrder))
+		r.sorted = make([]string, len(r.blockOrder))
 		for i, bid := range r.blockOrder {
-			r.blockDigests[bid] = all[i*width : (i+1)*width]
+			r.sorted[i] = all[i*width : (i+1)*width]
+			r.blockDigests[bid] = r.sorted[i]
 		}
+		slices.Sort(r.sorted)
 	}
 	return r.blockDigests
 }
@@ -181,22 +263,17 @@ func (r *relation) blockDigestsOf() map[string]string {
 }
 
 // digestOf returns the relation's composed content digest: the hash of the
-// sorted per-block digests. Block digests are maintained incrementally by
-// insert/remove once first computed, so after a mutation only the touched
-// block is re-hashed and the composition re-sorted.
+// sorted per-block digests, streamed over the sorted list that
+// insert/remove keep up to date, so after a mutation only the touched
+// block is re-hashed and nothing is sorted.
 func (r *relation) digestOf() string {
 	r.imu.Lock()
 	defer r.imu.Unlock()
 	if r.digest != "" {
 		return r.digest
 	}
-	digests := r.blockDigestsLocked()
-	parts := make([]string, 0, len(digests))
-	for _, dg := range digests {
-		parts = append(parts, dg)
-	}
-	sort.Strings(parts)
-	r.digest = hashParts(parts)
+	r.blockDigestsLocked()
+	r.digest = hashParts(r.sorted)
 	digestComputations.Inc()
 	return r.digest
 }

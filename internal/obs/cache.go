@@ -44,6 +44,13 @@ func (m *CacheMetrics) Hit() {
 	}
 }
 
+// AddHits records n cache hits at once. No-op on nil.
+func (m *CacheMetrics) AddHits(n int) {
+	if m != nil && n > 0 {
+		m.hits.Add(uint64(n))
+	}
+}
+
 // Miss records a cache miss. No-op on nil.
 func (m *CacheMetrics) Miss() {
 	if m != nil {

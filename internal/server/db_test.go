@@ -5,10 +5,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
+	"github.com/cqa-go/certainty/internal/solver"
 	"github.com/cqa-go/certainty/internal/wal"
 )
 
@@ -257,5 +260,71 @@ func TestBatchHostedDBPinned(t *testing.T) {
 	}
 	if inline.Error != nil || inline.Verdict == nil || !inline.Verdict.Result.Certain {
 		t.Fatalf("inline item = %+v, want certain", inline)
+	}
+}
+
+// TestHostedReadsDuringParkedCommit: a write parked inside its fsync holds
+// the store's commit lock, and /readyz and a hosted solve must still
+// answer at once, from the snapshot before the write.
+func TestHostedReadsDuringParkedCommit(t *testing.T) {
+	ffs := wal.NewFaultFS(nil)
+	s, st := newStoreServer(t, ffs)
+	before := decodeMutate(t, doJSON(t, s, nil, "POST", "/v1/db/facts", DBMutateRequest{
+		Facts: "R(a1 | b1) R(a1 | x1) S(b1 | c1) R(a2 | b2) R(a2 | x2) S(b2 | c2)",
+	})).Version
+
+	parked, gate := make(chan struct{}), make(chan struct{})
+	var parkOnce, releaseOnce sync.Once
+	ffs.SetSyncFault(func(string) error {
+		parkOnce.Do(func() { close(parked) })
+		<-gate
+		return nil
+	})
+	release := func() {
+		releaseOnce.Do(func() {
+			ffs.SetSyncFault(nil)
+			close(gate)
+		})
+	}
+	t.Cleanup(release)
+
+	written := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		written <- doJSON(t, s, nil, "POST", "/v1/db/facts", DBMutateRequest{Facts: "S(x1 | c1)"})
+	}()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the write never reached its fsync")
+	}
+
+	type answers struct{ readyz, solve *httptest.ResponseRecorder }
+	got := make(chan answers, 1)
+	go func() {
+		got <- answers{
+			readyz: doJSON(t, s, nil, "GET", "/readyz", nil),
+			solve:  doJSON(t, s, nil, "POST", "/v1/solve", SolveRequest{Query: "R(x | y), S(y | z)"}),
+		}
+	}()
+	select {
+	case a := <-got:
+		if a.readyz.Code != http.StatusOK {
+			t.Errorf("/readyz during the commit = %d, want 200", a.readyz.Code)
+		}
+		v := decodeSolve(t, a.solve)
+		if v.DBVersion == nil || *v.DBVersion != before || v.Verdict.Outcome != solver.OutcomeNotCertain {
+			t.Errorf("hosted solve during the commit: version %v, outcome %v; want version %d, not-certain",
+				v.DBVersion, v.Verdict.Outcome, before)
+		}
+	case <-time.After(time.Second):
+		release()
+		t.Fatal("/readyz or a hosted solve waited for a commit parked in its fsync")
+	}
+	release()
+	if rec := <-written; rec.Code != http.StatusOK {
+		t.Fatalf("parked write = %d, body %s", rec.Code, rec.Body)
+	}
+	if _, v := st.DB(); v != before+1 {
+		t.Errorf("after the commit the store is at version %d, want %d", v, before+1)
 	}
 }

@@ -209,3 +209,88 @@ func TestPprofGated(t *testing.T) {
 		t.Fatalf("pprof index = %d, want 200", rec.Code)
 	}
 }
+
+// TestScrapeNeverBuildsHostedView: a write drops the hosted snapshot's
+// columnar view, and neither /metrics nor /v1/statsz may rebuild it; they
+// report the last census instead, until a view exists again.
+func TestScrapeNeverBuildsHostedView(t *testing.T) {
+	s, st := newStoreServer(t, nil)
+	decodeMutate(t, doJSON(t, s, nil, "POST", "/v1/db/facts", DBMutateRequest{Facts: "R(a | b), R(a | b2)"}))
+	d, _ := st.DB()
+	want := d.Interned().Stats()
+	if got := decodeStatsz(t, s).Intern; got != want {
+		t.Fatalf("/v1/statsz intern = %+v, want %+v", got, want)
+	}
+
+	decodeMutate(t, doJSON(t, s, nil, "POST", "/v1/db/facts", DBMutateRequest{Facts: "R(c | d)"}))
+	builds := obs.Default.Counter("db_intern_builds_total")
+	before := builds.Value()
+	samples := scrapeMetrics(t, s)
+	got := decodeStatsz(t, s).Intern
+	if after := builds.Value(); after != before {
+		t.Errorf("a scrape after a write built %d interned views, want none", after-before)
+	}
+	if got != want {
+		t.Errorf("/v1/statsz intern after a write = %+v, want the last census %+v", got, want)
+	}
+	if v := samples["certd_intern_symbols"]; v != strconv.FormatInt(want.Symbols, 10) {
+		t.Errorf("certd_intern_symbols = %s, want the last census's %d", v, want.Symbols)
+	}
+
+	// Once the snapshot holds a view again, its census is reported.
+	d, _ = st.DB()
+	fresh := d.Interned().Stats()
+	if got := decodeStatsz(t, s).Intern; got != fresh {
+		t.Errorf("/v1/statsz intern = %+v, want the current view's %+v", got, fresh)
+	}
+}
+
+// TestShardMemoPartitionsGolden: after hosted solves of two plans, the
+// memo keeps one partition each, and /v1/statsz and the
+// certd_shard_memo_* gauges report them: partitions, the co-occurrence
+// components they hold, and the components without a kept outcome. A
+// stateless server reports neither.
+func TestShardMemoPartitionsGolden(t *testing.T) {
+	s, _ := newStoreServer(t, nil)
+	// Three never-certain R–S groups and two never-certain T–U groups: every
+	// shard is solved, so every component ends with a kept outcome.
+	decodeMutate(t, doJSON(t, s, nil, "POST", "/v1/db/facts", DBMutateRequest{
+		Facts: `R(a1 | b1) R(a1 | x1) S(b1 | c1)
+		        R(a2 | b2) R(a2 | x2) S(b2 | c2)
+		        R(a3 | b3) R(a3 | x3) S(b3 | c3)
+		        T(a1 | b1) T(a1 | x1) U(b1 | c1)
+		        T(a2 | b2) T(a2 | x2) U(b2 | c2)`,
+	}))
+	if got := decodeStatsz(t, s).ShardMemoPartitions; got == nil || *got != (solver.PartitionStats{}) {
+		t.Fatalf("before any solve: shard_memo_partitions = %+v, want all zero", got)
+	}
+	for _, q := range []string{"R(x | y), S(y | z)", "T(x | y), U(y | z)"} {
+		if v := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", SolveRequest{Query: q})); v.Verdict.Outcome != solver.OutcomeNotCertain {
+			t.Fatalf("%s: outcome %v, want not-certain", q, v.Verdict.Outcome)
+		}
+	}
+	want := solver.PartitionStats{Partitions: 2, Components: 5, Undecided: 0}
+	if got := decodeStatsz(t, s).ShardMemoPartitions; got == nil || *got != want {
+		t.Errorf("shard_memo_partitions = %+v, want %+v", got, want)
+	}
+	samples := scrapeMetrics(t, s)
+	for series, value := range map[string]int{
+		"certd_shard_memo_partitions": want.Partitions,
+		"certd_shard_memo_components": want.Components,
+		"certd_shard_memo_undecided":  want.Undecided,
+	} {
+		if got, ok := samples[series]; !ok {
+			t.Errorf("series %s missing from /metrics", series)
+		} else if got != strconv.Itoa(value) {
+			t.Errorf("%s = %s, want %d", series, got, value)
+		}
+	}
+
+	stateless := New(Config{Registry: obs.NewRegistry()})
+	if got := decodeStatsz(t, stateless).ShardMemoPartitions; got != nil {
+		t.Errorf("stateless shard_memo_partitions = %+v, want absent", got)
+	}
+	if _, ok := scrapeMetrics(t, stateless)["certd_shard_memo_partitions"]; ok {
+		t.Error("stateless /metrics carries certd_shard_memo_partitions")
+	}
+}

@@ -124,6 +124,11 @@ type Server struct {
 	mInternBytes   *obs.Gauge
 	mInternHits    *obs.Gauge
 	mInternMisses  *obs.Gauge
+	census         atomic.Pointer[intern.Stats] // the last intern census reported
+
+	mMemoPartitions *obs.Gauge // nil when stateless
+	mMemoComponents *obs.Gauge
+	mMemoUndecided  *obs.Gauge
 
 	slots    chan struct{}
 	queued   atomic.Int64
@@ -149,6 +154,10 @@ const (
 
 	metricDeltaReused     = "certd_delta_shards_reused_total"
 	metricDeltaRecomputed = "certd_delta_shards_recomputed_total"
+
+	metricMemoPartitions = "certd_shard_memo_partitions"
+	metricMemoComponents = "certd_shard_memo_components"
+	metricMemoUndecided  = "certd_shard_memo_undecided"
 )
 
 // New builds a Server from cfg, applying defaults for unset fields.
@@ -216,6 +225,12 @@ func New(cfg Config) *Server {
 	if cfg.Store != nil {
 		s.reg.Help(metricDeltaReused, "Shard sub-verdicts reused from the memo by hosted solves.")
 		s.reg.Help(metricDeltaRecomputed, "Shard sub-verdicts recomputed by hosted solves.")
+		s.reg.Help(metricMemoPartitions, "Shard partitions the memo keeps, one per recently solved plan.")
+		s.reg.Help(metricMemoComponents, "Co-occurrence components held by the kept shard partitions.")
+		s.reg.Help(metricMemoUndecided, "Components of the kept shard partitions without a kept outcome.")
+		s.mMemoPartitions = s.reg.Gauge(metricMemoPartitions)
+		s.mMemoComponents = s.reg.Gauge(metricMemoComponents)
+		s.mMemoUndecided = s.reg.Gauge(metricMemoUndecided)
 		s.shardMemoM = obs.NewCacheMetrics(s.reg, "shard_memo")
 		s.shardMemo = solver.NewShardMemo(0, s.shardMemoM)
 	}
@@ -847,16 +862,38 @@ func statsFrom(m *obs.CacheMetrics) lru.Stats {
 }
 
 // internStats resolves the symbol-interner census reported on /statsz and
-// the certd_intern_* gauges: the hosted database's columnar view when a
-// store is attached (building the view if a mutation dropped it), all-zero
-// when certd runs stateless. The hosted snapshot is immutable, so reading
-// the view here never races with writers.
+// the certd_intern_* gauges: on a hosted server, the census of the
+// columnar view the current snapshot holds, or the last census reported
+// when a mutation dropped the view; all-zero when certd runs stateless. A
+// scrape never builds a view, which costs O(|DB|). The hosted snapshot is
+// immutable, so reading its view here never races with writers.
 func (s *Server) internStats() intern.Stats {
 	if s.cfg.Store == nil {
 		return intern.Stats{}
 	}
 	d, _ := s.cfg.Store.DB()
-	return d.Interned().Stats()
+	if in := d.InternedIfBuilt(); in != nil {
+		st := in.Stats()
+		s.census.Store(&st)
+		return st
+	}
+	if st := s.census.Load(); st != nil {
+		return *st
+	}
+	return intern.Stats{}
+}
+
+// memoPartitions reads the census of the shard memo's kept partitions
+// and refreshes the certd_shard_memo_* gauges from it; nil when stateless.
+func (s *Server) memoPartitions() *solver.PartitionStats {
+	if s.shardMemo == nil {
+		return nil
+	}
+	st := s.shardMemo.Partitions()
+	s.mMemoPartitions.Set(int64(st.Partitions))
+	s.mMemoComponents.Set(int64(st.Components))
+	s.mMemoUndecided.Set(int64(st.Undecided))
+	return &st
 }
 
 // publishInternStats refreshes the certd_intern_* gauges from a census.
@@ -868,13 +905,15 @@ func (s *Server) publishInternStats(st intern.Stats) {
 }
 
 // handleStatsz reports the serving-layer cache counters: compiled plans,
-// verdicts and, on a hosted server, the shard memo. The numbers are read
-// from the obs registry rather than the lru internals. The interned data
-// plane adds the hosted view's symbol-table census.
+// verdicts and, on a hosted server, the shard memo and its kept
+// partitions. The cache numbers are read from the obs registry rather than
+// the lru internals. The interned data plane adds the hosted view's
+// symbol-table census.
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	resp := StatszResponse{
-		Plans:  statsFrom(s.plansM),
-		Intern: s.internStats(),
+		Plans:               statsFrom(s.plansM),
+		Intern:              s.internStats(),
+		ShardMemoPartitions: s.memoPartitions(),
 	}
 	if s.verdicts != nil {
 		resp.Verdicts = statsFrom(s.verdictsM)
@@ -891,6 +930,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 // format, refreshing the scrape-time gauges first.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.publishInternStats(s.internStats())
+	s.memoPartitions()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }

@@ -406,7 +406,14 @@ type StatszResponse struct {
 	// ShardMemoInvalidations counts memo entries removed by /v1/db
 	// mutations (block-granular invalidation).
 	ShardMemoInvalidations uint64 `json:"shard_memo_invalidations,omitempty"`
+	// ShardMemoPartitions is the census of the shard partitions the memo
+	// keeps, one per recently solved plan: how many, the co-occurrence
+	// components they hold, and how many of those have no kept outcome
+	// (absent when stateless).
+	ShardMemoPartitions *solver.PartitionStats `json:"shard_memo_partitions,omitempty"`
 	// Intern is the symbol-interner census of the hosted database's
-	// columnar view (all-zero when certd runs stateless).
+	// columnar view (all-zero when certd runs stateless). A scrape never
+	// builds the view: it reports the view the current snapshot holds, or
+	// the last census reported when a write dropped it.
 	Intern intern.Stats `json:"intern"`
 }

@@ -21,8 +21,8 @@ import (
 // server's block-granular eviction) is memory hygiene and observability,
 // never a correctness requirement.
 
-// ShardFingerprint returns the content address of shard idx of component
-// comp; d must be the database the decomposition was taken from. A shard
+// ShardFingerprint returns the content address of listed shard idx of
+// component comp; d must be the database the decomposition was taken from. A shard
 // that is one co-occurrence component carries its fingerprint across the
 // versions a Partition is synced to, so it is hashed once, when first
 // asked for; a shard packed from several components is hashed from its
@@ -47,11 +47,11 @@ func (dec *Decomposition) ShardFingerprint(d *db.DB, comp, idx int) string {
 	return fingerprint(dec.compKeys[comp], d, rels, bids)
 }
 
-// ComponentFingerprints returns the fingerprints of every shard of
+// ComponentFingerprints returns the fingerprints of every listed shard of
 // component comp, in shard order — the batch the solver's memo pre-pass
 // looks up before fanning out.
 func (dec *Decomposition) ComponentFingerprints(d *db.DB, comp int) []string {
-	fps := make([]string, len(dec.Blocks[comp]))
+	fps := make([]string, dec.ComponentShards(comp))
 	for i := range fps {
 		fps[i] = dec.ShardFingerprint(d, comp, i)
 	}

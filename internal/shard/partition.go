@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -11,19 +13,31 @@ import (
 )
 
 // Partition is the block co-occurrence partition of one query over a
-// database, kept across versions of that database: Sync diffs the
-// database's content digests against the ones recorded at the previous
-// sync and re-links only the blocks whose content changed, together with
-// the components those blocks belonged to or now reach. Every other
-// component keeps its block list and its fingerprint, so after a one-block
-// write a sync costs the size of that block's component, not of the
-// database.
+// database, kept across versions of that database: a sync finds the blocks
+// whose content changed since the previous sync and re-links only those,
+// together with the components they belonged to or now reach. Every other
+// component keeps its block list, its fingerprint and its kept outcome, so
+// after a one-block write a sync costs the size of that block's component,
+// not of the database.
 //
-// Because the diff is by content, one Sync is correct whatever happened
-// between two calls: an in-place mutation of one *db.DB, several versions,
-// or an older snapshot after a newer one. A maintained partition and a
-// fresh one synced to the same database produce the same decomposition,
-// byte for byte. Safe for concurrent use; syncs are serialized.
+// Changed blocks are found through relation versions: a relation whose
+// version is the one recorded at the last sync is skipped, and in a
+// changed relation only the blocks its change log names are compared by
+// digest (db.DB.ChangedBlocks). When the log does not reach back to the
+// recorded version — the first sync, an older snapshot after a newer one,
+// an unrelated database, more mutations than the log holds — the relation
+// falls back to a full diff of its block digests. Because both paths
+// compare content, one sync is correct whatever happened between two
+// calls, and a maintained partition and a fresh one synced to the same
+// database produce the same decomposition, byte for byte.
+//
+// The partition also keeps the conclusive outcome of each co-occurrence
+// component that a memoized solve decided (Decomposition.Record): per
+// query component, the count of components kept certain and the list of
+// components without an outcome, which SyncOpen hands out. An outcome is a
+// function of the component's content, and a change to any of its blocks
+// replaces the component, so a kept outcome never outlives its content.
+// Safe for concurrent use; syncs are serialized.
 type Partition struct {
 	mu sync.Mutex
 
@@ -33,19 +47,23 @@ type Partition struct {
 
 	rels    map[string]*relState // relations of q: join positions and synced blocks
 	buckets map[string]*bucket   // join key → the blocks holding a fact with that value there
-	comps   [][]*component       // per query component, ordered by smallest block ID
+	comps   [][]*component       // per query component, in no order (pack sorts)
 	epoch   uint64               // sync counter, for the visited marks of one sync
+
+	certain []int          // per query component: components kept certain
+	open    [][]*component // per query component: components without a kept outcome, after the last sync
 }
 
 // relState is one relation of the query: the query component it belongs to,
 // the positions that link its facts to others, and its blocks as of the last
 // sync.
 type relState struct {
-	comp   int
-	occs   []varOcc // positions of variables occurring more than once in q
-	link   []string // the one join key of every block, for self-joining components
-	digest string   // the relation's content digest at the last sync
-	blocks map[string]*blockState
+	comp    int
+	occs    []varOcc // positions of variables occurring more than once in q
+	link    []string // the one join key of every block, for self-joining components
+	version uint64   // the relation's version at the last sync; 0 when absent
+	digest  string   // the relation's content digest at the last full diff; "" when absent or not computed
+	blocks  map[string]*blockState
 }
 
 // varOcc is one occurrence of a multi-occurrence variable v at argument
@@ -80,7 +98,13 @@ type component struct {
 	blocks []string // sorted block IDs
 	rels   []string // relation of each block
 	size   int      // facts
+	j      int      // query component
+	at     int      // index in the partition's comps[j]
 	fp     atomic.Pointer[string]
+
+	// Guarded by the partition's lock: the kept outcome, and whether a
+	// sync dissolved the component.
+	decided, certain, dead bool
 }
 
 // fingerprint returns the component's shard fingerprint, computing it on
@@ -96,14 +120,17 @@ func (c *component) fingerprint(key string, d *db.DB) string {
 	return fp
 }
 
-// SyncStats accounts for one Sync: the blocks whose content appeared,
+// SyncStats accounts for one sync: the blocks whose content appeared,
 // changed or vanished since the previous sync, the components formed by
-// this sync (all of them on a fresh partition), and the components the
-// partition holds afterwards.
+// this sync (all of them on a fresh partition), the components the
+// partition holds afterwards, and the relations diffed in full because
+// their change log did not reach back to the last sync (every relation of
+// the query present on a first sync).
 type SyncStats struct {
 	Touched    int
 	Rebuilt    int
 	Components int
+	Rescanned  int
 }
 
 // NewPartition returns an empty partition for q; the first Sync builds it.
@@ -134,6 +161,8 @@ func NewPartition(q cq.Query) *Partition {
 		}
 	}
 	pt.comps = make([][]*component, len(pt.components))
+	pt.certain = make([]int, len(pt.components))
+	pt.open = make([][]*component, len(pt.components))
 
 	// Occurrence lists of multi-occurrence variables, grouped by relation: a
 	// variable occurring once cannot link two facts. A variable occurs in
@@ -164,12 +193,9 @@ func NewPartition(q cq.Query) *Partition {
 // solver never reads. The partition's lock is held throughout, so the
 // decomposition always reflects exactly d.
 //
-// A relation whose content digest equals the one recorded at the last sync
-// is skipped. In a changed relation, a block whose digest appeared,
-// vanished or changed is touched. A component dissolves when it contains a
-// touched block or when a join key of a re-linked block reaches it; the
-// blocks of dissolved components and the touched blocks are then linked
-// anew on their own.
+// A component dissolves when it contains a changed block or when a join
+// key of a re-linked block reaches it; the blocks of dissolved components
+// and the changed blocks are then linked anew on their own.
 func (pt *Partition) Sync(d *db.DB, maxShards int) (*Decomposition, SyncStats) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
@@ -180,59 +206,100 @@ func (pt *Partition) Sync(d *db.DB, maxShards int) (*Decomposition, SyncStats) {
 	return dec, st
 }
 
-// sync diffs d against the recorded state and re-links the touched part.
+// SyncOpen brings the partition up to date with d and returns d's finest
+// decomposition (one shard per co-occurrence component) listing only the
+// shards without a kept outcome; Kept reports the others, and Record keeps
+// the outcomes the caller decides. Nothing is built per kept component, so
+// after a one-block write the call costs the touched components, not the
+// partition. Blocks is left nil.
+func (pt *Partition) SyncOpen(d *db.DB) (*Decomposition, SyncStats) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	st := pt.sync(d)
+	dec := pt.newDecomposition(d)
+	dec.pt = pt
+	for j, open := range pt.open {
+		dec.groups[j] = singletons(slices.Clone(open))
+		dec.kept[j] = keptCount{decided: len(pt.comps[j]) - len(open), certain: pt.certain[j]}
+	}
+	decomposeTotal.Inc()
+	instancesTotal.Add(uint64(dec.NumShards()))
+	return dec, st
+}
+
+// Census returns the number of co-occurrence components the partition
+// holds and how many of them have no kept outcome.
+func (pt *Partition) Census() (components, undecided int) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	for j, cs := range pt.comps {
+		components += len(cs)
+		for _, c := range pt.open[j] {
+			if !c.dead && !c.decided {
+				undecided++
+			}
+		}
+	}
+	return components, undecided
+}
+
+// record keeps c's conclusive outcome. A dissolved component may still be
+// recorded by a solve of an older version, but no longer counts. The
+// caller holds the lock.
+func (pt *Partition) record(c *component, certain bool) {
+	if c.decided {
+		return
+	}
+	c.decided, c.certain = true, certain
+	if certain && !c.dead {
+		pt.certain[c.j]++
+	}
+}
+
+// syncRun is the working state of one sync: the changed blocks still
+// present, which are re-linked, the components they dissolved, and the
+// count of vanished blocks.
+type syncRun struct {
+	relink    []*blockState
+	dissolved map[*component]bool
+	vanished  int
+}
+
+func (run *syncRun) dissolve(b *blockState) {
+	if b.comp != nil {
+		run.dissolved[b.comp] = true
+		b.comp = nil
+	}
+}
+
+// sync finds the changed blocks of d against the recorded state and
+// re-links the touched part.
 func (pt *Partition) sync(d *db.DB) SyncStats {
 	var st SyncStats
-	var relink []*blockState // touched blocks still present
-	dissolved := make(map[*component]bool)
-	dissolve := func(b *blockState) {
-		if b.comp != nil {
-			dissolved[b.comp] = true
-			b.comp = nil
-		}
-	}
+	run := &syncRun{dissolved: make(map[*component]bool)}
 	for name, rs := range pt.rels {
-		digest := d.RelationDigest(name)
-		if digest == rs.digest {
+		v := d.RelationVersion(name)
+		if v == rs.version {
 			continue
 		}
-		rs.digest = digest
-		current := d.BlockDigests(name) // nil when the relation is gone
-		before, kept := len(rs.blocks), 0
-		for bid, bd := range current {
-			b := rs.blocks[bid]
-			if b == nil {
-				b = &blockState{id: bid, rel: name}
-				rs.blocks[bid] = b
-			} else {
-				kept++
-				if b.digest == bd {
-					continue
-				}
+		if bids, ok := d.ChangedBlocks(name, rs.version); ok {
+			current := d.BlockDigests(name)
+			for _, bid := range bids {
+				pt.update(run, d, rs, name, bid, current[bid])
 			}
-			b.digest = bd
-			facts := d.BlockFacts(name, bid)
-			b.size = len(facts)
-			dissolve(b)
-			pt.rekey(b, rs.joinKeys(facts))
-			relink = append(relink, b)
+			rs.digest = ""
+		} else {
+			st.Rescanned++
+			pt.rescan(run, d, rs, name)
 		}
-		if kept < before {
-			for bid, b := range rs.blocks {
-				if _, ok := current[bid]; !ok {
-					dissolve(b)
-					pt.rekey(b, nil)
-					delete(rs.blocks, bid)
-					st.Touched++
-				}
-			}
-		}
+		rs.version = v
 	}
-	st.Touched += len(relink)
+	st.Touched = len(run.relink) + run.vanished
 
-	// Re-link: the touched blocks plus the remaining blocks of every
+	// Re-link: the changed blocks plus the remaining blocks of every
 	// component they dissolved. The walk from each unvisited block collects
 	// its new component and dissolves any old component it reaches.
+	relink, dissolved := run.relink, run.dissolved
 	for c := range dissolved {
 		for i, bid := range c.blocks {
 			if b := pt.rels[c.rels[i]].blocks[bid]; b != nil && b.comp == c {
@@ -247,24 +314,94 @@ func (pt *Partition) sync(d *db.DB) SyncStats {
 			continue
 		}
 		c := pt.collect(b, dissolved)
-		j := pt.rels[b.rel].comp
-		fresh[j] = append(fresh[j], c)
+		fresh[c.j] = append(fresh[c.j], c)
 		st.Rebuilt++
 	}
 
-	// Replace each changed component list by a new slice: decompositions
-	// taken earlier still read the old one.
-	changed := make([]bool, len(pt.comps))
+	// Swap the dissolved components for the fresh ones. Decompositions hold
+	// their own copies of the lists, so the lists change in place.
 	for c := range dissolved {
-		changed[pt.rels[c.rels[0]].comp] = true
-	}
-	for j, cs := range pt.comps {
-		if changed[j] || len(fresh[j]) > 0 {
-			pt.comps[j] = mergeComponents(cs, fresh[j], dissolved)
+		c.dead = true
+		if c.decided && c.certain {
+			pt.certain[c.j]--
 		}
+		cs := pt.comps[c.j]
+		last := cs[len(cs)-1]
+		cs[c.at], last.at = last, c.at
+		cs[len(cs)-1] = nil
+		pt.comps[c.j] = cs[:len(cs)-1]
+	}
+	for j := range pt.comps {
+		for _, c := range fresh[j] {
+			c.at = len(pt.comps[j])
+			pt.comps[j] = append(pt.comps[j], c)
+		}
+		// Outcomes recorded since the last sync close components too.
+		open := pt.open[j][:0]
+		for _, c := range pt.open[j] {
+			if !c.dead && !c.decided {
+				open = append(open, c)
+			}
+		}
+		clear(pt.open[j][len(open):])
+		pt.open[j] = append(open, fresh[j]...)
 		st.Components += len(pt.comps[j])
 	}
 	return st
+}
+
+// rescan diffs every block digest of relation name in d against the
+// recorded ones: the fallback for a relation whose change log does not
+// reach back to the last sync. A relation whose content digest is the one
+// recorded at its last full diff is skipped.
+func (pt *Partition) rescan(run *syncRun, d *db.DB, rs *relState, name string) {
+	digest := d.RelationDigest(name)
+	if digest == rs.digest && (digest != "" || len(rs.blocks) == 0) {
+		return
+	}
+	rs.digest = digest
+	current := d.BlockDigests(name) // nil when the relation is gone
+	for bid, bd := range current {
+		pt.update(run, d, rs, name, bid, bd)
+	}
+	if len(rs.blocks) > len(current) {
+		for bid := range rs.blocks {
+			if _, ok := current[bid]; !ok {
+				pt.update(run, d, rs, name, bid, "")
+			}
+		}
+	}
+}
+
+// update brings block bid of relation name in line with d, where its
+// digest is bd ("" when the block is gone): a vanished block leaves the
+// partition, a new or changed one is re-keyed and queued for re-linking,
+// and an unchanged one is left alone. Either change dissolves the block's
+// component.
+func (pt *Partition) update(run *syncRun, d *db.DB, rs *relState, name, bid, bd string) {
+	b := rs.blocks[bid]
+	switch {
+	case bd == "":
+		if b == nil {
+			return
+		}
+		run.dissolve(b)
+		pt.rekey(b, nil)
+		delete(rs.blocks, bid)
+		run.vanished++
+	case b != nil && b.digest == bd:
+	default:
+		if b == nil {
+			b = &blockState{id: bid, rel: name}
+			rs.blocks[bid] = b
+		}
+		b.digest = bd
+		facts := d.BlockFacts(name, bid)
+		b.size = len(facts)
+		run.dissolve(b)
+		pt.rekey(b, rs.joinKeys(facts))
+		run.relink = append(run.relink, b)
+	}
 }
 
 // collect walks the co-occurrence graph from b over the current join keys,
@@ -293,31 +430,13 @@ func (pt *Partition) collect(b *blockState, dissolved map[*component]bool) *comp
 		}
 	}
 	sort.Slice(members, func(x, y int) bool { return members[x].id < members[y].id })
-	c := &component{blocks: make([]string, len(members)), rels: make([]string, len(members))}
+	c := &component{blocks: make([]string, len(members)), rels: make([]string, len(members)), j: pt.rels[b.rel].comp}
 	for i, m := range members {
 		c.blocks[i], c.rels[i] = m.id, m.rel
 		c.size += m.size
 		m.comp = c
 	}
 	return c
-}
-
-// mergeComponents returns a new list of the components of old that were
-// not dissolved together with the fresh ones, ordered by smallest block ID.
-func mergeComponents(old, fresh []*component, dissolved map[*component]bool) []*component {
-	sort.Slice(fresh, func(x, y int) bool { return fresh[x].blocks[0] < fresh[y].blocks[0] })
-	out := make([]*component, 0, len(old)+len(fresh))
-	for _, c := range old {
-		if dissolved[c] {
-			continue
-		}
-		for len(fresh) > 0 && fresh[0].blocks[0] < c.blocks[0] {
-			out = append(out, fresh[0])
-			fresh = fresh[1:]
-		}
-		out = append(out, c)
-	}
-	return append(out, fresh...)
 }
 
 // joinKeys returns the sorted, distinct join keys of a block's facts: one
@@ -388,18 +507,29 @@ func (pt *Partition) unlink(b *blockState, key string) {
 	}
 }
 
-// pack turns the partition into d's decomposition: per query component,
-// the co-occurrence components packed into shards.
-func (pt *Partition) pack(d *db.DB, maxShards int) *Decomposition {
-	dec := &Decomposition{
+// newDecomposition returns an empty decomposition of d over the
+// partition's query components.
+func (pt *Partition) newDecomposition(d *db.DB) *Decomposition {
+	return &Decomposition{
 		Query:      pt.q,
 		Components: pt.components,
-		Blocks:     make([][][]string, len(pt.comps)),
 		d:          d,
 		compKeys:   pt.compKeys,
 		groups:     make([][][]*component, len(pt.comps)),
+		kept:       make([]keptCount, len(pt.comps)),
 	}
-	for j, cs := range pt.comps {
+}
+
+// pack turns the partition into d's decomposition: per query component,
+// the co-occurrence components packed into shards.
+func (pt *Partition) pack(d *db.DB, maxShards int) *Decomposition {
+	dec := pt.newDecomposition(d)
+	dec.Blocks = make([][][]string, len(pt.comps))
+	for j := range pt.comps {
+		// Components in order of their smallest block ID, which makes the
+		// decomposition independent of the order of syncs and facts.
+		cs := slices.Clone(pt.comps[j])
+		slices.SortFunc(cs, func(x, y *component) int { return strings.Compare(x.blocks[0], y.blocks[0]) })
 		want := len(cs)
 		if maxShards > 0 && want > maxShards {
 			want = maxShards

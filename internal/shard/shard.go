@@ -34,9 +34,11 @@
 // outside q multiply the repair count and cancel out of certainty and
 // probability.
 //
-// The block partition is a Partition, which Sync keeps up to date across
-// versions of a database by diffing content digests, so a re-solve after a
-// small write re-links only the components the write touched (partition.go).
+// The block partition is a Partition, which a sync keeps up to date across
+// versions of a database through the relations' versions and change logs,
+// falling back to a diff of content digests, so a re-solve after a small
+// write re-links only the components the write touched; it also keeps the
+// outcomes a memoized solve decided, per component (partition.go).
 // The package computes only the decomposition; the solver layer runs the
 // per-shard decisions (internal/solver), and the counting layer applies the
 // product/convolution algebra (internal/prob). Both fan out on the bounded
@@ -67,12 +69,17 @@ func init() {
 }
 
 // Decomposition is the exact split of one (query, database) instance:
-// Components[j] is the j-th query component and Blocks[j] the block lists
-// of its independent data shards, each a union of whole blocks and closed
-// under the block co-occurrence graph. IrrelevantBlocks are the sizes of the
-// blocks whose relation does not occur in the query; they multiply repair
-// counts and are irrelevant to certainty. A shard's database is built only
-// when Shard asks for it.
+// Components[j] is the j-th query component, split into independent data
+// shards, each a union of whole blocks and closed under the block
+// co-occurrence graph. IrrelevantBlocks are the sizes of the blocks whose
+// relation does not occur in the query; they multiply repair counts and
+// are irrelevant to certainty. A shard's database is built only when Shard
+// asks for it.
+//
+// A decomposition lists its shards: all of them from Sync and Decompose,
+// and from Partition.SyncOpen only those without a kept outcome, with Kept
+// counting the rest. Shard, ShardFingerprint and ShardBlocks index the
+// listed shards.
 type Decomposition struct {
 	Query            cq.Query
 	Components       []cq.Query
@@ -81,39 +88,81 @@ type Decomposition struct {
 	// Blocks[j][i] is the sorted list of block IDs (Fact.BlockID) making up
 	// shard i of component j. Together with the parent database's per-block
 	// digests it determines the shard's content exactly, which is what
-	// ShardFingerprint hashes.
+	// ShardFingerprint hashes. Sync and Decompose fill it; SyncOpen leaves
+	// it nil.
 	Blocks [][][]string
 
 	d        *db.DB           // the database the decomposition was taken from
 	compKeys []string         // canonical key of each query component
-	groups   [][][]*component // groups[j][i]: the components packed into shard i of component j
+	groups   [][][]*component // groups[j][i]: the components packed into listed shard i of component j
+	kept     []keptCount      // per query component, the shards left unlisted (SyncOpen)
+	pt       *Partition       // the partition Record keeps outcomes in (SyncOpen)
 }
 
-// NumShards is the total number of data shards across all query components.
+// keptCount is the part of a query component that SyncOpen leaves
+// unlisted: its co-occurrence components with a kept outcome, and how many
+// of those are certain.
+type keptCount struct {
+	decided, certain int
+}
+
+// NumShards is the total number of data shards across all query
+// components, kept ones included.
 func (dec *Decomposition) NumShards() int {
 	n := 0
-	for _, s := range dec.Blocks {
-		n += len(s)
+	for j, g := range dec.groups {
+		n += len(g) + dec.kept[j].decided
 	}
 	return n
 }
 
 // MaxComponentShards is the largest shard count of any single query
-// component — the width of the disjunction the solver joins.
+// component, kept shards included — the width of the disjunction the
+// solver joins.
 func (dec *Decomposition) MaxComponentShards() int {
 	m := 0
-	for _, s := range dec.Blocks {
-		if len(s) > m {
-			m = len(s)
-		}
+	for j, g := range dec.groups {
+		m = max(m, len(g)+dec.kept[j].decided)
 	}
 	return m
 }
 
-// Shard builds the database of shard i of query component j: the whole
-// blocks of the parent database that make it up. Every call builds a new
-// database, so callers build a shard when they solve or count it, and a
-// shard whose verdict is memoized is never built.
+// ComponentShards is the number of listed shards of query component j.
+func (dec *Decomposition) ComponentShards(j int) int { return len(dec.groups[j]) }
+
+// Kept returns how many shards of query component j the decomposition
+// leaves unlisted because their outcome is kept, and how many of those
+// are certain. Both are 0 except from SyncOpen.
+func (dec *Decomposition) Kept(j int) (decided, certain int) {
+	return dec.kept[j].decided, dec.kept[j].certain
+}
+
+// Record keeps the conclusive outcome of listed shard i of query component
+// j in the partition the decomposition came from, so later SyncOpen calls
+// count the shard instead of listing it, for as long as its content does
+// not change. A no-op unless the decomposition came from SyncOpen.
+func (dec *Decomposition) Record(j, i int, certain bool) {
+	if dec.pt == nil {
+		return
+	}
+	dec.pt.mu.Lock()
+	dec.pt.record(dec.groups[j][i][0], certain)
+	dec.pt.mu.Unlock()
+}
+
+// ShardBlocks returns the sorted block IDs of listed shard i of query
+// component j. The slice is shared: callers must not modify it.
+func (dec *Decomposition) ShardBlocks(j, i int) []string {
+	if dec.Blocks != nil {
+		return dec.Blocks[j][i]
+	}
+	return dec.groups[j][i][0].blocks // SyncOpen lists one component a shard
+}
+
+// Shard builds the database of listed shard i of query component j: the
+// whole blocks of the parent database that make it up. Every call builds a
+// new database, so callers build a shard when they solve or count it, and
+// a shard whose verdict is memoized is never built.
 func (dec *Decomposition) Shard(j, i int) *db.DB {
 	g := dec.groups[j][i]
 	if len(g) == 1 {
@@ -204,12 +253,8 @@ func queryComponents(q cq.Query) [][]int {
 // descending, ties broken by partition order, each placed on the currently
 // lightest group. Each group lists its components in partition order.
 func packGroups(cs []*component, want int) [][]*component {
-	groups := make([][]*component, 0, min(want, len(cs)))
 	if want >= len(cs) {
-		for i := range cs {
-			groups = append(groups, cs[i:i+1:i+1])
-		}
-		return groups
+		return singletons(cs)
 	}
 	order := make([]int, len(cs))
 	for i := range order {
@@ -228,9 +273,18 @@ func packGroups(cs []*component, want int) [][]*component {
 		load[g] += cs[ci].size
 		groupOf[ci] = g
 	}
-	groups = groups[:want]
+	groups := make([][]*component, want)
 	for ci, c := range cs {
 		groups[groupOf[ci]] = append(groups[groupOf[ci]], c)
+	}
+	return groups
+}
+
+// singletons returns one group per component of cs, each a sub-slice.
+func singletons(cs []*component) [][]*component {
+	groups := make([][]*component, len(cs))
+	for i := range cs {
+		groups[i] = cs[i : i+1 : i+1]
 	}
 	return groups
 }

@@ -667,3 +667,61 @@ func TestDeltaPartitionConcurrentSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveKeptCertainSettles: once the kept partition holds a certain
+// component, a re-solve after a write elsewhere is settled by it — one
+// reuse, nothing fingerprinted or solved — and a write that dissolves that
+// component brings the solve back to the memo and the fan-out.
+func TestResolveKeptCertainSettles(t *testing.T) {
+	ctx := context.Background()
+	q := cq.MustParseQuery("R(x | y), S(y | z)")
+	// Group 1 is certain; groups 2 to 4 are not.
+	d := db.MustParse(`
+		R(a1 | b1) S(b1 | c1)
+		R(a2 | b2) R(a2 | x2) S(b2 | c2)
+		R(a3 | b3) R(a3 | x3) S(b3 | c3)
+		R(a4 | b4) R(a4 | x4) S(b4 | c4)
+	`)
+	p, err := CompilePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewShardMemo(0, nil)
+	if v, _, err := p.Resolve(ctx, d, Delta{}, memo, 0, Options{}); err != nil || v.Outcome != OutcomeCertain {
+		t.Fatalf("cold solve: %v, %v; want certain", v.Outcome, err)
+	}
+	step := func(f db.Fact, outcome Outcome) DeltaReport {
+		t.Helper()
+		next := d.Clone()
+		dl := Delta{Ins: []db.Fact{f}}
+		if next.Has(f) {
+			next.Remove(f)
+			dl = Delta{Del: []db.Fact{f}}
+		} else if err := next.Add(f); err != nil {
+			t.Fatal(err)
+		}
+		d = next
+		v, rep, err := p.Resolve(ctx, d, dl, memo, 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Outcome != outcome {
+			t.Fatalf("after %v: outcome %v, want %v", f, v.Outcome, outcome)
+		}
+		rep.Invalidated = 0
+		return rep
+	}
+	if rep := step(db.Fact{Rel: "S", KeyLen: 1, Args: []string{"b2", "c9"}}, OutcomeCertain); rep != (DeltaReport{ShardsReused: 1}) {
+		t.Errorf("write to group 2: report %+v, want 1 reused (the kept certain group)", rep)
+	}
+	// R(a1 | x1) makes group 1 not certain. Its component and group 2's are
+	// new; groups 3 and 4 are kept or memoized if the cold fan-out solved
+	// them before the certain group cancelled it.
+	if rep := step(db.Fact{Rel: "R", KeyLen: 1, Args: []string{"a1", "x1"}}, OutcomeNotCertain); rep.ShardsReused+rep.ShardsRecomputed != 4 || rep.ShardsRecomputed < 2 {
+		t.Errorf("break group 1: report %+v, want 4 shards with at least 2 recomputed", rep)
+	}
+	// Every component now has a kept outcome.
+	if rep := step(db.Fact{Rel: "S", KeyLen: 1, Args: []string{"b3", "c9"}}, OutcomeNotCertain); rep != (DeltaReport{ShardsReused: 3, ShardsRecomputed: 1}) {
+		t.Errorf("write to group 3: report %+v, want 3 reused and 1 recomputed", rep)
+	}
+}

@@ -36,11 +36,14 @@ const DefaultShardMemoSize = 4096
 // mutation whose touched blocks its fingerprint excludes.
 //
 // The memo also keeps the last shard.Partition of each plan key, which
-// sharded solves sync instead of partitioning anew. The partitions' total
-// component count stays within the memo's capacity: the least recently
-// synced partition is evicted first, and a partition larger than the
-// capacity is not kept. Len, Stats and the cache metrics count verdict
-// entries only.
+// sharded solves sync instead of partitioning anew, and which keeps the
+// outcome of every co-occurrence component they decided: a re-solve looks
+// up and solves only the components without one. Outcomes answered from a
+// kept partition count as memo hits, in Stats and the cache metrics alike.
+// The partitions' total component count stays within the memo's capacity:
+// the least recently synced partition is evicted first, and a partition
+// larger than the capacity is not kept. Len and the entry gauges count
+// verdict entries only; Partitions reports the kept partitions.
 //
 // Safe for concurrent use.
 type ShardMemo struct {
@@ -53,6 +56,7 @@ type ShardMemo struct {
 	parts     map[string]*keptPartition // plan key → its last partition
 	partComps int                       // components across parts
 	syncs     uint64                    // sync clock, for least-recently-synced eviction
+	keptHits  uint64                    // outcomes answered from kept partitions
 }
 
 // keptPartition is one plan's partition with its component count and the
@@ -186,18 +190,59 @@ func (sm *ShardMemo) Invalidations() uint64 {
 
 // Stats snapshots the underlying cache counters (hits, misses, capacity
 // evictions — invalidations are reported separately by Invalidations).
+// Hits include the outcomes answered from kept partitions.
 func (sm *ShardMemo) Stats() lru.Stats {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	return sm.c.Stats()
+	st := sm.c.Stats()
+	st.Hits += sm.keptHits
+	return st
 }
 
-// decompose returns the decomposition of d for the plan with key key and
-// exec query q, syncing the partition kept for key (created on first use)
-// under the partition's own lock, then accounts the partition against the
-// memo's capacity. Partitions are keyed by canonical query, so one serves
-// every query with that key.
-func (sm *ShardMemo) decompose(key string, q cq.Query, d *db.DB, maxShards int) (*shard.Decomposition, shard.SyncStats) {
+// reuse counts n shard outcomes answered from a kept partition as hits.
+func (sm *ShardMemo) reuse(n int) {
+	if n <= 0 {
+		return
+	}
+	sm.mu.Lock()
+	sm.keptHits += uint64(n)
+	sm.mu.Unlock()
+	sm.m.AddHits(n)
+}
+
+// PartitionStats is the census of the partitions a ShardMemo keeps: how
+// many, the co-occurrence components they hold, and how many of those
+// have no kept outcome.
+type PartitionStats struct {
+	Partitions int `json:"partitions"`
+	Components int `json:"components"`
+	Undecided  int `json:"undecided"`
+}
+
+// Partitions reports the census of the kept partitions.
+func (sm *ShardMemo) Partitions() PartitionStats {
+	sm.mu.Lock()
+	pts := make([]*shard.Partition, 0, len(sm.parts))
+	for _, kp := range sm.parts {
+		pts = append(pts, kp.pt)
+	}
+	sm.mu.Unlock()
+	st := PartitionStats{Partitions: len(pts)}
+	for _, pt := range pts {
+		comps, undecided := pt.Census()
+		st.Components += comps
+		st.Undecided += undecided
+	}
+	return st
+}
+
+// decompose returns the finest decomposition of d for the plan with key
+// key and exec query q, listing only the shards without a kept outcome: it
+// syncs the partition kept for key (created on first use) under the
+// partition's own lock, then accounts the partition against the memo's
+// capacity. Partitions are keyed by canonical query, so one serves every
+// query with that key.
+func (sm *ShardMemo) decompose(key string, q cq.Query, d *db.DB) (*shard.Decomposition, shard.SyncStats) {
 	sm.mu.Lock()
 	kp := sm.parts[key]
 	if kp == nil {
@@ -206,7 +251,7 @@ func (sm *ShardMemo) decompose(key string, q cq.Query, d *db.DB, maxShards int) 
 	}
 	sm.mu.Unlock()
 
-	dec, st := kp.pt.Sync(d, maxShards)
+	dec, st := kp.pt.SyncOpen(d)
 
 	sm.mu.Lock()
 	defer sm.mu.Unlock()

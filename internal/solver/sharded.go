@@ -41,17 +41,21 @@ func init() {
 // falsifying repair still upgrades the verdict to a conclusive
 // OutcomeNotCertain).
 //
-// A non-nil memo is the per-shard verdict memo: for every data shard the
-// solve first looks up the shard's content fingerprint and reuses a
-// memoized conclusive outcome instead of solving, then memoizes the
-// conclusive outcomes of the shards it did solve. The memo never changes
-// answers — a fingerprint addresses the shard's exact content, so a hit
-// replays the verdict the solve would have computed. The report accounts
-// for the reuse. The memo also keeps the plan's shard.Partition, which the
-// solve syncs to d instead of partitioning d anew, so after a small write
-// only the touched components are re-linked and re-fingerprinted. Without
-// a memo the partition is built fresh. Either way a shard's database is
-// built only when the shard is solved.
+// A non-nil memo is the per-shard verdict memo, and a memoized solve always
+// runs on the finest partition (maxShards is ignored). The memo keeps the
+// plan's shard.Partition, which the solve syncs to d instead of
+// partitioning d anew, so after a small write only the touched components
+// are re-linked; the partition also keeps the outcome of every component a
+// solve decided. Per query component, a kept certain component settles the
+// disjunction at once (one reuse); otherwise the kept not-certain ones are
+// counted as reused in one step, and only the components without a kept
+// outcome are fingerprinted, looked up in the memo and, on a miss, solved.
+// Their conclusive outcomes are memoized and kept. The memo never changes
+// answers — a fingerprint addresses the shard's exact content, and a
+// change to any block of a component replaces it — so reuse replays the
+// verdict the solve would have computed. The report accounts for the
+// reuse. Without a memo the partition is built fresh. Either way a shard's
+// database is built only when the shard is solved.
 //
 // Plans carrying a database rewrite (projection simplification) skip the
 // memo: their shards are shards of the rewritten database, whose blocks are
@@ -92,14 +96,15 @@ type shardOutcome struct {
 }
 
 // memoScope is the per-component view of the shard memo handed to
-// solveComponent: the memo itself, the component's shard fingerprints and
-// block-ID lists, and the report the reuse is accounted into. nil disables
-// memoization for the component.
+// solveComponent: the memo itself, the decomposition whose listed shards
+// the component's are (their block lists, and the partition their
+// outcomes are kept in), their fingerprints, and the report the reuse is
+// accounted into. nil disables memoization for the component.
 type memoScope struct {
-	memo   *ShardMemo
-	fps    []string
-	blocks [][]string
-	rep    *DeltaReport
+	memo *ShardMemo
+	dec  *shard.Decomposition
+	fps  []string
+	rep  *DeltaReport
 }
 
 // shardJoin does the decomposition, the fan-out, and the combine. It runs
@@ -119,14 +124,15 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 	// index maintains incrementally, so fingerprinting is cheap and the
 	// fingerprints are stable across mutations of other blocks. The memo
 	// also keeps the plan's partition, which this sync brings up to date
-	// with execD instead of partitioning it anew.
+	// with execD instead of partitioning it anew; the decomposition lists
+	// only the shards without a kept outcome.
 	useMemo := memo != nil && p.rewriteDB == nil
 
 	_, dsp := obs.StartSpan(ctx, "shard/decompose")
 	var dec *shard.Decomposition
 	var st shard.SyncStats
 	if useMemo {
-		dec, st = memo.decompose(p.Key, p.execQ, execD, maxShards)
+		dec, st = memo.decompose(p.Key, p.execQ, execD)
 	} else {
 		dec, st = shard.NewPartition(p.execQ).Sync(execD, maxShards)
 	}
@@ -169,14 +175,18 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 	for j := range dec.Components {
 		var mc *memoScope
 		if useMemo {
-			mc = &memoScope{
-				memo:   memo,
-				fps:    dec.ComponentFingerprints(execD, j),
-				blocks: dec.Blocks[j],
-				rep:    rep,
+			decided, certain := dec.Kept(j)
+			if certain > 0 {
+				// A kept certain shard settles the disjunction.
+				memo.reuse(1)
+				rep.ShardsReused++
+				continue
 			}
+			memo.reuse(decided)
+			rep.ShardsReused += decided
+			mc = &memoScope{memo: memo, dec: dec, fps: dec.ComponentFingerprints(execD, j), rep: rep}
 		}
-		cv, steps, err := solveComponent(ctx, plans[j], len(dec.Blocks[j]), func(i int) *db.DB { return dec.Shard(j, i) }, j, shardOpts, mc)
+		cv, steps, err := solveComponent(ctx, plans[j], dec.ComponentShards(j), func(i int) *db.DB { return dec.Shard(j, i) }, j, shardOpts, mc)
 		totalSteps += steps
 		if err != nil {
 			return Verdict{}, totalSteps, err
@@ -265,9 +275,11 @@ func (p *Plan) execStage() *Plan {
 // fingerprint hits the memo: a memoized certain shard settles the component
 // with zero solves, memoized not-certain shards drop out of the fan-out,
 // and only the misses are actually solved — whose conclusive outcomes are
-// memoized afterwards. Reuse changes scheduling only; the combine below
-// sees exactly the outcomes a full fan-out would have produced. The
-// component has n shards, and shardDB(i) builds shard i when it is solved.
+// memoized afterwards. Every conclusive outcome, hit or solved, is also
+// kept in the scope's partition. Reuse changes scheduling only; the
+// combine below sees exactly the outcomes a full fan-out would have
+// produced. The component has n shards, and shardDB(i) builds shard i when
+// it is solved.
 func solveComponent(ctx context.Context, pj *Plan, n int, shardDB func(i int) *db.DB, compIdx int, shardOpts Options, mc *memoScope) (shardOutcome, int64, error) {
 	if n == 0 {
 		// No facts for this component's relations: no embedding can exist,
@@ -282,6 +294,7 @@ func solveComponent(ctx context.Context, pj *Plan, n int, shardDB func(i int) *d
 			if o, ok := mc.memo.Get(mc.fps[i]); ok {
 				results[i] = shardOutcome{outcome: o, solved: true}
 				mc.rep.ShardsReused++
+				mc.dec.Record(compIdx, i, o == OutcomeCertain)
 				if o == OutcomeCertain {
 					// Disjunction short-circuit straight from the memo.
 					return shardOutcome{outcome: OutcomeCertain, solved: true}, 0, nil
@@ -338,7 +351,8 @@ func solveComponent(ctx context.Context, pj *Plan, n int, shardDB func(i int) *d
 			}
 			mc.rep.ShardsRecomputed++
 			if r.err == nil && (r.outcome == OutcomeCertain || r.outcome == OutcomeNotCertain) {
-				mc.memo.Put(mc.fps[i], r.outcome, mc.blocks[i])
+				mc.memo.Put(mc.fps[i], r.outcome, mc.dec.ShardBlocks(compIdx, i))
+				mc.dec.Record(compIdx, i, r.outcome == OutcomeCertain)
 			}
 		}
 	}

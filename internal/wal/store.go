@@ -12,6 +12,7 @@ import (
 
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/obs"
@@ -117,7 +118,9 @@ const (
 // Store is the durable, versioned uncertain database behind /v1/db. All
 // mutations are serialized, written to the WAL, made durable per the fsync
 // mode, and only then published; reads always see a fully committed,
-// immutable snapshot. Safe for concurrent use.
+// immutable snapshot. Reads (DB, Version, ReadOnly) take no lock: a commit
+// holds the store's lock across its append, fsync, apply and any
+// checkpoint, and readers must not wait for it. Safe for concurrent use.
 type Store struct {
 	opts Options
 	fs   FS
@@ -128,9 +131,13 @@ type Store struct {
 	mVersion  *obs.Gauge
 	mReadOnly *obs.Gauge
 
+	// pub is the published snapshot with its version, and ro the read-only
+	// cause while degraded (nil when writable). Both are set under mu and
+	// read without it.
+	pub atomic.Pointer[published]
+	ro  atomic.Pointer[error]
+
 	mu        sync.Mutex // guards the fields below
-	cur       *db.DB     // published snapshot; immutable
-	version   uint64
 	log       *log
 	sinceSnap int
 	closed    bool
@@ -140,6 +147,13 @@ type Store struct {
 	qmu        sync.Mutex
 	queue      []*mutateReq
 	committing bool
+}
+
+// published is one committed snapshot and its version. The snapshot is
+// immutable.
+type published struct {
+	d       *db.DB
+	version uint64
 }
 
 // mutateReq is one queued mutation awaiting group commit.
@@ -309,9 +323,7 @@ func (s *Store) recover() error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cur = cur
-	s.version = version
-	s.mVersion.Set(int64(version))
+	s.publishLocked(cur, version)
 
 	nextSeq := uint64(1)
 	if len(segs) > 0 {
@@ -456,21 +468,29 @@ func (s *Store) readSnapshot(name string) (*db.DB, uint64, error) {
 	return d, v, nil
 }
 
+// publishLocked makes d at version v the state readers see. Caller holds
+// s.mu.
+func (s *Store) publishLocked(d *db.DB, v uint64) {
+	s.pub.Store(&published{d: d, version: v})
+	s.mVersion.Set(int64(v))
+}
+
 // writeSnapshotLocked durably checkpoints the current state: a temp file
 // with one checksummed record, fsynced, renamed into place, directory
 // fsynced. Caller holds s.mu.
 func (s *Store) writeSnapshotLocked(cause string) error {
+	cur := s.pub.Load()
 	var body bytes.Buffer
 	body.WriteByte(kindSnapshot)
 	var vbuf [8]byte
-	binary.LittleEndian.PutUint64(vbuf[:], s.version)
+	binary.LittleEndian.PutUint64(vbuf[:], cur.version)
 	body.Write(vbuf[:])
-	if err := s.cur.WriteSnapshot(&body); err != nil {
+	if err := cur.d.WriteSnapshot(&body); err != nil {
 		return fmt.Errorf("encode snapshot: %w", err)
 	}
 	framed := AppendRecord(nil, body.Bytes())
 
-	final := snapName(s.version)
+	final := snapName(cur.version)
 	tmp := final + tmpSuffix
 	f, err := s.fs.Create(s.path(tmp))
 	if err != nil {
@@ -515,8 +535,9 @@ func (s *Store) compactLocked() {
 			_ = s.fs.Remove(s.path(segName(seq)))
 		}
 	}
+	version := s.pub.Load().version
 	for _, v := range snaps {
-		if v < s.version {
+		if v < version {
 			_ = s.fs.Remove(s.path(snapName(v)))
 		}
 	}
@@ -530,6 +551,8 @@ func (s *Store) degradeLocked(op string, cause error) {
 	if s.degraded == nil {
 		s.logf("wal: disk fault during %s, degrading to read-only: %v", op, cause)
 		s.degraded = fmt.Errorf("%w: %s: %v", ErrReadOnly, op, cause)
+		ro := s.degraded
+		s.ro.Store(&ro)
 		s.mReadOnly.Set(1)
 	}
 	s.probeAt = s.opts.now().Add(s.opts.ProbeCooldown)
@@ -585,33 +608,35 @@ func (s *Store) probeLocked() bool {
 	}
 	s.reg.Counter(metricProbes, obs.L{K: "outcome", V: "ok"}).Inc()
 	s.degraded = nil
+	s.ro.Store(nil)
 	s.mReadOnly.Set(0)
 	s.compactLocked()
-	s.logf("wal: read-only probe succeeded, write path restored at version %d", s.version)
+	s.logf("wal: read-only probe succeeded, write path restored at version %d", s.pub.Load().version)
 	return true
 }
 
 // DB returns the current published database snapshot and its version. The
 // snapshot is immutable: later mutations publish new snapshots and never
 // touch this one, so callers may solve against it for as long as they like.
+// It never waits for a commit in progress.
 func (s *Store) DB() (*db.DB, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur, s.version
+	p := s.pub.Load()
+	return p.d, p.version
 }
 
-// Version returns the current database version.
+// Version returns the current database version. It never waits for a
+// commit in progress.
 func (s *Store) Version() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
+	return s.pub.Load().version
 }
 
-// ReadOnly reports whether the store is degraded, and the cause.
+// ReadOnly reports whether the store is degraded, and the cause. It never
+// waits for a commit in progress.
 func (s *Store) ReadOnly() (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded != nil, s.degraded
+	if ro := s.ro.Load(); ro != nil {
+		return true, *ro
+	}
+	return false, nil
 }
 
 // Mutate atomically applies a mutation request: all inserts, then all
@@ -684,8 +709,8 @@ func (s *Store) commitBatch(batch []*mutateReq) {
 		}
 	}
 
-	work := s.cur
-	wv := s.version
+	cur := s.pub.Load()
+	work, wv := cur.d, cur.version
 	written := 0
 	var diskErr error
 	var diskOp string
@@ -722,8 +747,8 @@ func (s *Store) commitBatch(batch []*mutateReq) {
 			}
 			s.mFsync.Observe(time.Since(start).Seconds())
 		}
-		if work == s.cur {
-			work = s.cur.Clone()
+		if work == cur.d {
+			work = cur.d.Clone()
 		}
 		for _, f := range effIns {
 			if err := work.Add(f); err != nil {
@@ -782,9 +807,7 @@ func (s *Store) commitBatch(batch []*mutateReq) {
 	}
 
 	if written > 0 {
-		s.cur = work
-		s.version = wv
-		s.mVersion.Set(int64(wv))
+		s.publishLocked(work, wv)
 		s.sinceSnap += written
 		if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 			s.checkpointLocked("auto")

@@ -766,3 +766,76 @@ func TestStoreMetrics(t *testing.T) {
 		t.Fatalf("fsync observations = %d, want 2", got)
 	}
 }
+
+// parkNextSync arms ffs so that the next fsync blocks until release is
+// called, closing parked once one is blocked. release disarms the hook
+// and is idempotent; it also runs at cleanup, so a failing test never
+// leaves a commit parked.
+func parkNextSync(t *testing.T, ffs *FaultFS) (parked <-chan struct{}, release func()) {
+	t.Helper()
+	p, gate := make(chan struct{}), make(chan struct{})
+	var parkOnce, releaseOnce sync.Once
+	ffs.SetSyncFault(func(string) error {
+		parkOnce.Do(func() { close(p) })
+		<-gate
+		return nil
+	})
+	release = func() {
+		releaseOnce.Do(func() {
+			ffs.SetSyncFault(nil)
+			close(gate)
+		})
+	}
+	t.Cleanup(release)
+	return p, release
+}
+
+// TestReadsDoNotWaitForCommit: a commit parked inside its fsync holds the
+// store's lock, and DB, Version and ReadOnly must still answer at once
+// with the state before it.
+func TestReadsDoNotWaitForCommit(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	opts := testOpts(t)
+	opts.FS = ffs
+	s := mustOpen(t, opts)
+	v1 := mustMutate(t, s, []db.Fact{fact("R", 1, "a", "b")}, nil)
+
+	parked, release := parkNextSync(t, ffs)
+	committed := make(chan error, 1)
+	go func() {
+		_, _, err := s.Mutate([]db.Fact{fact("R", 1, "c", "d")}, nil, -1)
+		committed <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the mutation never reached its fsync")
+	}
+
+	type reads struct {
+		n, v, version uint64
+		ro            bool
+	}
+	got := make(chan reads, 1)
+	go func() {
+		d, v := s.DB()
+		ro, _ := s.ReadOnly()
+		got <- reads{n: uint64(d.Len()), v: v, version: s.Version(), ro: ro}
+	}()
+	select {
+	case r := <-got:
+		if r.v != v1 || r.version != v1 || r.n != 1 || r.ro {
+			t.Errorf("reads during the commit = %+v, want version %d with 1 fact, writable", r, v1)
+		}
+	case <-time.After(time.Second):
+		release()
+		t.Fatal("DB, Version and ReadOnly waited for a commit parked in its fsync")
+	}
+	release()
+	if err := <-committed; err != nil {
+		t.Fatalf("parked mutation: %v", err)
+	}
+	if d, v := s.DB(); v != v1+1 || d.Len() != 2 {
+		t.Errorf("after the commit: version %d with %d facts, want %d with 2", v, d.Len(), v1+1)
+	}
+}
