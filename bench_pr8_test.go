@@ -8,6 +8,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/core"
@@ -236,11 +238,12 @@ func TestCkAllocRegression(t *testing.T) {
 
 // TestDeltaResolveAllocRegression pins delta re-solve on the hosted
 // benchmark's instance: 1,000 width-2 C(3) components plus 200 facts of an
-// unrelated relation. After one R1 fact is toggled in place, Plan.Resolve
-// syncs the memo's kept partition, so it re-links, fingerprints and builds
-// only the component the toggle touched, and solves only that shard.
-// Decomposing the whole database on every re-solve made about 238k
-// allocations per step.
+// unrelated relation. Each step inserts a fresh R1 fact in place or deletes
+// the one inserted before, and SolveShardedMemo syncs the memo's kept
+// partition, so it re-links, fingerprints and builds only the component
+// the step touched. An insert solves that shard; a delete restores content
+// whose outcome is memoized, so it solves nothing. Decomposing the whole
+// database on every re-solve made about 238k allocations per step.
 func TestDeltaResolveAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -261,26 +264,27 @@ func TestDeltaResolveAllocRegression(t *testing.T) {
 	if _, _, err := p.SolveShardedMemo(ctx, d, 0, solver.Options{}, memo); err != nil {
 		t.Fatal(err)
 	}
-	toggle := db.Fact{Rel: "R1", KeyLen: 1, Args: []string{"v0_0_0", "toggle"}}
-	present := false
+	var toggle db.Fact
+	present, fresh := false, 0
 	allocs := testing.AllocsPerRun(20, func() {
-		var dl solver.Delta
+		want := solver.DeltaReport{ShardsReused: 1000}
 		if present {
 			d.Remove(toggle)
-			dl.Del = []db.Fact{toggle}
 		} else {
+			fresh++
+			toggle = db.Fact{Rel: "R1", KeyLen: 1, Args: []string{"v0_0_0", "toggle" + strconv.Itoa(fresh)}}
 			if err := d.Add(toggle); err != nil {
 				t.Fatal(err)
 			}
-			dl.Ins = []db.Fact{toggle}
+			want = solver.DeltaReport{ShardsReused: 999, ShardsRecomputed: 1}
 		}
 		present = !present
-		_, rep, err := p.Resolve(ctx, d, dl, memo, 0, solver.Options{})
+		_, rep, err := p.SolveShardedMemo(ctx, d, 0, solver.Options{}, memo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.ShardsReused != 999 || rep.ShardsRecomputed != 1 {
-			t.Fatalf("report %+v, want 999 reused and 1 recomputed", rep)
+		if rep != want {
+			t.Fatalf("report %+v, want %+v", rep, want)
 		}
 	})
 	t.Logf("allocs/step: %.0f", allocs)
@@ -293,13 +297,17 @@ func TestDeltaResolveAllocRegression(t *testing.T) {
 // hostedResolve is the hosted benchmark's C(3) instance at a given number
 // of width-2 components, plus 200 facts of an unrelated relation, with a
 // compiled plan and a warm shard memo. Each write goes through Clone, as
-// the WAL store's commits do, and toggles one R1 fact.
+// the WAL store's commits do, and either inserts a fresh R1 fact or
+// deletes the one inserted before.
 type hostedResolve struct {
 	p       *solver.Plan
-	rels    []string
+	rels    []string // the query's relations, sorted and distinct
 	memo    *solver.ShardMemo
 	d       *db.DB
+	toggle  db.Fact
 	present bool
+	fresh   int
+	key     string // the last verdict key
 }
 
 func newHostedResolve(tb testing.TB, comps int) *hostedResolve {
@@ -319,36 +327,46 @@ func newHostedResolve(tb testing.TB, comps int) *hostedResolve {
 	for _, a := range q.Atoms {
 		h.rels = append(h.rels, a.Rel)
 	}
-	d.DigestOf(h.rels)
+	slices.Sort(h.rels)
+	h.rels = slices.Compact(h.rels)
 	if _, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, h.memo); err != nil {
 		tb.Fatal(err)
 	}
 	return h
 }
 
-// write publishes the next version: a clone with the toggle fact flipped.
-func (h *hostedResolve) write(tb testing.TB) solver.Delta {
-	toggle := db.Fact{Rel: "R1", KeyLen: 1, Args: []string{"v0_0_0", "toggle"}}
+// write publishes the next version, a clone with the toggle flipped, and
+// returns the report a re-solve must give: an insert of a fresh fact
+// recomputes its component, and its undo finds the component's old
+// outcome memoized.
+func (h *hostedResolve) write(tb testing.TB, comps int) solver.DeltaReport {
 	next := h.d.Clone()
-	var dl solver.Delta
+	want := solver.DeltaReport{ShardsReused: comps}
 	if h.present {
-		next.Remove(toggle)
-		dl.Del = []db.Fact{toggle}
+		next.Remove(h.toggle)
 	} else {
-		if err := next.Add(toggle); err != nil {
+		h.fresh++
+		h.toggle = db.Fact{Rel: "R1", KeyLen: 1, Args: []string{"v0_0_0", "toggle" + strconv.Itoa(h.fresh)}}
+		if err := next.Add(h.toggle); err != nil {
 			tb.Fatal(err)
 		}
-		dl.Ins = []db.Fact{toggle}
+		want = solver.DeltaReport{ShardsReused: comps - 1, ShardsRecomputed: 1}
 	}
 	h.d, h.present = next, !h.present
-	return dl
+	return want
 }
 
-// resolve is the read side of a hosted write: the verdict key's digest of
-// the query's relations, then the memoized re-solve.
-func (h *hostedResolve) resolve(tb testing.TB, dl solver.Delta) solver.DeltaReport {
-	h.d.DigestOf(h.rels)
-	_, rep, err := h.p.Resolve(context.Background(), h.d, dl, h.memo, 0, solver.Options{})
+// resolve is the read side of a hosted write as certd runs it: the verdict
+// key — the plan key and the versions of the query's relations — then the
+// memoized re-solve.
+func (h *hostedResolve) resolve(tb testing.TB) solver.DeltaReport {
+	key := append(make([]byte, 0, len(h.p.Key)+8*len(h.rels)), h.p.Key...)
+	for _, rel := range h.rels {
+		key = append(key, 0)
+		key = strconv.AppendUint(key, h.d.RelationVersion(rel), 10)
+	}
+	h.key = string(key)
+	_, rep, err := h.p.SolveShardedMemo(context.Background(), h.d, 0, solver.Options{}, h.memo)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -356,9 +374,9 @@ func (h *hostedResolve) resolve(tb testing.TB, dl solver.Delta) solver.DeltaRepo
 }
 
 // BenchmarkHostedResolve times the read side of one hosted write on the
-// hosted C(3) instance: DigestOf of the query's relations plus
-// Plan.Resolve, after a store-style toggle write that runs outside the
-// timer.
+// hosted C(3) instance: the verdict key plus SolveShardedMemo, after a
+// store-style write that runs outside the timer. Writes alternate between
+// inserting a fresh fact and deleting it.
 func BenchmarkHostedResolve(b *testing.B) {
 	for _, comps := range []int{1000, 4000} {
 		b.Run(fmt.Sprintf("comps=%d", comps), func(b *testing.B) {
@@ -367,9 +385,9 @@ func BenchmarkHostedResolve(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				dl := h.write(b)
+				h.write(b, comps)
 				b.StartTimer()
-				h.resolve(b, dl)
+				h.resolve(b)
 			}
 		})
 	}
@@ -377,12 +395,12 @@ func BenchmarkHostedResolve(b *testing.B) {
 
 // TestHostedResolveScaleAllocRegression pins the read side of a hosted
 // write as flat in the database's size: on the hosted C(3) instance at
-// 1,000 and at 4,000 components, DigestOf of the query's relations plus
-// Plan.Resolve after one store-style toggle write must allocate the same
-// to within 10%, in allocations and in bytes. A full digest diff, an
-// ordered decomposition or a memo lookup per component each grow with the
-// database; before kept outcomes and sorted digests, the same read side
-// allocated 318 KB at 1,000 components and 1,186 KB at 4,000.
+// 1,000 and at 4,000 components, the verdict key plus SolveShardedMemo
+// after one store-style write must allocate the same to within 10%, in
+// allocations and in bytes. A full digest diff, an ordered decomposition
+// or a memo lookup per component each grow with the database; before kept
+// outcomes, the same read side allocated 318 KB at 1,000 components and
+// 1,186 KB at 4,000.
 func TestHostedResolveScaleAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -393,12 +411,12 @@ func TestHostedResolveScaleAllocRegression(t *testing.T) {
 		const runs = 20
 		var before, after runtime.MemStats
 		for i := 0; i < runs; i++ {
-			dl := h.write(t)
+			want := h.write(t, comps)
 			runtime.ReadMemStats(&before)
-			rep := h.resolve(t, dl)
+			rep := h.resolve(t)
 			runtime.ReadMemStats(&after)
-			if rep.ShardsReused != comps-1 || rep.ShardsRecomputed != 1 {
-				t.Fatalf("comps=%d: report %+v, want %d reused and 1 recomputed", comps, rep, comps-1)
+			if rep != want {
+				t.Fatalf("comps=%d: report %+v, want %+v", comps, rep, want)
 			}
 			allocs += float64(after.Mallocs - before.Mallocs)
 			bytes += float64(after.TotalAlloc - before.TotalAlloc)
@@ -418,11 +436,12 @@ func TestHostedResolveScaleAllocRegression(t *testing.T) {
 
 // TestParseAllocRegression pins the one-pass ingest on solve-inline's most
 // common instance, about 250 facts of R(x | y), S(y | z). certd parses each
-// inline database and digests the query's relations for the verdict key.
-// Building the string facts, the digest and the interned view one after
-// another made 4,335 allocations on this instance for the first two and
-// 5,830 with the view. Parse now leaves the view built, so the solver's
-// Interned() allocates nothing.
+// inline database; the pin adds a digest of the query's relations, which
+// certd computed for its verdict key before inline solves stopped
+// consulting a verdict cache. Building the string facts, the digest and
+// the interned view one after another made 4,335 allocations on this
+// instance for the first two and 5,830 with the view. Parse now leaves the
+// view built, so the solver's Interned() allocates nothing.
 func TestParseAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -250,8 +250,8 @@ func chainComponentsDB(comps int) *db.DB {
 // Solve (per-call vs compiled plan), component-sharded
 // counting/probability/solving (monolithic vs 8-way shard decomposition),
 // batch serving (per-call loop vs memoized SolveBatch), and delta re-solve
-// (mutate one block, then full sharded re-solve vs block-granular memoized
-// Plan.Resolve) — and writes the machine-readable report. With a baseline file, the report also carries a
+// (mutate one block, then full sharded re-solve vs SolveShardedMemo with a
+// shard memo) — and writes the machine-readable report. With a baseline file, the report also carries a
 // per-name speedup summary against it; with failRegressPct > 0 it fails if
 // any within-run pair speedup regressed by more than that percentage
 // against the baseline's recorded pair speedup.
@@ -523,9 +523,8 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	// on the never-certain chain instance (a certain shard would settle the
 	// disjunction on both sides and hide the memo). The full side is a
 	// from-scratch sharded solve of the post-mutation snapshot; the delta
-	// side is Plan.Resolve, which invalidates the covering memo entries and
-	// recomputes only the touched shard, reusing every other shard's
-	// memoized result. Both sides use maxShards=0 (finest partition, one
+	// side is SolveShardedMemo with a shard memo, which recomputes only the
+	// touched shard, reusing every other shard's memoized result. Both sides use maxShards=0 (finest partition, one
 	// shard per co-occurrence group) and run with the worker pool pinned to
 	// one slot: the pair must record the work the memo *skipped*, and that
 	// ratio is only hardware-independent (gateable) if the full side cannot
@@ -542,22 +541,17 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		}
 		toggle := db.Fact{Rel: "S", KeyLen: 1, Args: []string{"b0", "ctoggle"}}
 		present := false
-		mutate := func() (solver.Delta, error) {
-			var dl solver.Delta
+		mutate := func() error {
 			if present {
 				d.Remove(toggle)
-				dl.Del = []db.Fact{toggle}
-			} else {
-				if err := d.Add(toggle); err != nil {
-					return dl, err
-				}
-				dl.Ins = []db.Fact{toggle}
+			} else if err := d.Add(toggle); err != nil {
+				return err
 			}
 			present = !present
-			return dl, nil
+			return nil
 		}
 		full, err := measure(fmt.Sprintf("deltasolve/full/comps=%d", c), "deltasolve", "full", c, func() error {
-			if _, err := mutate(); err != nil {
+			if err := mutate(); err != nil {
 				return err
 			}
 			_, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, nil)
@@ -571,11 +565,10 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		delta, err := measure(fmt.Sprintf("deltasolve/delta/comps=%d", c), "deltasolve", "delta", c, func() error {
-			dl, err := mutate()
-			if err != nil {
+			if err := mutate(); err != nil {
 				return err
 			}
-			_, _, err = p.Resolve(context.Background(), d, dl, memo, 0, solver.Options{})
+			_, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, memo)
 			return err
 		})
 		if err != nil {

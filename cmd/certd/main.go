@@ -74,7 +74,7 @@ func main() {
 		degradeSamples = flag.Int("degrade-samples", 0, "cap on Monte-Carlo samples per degraded verdict (0 = solver default)")
 		grace          = flag.Duration("grace", 10*time.Second, "shutdown grace period for draining in-flight solves")
 		planCache      = flag.Int("plan-cache", 0, "compiled-plan cache capacity (0 = default)")
-		verdictCache   = flag.Int("verdict-cache", 0, "verdict cache capacity (0 = default, <0 disables)")
+		verdictCache   = flag.Int("verdict-cache", 0, "hosted verdict cache capacity, used with -data-dir (0 = default, <0 disables)")
 		maxBatch       = flag.Int("max-batch", 0, "maximum items per /v1/solve/batch request (0 = default)")
 		pprofOn        = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		dataDir        = flag.String("data-dir", "", "directory for the durable hosted database (enables /v1/db; empty = stateless)")

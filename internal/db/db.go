@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"github.com/cqa-go/certainty/internal/govern"
@@ -26,7 +25,7 @@ type blockRef struct {
 // not ready for use; call New.
 //
 // Storage is organized per relation (see relation.go): each relation owns
-// its facts, blocks, and content digests, and relations are the
+// its facts, blocks, content digests and version, and relations are the
 // copy-on-write unit shared between a database and its clones. A mutation
 // therefore touches only the relation (and within it, the block) it
 // changes; every other relation's derived structure — including its
@@ -41,9 +40,6 @@ type DB struct {
 	facts      []Fact     // global insertion order
 	blockOrder []blockRef // blocks in global first-insertion order
 	rels       map[string]*relation
-
-	mu   sync.Mutex // guards root
-	root string     // memoized composed digest; "" until computed
 
 	// interned memoizes the dense-id columnar view (see interned.go).
 	// Built by Parse or on first use, dropped on mutation, shared by
@@ -114,16 +110,6 @@ func (d *DB) addValidated(f Fact) {
 	}
 	m.insert(f)
 	d.facts = append(d.facts, f)
-	d.resetRoot()
-}
-
-// resetRoot drops the memoized composed digest and the interned columnar
-// view; per-relation digests are invalidated at the relation they belong
-// to, not here.
-func (d *DB) resetRoot() {
-	d.mu.Lock()
-	d.root = ""
-	d.mu.Unlock()
 	d.interned.Store(nil)
 }
 
@@ -251,9 +237,6 @@ func (d *DB) Clone() *DB {
 		r.shared.Store(true)
 		c.rels[name] = r
 	}
-	d.mu.Lock()
-	c.root = d.root
-	d.mu.Unlock()
 	c.interned.Store(d.interned.Load()) // immutable snapshot, safe to share
 	return c
 }
@@ -457,7 +440,7 @@ func (d *DB) Remove(f Fact) bool {
 	if len(m.facts) == 0 {
 		delete(d.rels, f.Rel)
 	}
-	d.resetRoot()
+	d.interned.Store(nil)
 	return true
 }
 
@@ -488,13 +471,13 @@ func (d *DB) dropBlockRef(ref blockRef) {
 	}
 }
 
-// assignFrom moves n's content into d field-wise (d's mutex must not be
-// copied), dropping any memoized digest of d.
+// assignFrom moves n's content into d field-wise (the atomic view pointer
+// must not be copied), dropping d's interned view.
 func (d *DB) assignFrom(n *DB) {
 	d.facts = n.facts
 	d.blockOrder = n.blockOrder
 	d.rels = n.rels
-	d.resetRoot()
+	d.interned.Store(nil)
 }
 
 // RemoveBlock deletes the entire block of f, reporting how many facts were

@@ -27,10 +27,10 @@ func init() {
 
 // Each relation memoizes its content digests (see relation.go), and
 // mutations invalidate only the relation they touch. Digest, RelationDigest
-// and DigestOf compose content digests from per-block digests; the serving
-// layer keys verdict caches on them at relation granularity, so a mutation
-// invalidates only the cache entries whose queries read the touched
-// relation. Fact-level access for evaluation goes through the interned
+// and DigestOf compose content digests from per-block digests; BlockDigests
+// feeds the shard fingerprints. Change detection on the serving path uses
+// relation versions (RelationVersion, ChangedBlocks), which hash nothing.
+// Fact-level access for evaluation goes through the interned
 // columnar view (interned.go), not through this file.
 
 // computeDigest hashes a fact set order-independently: each fact is
@@ -116,29 +116,18 @@ func hashParts(parts []string) string {
 
 // Digest returns a content digest of the database: two databases have equal
 // digests iff they contain the same set of facts (up to SHA-256 collision),
-// regardless of insertion order. The digest is composed from the memoized
-// per-relation digests — which are themselves composed from per-block
-// digests — so after a mutation only the touched block is re-hashed, the
-// touched relation re-composed, and this root re-composed; untouched
-// relations contribute their memoized digests unchanged.
+// regardless of insertion order. The digest is composed on every call from
+// the memoized per-relation digests — which are themselves composed from
+// per-block digests — so after a mutation only the touched block is
+// re-hashed and the touched relation re-composed; untouched relations
+// contribute their memoized digests unchanged.
 func (d *DB) Digest() string {
-	d.mu.Lock()
-	if d.root != "" {
-		root := d.root
-		d.mu.Unlock()
-		return root
-	}
-	d.mu.Unlock()
 	names := d.Relations()
 	parts := make([]string, 0, 2*len(names))
 	for _, name := range names {
 		parts = append(parts, name, d.rels[name].digestOf())
 	}
-	root := hashParts(parts)
-	d.mu.Lock()
-	d.root = root
-	d.mu.Unlock()
-	return root
+	return hashParts(parts)
 }
 
 // RelationDigest returns the content digest of one relation's facts, or ""
@@ -155,10 +144,7 @@ func (d *DB) RelationDigest(rel string) string {
 // DigestOf returns a content digest over the named relations only: it is
 // determined exactly by the facts of those relations (absent relations
 // participate as explicit empty markers, so "absent" and "never mentioned"
-// compose differently). The serving layer keys verdict caches on
-// DigestOf(query's relations): a mutation then invalidates only the cached
-// verdicts whose queries read the touched relation, instead of every
-// verdict in the cache.
+// compose differently).
 func (d *DB) DigestOf(rels []string) string {
 	names := append([]string(nil), rels...)
 	sort.Strings(names)
@@ -193,7 +179,7 @@ func (d *DB) BlockDigests(rel string) map[string]string {
 // relation is absent. Every mutation of a relation, in place or on a
 // copy-on-write copy, gives it a new version from one process-wide
 // counter, so two databases whose rel has one version hold the same facts
-// for it.
+// for it. The server's hosted verdict cache keys on these versions.
 func (d *DB) RelationVersion(rel string) uint64 {
 	r, ok := d.rels[rel]
 	if !ok {

@@ -120,9 +120,9 @@ func relationOf(name string, ir *IRel, syms *intern.Table) *relation {
 		buf = appendID(buf, f.Rel, f.Args)
 	}
 	keys := string(buf)
-	byBlock := make([]Fact, n)
+	grouped := make([]Fact, n) // the facts in block order
 	for i, fi := range ir.ByBlock {
-		byBlock[i] = r.facts[fi]
+		grouped[i] = r.facts[fi]
 	}
 	at := 0
 	for fi, f := range r.facts {
@@ -134,7 +134,7 @@ func relationOf(name string, ir *IRel, syms *intern.Table) *relation {
 		if ir.ByBlock[lo] == uint32(fi) { // the block's first fact
 			bid := id[:idLen(name, f.KeyArgs())]
 			r.blockOrder[b] = bid
-			r.blocks[bid] = byBlock[lo:hi:hi]
+			r.blocks[bid] = grouped[lo:hi:hi]
 		}
 	}
 	return r

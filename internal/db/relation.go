@@ -12,17 +12,14 @@ import (
 // the copy-on-write unit of the database: Clone marks every relation shared,
 // and a mutation of a shared relation first produces a private deep copy, so
 // a mutation touches only the structures of the relation it changes — every
-// other relation (facts, blocks, digests) is carried over by pointer. This
-// is what makes invalidation incremental: writing one fact no longer
-// discards the whole database's content digest, only the touched
-// relation's (and, within it, only the touched block's digest is
-// recomputed).
+// other relation (facts, blocks, digests, version) is carried over by
+// pointer, and within the touched relation only the touched block's digest
+// is recomputed.
 //
 // Core fields (sig, facts, ids, blocks, blockOrder) and the version and
 // change log are maintained eagerly on every mutation. The digest fields
-// (blockDigests, sorted, digest) are built on first use under imu; once a
-// relation is shared it is immutable, so the memoized parts stay valid
-// forever.
+// (blockDigests, digest) are built on first use under imu; once a relation
+// is shared it is immutable, so the memoized parts stay valid forever.
 type relation struct {
 	sig        [2]int
 	facts      []Fact            // insertion order
@@ -47,7 +44,6 @@ type relation struct {
 
 	imu          sync.Mutex
 	blockDigests map[string]string // block ID → content digest; incrementally maintained
-	sorted       []string          // the values of blockDigests, sorted; maintained with it
 	digest       string            // composed relation digest; "" until composed
 }
 
@@ -71,9 +67,8 @@ func newRelation(sig [2]int) *relation {
 
 // mutable returns a relation that may be updated in place: r itself when it
 // is exclusively owned, otherwise a private deep copy of the core fields.
-// The copy carries the per-block digests, their sorted list and the change
-// log over — the mutation recomputes only the digest of the block it
-// touches.
+// The copy carries the per-block digests and the change log over — the
+// mutation recomputes only the digest of the block it touches.
 func (r *relation) mutable() *relation {
 	if !r.shared.Load() {
 		return r
@@ -101,7 +96,6 @@ func (r *relation) mutable() *relation {
 		for k, v := range r.blockDigests {
 			c.blockDigests[k] = v
 		}
-		c.sorted = append(make([]string, 0, len(r.sorted)+1), r.sorted...)
 	}
 	r.imu.Unlock()
 	return c
@@ -153,7 +147,7 @@ func (r *relation) insert(f Fact) {
 	r.touch(bid)
 	r.imu.Lock()
 	if r.blockDigests != nil {
-		r.setBlockDigestLocked(bid, computeDigest(r.blocks[bid]))
+		r.blockDigests[bid] = computeDigest(r.blocks[bid])
 	}
 	r.digest = ""
 	r.imu.Unlock()
@@ -196,39 +190,20 @@ func (r *relation) remove(f Fact) (blockEmptied bool) {
 	r.touch(bid)
 	r.imu.Lock()
 	if r.blockDigests != nil {
-		dg := ""
-		if !blockEmptied {
-			dg = computeDigest(r.blocks[bid])
+		if blockEmptied {
+			delete(r.blockDigests, bid)
+		} else {
+			r.blockDigests[bid] = computeDigest(r.blocks[bid])
 		}
-		r.setBlockDigestLocked(bid, dg)
 	}
 	r.digest = ""
 	r.imu.Unlock()
 	return blockEmptied
 }
 
-// setBlockDigestLocked sets block bid's digest to dg, or drops it when dg
-// is "", keeping the sorted list in step by binary search. The caller
-// holds imu and the digests are built.
-func (r *relation) setBlockDigestLocked(bid, dg string) {
-	if old, ok := r.blockDigests[bid]; ok {
-		if i, found := slices.BinarySearch(r.sorted, old); found {
-			r.sorted = slices.Delete(r.sorted, i, i+1)
-		}
-	}
-	if dg == "" {
-		delete(r.blockDigests, bid)
-		return
-	}
-	r.blockDigests[bid] = dg
-	i, _ := slices.BinarySearch(r.sorted, dg)
-	r.sorted = slices.Insert(r.sorted, i, dg)
-}
-
-// blockDigestsLocked builds the per-block digest map and its sorted list
-// on first use. The caller must hold imu. Once built, insert/remove
-// maintain both incrementally, so after a mutation only the touched block
-// is re-hashed.
+// blockDigestsLocked builds the per-block digest map on first use. The
+// caller must hold imu. Once built, insert/remove maintain it
+// incrementally, so after a mutation only the touched block is re-hashed.
 func (r *relation) blockDigestsLocked() map[string]string {
 	if r.blockDigests == nil {
 		// One digester and one hex string serve every block.
@@ -241,12 +216,9 @@ func (r *relation) blockDigestsLocked() map[string]string {
 		}
 		all := string(hexes)
 		r.blockDigests = make(map[string]string, len(r.blockOrder))
-		r.sorted = make([]string, len(r.blockOrder))
 		for i, bid := range r.blockOrder {
-			r.sorted[i] = all[i*width : (i+1)*width]
-			r.blockDigests[bid] = r.sorted[i]
+			r.blockDigests[bid] = all[i*width : (i+1)*width]
 		}
-		slices.Sort(r.sorted)
 	}
 	return r.blockDigests
 }
@@ -262,18 +234,21 @@ func (r *relation) blockDigestsOf() map[string]string {
 	return r.blockDigestsLocked()
 }
 
-// digestOf returns the relation's composed content digest: the hash of the
-// sorted per-block digests, streamed over the sorted list that
-// insert/remove keep up to date, so after a mutation only the touched
-// block is re-hashed and nothing is sorted.
+// digestOf returns the relation's composed content digest: the hash of its
+// per-block digests, sorted when composed, memoized until the next
+// mutation.
 func (r *relation) digestOf() string {
 	r.imu.Lock()
 	defer r.imu.Unlock()
 	if r.digest != "" {
 		return r.digest
 	}
-	r.blockDigestsLocked()
-	r.digest = hashParts(r.sorted)
+	sorted := make([]string, 0, len(r.blockOrder))
+	for _, dg := range r.blockDigestsLocked() {
+		sorted = append(sorted, dg)
+	}
+	slices.Sort(sorted)
+	r.digest = hashParts(sorted)
 	digestComputations.Inc()
 	return r.digest
 }

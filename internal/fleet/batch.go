@@ -52,7 +52,7 @@ func planGroups(req server.BatchSolveRequest) (resolved []server.BatchSolveItem,
 }
 
 // chunks splits one group across replicas when it is large. A group up to
-// GroupSplit items rides its primary alone (verdict-cache locality); a
+// GroupSplit items rides its primary alone (cache locality); a
 // bigger one strides across up to len(order) chunks, chunk j starting its
 // failover chain at order[j] — a homogeneous 1000-item batch then actually
 // uses N workers instead of scaling 1→N by leaving N−1 idle. Striding only

@@ -3,17 +3,18 @@
 // and available when workers are slow, dead, stale, or lying.
 //
 // The safety argument is the paper's determinism: a CERTAINTY(q) verdict is
-// a pure function of (canonical query, database content digest), so any
-// replica holding a snapshot with the right digest returns the byte-
-// identical verdict. That makes the coordinator's three availability
-// mechanisms *provably* answer-preserving:
+// a pure function of (canonical query, database content), so any replica
+// holding a snapshot with the same content returns the byte-identical
+// verdict. That makes the coordinator's three availability mechanisms
+// *provably* answer-preserving:
 //
 //   - Shard-aware routing: requests route by shard.PlacementKey (the
 //     relation-set face of the PR 5 union-find decomposition) under
 //     rendezvous hashing, so every query over one relation set lands on
-//     the same worker — its verdict cache and per-relation indexes stay
-//     hot, and replication only needs to ship each worker the relations
-//     its keys read. Any other worker is merely colder, never wrong.
+//     the same worker — its plan cache stays hot, and for hosted
+//     requests its verdict cache and shard memo too, and replication only
+//     needs to ship each worker the relations its keys read. Any other
+//     worker is merely colder, never wrong.
 //   - Hedged requests: when the primary is slow, a second replica is fired
 //     after a delay derived from the observed p95 (obs histogram); the
 //     first conclusive verdict wins and the loser is cancelled. Both
@@ -100,8 +101,8 @@ type Config struct {
 	MaxBatchItems int
 	// GroupSplit is the batch-item count above which one placement group
 	// is split across replicas instead of riding one worker (default 8).
-	// Splitting trades verdict-cache locality for parallelism; it never
-	// changes verdicts.
+	// Splitting trades cache locality for parallelism; it never changes
+	// verdicts.
 	GroupSplit int
 	// BatchStallTimeout abandons a batch hop whose stream has made no
 	// progress (no item yielded) for this long and fails the chunk over

@@ -68,42 +68,19 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 // least recently used entry if the cache is over capacity. It reports
 // whether an eviction happened.
 func (c *Cache[K, V]) Put(key K, val V) (evicted bool) {
-	_, _, evicted = c.PutEvicted(key, val)
-	return evicted
-}
-
-// PutEvicted is Put for callers that maintain a secondary index over the
-// cache's entries (the shard memo's block → fingerprint map): on eviction it
-// returns the evicted key and value so the caller can unindex them in the
-// same critical section, keeping the index exactly as bounded as the cache.
-func (c *Cache[K, V]) PutEvicted(key K, val V) (K, V, bool) {
-	var zeroK K
-	var zeroV V
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*entry[K, V]).val = val
-		return zeroK, zeroV, false
+		return false
 	}
 	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
 	if c.ll.Len() <= c.cap {
-		return zeroK, zeroV, false
+		return false
 	}
 	oldest := c.ll.Back()
 	c.ll.Remove(oldest)
-	e := oldest.Value.(*entry[K, V])
-	delete(c.items, e.key)
+	delete(c.items, oldest.Value.(*entry[K, V]).key)
 	c.evictions++
-	return e.key, e.val, true
-}
-
-// Delete removes key, reporting whether it was present.
-func (c *Cache[K, V]) Delete(key K) bool {
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.items, key)
 	return true
 }
 

@@ -58,17 +58,3 @@ func TestCapacityFloor(t *testing.T) {
 		t.Fatal("a capacity-1 cache must still hold one entry")
 	}
 }
-
-func TestDelete(t *testing.T) {
-	c := New[int, int](2)
-	c.Put(1, 1)
-	if !c.Delete(1) {
-		t.Fatal("Delete of present key must report true")
-	}
-	if c.Delete(1) {
-		t.Fatal("Delete of absent key must report false")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", c.Len())
-	}
-}

@@ -29,11 +29,12 @@ const ndjsonContentType = "application/x-ndjson"
 
 // batchItem is one parsed, planned, not-yet-solved batch item.
 type batchItem struct {
-	index int
-	q     cq.Query
-	d     *db.DB
-	class string // the plan's class wire code
-	vkey  string // verdict-cache key; "" when caching is off
+	index  int
+	q      cq.Query
+	d      *db.DB
+	hosted bool   // d is the pinned hosted snapshot
+	class  string // the plan's class wire code
+	vkey   string // verdict-cache key; "" unless hosted and caching is on
 }
 
 // handleSolveBatch decides a batch of instances in one request. The batch
@@ -70,8 +71,9 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	opts.Shards = req.Shards
 
-	// Resolve every item up front: parse failures and cached verdicts are
-	// settled before any admission, the rest queue for solving.
+	// Resolve every item up front: parse failures and cached hosted
+	// verdicts are settled before any admission, the rest queue for
+	// solving.
 	results := make([]BatchItemResult, len(req.Items))
 	var pending []batchItem
 	dbCache := make(map[string]*db.DB) // batches often repeat the DB text; parse it once
@@ -127,8 +129,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 			results[i].Error = &ErrorBody{Code: CodeUnsupported, Message: err.Error()}
 			continue
 		}
-		item := batchItem{index: i, q: q, d: d, class: p.Class.Code()}
-		if s.verdicts != nil {
+		item := batchItem{index: i, q: q, d: d, hosted: s.cfg.Store != nil && dbText == "", class: p.Class.Code()}
+		if item.hosted && s.verdicts != nil {
 			item.vkey = verdictKey(p, d)
 			if v, ok := s.verdicts.get(item.vkey); ok {
 				results[i].Verdict = &v
@@ -173,9 +175,14 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := contextWithDrain(r.Context(), s.drainCtx)
 	defer cancel()
 
+	// Hosted items take the hosted solve path: the shard memo and the
+	// kept partitions, as a single hosted solve does.
 	items := make([]solver.BatchItem, len(pending))
 	for k, it := range pending {
 		items[k] = solver.BatchItem{Query: it.q, DB: it.d}
+		if it.hosted {
+			items[k].Memo = s.shardMemo
+		}
 	}
 	var mu sync.Mutex
 	finish := func(br solver.BatchResult) BatchItemResult {
@@ -188,7 +195,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		v := br.Verdict
 		out.Verdict = &v
-		if s.verdicts != nil && v.Err == nil && v.Outcome != solver.OutcomeUnknown {
+		s.countDelta(br.Report)
+		if it.vkey != "" && v.Err == nil && v.Outcome != solver.OutcomeUnknown {
 			s.verdicts.put(it.vkey, v)
 		}
 		s.countSolve(it.class, v)

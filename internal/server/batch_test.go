@@ -194,12 +194,14 @@ func TestBatchValidation(t *testing.T) {
 		http.StatusUnprocessableEntity, CodePolicy)
 }
 
-// A batch populates the verdict cache, and a repeated batch serves from it.
+// A hosted batch populates the verdict cache, and a repeated batch serves
+// from it.
 func TestBatchVerdictCacheReuse(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry()})
+	s, _ := newStoreServer(t, nil)
+	mutateHosted(t, s, "POST", "R(a | b) S(b | c)")
 	req := BatchSolveRequest{
 		Query: "R(x | y), S(y | z)",
-		Items: []BatchSolveItem{{DB: "R(a | b) S(b | c)"}},
+		Items: []BatchSolveItem{{}},
 	}
 	first := decodeBatch(t, doJSON(t, s, nil, "POST", "/v1/solve/batch", req))
 	if first.Results[0].Cached {

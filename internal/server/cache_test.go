@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/cqa-go/certainty/internal/govern"
+	"github.com/cqa-go/certainty/internal/lru"
 	"github.com/cqa-go/certainty/internal/obs"
 	"github.com/cqa-go/certainty/internal/solver"
 )
@@ -26,12 +27,12 @@ func decodeStatsz(t *testing.T, s *Server) StatszResponse {
 	return out
 }
 
-// TestVerdictCacheHit: a repeated (query, db) instance with a conclusive
-// verdict is served from the cache with Cached=true, and /v1/statsz shows the
-// hit.
+// TestVerdictCacheHit: a repeated hosted solve with a conclusive verdict is
+// served from the cache with Cached=true, and /v1/statsz shows the hit.
 func TestVerdictCacheHit(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry()})
-	req := SolveRequest{Query: "R(x | y)", DB: "R(a | b), R(a | c)"}
+	s, _ := newHostedServer(t, nil, Config{Registry: obs.NewRegistry()})
+	mutateHosted(t, s, "POST", "R(a | b), R(a | c)")
+	req := SolveRequest{Query: "R(x | y)"}
 
 	first := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
 	if first.Cached {
@@ -49,17 +50,17 @@ func TestVerdictCacheHit(t *testing.T) {
 		t.Fatalf("cached verdict %+v differs from solved %+v", second.Verdict, first.Verdict)
 	}
 
-	// Same query over a renamed-variable body, same facts in another order:
-	// canonical key + content digest still hit.
-	renamed := SolveRequest{Query: "R(p | q)", DB: "R(a | c), R(a | b)"}
+	// A renamed-variable query over the same snapshot: canonical key plus
+	// relation versions still hit.
+	renamed := SolveRequest{Query: "R(p | q)"}
 	third := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", renamed))
 	if !third.Cached {
-		t.Fatal("isomorphic query over the same content must hit")
+		t.Fatal("isomorphic query over the same snapshot must hit")
 	}
 
 	// Different content must miss.
-	other := SolveRequest{Query: "R(x | y)", DB: "R(a | b)"}
-	fourth := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", other))
+	mutateHosted(t, s, "POST", "R(d | e)")
+	fourth := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
 	if fourth.Cached {
 		t.Fatal("different database content must miss")
 	}
@@ -71,6 +72,42 @@ func TestVerdictCacheHit(t *testing.T) {
 	// Every request, cached or not, resolved through the one plan.
 	if st.Plans.Len != 1 || st.Plans.Misses != 1 || st.Plans.Hits != 3 {
 		t.Fatalf("plan stats = %+v, want one compiled plan with 1 miss and 3 hits", st.Plans)
+	}
+}
+
+// TestInlineSolvesHashNothing: inline databases are one-shot, so a
+// stateless /v1/solve and a batch of inline items compute no content
+// digest and never consult a verdict cache — on a stateless server, and on
+// a hosted one whose cache they must bypass.
+func TestInlineSolvesHashNothing(t *testing.T) {
+	digests := obs.Default.Counter("db_digest_computations_total")
+	stateless := New(Config{Registry: obs.NewRegistry()})
+	hosted, _ := newStoreServer(t, nil)
+	mutateHosted(t, hosted, "POST", "R(a | b) S(b | c)")
+	for name, s := range map[string]*Server{"stateless": stateless, "hosted": hosted} {
+		before := digests.Value()
+		for i := 0; i < 2; i++ {
+			resp := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve",
+				SolveRequest{Query: "R(x | y), S(y | z)", DB: "R(a | b) R(a | b2) S(b | c)"}))
+			if resp.Cached || resp.Verdict.Outcome != solver.OutcomeNotCertain {
+				t.Fatalf("%s inline solve %d: cached=%v outcome %v, want a fresh not-certain", name, i, resp.Cached, resp.Verdict.Outcome)
+			}
+		}
+		batch := decodeBatch(t, doJSON(t, s, nil, "POST", "/v1/solve/batch", batchFixture()))
+		for _, it := range batch.Results {
+			if it.Cached {
+				t.Errorf("%s inline batch item %d served from a cache", name, it.Index)
+			}
+		}
+		if got := digests.Value() - before; got != 0 {
+			t.Errorf("%s: inline solves computed %d content digests, want 0", name, got)
+		}
+		if st := decodeStatsz(t, s).Verdicts; st.Hits+st.Misses != 0 {
+			t.Errorf("%s: inline solves made %d verdict-cache lookups, want 0", name, st.Hits+st.Misses)
+		}
+	}
+	if st := decodeStatsz(t, stateless).Verdicts; st != (lru.Stats{}) {
+		t.Errorf("stateless verdicts = %+v, want all-zero: the cache is hosted-only", st)
 	}
 }
 
@@ -109,8 +146,9 @@ func TestPlanResolvedOncePerQuery(t *testing.T) {
 // reports the policy's clamp of the request's limits, exactly as the solve
 // that filled the cache did.
 func TestVerdictCacheHitClampReport(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry(), Policy: govern.Policy{MaxBudget: 1 << 20, MaxTimeout: 5 * time.Second}})
-	req := SolveRequest{Query: "R(x | y)", DB: "R(a | b), R(a | c)", Budget: 1 << 30, TimeoutMS: 60_000}
+	s, _ := newHostedServer(t, nil, Config{Registry: obs.NewRegistry(), Policy: govern.Policy{MaxBudget: 1 << 20, MaxTimeout: 5 * time.Second}})
+	mutateHosted(t, s, "POST", "R(a | b), R(a | c)")
+	req := SolveRequest{Query: "R(x | y)", Budget: 1 << 30, TimeoutMS: 60_000}
 	want := ClampReport{Timeout: true, Budget: true, TimeoutMS: 5000, BudgetVal: 1 << 20}
 	first := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
 	if first.Cached || first.Clamped == nil || *first.Clamped != want {
@@ -128,8 +166,9 @@ func TestVerdictCacheHitClampReport(t *testing.T) {
 // TestInconclusiveVerdictsNotCached: budget cutoffs must be recomputed —
 // they depend on the request's limits.
 func TestInconclusiveVerdictsNotCached(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry(), Policy: govern.Policy{MaxBudget: 1 << 20}})
-	hard := SolveRequest{Query: q0Text(), DB: oddRingText(21), Budget: 60, DegradeSamples: 10, SampleSeed: 1}
+	s, _ := newHostedServer(t, nil, Config{Registry: obs.NewRegistry(), Policy: govern.Policy{MaxBudget: 1 << 20}})
+	mutateHosted(t, s, "POST", oddRingText(21))
+	hard := SolveRequest{Query: q0Text(), Budget: 60, DegradeSamples: 10, SampleSeed: 1}
 	for i := 0; i < 2; i++ {
 		resp := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", hard))
 		if resp.Cached {
@@ -146,17 +185,18 @@ func TestInconclusiveVerdictsNotCached(t *testing.T) {
 
 // TestVerdictCacheBounded: the cache evicts at capacity.
 func TestVerdictCacheBounded(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry(), VerdictCacheSize: 2})
-	dbs := []string{"R(a | b)", "R(c | d)", "R(e | f)"}
-	for _, body := range dbs {
-		decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", SolveRequest{Query: "R(x | y)", DB: body}))
+	s, _ := newHostedServer(t, nil, Config{Registry: obs.NewRegistry(), VerdictCacheSize: 2})
+	mutateHosted(t, s, "POST", "R(a | b) S(c | d) U(e | f)")
+	queries := []string{"R(x | y)", "S(x | y)", "U(x | y)"}
+	for _, q := range queries {
+		decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", SolveRequest{Query: q}))
 	}
 	st := decodeStatsz(t, s)
 	if st.Verdicts.Len != 2 || st.Verdicts.Evictions != 1 {
 		t.Fatalf("verdict stats = %+v, want len 2 with 1 eviction", st.Verdicts)
 	}
 	// The evicted (oldest) instance misses and is re-solved.
-	resp := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", SolveRequest{Query: "R(x | y)", DB: dbs[0]}))
+	resp := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", SolveRequest{Query: queries[0]}))
 	if resp.Cached {
 		t.Fatal("evicted entry must be re-solved")
 	}
@@ -164,8 +204,9 @@ func TestVerdictCacheBounded(t *testing.T) {
 
 // TestVerdictCacheDisabled: a negative size turns memoization off.
 func TestVerdictCacheDisabled(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry(), VerdictCacheSize: -1})
-	req := SolveRequest{Query: "R(x | y)", DB: "R(a | b), R(a | c)"}
+	s, _ := newHostedServer(t, nil, Config{Registry: obs.NewRegistry(), VerdictCacheSize: -1})
+	mutateHosted(t, s, "POST", "R(a | b), R(a | c)")
+	req := SolveRequest{Query: "R(x | y)"}
 	decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
 	resp := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", req))
 	if resp.Cached {
@@ -176,14 +217,16 @@ func TestVerdictCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestCachesConcurrent hammers the same and distinct instances from many
-// goroutines; run under -race this validates the serving-layer locking.
+// TestCachesConcurrent hammers the same and distinct hosted instances from
+// many goroutines; run under -race this validates the serving-layer
+// locking.
 func TestCachesConcurrent(t *testing.T) {
-	s := New(Config{Registry: obs.NewRegistry(), Workers: 4})
+	s, _ := newHostedServer(t, nil, Config{Registry: obs.NewRegistry(), Workers: 4})
+	mutateHosted(t, s, "POST", "R(a | b), R(a | c), S(a | b), T(b | c)")
 	reqs := []SolveRequest{
-		{Query: "R(x | y)", DB: "R(a | b), R(a | c)"},
-		{Query: "R(p | q)", DB: "R(a | c), R(a | b)"},
-		{Query: "S(x | y), T(y | z)", DB: "S(a | b), T(b | c)"},
+		{Query: "R(x | y)"},
+		{Query: "R(p | q)"},
+		{Query: "S(x | y), T(y | z)"},
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {

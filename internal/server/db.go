@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"github.com/cqa-go/certainty/internal/db"
-	"github.com/cqa-go/certainty/internal/solver"
 	"github.com/cqa-go/certainty/internal/wal"
 )
 
@@ -102,28 +101,19 @@ func (s *Server) handleDBMutate(w http.ResponseWriter, r *http.Request, insert b
 	} else {
 		del = facts
 	}
+	// Nothing to invalidate after the commit: the new snapshot's touched
+	// relations carry new versions, which the verdict cache keys on, and
+	// its touched shards new fingerprints, which the shard memo keys on.
 	version, applied, err := st.Mutate(ins, del, ifVersion)
 	if err != nil {
 		s.writeMutateError(w, err)
 		return
 	}
-	// Block-granular memo invalidation: drop exactly the shard sub-verdicts
-	// whose fingerprints cover a touched (relation, block) key. The request's
-	// raw facts are a superset of the effective mutation (the store drops
-	// no-op inserts/deletes), so their block IDs safely cover everything the
-	// commit changed; entries over other blocks — including other blocks of
-	// the same relation — survive. Hygiene, not correctness: content
-	// fingerprints already miss on changed shards.
-	invalidated := 0
-	if s.shardMemo != nil && applied > 0 {
-		invalidated = s.shardMemo.Invalidate(solver.Delta{Ins: ins, Del: del}.TouchedBlocks())
-	}
 	op := "insert"
 	if !insert {
 		op = "delete"
 	}
-	s.logf("db %s: %d/%d facts applied, version %d, %d memo entries invalidated",
-		op, applied, len(facts), version, invalidated)
+	s.logf("db %s: %d/%d facts applied, version %d", op, applied, len(facts), version)
 	writeJSON(w, http.StatusOK, DBMutateResponse{Version: version, Applied: applied})
 }
 

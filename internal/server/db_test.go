@@ -19,6 +19,16 @@ import (
 // the real one when nil) and a server hosting it.
 func newStoreServer(t *testing.T, fs wal.FS) (*Server, *wal.Store) {
 	t.Helper()
+	return newHostedServer(t, fs, Config{
+		Policy:   govern.Policy{DefaultBudget: 1 << 20, MaxBudget: 1 << 20},
+		Registry: obs.NewRegistry(),
+	})
+}
+
+// newHostedServer is newStoreServer with the rest of the server's config
+// given by the caller.
+func newHostedServer(t *testing.T, fs wal.FS, cfg Config) (*Server, *wal.Store) {
+	t.Helper()
 	st, err := wal.Open(wal.Options{
 		Dir:      t.TempDir(),
 		FS:       fs,
@@ -29,12 +39,15 @@ func newStoreServer(t *testing.T, fs wal.FS) (*Server, *wal.Store) {
 		t.Fatalf("wal.Open: %v", err)
 	}
 	t.Cleanup(func() { st.Close() })
-	s := New(Config{
-		Policy:   govern.Policy{DefaultBudget: 1 << 20, MaxBudget: 1 << 20},
-		Registry: obs.NewRegistry(),
-		Store:    st,
-	})
-	return s, st
+	cfg.Store = st
+	return New(cfg), st
+}
+
+// mutateHosted inserts (POST) or deletes (DELETE) facts in the hosted
+// database and returns the store's version after the write.
+func mutateHosted(t *testing.T, s *Server, method, facts string) uint64 {
+	t.Helper()
+	return decodeMutate(t, doJSON(t, s, nil, method, "/v1/db/facts", DBMutateRequest{Facts: facts})).Version
 }
 
 func decodeMutate(t *testing.T, rec *httptest.ResponseRecorder) DBMutateResponse {

@@ -63,9 +63,10 @@ func TestMetricsGolden(t *testing.T) {
 		// The hard query is always cut off by its budget.
 		return solver.Verdict{Outcome: solver.OutcomeUnknown, Err: govern.ErrBudget}, nil
 	}
-	s := New(cfg)
-	fo := SolveRequest{Query: "R(x | y)", DB: "R(a | b), R(a | c)"}
-	hard := SolveRequest{Query: q0Text(), DB: oddRingText(3), DegradeSamples: 8, SampleSeed: 1}
+	s, _ := newHostedServer(t, nil, cfg)
+	mutateHosted(t, s, "POST", "R(a | b), R(a | c)\n"+oddRingText(3))
+	fo := SolveRequest{Query: "R(x | y)"}
+	hard := SolveRequest{Query: q0Text(), DegradeSamples: 8, SampleSeed: 1}
 
 	decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", fo)) // computed, cached
 	second := decodeSolve(t, doJSON(t, s, nil, "POST", "/v1/solve", fo))
@@ -129,19 +130,23 @@ func TestMetricsGolden(t *testing.T) {
 // misses, and evictions for both caches — over a workload that
 // exercises hits, misses, singleflight, and eviction.
 func TestStatszMatchesLRUStats(t *testing.T) {
-	s := New(Config{
+	s, _ := newHostedServer(t, nil, Config{
 		Registry:         obs.NewRegistry(),
 		VerdictCacheSize: 2,
 		Policy:           govern.Policy{MaxBudget: 1 << 20},
 	})
+	mutateHosted(t, s, "POST", "R(a | b), R(a | c), S(a | b), T(b | c)")
 	reqs := []SolveRequest{
-		{Query: "R(x | y)", DB: "R(a | b), R(a | c)"},
-		{Query: "R(x | y)", DB: "R(a | b), R(a | c)"}, // verdict-cache hit
-		{Query: "R(p | q)", DB: "R(a | c), R(a | b)"}, // isomorphic: plan + verdict hit
-		{Query: "S(x | y), T(y | z)", DB: "S(a | b), T(b | c)"},
-		{Query: "R(x | y)", DB: "R(d | e)"}, // third verdict entry: evicts
+		{Query: "R(x | y)"},
+		{Query: "R(x | y)"}, // verdict-cache hit
+		{Query: "R(p | q)"}, // isomorphic: plan + verdict hit
+		{Query: "S(x | y), T(y | z)"},
+		{Query: "R(x | y)"}, // after a write to R, a third verdict entry: evicts
 	}
 	for i, req := range reqs {
+		if i == len(reqs)-1 {
+			mutateHosted(t, s, "POST", "R(d | e)")
+		}
 		if rec := doJSON(t, s, nil, "POST", "/v1/solve", req); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: status %d body %s", i, rec.Code, rec.Body)
 		}

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -62,11 +63,13 @@ type Config struct {
 	// across concurrent requests; every request reads its query's
 	// classification, verdict-cache key and decision method off its plan.
 	PlanCacheSize int
-	// VerdictCacheSize bounds the verdict cache, keyed by (canonical
-	// query, database content digest). Only conclusive verdicts are
-	// cached — cut-off (OutcomeUnknown) verdicts depend on the request's
-	// budget and are always recomputed. Default 4096; negative disables
-	// verdict caching.
+	// VerdictCacheSize bounds the hosted verdict cache, keyed by
+	// (canonical query, versions of the query's relations) and built only
+	// with a Store: solves and batch items on the hosted snapshot consult
+	// it, inline databases never do. Only conclusive verdicts are cached —
+	// cut-off (OutcomeUnknown) verdicts depend on the request's budget and
+	// are always recomputed. Default 4096; negative disables verdict
+	// caching.
 	VerdictCacheSize int
 	// Logger, when non-nil, receives one line per solve and lifecycle
 	// event.
@@ -82,16 +85,16 @@ type Config struct {
 	// shapes and cost, so operators opt in (certd -pprof).
 	EnablePprof bool
 	// Store, when non-nil, is the durable hosted database (internal/wal):
-	// it enables the /v1/db mutation endpoints, and solve requests with an
-	// empty DB field run against its current snapshot instead of an empty
-	// inline database. The server does not own the store's lifecycle —
-	// certd opens it before New and closes it after Drain. Hosted solves
-	// run through the shard decomposition and memoize each shard's
-	// conclusive sub-verdict by content fingerprint (at most
-	// solver.DefaultShardMemoSize entries); a /v1/db mutation invalidates
-	// only the entries whose fingerprints cover the touched blocks, so the
-	// next solve recomputes exactly the shards that changed. Inline
-	// databases are one-shot, so their solves never memoize.
+	// it enables the /v1/db mutation endpoints and the verdict cache, and
+	// solve requests and batch items with an empty DB field run against
+	// its current snapshot instead of an empty inline database. The server
+	// does not own the store's lifecycle — certd opens it before New and
+	// closes it after Drain. Hosted solves run through the shard
+	// decomposition and memoize each shard's conclusive sub-verdict by
+	// content fingerprint (at most solver.DefaultShardMemoSize entries), so
+	// after a /v1/db mutation the next solve recomputes exactly the shards
+	// whose content changed. Inline databases are one-shot, so their solves
+	// never consult a verdict cache or memo.
 	Store *wal.Store
 
 	// now and solve are test seams: a fake clock for the breaker automaton
@@ -218,7 +221,7 @@ func New(cfg Config) *Server {
 	s.mInternMisses = s.reg.Gauge(metricInternMisses)
 	s.plansM = obs.NewCacheMetrics(s.reg, "plans")
 	s.plans = solver.NewPlanCache(cfg.PlanCacheSize, s.plansM)
-	if cfg.VerdictCacheSize > 0 {
+	if cfg.Store != nil && cfg.VerdictCacheSize > 0 {
 		s.verdictsM = obs.NewCacheMetrics(s.reg, "verdicts")
 		s.verdicts = newVerdictCache(cfg.VerdictCacheSize, s.verdictsM)
 	}
@@ -264,11 +267,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// verdictCache memoizes conclusive verdicts by (canonical query, database
-// content digest). Conclusive verdicts are exact and independent of any
-// budget or deadline, so serving one for a repeated instance is always
-// correct; OutcomeUnknown verdicts are never stored. Safe for concurrent
-// use.
+// verdictCache memoizes the conclusive verdicts of hosted solves by
+// (canonical query, versions of the query's relations). Conclusive verdicts
+// are exact and independent of any budget or deadline, so serving one for
+// a repeated instance is always correct; OutcomeUnknown verdicts are never
+// stored. Safe for concurrent use.
 type verdictCache struct {
 	mu sync.Mutex
 	c  *lru.Cache[string, solver.Verdict]
@@ -281,18 +284,28 @@ func newVerdictCache(size int, m *obs.CacheMetrics) *verdictCache {
 	return vc
 }
 
-// verdictKey joins the plan's canonical query key and a content digest of
-// the relations the query reads; NUL cannot occur in either part. Scoping
-// the digest to the query's relations (instead of the whole database) is
-// the incremental-invalidation contract: CERTAINTY(q) is determined by the
-// facts of q's relations alone, so a mutation that touches only other
-// relations leaves every cached verdict for q addressable and valid.
+// verdictKey joins the plan's canonical query key and the versions of the
+// distinct relations the query reads, in name order, 0 for an absent one;
+// NUL cannot occur in the plan key. CERTAINTY(q) is determined by the
+// facts of q's relations alone, and a relation's version changes with
+// every mutation and is shared only by copy-on-write clones holding the
+// same facts, so equal keys mean equal verdicts. A write to another
+// relation leaves the key unchanged; a write to one of q's relations moves
+// it for good, even when a later write restores the old facts.
 func verdictKey(p *solver.Plan, d *db.DB) string {
 	rels := make([]string, len(p.Query.Atoms))
 	for i, a := range p.Query.Atoms {
 		rels[i] = a.Rel
 	}
-	return p.Key + "\x00" + d.DigestOf(rels)
+	slices.Sort(rels)
+	rels = slices.Compact(rels)
+	key := make([]byte, 0, len(p.Key)+8*len(rels))
+	key = append(key, p.Key...)
+	for _, rel := range rels {
+		key = append(key, 0)
+		key = strconv.AppendUint(key, d.RelationVersion(rel), 10)
+	}
+	return string(key)
 }
 
 func (vc *verdictCache) get(key string) (solver.Verdict, bool) {
@@ -491,10 +504,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Memoized serving: a conclusive verdict for the same canonical query
-	// and database content is exact under any limits, so it is served
-	// straight from the cache — no worker slot, no breaker interaction.
+	// and relation versions of the hosted database is exact under any
+	// limits, so it is served straight from the cache — no worker slot, no
+	// breaker interaction. Inline databases are one-shot and skip it.
 	var vkey string
-	if s.verdicts != nil {
+	if s.verdicts != nil && dbVersion != nil {
 		vkey = verdictKey(p, d)
 		if v, ok := s.verdicts.get(vkey); ok {
 			resp := SolveResponse{
@@ -596,7 +610,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// that carry ErrExactSkipped): those are independent of the request's
 	// budget and deadline, so a later request with different limits may
 	// reuse them.
-	if s.verdicts != nil && v.Err == nil && v.Outcome != solver.OutcomeUnknown {
+	if vkey != "" && v.Err == nil && v.Outcome != solver.OutcomeUnknown {
 		s.verdicts.put(vkey, v)
 	}
 	s.countSolve(class, v)
@@ -664,19 +678,25 @@ func (s *Server) requestLimits(timeoutMS, budget int64, degradeSamples int, samp
 // marker). The shard cap is 0 — the finest partition — deliberately: memo
 // granularity, not parallelism, is what the cap buys here. A coarser,
 // GOMAXPROCS-matched packing would fuse independent groups into one shard,
-// so any mutation would invalidate the fused fingerprint and recompute all
-// of them; with one shard per co-occurrence group a mutation recomputes
+// so any mutation would change the fused fingerprint and recompute all of
+// them; with one shard per co-occurrence group a mutation recomputes
 // exactly the groups it touched. Scheduling is unaffected — shards fan out
-// on the bounded worker pool either way.
+// on the bounded worker pool either way. Hosted batch items take the same
+// path (solver.BatchItem.Memo).
 func (s *Server) solveHostedDelta(ctx context.Context, p *solver.Plan, d *db.DB, opts solver.Options) (solver.Verdict, bool, error) {
 	v, rep, err := p.SolveShardedMemo(ctx, d, 0, opts, s.shardMemo)
+	s.countDelta(rep)
+	return v, rep.ShardsReused > 0, err
+}
+
+// countDelta publishes one memoized solve's reused/recomputed counters.
+func (s *Server) countDelta(rep solver.DeltaReport) {
 	if rep.ShardsReused > 0 {
 		s.reg.Counter(metricDeltaReused).Add(uint64(rep.ShardsReused))
 	}
 	if rep.ShardsRecomputed > 0 {
 		s.reg.Counter(metricDeltaRecomputed).Add(uint64(rep.ShardsRecomputed))
 	}
-	return v, rep.ShardsReused > 0, err
 }
 
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -920,7 +940,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.shardMemo != nil {
 		resp.ShardMemo = statsFrom(s.shardMemoM)
-		resp.ShardMemoInvalidations = s.shardMemo.Invalidations()
 	}
 	s.publishInternStats(resp.Intern)
 	writeJSON(w, http.StatusOK, resp)

@@ -201,9 +201,9 @@ type Envelope struct {
 	// snapshot it was answered from.
 	DBVersion *uint64 `json:"db_version,omitempty"`
 	// Cached is true when the answer was served from a server-side cache
-	// without recomputation. Cached answers are exact: the verdict cache
-	// stores only conclusive verdicts, keyed on canonical query plus
-	// database content digest, and classification is pure per query.
+	// without recomputation (hosted solves only). Cached answers are
+	// exact: the verdict cache stores only conclusive verdicts, keyed on
+	// canonical query plus the versions of the query's relations.
 	Cached bool `json:"cached,omitempty"`
 	// Delta is true when a verdict was assembled incrementally: the solve
 	// reused at least one memoized shard sub-verdict instead of recomputing
@@ -393,19 +393,16 @@ type HealthResponse struct {
 
 // StatszResponse is the body of /v1/statsz: occupancy and hit/miss/eviction
 // counters for each serving-layer cache. Plans counts one lookup per
-// solve, classify and compile request and per batch item. Verdicts is
-// all-zero when the verdict cache is disabled (VerdictCacheSize < 0).
+// solve, classify and compile request and per batch item. Verdicts counts
+// hosted solves and batch items only, so it is all-zero when stateless or
+// when the verdict cache is disabled (VerdictCacheSize < 0).
 type StatszResponse struct {
 	Plans    lru.Stats `json:"plans"`
 	Verdicts lru.Stats `json:"verdicts"`
 	// ShardMemo is the per-shard verdict memo behind delta re-solve
-	// (all-zero when stateless). Its eviction counter reports
-	// capacity evictions only; mutation-driven invalidations are counted
-	// separately in ShardMemoInvalidations.
+	// (all-zero when stateless). Entries leave it only by capacity
+	// eviction.
 	ShardMemo lru.Stats `json:"shard_memo"`
-	// ShardMemoInvalidations counts memo entries removed by /v1/db
-	// mutations (block-granular invalidation).
-	ShardMemoInvalidations uint64 `json:"shard_memo_invalidations,omitempty"`
 	// ShardMemoPartitions is the census of the shard partitions the memo
 	// keeps, one per recently solved plan: how many, the co-occurrence
 	// components they hold, and how many of those have no kept outcome

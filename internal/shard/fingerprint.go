@@ -17,9 +17,9 @@ import (
 // This is what makes the solver's shard memo safe without any invalidation
 // protocol: a mutation changes the touched blocks' digests, so the touched
 // shards' fingerprints change and simply miss the memo, while untouched
-// shards keep their fingerprints and hit. Explicit invalidation (the
-// server's block-granular eviction) is memory hygiene and observability,
-// never a correctness requirement.
+// shards keep their fingerprints and hit. A superseded entry is never
+// looked up again until its content returns (an undone write hits it), and
+// the memo's LRU bound ages it out otherwise.
 
 // ShardFingerprint returns the content address of listed shard idx of
 // component comp; d must be the database the decomposition was taken from. A shard

@@ -62,7 +62,6 @@ type relState struct {
 	occs    []varOcc // positions of variables occurring more than once in q
 	link    []string // the one join key of every block, for self-joining components
 	version uint64   // the relation's version at the last sync; 0 when absent
-	digest  string   // the relation's content digest at the last full diff; "" when absent or not computed
 	blocks  map[string]*blockState
 }
 
@@ -91,9 +90,9 @@ type bucket struct {
 }
 
 // component is one connected component of the block co-occurrence graph.
-// Its block list is handed to the shard memo and shared by every later
-// decomposition, so it is never modified once the component has formed; a
-// change to one of its blocks replaces the component.
+// Its block list is shared by every later decomposition, so it is never
+// modified once the component has formed; a change to one of its blocks
+// replaces the component.
 type component struct {
 	blocks []string // sorted block IDs
 	rels   []string // relation of each block
@@ -287,7 +286,6 @@ func (pt *Partition) sync(d *db.DB) SyncStats {
 			for _, bid := range bids {
 				pt.update(run, d, rs, name, bid, current[bid])
 			}
-			rs.digest = ""
 		} else {
 			st.Rescanned++
 			pt.rescan(run, d, rs, name)
@@ -352,14 +350,8 @@ func (pt *Partition) sync(d *db.DB) SyncStats {
 
 // rescan diffs every block digest of relation name in d against the
 // recorded ones: the fallback for a relation whose change log does not
-// reach back to the last sync. A relation whose content digest is the one
-// recorded at its last full diff is skipped.
+// reach back to the last sync.
 func (pt *Partition) rescan(run *syncRun, d *db.DB, rs *relState, name string) {
-	digest := d.RelationDigest(name)
-	if digest == rs.digest && (digest != "" || len(rs.blocks) == 0) {
-		return
-	}
-	rs.digest = digest
 	current := d.BlockDigests(name) // nil when the relation is gone
 	for bid, bd := range current {
 		pt.update(run, d, rs, name, bid, bd)

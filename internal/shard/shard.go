@@ -78,8 +78,7 @@ func init() {
 //
 // A decomposition lists its shards: all of them from Sync and Decompose,
 // and from Partition.SyncOpen only those without a kept outcome, with Kept
-// counting the rest. Shard, ShardFingerprint and ShardBlocks index the
-// listed shards.
+// counting the rest. Shard and ShardFingerprint index the listed shards.
 type Decomposition struct {
 	Query            cq.Query
 	Components       []cq.Query
@@ -148,15 +147,6 @@ func (dec *Decomposition) Record(j, i int, certain bool) {
 	dec.pt.mu.Lock()
 	dec.pt.record(dec.groups[j][i][0], certain)
 	dec.pt.mu.Unlock()
-}
-
-// ShardBlocks returns the sorted block IDs of listed shard i of query
-// component j. The slice is shared: callers must not modify it.
-func (dec *Decomposition) ShardBlocks(j, i int) []string {
-	if dec.Blocks != nil {
-		return dec.Blocks[j][i]
-	}
-	return dec.groups[j][i][0].blocks // SyncOpen lists one component a shard
 }
 
 // Shard builds the database of listed shard i of query component j: the

@@ -12,21 +12,26 @@ import (
 
 // BatchItem is one CERTAINTY(q) instance of a batch: a query and the
 // database to decide it on. Items may share databases (snapshot reuse) or
-// queries (plan reuse); SolveBatch amortizes both.
+// queries (plan reuse); SolveBatch amortizes both. A non-nil Memo solves
+// the item through SolveShardedMemo on the finest partition, as a hosted
+// single solve does; leave it nil for one-shot databases.
 type BatchItem struct {
 	Query cq.Query
 	DB    *db.DB
+	Memo  *ShardMemo
 }
 
 // BatchResult is the outcome of one batch item. Exactly one of Verdict and
 // Err is meaningful: Err is non-nil when the item failed outright (e.g. an
 // unclassifiable query), in which case Verdict is the zero value. A
 // degradation (budget or deadline cutoff) is not an error — it comes back as
-// a Verdict with OutcomeUnknown, same as in a single SolveCtx.
+// a Verdict with OutcomeUnknown, same as in a single SolveCtx. Report
+// accounts for a memoized item's shard reuse (zero without a memo).
 type BatchResult struct {
 	Index   int
 	Verdict Verdict
 	Err     error
+	Report  DeltaReport
 }
 
 const metricBatchItems = "solver_batch_items_total"
@@ -39,9 +44,10 @@ func init() {
 // amortizing plan compilation across items with the same canonical query
 // through plans: one classification and one compiled rewriting per
 // distinct query. Callers without a process-wide cache pass a fresh
-// NewPlanCache. Every item runs Plan.SolveCtx under opts, so opts.Shards
-// shards each item; the fan-out shares the process-wide worker gate with
-// the shard layer, so the two compose without multiplying goroutines.
+// NewPlanCache. Every item without a memo runs Plan.SolveCtx under opts,
+// so opts.Shards shards each item; the fan-out shares the process-wide
+// worker gate with the shard layer, so the two compose without
+// multiplying goroutines.
 // Results come back indexed in item order, one per item, errors inline.
 //
 // A non-nil observe streams each result as its item completes, before the
@@ -62,7 +68,11 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts Options, plans *Pla
 		sp.SetInt("item", int64(i))
 		r := BatchResult{Index: i}
 		p, err := plans.Get(ictx, items[i].Query)
-		if err == nil {
+		switch {
+		case err != nil:
+		case items[i].Memo != nil:
+			r.Verdict, r.Report, err = p.SolveShardedMemo(ictx, items[i].DB, 0, opts, items[i].Memo)
+		default:
 			r.Verdict, err = p.SolveCtx(ictx, items[i].DB, opts)
 		}
 		r.Err = err

@@ -83,7 +83,7 @@ func mutationStep(q cq.Query, model map[string]db.Fact, r *rand.Rand) (ins, del 
 
 // TestDeltaResolveEquivalence is the delta re-solve differential property:
 // a database grown through a random interleaving of durable inserts,
-// deletes, and solves yields — via Plan.Resolve with a persistent shard
+// deletes, and solves yields — via SolveShardedMemo with a persistent shard
 // memo — verdicts byte-identical to a from-scratch full re-solve of the
 // surviving facts, across scenario families and every shard count under
 // test. The memos live across all steps of a schedule, so stale reuse after
@@ -141,11 +141,10 @@ func TestDeltaResolveEquivalence(t *testing.T) {
 					want := verdictFingerprint(t, full)
 
 					durable, version := st.DB()
-					delta := Delta{Ins: ins, Del: del}
 					for _, n := range deltaShardCounts() {
-						v, rep, err := p.Resolve(ctx, durable, delta, memos[n], n, Options{})
+						v, rep, err := p.SolveShardedMemo(ctx, durable, n, Options{}, memos[n])
 						if err != nil {
-							t.Fatalf("step %d shards %d: Resolve: %v", step, n, err)
+							t.Fatalf("step %d shards %d: SolveShardedMemo: %v", step, n, err)
 						}
 						if got := verdictFingerprint(t, v); got != want {
 							t.Errorf("step %d shards %d (version %d): delta verdict diverged\n got %s\nwant %s\nreport %+v",
@@ -208,8 +207,7 @@ func (c *chainGroupOps) step(model map[string]db.Fact, r *rand.Rand) (ins, del [
 // property: running the same mutation schedule against (A) the durable
 // store's snapshots and (B) databases rebuilt with component-preserving
 // fact shuffles between mutations must produce identical delta verdicts
-// AND the identical (reused, recomputed, invalidated) work partition at
-// every step. Fingerprints are content-addressed over sorted block IDs, so
+// AND the identical (reused, recomputed) work partition at every step. Fingerprints are content-addressed over sorted block IDs, so
 // the memo must neither miss a reuse nor fabricate one when facts arrive
 // in a different order. maxShards exceeds every instance's group count,
 // making the shard partition itself content-determined (the LPT packing
@@ -255,10 +253,8 @@ func TestDeltaResolveMetamorphic(t *testing.T) {
 				for _, f := range ins {
 					model[f.ID()] = f
 				}
-				delta := Delta{Ins: ins, Del: del}
-
 				durable, _ := st.DB()
-				vA, repA, err := p.Resolve(ctx, durable, delta, memoA, maxShards, Options{})
+				vA, repA, err := p.SolveShardedMemo(ctx, durable, maxShards, Options{}, memoA)
 				if err != nil {
 					t.Fatalf("step %d: schedule A: %v", step, err)
 				}
@@ -267,7 +263,7 @@ func TestDeltaResolveMetamorphic(t *testing.T) {
 				// order: a fresh database object each step, so every hit it
 				// gets is purely content-addressed.
 				perm := shuffled(t, durable, shuffleRand)
-				vB, repB, err := p.Resolve(ctx, perm, delta, memoB, maxShards, Options{})
+				vB, repB, err := p.SolveShardedMemo(ctx, perm, maxShards, Options{}, memoB)
 				if err != nil {
 					t.Fatalf("step %d: schedule B: %v", step, err)
 				}
@@ -291,11 +287,12 @@ func TestDeltaResolveMetamorphic(t *testing.T) {
 }
 
 // TestShardMemoInvalidationExcludesUntouched is the block-granularity
-// regression lock: a mutation touching one block of relation R must never
-// evict a memo entry for a shard whose fingerprint excludes that block —
-// in particular, entries over OTHER blocks of R itself survive (the
-// relation-granular eviction this design replaced would have dropped
-// them).
+// regression lock: a mutation touching one block of relation R changes only
+// the fingerprint of the shard covering that block, so that shard alone is
+// recomputed, and every memo entry for a shard whose fingerprint excludes
+// the block — in particular those over OTHER blocks of R itself — stays
+// memoized and reused. Nothing removes the covering shard's old entry
+// either: only the LRU bound does, so an undo would hit it.
 func TestShardMemoInvalidationExcludesUntouched(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
@@ -345,35 +342,40 @@ func TestShardMemoInvalidationExcludesUntouched(t *testing.T) {
 	}
 	for _, fp := range excluded {
 		if !memo.Contains(fp) {
-			t.Fatalf("pre-invalidate: excluded fingerprint %s not memoized", fp)
+			t.Fatalf("before the mutation: excluded fingerprint %s not memoized", fp)
 		}
 	}
 
-	removed := memo.Invalidate(Delta{Ins: []db.Fact{{Rel: "R", KeyLen: 1, Args: []string{"a1", "b9"}}}}.TouchedBlocks())
-	if removed != 1 {
-		t.Errorf("invalidation removed %d entries, want exactly the covering shard", removed)
+	next := d.Clone()
+	if err := next.Add(db.Fact{Rel: "R", KeyLen: 1, Args: []string{"a1", "b9"}}); err != nil {
+		t.Fatalf("Add: %v", err)
 	}
-	for _, fp := range covering {
-		if memo.Contains(fp) {
-			t.Errorf("covering fingerprint survived invalidation of its block")
-		}
+	if _, rep, err := p.SolveShardedMemo(ctx, next, 1<<10, Options{}, memo); err != nil {
+		t.Fatalf("SolveShardedMemo after the mutation: %v", err)
+	} else if rep != (DeltaReport{ShardsReused: 2, ShardsRecomputed: 1}) {
+		t.Errorf("re-solve report = %+v, want the 2 excluded shards reused and the covering one recomputed", rep)
 	}
 	for _, fp := range excluded {
 		if !memo.Contains(fp) {
-			t.Errorf("invalidating %s evicted a shard whose fingerprint excludes it", touched)
+			t.Errorf("mutating %s dropped a shard whose fingerprint excludes it", touched)
 		}
 	}
-	if got := memo.Invalidations(); got != uint64(removed) {
-		t.Errorf("Invalidations() = %d, want %d", got, removed)
+	for _, fp := range covering {
+		if !memo.Contains(fp) {
+			t.Error("the covering shard's entry for its old content was dropped")
+		}
+	}
+	if memo.Len() != 4 {
+		t.Errorf("memo has %d entries, want 4: the three first ones and the covering shard's new content", memo.Len())
 	}
 }
 
-// TestResolveReusesAcrossMutations walks Resolve through a
+// TestResolveReusesAcrossMutations walks a memoized re-solve through a
 // mutate → re-solve → undo cycle on four independent chain groups and pins
 // the exact work partition at every step, including the content-addressing
 // dividend: undoing a mutation restores the pre-mutation fingerprint, so
-// the original memo entry (never invalidated — its fingerprint excludes
-// the touched block) hits again and the undo re-solve recomputes nothing.
+// the original memo entry hits again and the undo re-solve recomputes
+// nothing.
 func TestResolveReusesAcrossMutations(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
@@ -390,9 +392,9 @@ func TestResolveReusesAcrossMutations(t *testing.T) {
 		t.Fatalf("CompilePlan: %v", err)
 	}
 	memo := NewShardMemo(0, nil)
-	v0, rep0, err := p.Resolve(ctx, d, Delta{}, memo, 1<<10, Options{})
+	v0, rep0, err := p.SolveShardedMemo(ctx, d, 1<<10, Options{}, memo)
 	if err != nil {
-		t.Fatalf("initial Resolve: %v", err)
+		t.Fatalf("initial SolveShardedMemo: %v", err)
 	}
 	if v0.Outcome != OutcomeNotCertain {
 		t.Fatalf("outcome = %v, want not-certain", v0.Outcome)
@@ -409,34 +411,33 @@ func TestResolveReusesAcrossMutations(t *testing.T) {
 	if err := d.Add(f); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	v1, rep1, err := p.Resolve(ctx, d, Delta{Ins: []db.Fact{f}}, memo, 1<<10, Options{})
+	v1, rep1, err := p.SolveShardedMemo(ctx, d, 1<<10, Options{}, memo)
 	if err != nil {
-		t.Fatalf("Resolve after mutation: %v", err)
+		t.Fatalf("SolveShardedMemo after mutation: %v", err)
 	}
 	// Group 1 is now certain, which settles the component's disjunction.
 	if v1.Outcome != OutcomeCertain {
 		t.Errorf("outcome after mutation = %v, want certain", v1.Outcome)
 	}
 	if rep1 != (DeltaReport{ShardsReused: 3, ShardsRecomputed: 1}) {
-		t.Errorf("report = %+v, want 3 reused / 1 recomputed / 0 invalidated", rep1)
+		t.Errorf("report = %+v, want 3 reused / 1 recomputed", rep1)
 	}
 
-	// Undo: the delete's block (S's x1) is covered by the certain entry
-	// memoized above, which invalidation drops. Group 1's content — and so
-	// its fingerprint — is back to the original, so the original
-	// not-certain entry hits and nothing at all is recomputed.
+	// Undo: group 1's content — and so its fingerprint — is back to the
+	// original, so the original not-certain entry hits and nothing at all
+	// is recomputed.
 	if !d.Remove(f) {
 		t.Fatal("Remove: fact missing")
 	}
-	v2, rep2, err := p.Resolve(ctx, d, Delta{Del: []db.Fact{f}}, memo, 1<<10, Options{})
+	v2, rep2, err := p.SolveShardedMemo(ctx, d, 1<<10, Options{}, memo)
 	if err != nil {
-		t.Fatalf("Resolve after removal: %v", err)
+		t.Fatalf("SolveShardedMemo after removal: %v", err)
 	}
 	if got, want := verdictFingerprint(t, v2), verdictFingerprint(t, v0); got != want {
 		t.Errorf("verdict after undo diverged\n got %s\nwant %s", got, want)
 	}
-	if rep2 != (DeltaReport{ShardsReused: 4, Invalidated: 1}) {
-		t.Errorf("report after undo = %+v, want 4 reused / 0 recomputed / 1 invalidated", rep2)
+	if rep2 != (DeltaReport{ShardsReused: 4}) {
+		t.Errorf("report after undo = %+v, want 4 reused / 0 recomputed", rep2)
 	}
 }
 
@@ -687,28 +688,25 @@ func TestResolveKeptCertainSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	memo := NewShardMemo(0, nil)
-	if v, _, err := p.Resolve(ctx, d, Delta{}, memo, 0, Options{}); err != nil || v.Outcome != OutcomeCertain {
+	if v, _, err := p.SolveShardedMemo(ctx, d, 0, Options{}, memo); err != nil || v.Outcome != OutcomeCertain {
 		t.Fatalf("cold solve: %v, %v; want certain", v.Outcome, err)
 	}
 	step := func(f db.Fact, outcome Outcome) DeltaReport {
 		t.Helper()
 		next := d.Clone()
-		dl := Delta{Ins: []db.Fact{f}}
 		if next.Has(f) {
 			next.Remove(f)
-			dl = Delta{Del: []db.Fact{f}}
 		} else if err := next.Add(f); err != nil {
 			t.Fatal(err)
 		}
 		d = next
-		v, rep, err := p.Resolve(ctx, d, dl, memo, 0, Options{})
+		v, rep, err := p.SolveShardedMemo(ctx, d, 0, Options{}, memo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.Outcome != outcome {
 			t.Fatalf("after %v: outcome %v, want %v", f, v.Outcome, outcome)
 		}
-		rep.Invalidated = 0
 		return rep
 	}
 	if rep := step(db.Fact{Rel: "S", KeyLen: 1, Args: []string{"b2", "c9"}}, OutcomeCertain); rep != (DeltaReport{ShardsReused: 1}) {

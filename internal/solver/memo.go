@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultShardMemoSize bounds the shard memo when the caller passes no
-// explicit size. Entries are an outcome plus a block-ID list, so even the
+// explicit size. Entries are a fingerprint and an outcome, so even the
 // default is a few hundred kilobytes, not a cache of verdict payloads.
 const DefaultShardMemoSize = 4096
 
@@ -28,12 +28,10 @@ const DefaultShardMemoSize = 4096
 // it could make a later, better-resourced solve less conclusive; Put
 // silently drops it.
 //
-// Invalidate is memory hygiene and observability, not correctness: the
-// server calls it with the block IDs a /v1/db mutation touched so stale
-// entries are dropped eagerly (they could otherwise only age out by LRU,
-// since their fingerprints will never be looked up again). The byBlock
-// index makes that eviction block-granular — an entry survives every
-// mutation whose touched blocks its fingerprint excludes.
+// Nothing invalidates an entry: a mutation changes the fingerprints of the
+// shards it touches, so their old entries are simply not looked up until
+// the same content returns — an undone write hits them again — and the LRU
+// bound ages them out otherwise.
 //
 // The memo also keeps the last shard.Partition of each plan key, which
 // sharded solves sync instead of partitioning anew, and which keeps the
@@ -47,11 +45,9 @@ const DefaultShardMemoSize = 4096
 //
 // Safe for concurrent use.
 type ShardMemo struct {
-	mu      sync.Mutex
-	c       *lru.Cache[string, shardMemoEntry]
-	byBlock map[string]map[string]struct{} // block ID → fingerprints covering it
-	m       *obs.CacheMetrics
-	inval   uint64
+	mu sync.Mutex
+	c  *lru.Cache[string, Outcome]
+	m  *obs.CacheMetrics
 
 	parts     map[string]*keptPartition // plan key → its last partition
 	partComps int                       // components across parts
@@ -67,14 +63,6 @@ type keptPartition struct {
 	synced uint64
 }
 
-// shardMemoEntry is one memoized shard verdict: the conclusive outcome and
-// the shard's block IDs, kept so eviction and invalidation can unindex the
-// entry from byBlock.
-type shardMemoEntry struct {
-	outcome Outcome
-	blocks  []string
-}
-
 // NewShardMemo returns a memo holding at most size entries (size <= 0
 // selects DefaultShardMemoSize). Metrics m may be nil (uninstrumented).
 func NewShardMemo(size int, m *obs.CacheMetrics) *ShardMemo {
@@ -82,10 +70,9 @@ func NewShardMemo(size int, m *obs.CacheMetrics) *ShardMemo {
 		size = DefaultShardMemoSize
 	}
 	sm := &ShardMemo{
-		c:       lru.New[string, shardMemoEntry](size),
-		byBlock: make(map[string]map[string]struct{}),
-		m:       m,
-		parts:   make(map[string]*keptPartition),
+		c:     lru.New[string, Outcome](size),
+		m:     m,
+		parts: make(map[string]*keptPartition),
 	}
 	m.SetSize(0, sm.c.Cap())
 	return sm
@@ -94,11 +81,11 @@ func NewShardMemo(size int, m *obs.CacheMetrics) *ShardMemo {
 // Get returns the memoized conclusive outcome for fingerprint fp.
 func (sm *ShardMemo) Get(fp string) (Outcome, bool) {
 	sm.mu.Lock()
-	e, ok := sm.c.Get(fp)
+	o, ok := sm.c.Get(fp)
 	sm.mu.Unlock()
 	if ok {
 		sm.m.Hit()
-		return e.outcome, true
+		return o, true
 	}
 	sm.m.Miss()
 	return OutcomeUnknown, false
@@ -113,65 +100,18 @@ func (sm *ShardMemo) Contains(fp string) bool {
 	return ok
 }
 
-// Put memoizes a conclusive shard outcome under fingerprint fp, indexing it
-// by the shard's block IDs. OutcomeUnknown is dropped (budget-dependent,
-// see the type comment).
-func (sm *ShardMemo) Put(fp string, o Outcome, blocks []string) {
+// Put memoizes a conclusive shard outcome under fingerprint fp.
+// OutcomeUnknown is dropped (budget-dependent, see the type comment).
+func (sm *ShardMemo) Put(fp string, o Outcome) {
 	if o != OutcomeCertain && o != OutcomeNotCertain {
 		return
 	}
 	sm.mu.Lock()
-	evictedFP, evicted, wasEvicted := sm.c.PutEvicted(fp, shardMemoEntry{outcome: o, blocks: blocks})
-	if wasEvicted {
-		sm.unindexLocked(evictedFP, evicted.blocks)
+	if sm.c.Put(fp, o) {
 		sm.m.Evicted(1)
 	}
-	for _, bid := range blocks {
-		set := sm.byBlock[bid]
-		if set == nil {
-			set = make(map[string]struct{})
-			sm.byBlock[bid] = set
-		}
-		set[fp] = struct{}{}
-	}
 	sm.m.SetSize(sm.c.Len(), sm.c.Cap())
 	sm.mu.Unlock()
-}
-
-// Invalidate drops every entry whose fingerprint covers any of the given
-// block IDs and returns how many entries were removed. Entries whose
-// fingerprints exclude all touched blocks are untouched — this is the
-// block-granular guarantee the metamorphic suite locks down.
-func (sm *ShardMemo) Invalidate(blocks []string) int {
-	sm.mu.Lock()
-	removed := 0
-	for _, bid := range blocks {
-		for fp := range sm.byBlock[bid] {
-			if e, ok := sm.c.Peek(fp); ok {
-				sm.c.Delete(fp)
-				sm.unindexLocked(fp, e.blocks)
-				removed++
-			}
-		}
-		delete(sm.byBlock, bid)
-	}
-	sm.inval += uint64(removed)
-	sm.m.SetSize(sm.c.Len(), sm.c.Cap())
-	sm.mu.Unlock()
-	return removed
-}
-
-// unindexLocked removes fp from the byBlock sets of the given blocks.
-// Caller holds mu.
-func (sm *ShardMemo) unindexLocked(fp string, blocks []string) {
-	for _, bid := range blocks {
-		if set, ok := sm.byBlock[bid]; ok {
-			delete(set, fp)
-			if len(set) == 0 {
-				delete(sm.byBlock, bid)
-			}
-		}
-	}
 }
 
 // Len returns the number of memoized shard verdicts.
@@ -181,16 +121,8 @@ func (sm *ShardMemo) Len() int {
 	return sm.c.Len()
 }
 
-// Invalidations returns how many entries Invalidate has removed.
-func (sm *ShardMemo) Invalidations() uint64 {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	return sm.inval
-}
-
 // Stats snapshots the underlying cache counters (hits, misses, capacity
-// evictions — invalidations are reported separately by Invalidations).
-// Hits include the outcomes answered from kept partitions.
+// evictions). Hits include the outcomes answered from kept partitions.
 func (sm *ShardMemo) Stats() lru.Stats {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()

@@ -19,6 +19,17 @@ func init() {
 	obs.Default.Help(metricShardSolves, "Sub-instance solves executed by the shard join, by outcome.")
 }
 
+// DeltaReport accounts for one memoized sharded solve: how many shard
+// sub-verdicts were reused from the memo and how many were recomputed.
+// Reused + recomputed can be less than the decomposition's shard count
+// when the combine short-circuited (a certain shard settles its
+// component's disjunction, a not-certain component settles the
+// conjunction).
+type DeltaReport struct {
+	ShardsReused     int
+	ShardsRecomputed int
+}
+
 // SolveShardedMemo executes the plan with component-partitioned data
 // parallelism: the instance splits along the shard.Decompose partition, the
 // sub-instances are decided on the bounded worker pool, and the verdicts
@@ -97,9 +108,9 @@ type shardOutcome struct {
 
 // memoScope is the per-component view of the shard memo handed to
 // solveComponent: the memo itself, the decomposition whose listed shards
-// the component's are (their block lists, and the partition their
-// outcomes are kept in), their fingerprints, and the report the reuse is
-// accounted into. nil disables memoization for the component.
+// the component's are (and whose partition keeps their outcomes), their
+// fingerprints, and the report the reuse is accounted into. nil disables
+// memoization for the component.
 type memoScope struct {
 	memo *ShardMemo
 	dec  *shard.Decomposition
@@ -351,7 +362,7 @@ func solveComponent(ctx context.Context, pj *Plan, n int, shardDB func(i int) *d
 			}
 			mc.rep.ShardsRecomputed++
 			if r.err == nil && (r.outcome == OutcomeCertain || r.outcome == OutcomeNotCertain) {
-				mc.memo.Put(mc.fps[i], r.outcome, mc.dec.ShardBlocks(compIdx, i))
+				mc.memo.Put(mc.fps[i], r.outcome)
 				mc.dec.Record(compIdx, i, r.outcome == OutcomeCertain)
 			}
 		}
