@@ -23,7 +23,7 @@ var pr3FOScales = []int{8, 32, 128}
 func pr3FOInstance(b testing.TB, n int) (cq.Query, *db.DB) {
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
 	d := gen.RandomDB(q, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
-	d.Digest() // warm the structural index outside the timed region
+	d.Interned() // warm the columnar view outside the timed region
 	return q, d
 }
 
@@ -34,7 +34,7 @@ func BenchmarkTerminalIndexed(b *testing.B) {
 	for _, emb := range []int{2, 8, 32} {
 		b.Run(fmt.Sprintf("emb=%d", emb), func(b *testing.B) {
 			d := gen.RandomDB(q, gen.Config{Embeddings: emb, Noise: 2, Domain: 3}, int64(emb))
-			d.Digest()
+			d.Interned()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -57,7 +57,7 @@ func BenchmarkACkSequential(b *testing.B) {
 	for _, comps := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("comps=%d", comps), func(b *testing.B) {
 			d := gen.CycleDB(gen.CycleConfig{K: 3, Components: comps, Width: 2, EncodeAll: true})
-			d.Digest()
+			d.Interned()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -77,7 +77,7 @@ func BenchmarkFalsifyingSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("vars=%d", vars), func(b *testing.B) {
 			f := gen.RandomMonotoneSAT(vars, 5*vars, 3, int64(100*vars))
 			d := gen.MonotoneSATQ0DB(f)
-			d.Digest()
+			d.Interned()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

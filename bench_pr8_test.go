@@ -49,7 +49,7 @@ var pr8EngineScales = []int{8, 32, 128}
 func pr8EngineInstance(b testing.TB, n int) (cq.Query, *db.DB) {
 	q := cq.MustParseQuery("R(x | y), S(y | z), T(z | w)")
 	d := gen.RandomDB(q, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
-	d.Digest()
+	d.Interned()
 	return q, d
 }
 
@@ -94,7 +94,6 @@ func BenchmarkSafeRewritingInterned(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := gen.RandomDB(q, gen.Config{Embeddings: 4, Noise: 3, Domain: 3}, 7)
-	d.Digest()
 	d.Interned()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -261,7 +260,7 @@ func TestDeltaResolveAllocRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	memo := solver.NewShardMemo(0, nil)
-	if _, _, err := p.SolveShardedMemo(ctx, d, 0, solver.Options{}, memo); err != nil {
+	if _, _, err := p.SolveShardedMemo(ctx, d, solver.Options{}, memo); err != nil {
 		t.Fatal(err)
 	}
 	var toggle db.Fact
@@ -279,7 +278,7 @@ func TestDeltaResolveAllocRegression(t *testing.T) {
 			want = solver.DeltaReport{ShardsReused: 999, ShardsRecomputed: 1}
 		}
 		present = !present
-		_, rep, err := p.SolveShardedMemo(ctx, d, 0, solver.Options{}, memo)
+		_, rep, err := p.SolveShardedMemo(ctx, d, solver.Options{}, memo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +328,7 @@ func newHostedResolve(tb testing.TB, comps int) *hostedResolve {
 	}
 	slices.Sort(h.rels)
 	h.rels = slices.Compact(h.rels)
-	if _, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, h.memo); err != nil {
+	if _, _, err := p.SolveShardedMemo(context.Background(), d, solver.Options{}, h.memo); err != nil {
 		tb.Fatal(err)
 	}
 	return h
@@ -366,7 +365,7 @@ func (h *hostedResolve) resolve(tb testing.TB) solver.DeltaReport {
 		key = strconv.AppendUint(key, h.d.RelationVersion(rel), 10)
 	}
 	h.key = string(key)
-	_, rep, err := h.p.SolveShardedMemo(context.Background(), h.d, 0, solver.Options{}, h.memo)
+	_, rep, err := h.p.SolveShardedMemo(context.Background(), h.d, solver.Options{}, h.memo)
 	if err != nil {
 		tb.Fatal(err)
 	}

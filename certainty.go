@@ -318,16 +318,15 @@ func CountSatisfyingRepairs(q Query, d *DB) *big.Int { return prob.CountSatisfyi
 // decomposition — exact, same number as CountSatisfyingRepairs, but the
 // enumeration splits along independent sub-instances solved in parallel
 // (∏ᵢNᵢ − ∏ᵢ(Nᵢ−sᵢ) per connected component, products across components).
-// maxShards caps the shards per component; ≤ 0 keeps the finest partition.
-func CountSatisfyingSharded(q Query, d *DB, maxShards int) *big.Int {
-	return prob.CountSatisfyingSharded(q, d, maxShards)
+func CountSatisfyingSharded(q Query, d *DB) *big.Int {
+	return prob.CountSatisfyingSharded(q, d)
 }
 
 // UniformProbabilitySharded computes Pr(q) under uniform repair choice
 // through the shard decomposition (1 − ∏ᵢ(1−pᵢ) per component, products
 // across components); exact, same rational as world enumeration.
-func UniformProbabilitySharded(q Query, d *DB, maxShards int) *big.Rat {
-	return prob.UniformProbabilitySharded(q, d, maxShards)
+func UniformProbabilitySharded(q Query, d *DB) *big.Rat {
+	return prob.UniformProbabilitySharded(q, d)
 }
 
 // CountViaUniform solves ♯CERTAINTY(q) through the uniform BID safe plan

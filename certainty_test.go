@@ -302,7 +302,7 @@ func TestFacadeSweep2(t *testing.T) {
 	if p.DB().Len() != d.Len() {
 		t.Error("RandomBID should cover all facts")
 	}
-	if got := CountSatisfyingSharded(ConferenceQuery(), d, 0); got.Cmp(big.NewInt(3)) != 0 {
+	if got := CountSatisfyingSharded(ConferenceQuery(), d); got.Cmp(big.NewInt(3)) != 0 {
 		t.Errorf("sharded count = %v", got)
 	}
 	plan := ExplainPlan(ConferenceQuery(), d)

@@ -282,8 +282,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	foQ := cq.MustParseQuery("R(x | y), S(y | z)")
 	for _, n := range scales {
 		d := gen.RandomDB(foQ, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
-		d.Digest()   // build the index outside the timed region, as a server would
-		d.Interned() // likewise the columnar view
+		d.Interned() // build the columnar view outside the timed region, as a server would
 		prog, err := solver.CompileFO(foQ)
 		if err != nil {
 			return err
@@ -303,7 +302,6 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	engQ := cq.MustParseQuery("R(x | y), S(y | z), T(z | w)")
 	for _, n := range scales {
 		d := gen.RandomDB(engQ, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
-		d.Digest()
 		d.Interned()
 		e, err := measure(fmt.Sprintf("engine/interned/emb=%d", n), "engine", "interned", n, func() error {
 			engine.EachEmbedding(engQ, d, func(cq.Valuation) bool { return true })
@@ -329,7 +327,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			emb = 1
 		}
 		d := gen.RandomDB(termQ, gen.Config{Embeddings: emb, Noise: 2, Domain: 3}, int64(n))
-		d.Digest()
+		d.Interned()
 		e, err := measure(fmt.Sprintf("terminal/indexed/emb=%d", emb), "terminal", "indexed", emb, func() error {
 			_, err := termPlan.SolveCtx(context.Background(), d, solver.Options{})
 			return err
@@ -348,7 +346,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	}
 	for _, c := range comps {
 		d := gen.CycleDB(gen.CycleConfig{K: 3, Components: c, Width: 2, EncodeAll: true})
-		d.Digest()
+		d.Interned()
 		e, err := measure(fmt.Sprintf("ack/seq/comps=%d", c), "ack", "seq", c, func() error {
 			_, err := solver.CertainACk(context.Background(), ackQ, shape, d)
 			return err
@@ -364,7 +362,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	for _, v := range satVars {
 		f := gen.RandomMonotoneSAT(v, 5*v, 3, int64(100*v))
 		d := gen.MonotoneSATQ0DB(f)
-		d.Digest()
+		d.Interned()
 		e, err := measure(fmt.Sprintf("falsifying/indexed/vars=%d", v), "falsifying", "indexed", v, func() error {
 			_, err := solver.CertainByFalsifying(context.Background(), falsQ, d)
 			return err
@@ -378,7 +376,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	// End-to-end Solve: per-call classification vs the compiled plan.
 	for _, n := range scales {
 		d := gen.RandomDB(foQ, gen.Config{Embeddings: n, Noise: n, Domain: n}, int64(n))
-		d.Digest()
+		d.Interned()
 		seed, err := measure(fmt.Sprintf("solve/per-call/emb=%d", n), "solve", "seed", n, func() error {
 			_, err := solver.SolveCtx(context.Background(), foQ, d, solver.Options{})
 			return err
@@ -410,10 +408,9 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	if quick {
 		shardComps = []int{2, 3, 4}
 	}
-	const shardWorkers = 8
 	for _, c := range shardComps {
 		d := chainComponentsDB(c)
-		d.Digest()
+		d.Interned()
 		mono, err := measure(fmt.Sprintf("count/mono/comps=%d", c), "count", "mono", c, func() error {
 			prob.CountSatisfyingRepairs(foQ, d)
 			return nil
@@ -422,7 +419,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		sharded, err := measure(fmt.Sprintf("count/sharded/comps=%d", c), "count", "sharded", c, func() error {
-			prob.CountSatisfyingSharded(foQ, d, shardWorkers)
+			prob.CountSatisfyingSharded(foQ, d)
 			return nil
 		})
 		if err != nil {
@@ -434,7 +431,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	{
 		c := shardComps[len(shardComps)-1]
 		d := chainComponentsDB(c)
-		d.Digest()
+		d.Interned()
 		mono, err := measure(fmt.Sprintf("prob/mono/comps=%d", c), "prob", "mono", c, func() error {
 			prob.UniformProbability(foQ, d)
 			return nil
@@ -443,7 +440,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		sharded, err := measure(fmt.Sprintf("prob/sharded/comps=%d", c), "prob", "sharded", c, func() error {
-			prob.UniformProbabilitySharded(foQ, d, shardWorkers)
+			prob.UniformProbabilitySharded(foQ, d)
 			return nil
 		})
 		if err != nil {
@@ -460,7 +457,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	{
 		c := shardComps[len(shardComps)-1]
 		d := chainComponentsDB(c)
-		d.Digest()
+		d.Interned()
 		mono, err := measure(fmt.Sprintf("solve/mono/comps=%d", c), "solve", "mono", c, func() error {
 			_, err := solver.SolveCtx(context.Background(), foQ, d, solver.Options{})
 			return err
@@ -469,7 +466,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			return err
 		}
 		sharded, err := measure(fmt.Sprintf("solve/sharded/comps=%d", c), "solve", "sharded", c, func() error {
-			_, err := solver.SolveCtx(context.Background(), foQ, d, solver.Options{Shards: shardWorkers})
+			_, err := solver.SolveCtx(context.Background(), foQ, d, solver.Options{Sharded: true})
 			return err
 		})
 		if err != nil {
@@ -490,7 +487,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 		items := make([]solver.BatchItem, n)
 		for i := range items {
 			d := gen.RandomDB(foQ, gen.Config{Embeddings: 8, Noise: 8, Domain: 8}, int64(i+1))
-			d.Digest()
+			d.Interned()
 			items[i] = solver.BatchItem{Query: foQ, DB: d}
 		}
 		loop, err := measure(fmt.Sprintf("batch/loop/items=%d", n), "batch", "loop", n, func() error {
@@ -524,9 +521,9 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	// disjunction on both sides and hide the memo). The full side is a
 	// from-scratch sharded solve of the post-mutation snapshot; the delta
 	// side is SolveShardedMemo with a shard memo, which recomputes only the
-	// touched shard, reusing every other shard's memoized result. Both sides use maxShards=0 (finest partition, one
-	// shard per co-occurrence group) and run with the worker pool pinned to
-	// one slot: the pair must record the work the memo *skipped*, and that
+	// touched shard, reusing every other shard's memoized result. Both sides
+	// run on the finest partition (one shard per co-occurrence group) with
+	// the worker pool pinned to one slot: the pair must record the work the memo *skipped*, and that
 	// ratio is only hardware-independent (gateable) if the full side cannot
 	// hide its extra shards behind the host's core count. The parallelism
 	// win is already recorded by the mono/sharded pairs above.
@@ -534,7 +531,7 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 	{
 		const c = 16
 		d := chainComponentsDB(c)
-		d.Digest()
+		d.Interned()
 		p, err := solver.CompilePlan(foQ)
 		if err != nil {
 			return err
@@ -554,21 +551,21 @@ func runPerfJSON(path, baseline string, quick bool, failRegressPct float64) erro
 			if err := mutate(); err != nil {
 				return err
 			}
-			_, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, nil)
+			_, _, err := p.SolveShardedMemo(context.Background(), d, solver.Options{}, nil)
 			return err
 		})
 		if err != nil {
 			return err
 		}
 		memo := solver.NewShardMemo(0, nil)
-		if _, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, memo); err != nil {
+		if _, _, err := p.SolveShardedMemo(context.Background(), d, solver.Options{}, memo); err != nil {
 			return err
 		}
 		delta, err := measure(fmt.Sprintf("deltasolve/delta/comps=%d", c), "deltasolve", "delta", c, func() error {
 			if err := mutate(); err != nil {
 				return err
 			}
-			_, _, err := p.SolveShardedMemo(context.Background(), d, 0, solver.Options{}, memo)
+			_, _, err := p.SolveShardedMemo(context.Background(), d, solver.Options{}, memo)
 			return err
 		})
 		if err != nil {

@@ -14,10 +14,9 @@
 //
 // Solving is resource-governed: -timeout bounds wall-clock time, -budget
 // caps search steps, and Ctrl-C (SIGINT) cancels the search. With
-// -shards N the instance is partitioned into independent sub-instances
+// -sharded the instance is partitioned into independent sub-instances
 // (connected components of the fact co-occurrence graph) solved in
-// parallel, N capping the shard count (-1 = one shard per CPU); the
-// verdict is identical to the single-shard solve. A solve cut
+// parallel; the verdict is identical to the single-shard solve. A solve cut
 // off on a coNP-hard instance does not just die — it reports an "unknown"
 // verdict with the partial search evidence and a sampled estimate of the
 // fraction of repairs satisfying the query.
@@ -79,7 +78,7 @@ func main() {
 	free := flag.String("answers", "", "comma-separated free variables: compute certain/possible answers instead of the Boolean decision")
 	timeout := flag.Duration("timeout", 0, "abort the search after this duration (0 = no limit)")
 	budget := flag.Int64("budget", 0, "abort the search after this many search steps (0 = no limit)")
-	shards := flag.Int("shards", 0, "solve independent sub-instances in parallel, capped at this many shards (-1 = one per CPU, 0 = off; auto method only)")
+	sharded := flag.Bool("sharded", false, "solve independent sub-instances in parallel, one per co-occurrence component (auto method only)")
 	remote := flag.String("remote", "", "solve on a certd server at this base URL instead of in-process")
 	trace := flag.Bool("trace", false, "print the solver's span tree with per-phase durations (local auto method)")
 	dbInsert := flag.String("db-insert", "", "insert facts from this file ('-' for stdin) into the remote hosted database (requires -remote)")
@@ -118,7 +117,7 @@ func main() {
 		return
 	}
 
-	if err := run(ctx, *queryText, *queryFile, *dbFile, *method, *witness, *count, *free, *timeout, *budget, *shards, *remote, *trace); err != nil {
+	if err := run(ctx, *queryText, *queryFile, *dbFile, *method, *witness, *count, *free, *timeout, *budget, *sharded, *remote, *trace); err != nil {
 		fmt.Fprintln(os.Stderr, "certsolve:", err)
 		os.Exit(1)
 	}
@@ -299,7 +298,7 @@ func runEval(sqlFile, dlogFile, dbFile string) error {
 	return nil
 }
 
-func run(ctx context.Context, queryText, queryFile, dbFile, method string, witness, count bool, free string, timeout time.Duration, budget int64, shards int, remote string, trace bool) error {
+func run(ctx context.Context, queryText, queryFile, dbFile, method string, witness, count bool, free string, timeout time.Duration, budget int64, sharded bool, remote string, trace bool) error {
 	var q cq.Query
 	var err error
 	switch {
@@ -385,14 +384,14 @@ func run(ctx context.Context, queryText, queryFile, dbFile, method string, witne
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 
-	if shards != 0 && method != "auto" {
-		return fmt.Errorf("-shards requires the auto method")
+	if sharded && method != "auto" {
+		return fmt.Errorf("-sharded requires the auto method")
 	}
 
 	var certain bool
 	switch method {
 	case "auto":
-		v, err := solver.SolveCtx(ctx, q, d, solver.Options{Budget: budget, Timeout: timeout, Shards: shards})
+		v, err := solver.SolveCtx(ctx, q, d, solver.Options{Budget: budget, Timeout: timeout, Sharded: sharded})
 		if err != nil {
 			return err
 		}

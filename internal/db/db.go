@@ -25,17 +25,15 @@ type blockRef struct {
 // not ready for use; call New.
 //
 // Storage is organized per relation (see relation.go): each relation owns
-// its facts, blocks, content digests and version, and relations are the
-// copy-on-write unit shared between a database and its clones. A mutation
-// therefore touches only the relation (and within it, the block) it
-// changes; every other relation's derived structure — including its
-// memoized digest — survives untouched. The database-level content digest
-// is composed from the per-relation digests on demand.
+// its facts, blocks and version, and relations are the copy-on-write unit
+// shared between a database and its clones. A mutation therefore touches
+// only the relation it changes; every other relation survives untouched.
+// Content digests are composed from the facts on demand (index.go).
 //
-// Reads (including the lazily built digests and interned view) are safe for
-// concurrent use; mutations (Add, Remove, RemoveBlock) are not and must not
-// race with reads of the same DB. Clones taken before a mutation are
-// unaffected by it and stay safe to read.
+// Reads (including the lazily built interned view) are safe for concurrent
+// use; mutations (Add, Remove, RemoveBlock) are not and must not race with
+// reads of the same DB. Clones taken before a mutation are unaffected by it
+// and stay safe to read.
 type DB struct {
 	facts      []Fact     // global insertion order
 	blockOrder []blockRef // blocks in global first-insertion order
@@ -120,14 +118,25 @@ func (d *DB) Len() int { return len(d.facts) }
 // modified.
 func (d *DB) Facts() []Fact { return d.facts }
 
-// Has reports whether the fact is present.
+// Has reports whether the fact is present. A fact whose [arity, key
+// length] differs from its relation's signature is absent, although
+// Fact.ID, which leaves the key length out, may name a stored fact.
 func (d *DB) Has(f Fact) bool {
-	r, ok := d.rels[f.Rel]
-	if !ok {
+	r := d.relationOf(f)
+	if r == nil {
 		return false
 	}
-	_, ok = r.ids[f.ID()]
+	_, ok := r.ids[f.ID()]
 	return ok
+}
+
+// relationOf returns f's relation when f has its signature, else nil.
+func (d *DB) relationOf(f Fact) *relation {
+	r, ok := d.rels[f.Rel]
+	if !ok || r.sig != [2]int{len(f.Args), f.KeyLen} {
+		return nil
+	}
+	return r
 }
 
 // Relations returns the relation names present, sorted.
@@ -222,11 +231,11 @@ func (d *DB) ActiveDomain() []string {
 // Clone returns a copy of the database sharing fact values (facts are
 // immutable by convention). The copy is structural and flat: the global
 // fact and block-order slices are duplicated, while the per-relation
-// structures — facts, blocks, and digests — are shared by reference and
-// marked copy-on-write. A later mutation of either database
-// privatizes only the relation it touches, so a clone costs O(facts) for
-// the flat slices but no re-hashing or re-indexing, and mutating one fact
-// after a clone costs O(touched relation), not O(database).
+// structures are shared by reference and marked copy-on-write. A later
+// mutation of either database privatizes only the relation it touches, so
+// a clone costs O(facts) for the flat slices but no re-indexing, and
+// mutating one fact after a clone costs O(touched relation), not
+// O(database).
 func (d *DB) Clone() *DB {
 	c := &DB{
 		facts:      append([]Fact(nil), d.facts...),
@@ -415,19 +424,16 @@ func (d *DB) RepairAt(index *big.Int) ([]Fact, error) {
 	return out, nil
 }
 
-// Remove deletes a fact, reporting whether it was present. Only the fact's
-// relation is touched: its structures are privatized if shared and updated
-// in place, while every other relation's facts, blocks, and digests are
-// untouched. The global fact and block-order slices are compacted with one
-// flat pass each.
+// Remove deletes a fact, reporting whether it was present (as Has decides).
+// Only the fact's relation is touched: its structures are privatized if
+// shared and updated in place, while every other relation is untouched.
+// The global fact and block-order slices are compacted with one flat pass
+// each.
 func (d *DB) Remove(f Fact) bool {
-	r, ok := d.rels[f.Rel]
-	if !ok {
+	if !d.Has(f) {
 		return false
 	}
-	if _, present := r.ids[f.ID()]; !present {
-		return false
-	}
+	r := d.rels[f.Rel]
 	m := r.mutable()
 	if m != r {
 		d.rels[f.Rel] = m
@@ -481,10 +487,11 @@ func (d *DB) assignFrom(n *DB) {
 }
 
 // RemoveBlock deletes the entire block of f, reporting how many facts were
-// removed. Like Remove, only the fact's relation is touched.
+// removed; a fact without its relation's signature names no block. Like
+// Remove, only the fact's relation is touched.
 func (d *DB) RemoveBlock(f Fact) int {
-	r, ok := d.rels[f.Rel]
-	if !ok {
+	r := d.relationOf(f)
+	if r == nil {
 		return 0
 	}
 	blk := r.blocks[f.BlockID()]

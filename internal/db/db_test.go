@@ -414,3 +414,42 @@ func TestRemove(t *testing.T) {
 		t.Errorf("signature should reset after full removal: %v", err)
 	}
 }
+
+// TestKeyLengthMismatchIsAbsent: Fact.ID leaves the key length out, so
+// R(a, b) and R(a | b) share one ID. A fact whose [arity, key length]
+// differs from its relation's signature must still read as absent: Remove
+// and RemoveBlock leave the database whole, and Equal tells the two apart.
+func TestKeyLengthMismatchIsAbsent(t *testing.T) {
+	d := MustParse("R(a | b) R(a | c)")
+	want := d.String()
+	allKey := NewFact("R", 2, "a", "b") // R(a, b)
+	if d.Has(allKey) {
+		t.Errorf("Has(%v) on a store holding R(a | b)", allKey)
+	}
+	if d.Remove(allKey) {
+		t.Errorf("Remove(%v) reported a removal", allKey)
+	}
+	if n := d.RemoveBlock(allKey); n != 0 {
+		t.Errorf("RemoveBlock(%v) removed %d facts", allKey, n)
+	}
+	if d.Len() != 2 || d.String() != want || len(d.FactsOf("R")) != 2 || !d.Has(NewFact("R", 1, "a", "b")) {
+		t.Fatalf("database changed: %d facts, FactsOf(R) %v, text %q, want %q", d.Len(), d.FactsOf("R"), d.String(), want)
+	}
+	if MustParse("R(a | b)").Equal(MustParse("R(a, b)")) {
+		t.Error("R(a | b) and R(a, b) compare equal")
+	}
+
+	// Another arity with the same key names the same block ID.
+	wide := MustParse("R(a | b, c)")
+	if n := wide.RemoveBlock(NewFact("R", 1, "a", "b")); n != 0 || wide.Len() != 1 {
+		t.Errorf("RemoveBlock of a shorter fact removed %d facts, %d left", n, wide.Len())
+	}
+
+	// The stored fact itself still goes.
+	if !d.Remove(NewFact("R", 1, "a", "b")) || d.Len() != 1 || d.Has(NewFact("R", 1, "a", "b")) {
+		t.Fatalf("Remove(R(a | b)) failed: %q", d.String())
+	}
+	if got := d.Digest(); got != MustParse(d.String()).Digest() {
+		t.Errorf("digest after removal %s, want a fresh parse's %s", got, MustParse(d.String()).Digest())
+	}
+}

@@ -12,9 +12,8 @@ import (
 )
 
 // Index telemetry, recorded into the process-wide registry. Handles are
-// resolved once at init, so the hot path pays one atomic add per (rare)
-// invalidation or digest composition — reads of memoized structure record
-// nothing.
+// resolved once at init, so the hot path pays one atomic add per
+// copy-on-write privatization or relation digest composition.
 var (
 	indexInvalidations = obs.Default.Counter("db_index_invalidations_total")
 	digestComputations = obs.Default.Counter("db_digest_computations_total")
@@ -25,13 +24,12 @@ func init() {
 	obs.Default.Help("db_digest_computations_total", "Relation digest compositions over per-block digests.")
 }
 
-// Each relation memoizes its content digests (see relation.go), and
-// mutations invalidate only the relation they touch. Digest, RelationDigest
-// and DigestOf compose content digests from per-block digests; BlockDigests
-// feeds the shard fingerprints. Change detection on the serving path uses
-// relation versions (RelationVersion, ChangedBlocks), which hash nothing.
-// Fact-level access for evaluation goes through the interned
-// columnar view (interned.go), not through this file.
+// The database keeps no digest: Digest, RelationDigest, DigestOf,
+// BlockDigests and BlockDigest hash the facts they cover on every call, so
+// a mutation hashes and copies nothing. Change detection uses relation
+// versions (RelationVersion, ChangedBlocks), which hash nothing either.
+// Fact-level access for evaluation goes through the interned columnar view
+// (interned.go), not through this file.
 
 // computeDigest hashes a fact set order-independently: each fact is
 // rendered as its length-prefixed canonical encoding (including the key
@@ -116,11 +114,8 @@ func hashParts(parts []string) string {
 
 // Digest returns a content digest of the database: two databases have equal
 // digests iff they contain the same set of facts (up to SHA-256 collision),
-// regardless of insertion order. The digest is composed on every call from
-// the memoized per-relation digests — which are themselves composed from
-// per-block digests — so after a mutation only the touched block is
-// re-hashed and the touched relation re-composed; untouched relations
-// contribute their memoized digests unchanged.
+// regardless of insertion order. It is composed on every call from the
+// relation digests, which are composed from the block digests.
 func (d *DB) Digest() string {
 	names := d.Relations()
 	parts := make([]string, 0, 2*len(names))
@@ -159,20 +154,41 @@ func (d *DB) DigestOf(rels []string) string {
 }
 
 // BlockDigests returns rel's per-block content digests keyed by
-// Fact.BlockID, or nil when the relation is absent. The map is built and
-// memoized on first use; after that, a mutation re-hashes only the block it
-// touches. Two blocks have equal digests iff they hold the same fact set
-// (up to SHA-256 collision), regardless of insertion order — this is the
-// primitive the shard fingerprints of delta re-solve are composed from.
-// The returned map is shared and must be treated as read-only; read it only
-// from databases that are not being concurrently mutated (published
-// snapshots are immutable and always safe).
+// Fact.BlockID, or nil when the relation is absent. Two blocks have equal
+// digests iff they hold the same fact set (up to SHA-256 collision),
+// regardless of insertion order. The map is built on every call.
 func (d *DB) BlockDigests(rel string) map[string]string {
 	r, ok := d.rels[rel]
 	if !ok {
 		return nil
 	}
-	return r.blockDigestsOf()
+	out := make(map[string]string, len(r.blockOrder))
+	for i, dg := range r.blockDigests() {
+		out[r.blockOrder[i]] = dg
+	}
+	return out
+}
+
+// BlockDigest returns the content digest of block bid (a Fact.BlockID) of
+// relation rel, the value BlockDigests maps it to, or "" when the block is
+// absent. The shard fingerprints are composed from it.
+func (d *DB) BlockDigest(rel, bid string) string {
+	facts := d.BlockFacts(rel, bid)
+	if facts == nil {
+		return ""
+	}
+	return computeDigest(facts)
+}
+
+// BlockIDs returns the block IDs (Fact.BlockID) of rel in first-insertion
+// order, or nil when the relation is absent. The slice is the database's
+// own: treat it as read-only and do not hold it across a mutation of d.
+func (d *DB) BlockIDs(rel string) []string {
+	r, ok := d.rels[rel]
+	if !ok {
+		return nil
+	}
+	return r.blockOrder
 }
 
 // RelationVersion returns the version of rel's content, or 0 when the

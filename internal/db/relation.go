@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -12,14 +11,12 @@ import (
 // the copy-on-write unit of the database: Clone marks every relation shared,
 // and a mutation of a shared relation first produces a private deep copy, so
 // a mutation touches only the structures of the relation it changes — every
-// other relation (facts, blocks, digests, version) is carried over by
-// pointer, and within the touched relation only the touched block's digest
-// is recomputed.
+// other relation (facts, blocks, version) is carried over by pointer.
 //
-// Core fields (sig, facts, ids, blocks, blockOrder) and the version and
-// change log are maintained eagerly on every mutation. The digest fields
-// (blockDigests, digest) are built on first use under imu; once a relation
-// is shared it is immutable, so the memoized parts stay valid forever.
+// Every field is maintained eagerly on every mutation. A relation keeps no
+// digest: its content digests are composed from its facts on each call
+// (blockDigests, digestOf), and change detection reads the version and the
+// change log.
 type relation struct {
 	sig        [2]int
 	facts      []Fact            // insertion order
@@ -41,15 +38,11 @@ type relation struct {
 	// shared is set when a second database gains a reference to this
 	// struct (Clone). A shared relation must never be mutated in place.
 	shared atomic.Bool
-
-	imu          sync.Mutex
-	blockDigests map[string]string // block ID → content digest; incrementally maintained
-	digest       string            // composed relation digest; "" until composed
 }
 
 // ChangeLogLen bounds a relation's change log: ChangedBlocks reaches back
 // at least ChangeLogLen/2 and at most ChangeLogLen mutations. A reader that
-// synced longer ago falls back to a full digest diff.
+// synced longer ago falls back to a full rescan of the relation.
 const ChangeLogLen = 64
 
 // versions is the process-wide relation version counter; 0 is never drawn,
@@ -66,9 +59,7 @@ func newRelation(sig [2]int) *relation {
 }
 
 // mutable returns a relation that may be updated in place: r itself when it
-// is exclusively owned, otherwise a private deep copy of the core fields.
-// The copy carries the per-block digests and the change log over — the
-// mutation recomputes only the digest of the block it touches.
+// is exclusively owned, otherwise a private deep copy, change log included.
 func (r *relation) mutable() *relation {
 	if !r.shared.Load() {
 		return r
@@ -90,14 +81,6 @@ func (r *relation) mutable() *relation {
 	for k, v := range r.blocks {
 		c.blocks[k] = append(make([]Fact, 0, len(v)), v...)
 	}
-	r.imu.Lock()
-	if r.blockDigests != nil {
-		c.blockDigests = make(map[string]string, len(r.blockDigests)+1)
-		for k, v := range r.blockDigests {
-			c.blockDigests[k] = v
-		}
-	}
-	r.imu.Unlock()
 	return c
 }
 
@@ -131,9 +114,8 @@ func (r *relation) changedSince(v uint64) (bids []string, ok bool) {
 	return r.changed[i:len(r.changed):len(r.changed)], true
 }
 
-// insert adds a fact known to be absent, updating the core structures
-// eagerly and the block digests incrementally where they exist. Must only
-// be called on an exclusively owned relation (after mutable).
+// insert adds a fact known to be absent. Must only be called on an
+// exclusively owned relation (after mutable).
 func (r *relation) insert(f Fact) {
 	idx := len(r.facts)
 	r.facts = append(r.facts, f)
@@ -145,12 +127,6 @@ func (r *relation) insert(f Fact) {
 	}
 	r.blocks[bid] = append(blk, f)
 	r.touch(bid)
-	r.imu.Lock()
-	if r.blockDigests != nil {
-		r.blockDigests[bid] = computeDigest(r.blocks[bid])
-	}
-	r.digest = ""
-	r.imu.Unlock()
 }
 
 // remove deletes the fact at r.ids[f.ID()], which must exist. Must only be
@@ -188,67 +164,32 @@ func (r *relation) remove(f Fact) (blockEmptied bool) {
 		r.blocks[bid] = kept
 	}
 	r.touch(bid)
-	r.imu.Lock()
-	if r.blockDigests != nil {
-		if blockEmptied {
-			delete(r.blockDigests, bid)
-		} else {
-			r.blockDigests[bid] = computeDigest(r.blocks[bid])
-		}
-	}
-	r.digest = ""
-	r.imu.Unlock()
 	return blockEmptied
 }
 
-// blockDigestsLocked builds the per-block digest map on first use. The
-// caller must hold imu. Once built, insert/remove maintain it
-// incrementally, so after a mutation only the touched block is re-hashed.
-func (r *relation) blockDigestsLocked() map[string]string {
-	if r.blockDigests == nil {
-		// One digester and one hex string serve every block.
-		var g digester
-		const width = 2 * sha256.Size
-		hexes := make([]byte, 0, width*len(r.blockOrder))
-		for _, bid := range r.blockOrder {
-			sum := g.sum(r.blocks[bid])
-			hexes = hex.AppendEncode(hexes, sum[:])
-		}
-		all := string(hexes)
-		r.blockDigests = make(map[string]string, len(r.blockOrder))
-		for i, bid := range r.blockOrder {
-			r.blockDigests[bid] = all[i*width : (i+1)*width]
-		}
+// blockDigests returns the content digest of every block, in block order,
+// hashed with one digester into one hex string.
+func (r *relation) blockDigests() []string {
+	var g digester
+	const width = 2 * sha256.Size
+	hexes := make([]byte, 0, width*len(r.blockOrder))
+	for _, bid := range r.blockOrder {
+		sum := g.sum(r.blocks[bid])
+		hexes = hex.AppendEncode(hexes, sum[:])
 	}
-	return r.blockDigests
+	all := string(hexes)
+	out := make([]string, len(r.blockOrder))
+	for i := range out {
+		out[i] = all[i*width : (i+1)*width]
+	}
+	return out
 }
 
-// blockDigestsOf returns the memoized per-block content digests keyed by
-// block ID. The returned map is the live memoized structure: callers must
-// treat it as read-only and must not hold it across a mutation of this
-// relation (the shard-fingerprint path reads it transiently off immutable
-// published snapshots).
-func (r *relation) blockDigestsOf() map[string]string {
-	r.imu.Lock()
-	defer r.imu.Unlock()
-	return r.blockDigestsLocked()
-}
-
-// digestOf returns the relation's composed content digest: the hash of its
-// per-block digests, sorted when composed, memoized until the next
-// mutation.
+// digestOf composes the relation's content digest: the hash of its block
+// digests in sorted order.
 func (r *relation) digestOf() string {
-	r.imu.Lock()
-	defer r.imu.Unlock()
-	if r.digest != "" {
-		return r.digest
-	}
-	sorted := make([]string, 0, len(r.blockOrder))
-	for _, dg := range r.blockDigestsLocked() {
-		sorted = append(sorted, dg)
-	}
+	sorted := r.blockDigests()
 	slices.Sort(sorted)
-	r.digest = hashParts(sorted)
 	digestComputations.Inc()
-	return r.digest
+	return hashParts(sorted)
 }

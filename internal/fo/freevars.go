@@ -147,29 +147,6 @@ func EvalWith(f Formula, d *db.DB, env cq.Valuation) (ok bool, err error) {
 	return eval(f, d, domain, env.Clone()), nil
 }
 
-// CertainAnswersByRewriting computes the certain answers of q over the
-// free variables by evaluating the certain rewriting once per candidate
-// (candidates being the active-domain tuples that are possible answers is
-// the caller's concern; this evaluates over all of the provided
-// candidates). It exists only for FO-classified queries.
-func CertainAnswersByRewriting(q cq.Query, free []string, d *db.DB, candidates []cq.Valuation) ([]cq.Valuation, error) {
-	phi, err := RewriteAcyclicFree(q, free)
-	if err != nil {
-		return nil, err
-	}
-	var out []cq.Valuation
-	for _, cand := range candidates {
-		ok, err := EvalWith(phi, d, cand)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, cand)
-		}
-	}
-	return out, nil
-}
-
 // frozenClassifiable reports whether the frozen query has an acyclic attack
 // graph (exported for the answers fast path).
 func frozenClassifiable(q cq.Query, free []string) bool {

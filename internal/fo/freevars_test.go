@@ -125,16 +125,3 @@ func TestEvalWithErrors(t *testing.T) {
 		t.Errorf("EvalWith = %v, %v", got, err)
 	}
 }
-
-func TestCertainAnswersByRewriting(t *testing.T) {
-	q := cq.MustParseQuery("R(x | 'A')")
-	d := gen.ConferenceDB()
-	candidates := []cq.Valuation{{"x": "PODS"}, {"x": "KDD"}}
-	got, err := CertainAnswersByRewriting(q, []string{"x"}, d, candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0]["x"] != "PODS" {
-		t.Errorf("answers = %v", got)
-	}
-}

@@ -321,18 +321,18 @@ func TestCountSatisfyingDecomposed(t *testing.T) {
 		d.Add(db.NewFact("T", 1, "k", "1"))
 		d.Add(db.NewFact("T", 1, "k", "2"))
 		want := CountSatisfyingRepairs(q, d)
-		got := CountSatisfyingSharded(q, d, 0)
+		got := CountSatisfyingSharded(q, d)
 		if got.Cmp(want) != 0 {
 			t.Errorf("seed %d: decomposed=%v brute=%v", seed, got, want)
 		}
 	}
 	// A query that never holds zeroes the count.
 	empty := db.MustParse("T(k | 1), T(k | 2)")
-	if got := CountSatisfyingSharded(q, empty, 0); got.Sign() != 0 {
+	if got := CountSatisfyingSharded(q, empty); got.Sign() != 0 {
 		t.Errorf("no satisfying repairs expected, got %v", got)
 	}
 	// The empty query holds in every repair.
-	if got := CountSatisfyingSharded(cq.Query{}, empty, 0); got.Cmp(empty.NumRepairs()) != 0 {
+	if got := CountSatisfyingSharded(cq.Query{}, empty); got.Cmp(empty.NumRepairs()) != 0 {
 		t.Errorf("empty query: %v vs %v", got, empty.NumRepairs())
 	}
 }

@@ -51,11 +51,10 @@ func countShards(dec *shard.Decomposition) [][]shardCounts {
 // (a repair of dⱼ satisfies the connected qⱼ unless every shard's part
 // falsifies it), components multiply, and so do the block sizes of
 // relations outside q. Shards are enumerated in parallel on the worker
-// pool. maxShards caps the shards per component as in shard.Decompose;
-// maxShards ≤ 0 keeps the partition as fine as possible, which here is also
-// the cheapest, since enumeration cost is exponential in shard width.
-func CountSatisfyingSharded(q cq.Query, d *db.DB, maxShards int) *big.Int {
-	dec := shard.Decompose(q, d, maxShards)
+// pool. The partition is the finest one, which here is also the cheapest,
+// since enumeration cost is exponential in shard width.
+func CountSatisfyingSharded(q cq.Query, d *db.DB) *big.Int {
+	dec := shard.Decompose(q, d)
 	return combineCounts(dec, countShards(dec))
 }
 
@@ -95,8 +94,8 @@ func combineCounts(dec *shard.Decomposition, counts [][]shardCounts) *big.Int {
 //
 // Blocks outside q's relations cancel. Exact (big.Rat); shards are
 // enumerated in parallel on the worker pool.
-func UniformProbabilitySharded(q cq.Query, d *db.DB, maxShards int) *big.Rat {
-	dec := shard.Decompose(q, d, maxShards)
+func UniformProbabilitySharded(q cq.Query, d *db.DB) *big.Rat {
+	dec := shard.Decompose(q, d)
 	return combineProbability(countShards(dec))
 }
 

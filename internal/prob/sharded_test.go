@@ -3,7 +3,6 @@ package prob
 import (
 	"math/big"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/cqa-go/certainty/internal/cq"
@@ -43,16 +42,13 @@ func shardedCases(t *testing.T) []struct {
 }
 
 // TestCountSatisfyingShardedMatches: the ∏ᵢNᵢ − ∏ᵢ(Nᵢ−sᵢ) convolution over
-// the shard decomposition reproduces plain repair enumeration exactly, at
-// every shard cap.
+// the shard decomposition reproduces plain repair enumeration exactly.
 func TestCountSatisfyingShardedMatches(t *testing.T) {
 	for _, tc := range shardedCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := CountSatisfyingRepairs(tc.q, tc.d)
-			for _, n := range []int{0, 1, 2, runtime.NumCPU(), 1 << 10} {
-				if got := CountSatisfyingSharded(tc.q, tc.d, n); got.Cmp(want) != 0 {
-					t.Errorf("maxShards=%d: count %s, want %s", n, got, want)
-				}
+			if got := CountSatisfyingSharded(tc.q, tc.d); got.Cmp(want) != 0 {
+				t.Errorf("count %s, want %s", got, want)
 			}
 		})
 	}
@@ -64,18 +60,16 @@ func TestUniformProbabilityShardedMatches(t *testing.T) {
 	for _, tc := range shardedCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := UniformProbability(tc.q, tc.d)
-			for _, n := range []int{0, 1, 2, runtime.NumCPU(), 1 << 10} {
-				if got := UniformProbabilitySharded(tc.q, tc.d, n); got.Cmp(want) != 0 {
-					t.Errorf("maxShards=%d: Pr %s, want %s", n, got.RatString(), want.RatString())
-				}
+			if got := UniformProbabilitySharded(tc.q, tc.d); got.Cmp(want) != 0 {
+				t.Errorf("Pr %s, want %s", got.RatString(), want.RatString())
 			}
 		})
 	}
 }
 
 // TestShardedCountShuffleProperty is the counting half of the satellite
-// property test: component-preserving fact shuffles and arbitrary shard
-// counts never change the repair count or the uniform probability.
+// property test: component-preserving fact shuffles never change the
+// repair count or the uniform probability.
 func TestShardedCountShuffleProperty(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
 	for seed := int64(0); seed < 3; seed++ {
@@ -87,13 +81,11 @@ func TestShardedCountShuffleProperty(t *testing.T) {
 			facts := append([]db.Fact(nil), d.Facts()...)
 			r.Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
 			perm := db.MustFromFacts(facts...)
-			for _, n := range []int{1, 2, runtime.NumCPU(), 1 << 10} {
-				if got := CountSatisfyingSharded(q, perm, n); got.Cmp(wantCount) != 0 {
-					t.Errorf("seed %d trial %d shards %d: count %s, want %s", seed, trial, n, got, wantCount)
-				}
-				if got := UniformProbabilitySharded(q, perm, n); got.Cmp(wantPr) != 0 {
-					t.Errorf("seed %d trial %d shards %d: Pr %s, want %s", seed, trial, n, got.RatString(), wantPr.RatString())
-				}
+			if got := CountSatisfyingSharded(q, perm); got.Cmp(wantCount) != 0 {
+				t.Errorf("seed %d trial %d: count %s, want %s", seed, trial, got, wantCount)
+			}
+			if got := UniformProbabilitySharded(q, perm); got.Cmp(wantPr) != 0 {
+				t.Errorf("seed %d trial %d: Pr %s, want %s", seed, trial, got.RatString(), wantPr.RatString())
 			}
 		}
 	}
@@ -123,13 +115,11 @@ func TestShardedCountSharedRelation(t *testing.T) {
 			if got := UniformProbability(q, d); got.Cmp(tc.pr) != 0 {
 				t.Fatalf("UniformProbability = %s, want %s", got.RatString(), tc.pr.RatString())
 			}
-			for _, n := range []int{0, 1, 2, 1 << 10} {
-				if got := CountSatisfyingSharded(q, d, n); got.Cmp(big.NewInt(tc.count)) != 0 {
-					t.Errorf("maxShards=%d: CountSatisfyingSharded = %s, want %d", n, got, tc.count)
-				}
-				if got := UniformProbabilitySharded(q, d, n); got.Cmp(tc.pr) != 0 {
-					t.Errorf("maxShards=%d: UniformProbabilitySharded = %s, want %s", n, got.RatString(), tc.pr.RatString())
-				}
+			if got := CountSatisfyingSharded(q, d); got.Cmp(big.NewInt(tc.count)) != 0 {
+				t.Errorf("CountSatisfyingSharded = %s, want %d", got, tc.count)
+			}
+			if got := UniformProbabilitySharded(q, d); got.Cmp(tc.pr) != 0 {
+				t.Errorf("UniformProbabilitySharded = %s, want %s", got.RatString(), tc.pr.RatString())
 			}
 		})
 	}

@@ -69,7 +69,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, CodePolicy, err.Error())
 		return
 	}
-	opts.Shards = req.Shards
+	opts.Sharded = req.Shards != 0
 
 	// Resolve every item up front: parse failures and cached hosted
 	// verdicts are settled before any admission, the rest queue for

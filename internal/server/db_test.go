@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/govern"
 	"github.com/cqa-go/certainty/internal/obs"
 	"github.com/cqa-go/certainty/internal/solver"
@@ -137,6 +138,30 @@ func TestDBEndpoints(t *testing.T) {
 		http.StatusBadRequest, CodeMalformed)
 	decodeError(t, doJSON(t, s, nil, "POST", "/v1/db/facts", DBMutateRequest{Facts: ""}),
 		http.StatusBadRequest, CodeMalformed)
+}
+
+// TestDBDeleteKeyLengthMismatch: a DELETE naming a stored fact's
+// arguments under another key length deletes nothing. It is acknowledged
+// as a no-op (200, applied 0, version unchanged), and the snapshot stays
+// consistent: it equals a fresh parse of its own text, and the stored
+// fact can still be deleted.
+func TestDBDeleteKeyLengthMismatch(t *testing.T) {
+	s, _ := newStoreServer(t, nil)
+	v := mutateHosted(t, s, "POST", "R(a | b)")
+
+	del := decodeMutate(t, doJSON(t, s, nil, "DELETE", "/v1/db/facts", DBMutateRequest{Facts: "R(a, b)"}))
+	if del.Version != v || del.Applied != 0 {
+		t.Fatalf("delete of R(a, b) = %+v, want version %d applied 0", del, v)
+	}
+	got := decodeDBGet(t, doJSON(t, s, nil, "GET", "/v1/db?facts=1", nil))
+	fresh := db.MustParse(got.Facts)
+	if got.Version != v || got.NumFacts != fresh.Len() || got.NumBlocks != fresh.NumBlocks() || got.Digest != fresh.Digest() || fresh.Len() != 1 {
+		t.Fatalf("snapshot %+v differs from a fresh parse of its text (%d facts, %d blocks, digest %s)",
+			got, fresh.Len(), fresh.NumBlocks(), fresh.Digest())
+	}
+	if del := decodeMutate(t, doJSON(t, s, nil, "DELETE", "/v1/db/facts", DBMutateRequest{Facts: "R(a | b)"})); del.Applied != 1 {
+		t.Fatalf("delete of R(a | b) = %+v, want applied 1", del)
+	}
 }
 
 // TestDBRequiresStore: a stateless server answers every /v1/db route

@@ -675,16 +675,11 @@ func (s *Server) requestLimits(timeoutMS, budget int64, degradeSamples int, samp
 // solveHostedDelta runs one hosted solve through the request's plan and the
 // per-shard verdict memo, publishes the reused/recomputed counters, and
 // reports whether any shard sub-verdict was reused (the response's "delta"
-// marker). The shard cap is 0 — the finest partition — deliberately: memo
-// granularity, not parallelism, is what the cap buys here. A coarser,
-// GOMAXPROCS-matched packing would fuse independent groups into one shard,
-// so any mutation would change the fused fingerprint and recompute all of
-// them; with one shard per co-occurrence group a mutation recomputes
-// exactly the groups it touched. Scheduling is unaffected — shards fan out
-// on the bounded worker pool either way. Hosted batch items take the same
-// path (solver.BatchItem.Memo).
+// marker). The solve runs on the finest partition, one shard per
+// co-occurrence group, so a mutation recomputes exactly the groups it
+// touched. Hosted batch items take the same path (solver.BatchItem.Memo).
 func (s *Server) solveHostedDelta(ctx context.Context, p *solver.Plan, d *db.DB, opts solver.Options) (solver.Verdict, bool, error) {
-	v, rep, err := p.SolveShardedMemo(ctx, d, 0, opts, s.shardMemo)
+	v, rep, err := p.SolveShardedMemo(ctx, d, opts, s.shardMemo)
 	s.countDelta(rep)
 	return v, rep.ShardsReused > 0, err
 }

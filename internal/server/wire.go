@@ -253,9 +253,10 @@ type BatchSolveRequest struct {
 	Budget         int64 `json:"budget,omitempty"`
 	DegradeSamples int   `json:"degrade_samples,omitempty"`
 	SampleSeed     int64 `json:"sample_seed,omitempty"`
-	// Shards enables component-partitioned parallel solving per item: > 0
-	// caps the data shards per query component, < 0 selects an automatic
-	// count, 0 (default) solves each item monolithically. Sharding never
+	// Shards enables component-partitioned parallel solving per item: any
+	// non-zero value solves each inline item on the finest partition, one
+	// shard per co-occurrence component; 0 (default) solves it
+	// monolithically. Hosted items are always sharded. Sharding never
 	// changes verdicts.
 	Shards int `json:"shards,omitempty"`
 	// Stream asks for an NDJSON response: one BatchItemResult object per
@@ -322,8 +323,8 @@ type DBGetResponse struct {
 	NumFacts  int      `json:"num_facts"`
 	NumBlocks int      `json:"num_blocks"`
 	Relations []string `json:"relations,omitempty"`
-	// Digest is the content digest of the snapshot (the same composition
-	// the verdict cache keys on).
+	// Digest is the content digest of the snapshot (db.DB.Digest), hashed
+	// from its facts on every request.
 	Digest string `json:"digest"`
 	// ReadOnly is true while the store is degraded after a disk fault.
 	ReadOnly bool `json:"read_only,omitempty"`

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sort"
-
 	"github.com/cqa-go/certainty/internal/db"
 )
 
@@ -22,11 +20,10 @@ import (
 // the memo's LRU bound ages it out otherwise.
 
 // ShardFingerprint returns the content address of listed shard idx of
-// component comp; d must be the database the decomposition was taken from. A shard
-// that is one co-occurrence component carries its fingerprint across the
-// versions a Partition is synced to, so it is hashed once, when first
-// asked for; a shard packed from several components is hashed from its
-// blocks' digests in d on every call.
+// component comp; d must be the database the decomposition was taken from.
+// A shard is one co-occurrence component, which carries its fingerprint
+// across the versions a Partition is synced to, so its blocks' facts are
+// hashed once, when the fingerprint is first asked for.
 //
 // Fingerprints of shards with different block content always differ: the
 // block IDs pin the key set and the digests pin each block's facts, and
@@ -34,17 +31,7 @@ import (
 // canonical component key scopes the address to the query, so one memo can
 // safely serve every query shape.
 func (dec *Decomposition) ShardFingerprint(d *db.DB, comp, idx int) string {
-	g := dec.groups[comp][idx]
-	if len(g) == 1 {
-		return g[0].fingerprint(dec.compKeys[comp], d)
-	}
-	var rels, bids []string
-	for _, c := range g {
-		rels = append(rels, c.rels...)
-		bids = append(bids, c.blocks...)
-	}
-	sort.Sort(blockPairs{rels: rels, bids: bids})
-	return fingerprint(dec.compKeys[comp], d, rels, bids)
+	return dec.shards[comp][idx].fingerprint(dec.compKeys[comp], d)
 }
 
 // ComponentFingerprints returns the fingerprints of every listed shard of
@@ -58,24 +45,22 @@ func (dec *Decomposition) ComponentFingerprints(d *db.DB, comp int) []string {
 	return fps
 }
 
-// fingerprint hashes the component key with the (block ID, digest in d)
-// pairs of the sorted block list bids, where rels[i] is the relation of
-// bids[i].
-func fingerprint(key string, d *db.DB, rels, bids []string) string {
-	parts := make([]string, 0, 1+2*len(bids))
-	parts = append(parts, key)
-	for i, bid := range bids {
-		parts = append(parts, bid, d.BlockDigests(rels[i])[bid])
+// fingerprint returns the component's shard fingerprint, computing it on
+// first use: the component key hashed with the (block ID, digest in d)
+// pair of each of its sorted blocks. Every database the component appears
+// in holds the same facts in its blocks (a sync that could see a change to
+// one re-links it, which replaces the component), so whichever caller
+// computes it first computes the same value.
+func (c *component) fingerprint(key string, d *db.DB) string {
+	if fp := c.fp.Load(); fp != nil {
+		return *fp
 	}
-	return db.HashParts(parts)
-}
-
-// blockPairs sorts parallel (relation, block ID) slices by block ID.
-type blockPairs struct{ rels, bids []string }
-
-func (p blockPairs) Len() int           { return len(p.bids) }
-func (p blockPairs) Less(i, j int) bool { return p.bids[i] < p.bids[j] }
-func (p blockPairs) Swap(i, j int) {
-	p.bids[i], p.bids[j] = p.bids[j], p.bids[i]
-	p.rels[i], p.rels[j] = p.rels[j], p.rels[i]
+	parts := make([]string, 0, 1+2*len(c.blocks))
+	parts = append(parts, key)
+	for i, bid := range c.blocks {
+		parts = append(parts, bid, d.BlockDigest(c.rels[i], bid))
+	}
+	fp := db.HashParts(parts)
+	c.fp.Store(&fp)
+	return fp
 }

@@ -55,7 +55,7 @@ func buildDB(t testing.TB, facts []db.Fact) *db.DB {
 // share a fingerprint.
 func fingerprintsByBlockset(t testing.TB, q cq.Query, d *db.DB) map[string]string {
 	t.Helper()
-	dec := Decompose(q, d, 0)
+	dec := Decompose(q, d)
 	out := make(map[string]string)
 	seen := make(map[string]string) // fingerprint → blockset
 	for j := range dec.Components {
@@ -170,7 +170,7 @@ func TestShardFingerprintContent(t *testing.T) {
 func TestComponentFingerprintsMatchShardFingerprint(t *testing.T) {
 	q := fuzzQuery()
 	d := db.MustParse(`R(a | b) S(b | c) R(d | e) S(e | f) U(k | w) U(k2 | w2)`)
-	dec := Decompose(q, d, 0)
+	dec := Decompose(q, d)
 	for j := range dec.Components {
 		fps := dec.ComponentFingerprints(d, j)
 		if len(fps) != len(dec.Blocks[j]) {

@@ -13,23 +13,26 @@ import (
 )
 
 // Partition is the block co-occurrence partition of one query over a
-// database, kept across versions of that database: a sync finds the blocks
-// whose content changed since the previous sync and re-links only those,
-// together with the components they belonged to or now reach. Every other
-// component keeps its block list, its fingerprint and its kept outcome, so
-// after a one-block write a sync costs the size of that block's component,
-// not of the database.
+// database, kept across versions of that database: a sync re-links only
+// the blocks that may have changed since the previous sync, together with
+// the components they belonged to or now reach. Every other component
+// keeps its block list, its fingerprint and its kept outcome, so after a
+// one-block write a sync costs the size of that block's component, not of
+// the database.
 //
-// Changed blocks are found through relation versions: a relation whose
-// version is the one recorded at the last sync is skipped, and in a
-// changed relation only the blocks its change log names are compared by
-// digest (db.DB.ChangedBlocks). When the log does not reach back to the
-// recorded version — the first sync, an older snapshot after a newer one,
-// an unrelated database, more mutations than the log holds — the relation
-// falls back to a full diff of its block digests. Because both paths
-// compare content, one sync is correct whatever happened between two
-// calls, and a maintained partition and a fresh one synced to the same
-// database produce the same decomposition, byte for byte.
+// The blocks to re-link are found through relation versions: a relation
+// whose version is the one recorded at the last sync is skipped, and in a
+// changed relation every block its change log names is re-linked
+// (db.DB.ChangedBlocks). When the log does not reach back to the recorded
+// version — the first sync, an older snapshot after a newer one, an
+// unrelated database, more mutations than the log holds — every block the
+// relation holds is re-linked and every recorded block it no longer holds
+// is dropped. Neither path compares content: only a block the sync
+// re-links or drops can differ from its recorded state, and re-linking an
+// unchanged block rebuilds its component with the same blocks. So one sync
+// is correct whatever happened between two calls, and a maintained
+// partition and a fresh one synced to the same database produce the same
+// decomposition, byte for byte.
 //
 // The partition also keeps the conclusive outcome of each co-occurrence
 // component that a memoized solve decided (Decomposition.Record): per
@@ -47,8 +50,8 @@ type Partition struct {
 
 	rels    map[string]*relState // relations of q: join positions and synced blocks
 	buckets map[string]*bucket   // join key → the blocks holding a fact with that value there
-	comps   [][]*component       // per query component, in no order (pack sorts)
-	epoch   uint64               // sync counter, for the visited marks of one sync
+	comps   [][]*component       // per query component, in no order (Sync sorts)
+	epoch   uint64               // sync counter, for the marks of one sync
 
 	certain []int          // per query component: components kept certain
 	open    [][]*component // per query component: components without a kept outcome, after the last sync
@@ -72,14 +75,13 @@ type varOcc struct {
 	pos int
 }
 
-// blockState is one block as of the last sync: its content digest (a copy,
-// never the database's live map), its join keys and its component.
+// blockState is one block as of the last sync: its join keys and its
+// component.
 type blockState struct {
 	id, rel string
-	digest  string
 	keys    []string // sorted, distinct join keys of the block's facts
-	size    int      // facts, for balanced packing
 	comp    *component
+	updated uint64 // epoch of the sync that last re-linked the block
 	seen    uint64 // epoch of the sync that last visited the block
 }
 
@@ -96,7 +98,6 @@ type bucket struct {
 type component struct {
 	blocks []string // sorted block IDs
 	rels   []string // relation of each block
-	size   int      // facts
 	j      int      // query component
 	at     int      // index in the partition's comps[j]
 	fp     atomic.Pointer[string]
@@ -106,25 +107,12 @@ type component struct {
 	decided, certain, dead bool
 }
 
-// fingerprint returns the component's shard fingerprint, computing it on
-// first use. Every database the component appears in agrees on the digests
-// of its blocks (a changed block would have replaced the component), so
-// whichever caller computes it first computes the same value.
-func (c *component) fingerprint(key string, d *db.DB) string {
-	if fp := c.fp.Load(); fp != nil {
-		return *fp
-	}
-	fp := fingerprint(key, d, c.rels, c.blocks)
-	c.fp.Store(&fp)
-	return fp
-}
-
-// SyncStats accounts for one sync: the blocks whose content appeared,
-// changed or vanished since the previous sync, the components formed by
-// this sync (all of them on a fresh partition), the components the
-// partition holds afterwards, and the relations diffed in full because
-// their change log did not reach back to the last sync (every relation of
-// the query present on a first sync).
+// SyncStats accounts for one sync: the blocks it re-linked or dropped
+// (those the change logs name, or every block of a rescanned relation),
+// the components formed by this sync (all of them on a fresh partition),
+// the components the partition holds afterwards, and the relations
+// rescanned in full because their change log did not reach back to the
+// last sync (every relation of the query present on a first sync).
 type SyncStats struct {
 	Touched    int
 	Rebuilt    int
@@ -187,19 +175,30 @@ func NewPartition(q cq.Query) *Partition {
 }
 
 // Sync brings the partition up to date with d and returns d's
-// decomposition, with the co-occurrence components packed into shards as
-// described at Decompose; only Decompose fills IrrelevantBlocks, which the
-// solver never reads. The partition's lock is held throughout, so the
-// decomposition always reflects exactly d.
+// decomposition, one shard per co-occurrence component, in order of each
+// component's smallest block ID, which makes the decomposition independent
+// of the order of syncs and facts; only Decompose fills IrrelevantBlocks,
+// which the solver never reads. The partition's lock is held throughout,
+// so the decomposition always reflects exactly d.
 //
-// A component dissolves when it contains a changed block or when a join
-// key of a re-linked block reaches it; the blocks of dissolved components
-// and the changed blocks are then linked anew on their own.
-func (pt *Partition) Sync(d *db.DB, maxShards int) (*Decomposition, SyncStats) {
+// A component dissolves when it contains a re-linked or dropped block or
+// when a join key of a re-linked block reaches it; the blocks of dissolved
+// components and the re-linked blocks are then linked anew on their own.
+func (pt *Partition) Sync(d *db.DB) (*Decomposition, SyncStats) {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	st := pt.sync(d)
-	dec := pt.pack(d, maxShards)
+	dec := pt.newDecomposition(d)
+	dec.Blocks = make([][][]string, len(pt.comps))
+	for j := range pt.comps {
+		cs := slices.Clone(pt.comps[j])
+		slices.SortFunc(cs, func(x, y *component) int { return strings.Compare(x.blocks[0], y.blocks[0]) })
+		dec.shards[j] = cs
+		dec.Blocks[j] = make([][]string, len(cs))
+		for i, c := range cs {
+			dec.Blocks[j][i] = c.blocks
+		}
+	}
 	decomposeTotal.Inc()
 	instancesTotal.Add(uint64(dec.NumShards()))
 	return dec, st
@@ -218,7 +217,7 @@ func (pt *Partition) SyncOpen(d *db.DB) (*Decomposition, SyncStats) {
 	dec := pt.newDecomposition(d)
 	dec.pt = pt
 	for j, open := range pt.open {
-		dec.groups[j] = singletons(slices.Clone(open))
+		dec.shards[j] = slices.Clone(open)
 		dec.kept[j] = keptCount{decided: len(pt.comps[j]) - len(open), certain: pt.certain[j]}
 	}
 	decomposeTotal.Inc()
@@ -255,9 +254,8 @@ func (pt *Partition) record(c *component, certain bool) {
 	}
 }
 
-// syncRun is the working state of one sync: the changed blocks still
-// present, which are re-linked, the components they dissolved, and the
-// count of vanished blocks.
+// syncRun is the working state of one sync: the blocks re-linked, the
+// components they dissolved, and the count of dropped blocks.
 type syncRun struct {
 	relink    []*blockState
 	dissolved map[*component]bool
@@ -271,20 +269,20 @@ func (run *syncRun) dissolve(b *blockState) {
 	}
 }
 
-// sync finds the changed blocks of d against the recorded state and
-// re-links the touched part.
+// sync re-links the blocks of d that may differ from the recorded state,
+// and the touched part of the partition.
 func (pt *Partition) sync(d *db.DB) SyncStats {
 	var st SyncStats
 	run := &syncRun{dissolved: make(map[*component]bool)}
+	pt.epoch++
 	for name, rs := range pt.rels {
 		v := d.RelationVersion(name)
 		if v == rs.version {
 			continue
 		}
 		if bids, ok := d.ChangedBlocks(name, rs.version); ok {
-			current := d.BlockDigests(name)
 			for _, bid := range bids {
-				pt.update(run, d, rs, name, bid, current[bid])
+				pt.update(run, d, rs, name, bid)
 			}
 		} else {
 			st.Rescanned++
@@ -294,7 +292,7 @@ func (pt *Partition) sync(d *db.DB) SyncStats {
 	}
 	st.Touched = len(run.relink) + run.vanished
 
-	// Re-link: the changed blocks plus the remaining blocks of every
+	// Re-link: the updated blocks plus the remaining blocks of every
 	// component they dissolved. The walk from each unvisited block collects
 	// its new component and dissolves any old component it reaches.
 	relink, dissolved := run.relink, run.dissolved
@@ -305,7 +303,6 @@ func (pt *Partition) sync(d *db.DB) SyncStats {
 			}
 		}
 	}
-	pt.epoch++
 	fresh := make([][]*component, len(pt.comps))
 	for _, b := range relink {
 		if b.seen == pt.epoch {
@@ -348,32 +345,32 @@ func (pt *Partition) sync(d *db.DB) SyncStats {
 	return st
 }
 
-// rescan diffs every block digest of relation name in d against the
-// recorded ones: the fallback for a relation whose change log does not
-// reach back to the last sync.
+// rescan brings every block of relation name in line with d, listing d's
+// blocks without hashing them: the fallback for a relation whose change
+// log does not reach back to the last sync. Recorded blocks that d no
+// longer holds are the ones the first pass left unmarked.
 func (pt *Partition) rescan(run *syncRun, d *db.DB, rs *relState, name string) {
-	current := d.BlockDigests(name) // nil when the relation is gone
-	for bid, bd := range current {
-		pt.update(run, d, rs, name, bid, bd)
+	for _, bid := range d.BlockIDs(name) { // nil when the relation is gone
+		pt.update(run, d, rs, name, bid)
 	}
-	if len(rs.blocks) > len(current) {
-		for bid := range rs.blocks {
-			if _, ok := current[bid]; !ok {
-				pt.update(run, d, rs, name, bid, "")
-			}
+	for bid, b := range rs.blocks {
+		if b.updated != pt.epoch {
+			pt.update(run, d, rs, name, bid)
 		}
 	}
 }
 
-// update brings block bid of relation name in line with d, where its
-// digest is bd ("" when the block is gone): a vanished block leaves the
-// partition, a new or changed one is re-keyed and queued for re-linking,
-// and an unchanged one is left alone. Either change dissolves the block's
-// component.
-func (pt *Partition) update(run *syncRun, d *db.DB, rs *relState, name, bid, bd string) {
+// update brings block bid of relation name in line with d, once per sync
+// (a change log may name a block more than once): a block d no longer
+// holds leaves the partition, any other is re-keyed from its facts in d
+// and queued for re-linking. Either way the block's component dissolves.
+func (pt *Partition) update(run *syncRun, d *db.DB, rs *relState, name, bid string) {
 	b := rs.blocks[bid]
-	switch {
-	case bd == "":
+	if b != nil && b.updated == pt.epoch {
+		return
+	}
+	facts := d.BlockFacts(name, bid)
+	if facts == nil {
 		if b == nil {
 			return
 		}
@@ -381,19 +378,16 @@ func (pt *Partition) update(run *syncRun, d *db.DB, rs *relState, name, bid, bd 
 		pt.rekey(b, nil)
 		delete(rs.blocks, bid)
 		run.vanished++
-	case b != nil && b.digest == bd:
-	default:
-		if b == nil {
-			b = &blockState{id: bid, rel: name}
-			rs.blocks[bid] = b
-		}
-		b.digest = bd
-		facts := d.BlockFacts(name, bid)
-		b.size = len(facts)
-		run.dissolve(b)
-		pt.rekey(b, rs.joinKeys(facts))
-		run.relink = append(run.relink, b)
+		return
 	}
+	if b == nil {
+		b = &blockState{id: bid, rel: name}
+		rs.blocks[bid] = b
+	}
+	b.updated = pt.epoch
+	run.dissolve(b)
+	pt.rekey(b, rs.joinKeys(facts))
+	run.relink = append(run.relink, b)
 }
 
 // collect walks the co-occurrence graph from b over the current join keys,
@@ -425,7 +419,6 @@ func (pt *Partition) collect(b *blockState, dissolved map[*component]bool) *comp
 	c := &component{blocks: make([]string, len(members)), rels: make([]string, len(members)), j: pt.rels[b.rel].comp}
 	for i, m := range members {
 		c.blocks[i], c.rels[i] = m.id, m.rel
-		c.size += m.size
 		m.comp = c
 	}
 	return c
@@ -507,38 +500,7 @@ func (pt *Partition) newDecomposition(d *db.DB) *Decomposition {
 		Components: pt.components,
 		d:          d,
 		compKeys:   pt.compKeys,
-		groups:     make([][][]*component, len(pt.comps)),
+		shards:     make([][]*component, len(pt.comps)),
 		kept:       make([]keptCount, len(pt.comps)),
 	}
-}
-
-// pack turns the partition into d's decomposition: per query component,
-// the co-occurrence components packed into shards.
-func (pt *Partition) pack(d *db.DB, maxShards int) *Decomposition {
-	dec := pt.newDecomposition(d)
-	dec.Blocks = make([][][]string, len(pt.comps))
-	for j := range pt.comps {
-		// Components in order of their smallest block ID, which makes the
-		// decomposition independent of the order of syncs and facts.
-		cs := slices.Clone(pt.comps[j])
-		slices.SortFunc(cs, func(x, y *component) int { return strings.Compare(x.blocks[0], y.blocks[0]) })
-		want := len(cs)
-		if maxShards > 0 && want > maxShards {
-			want = maxShards
-		}
-		groups := packGroups(cs, want)
-		blocks := make([][]string, len(groups))
-		for i, g := range groups {
-			if len(g) == 1 {
-				blocks[i] = g[0].blocks
-				continue
-			}
-			for _, c := range g {
-				blocks[i] = append(blocks[i], c.blocks...)
-			}
-			sort.Strings(blocks[i])
-		}
-		dec.groups[j], dec.Blocks[j] = groups, blocks
-	}
-	return dec
 }

@@ -39,9 +39,8 @@ func sameDecomposition(got *Decomposition, gotDB *db.DB, want *Decomposition, wa
 // database, or toggle it more often than a relation's change log holds
 // before the next sync. After every step a partition synced through the
 // whole history must decompose its target exactly as a fresh partition
-// does, a fresh build of a shuffled copy of the database must agree too, at
-// the finest partition and under a shard cap, and the outcomes the
-// partition keeps must add up to those of a fresh fan-out. Outcomes are
+// does, a fresh build of a shuffled copy of the database must agree too,
+// and the outcomes the partition keeps must add up to those of a fresh fan-out. Outcomes are
 // recorded one step late, as a solve of an older version that finishes
 // after a newer sync records them. The two queries cover a plain join
 // chain beside a second component and a self-joining component.
@@ -96,19 +95,15 @@ func FuzzPartitionSync(f *testing.F) {
 				r.Shuffle(len(facts), func(i, j int) { facts[i], facts[j] = facts[j], facts[i] })
 				shuffled := buildDB(t, facts)
 				for _, q := range queries {
-					for _, maxShards := range []int{0, 2} {
-						if diff := sameDecomposition(Decompose(q, shuffled, maxShards), shuffled, Decompose(q, d, maxShards), d); diff != "" {
-							t.Fatalf("step %d, %v, maxShards=%d: shuffled copy decomposes differently: %s", step, q, maxShards, diff)
-						}
+					if diff := sameDecomposition(Decompose(q, shuffled), shuffled, Decompose(q, d), d); diff != "" {
+						t.Fatalf("step %d, %v: shuffled copy decomposes differently: %s", step, q, diff)
 					}
 				}
 			}
 			for i, q := range queries {
-				for _, maxShards := range []int{0, 2} {
-					kept, _ := parts[i].Sync(target, maxShards)
-					if diff := sameDecomposition(kept, target, Decompose(q, target, maxShards), target); diff != "" {
-						t.Fatalf("step %d, %v, maxShards=%d: synced partition differs from a fresh one: %s", step, q, maxShards, diff)
-					}
+				kept, _ := parts[i].Sync(target)
+				if diff := sameDecomposition(kept, target, Decompose(q, target), target); diff != "" {
+					t.Fatalf("step %d, %v: synced partition differs from a fresh one: %s", step, q, diff)
 				}
 				record, diff := sameOutcomes(parts[i], q, target)
 				if diff != "" {
@@ -141,7 +136,7 @@ func sameOutcomes(pt *Partition, q cq.Query, d *db.DB) (record func(), diff stri
 			}
 		}
 	}
-	fresh := Decompose(q, d, 0)
+	fresh := Decompose(q, d)
 	for j := range fresh.Components {
 		want := 0
 		for _, fp := range fresh.ComponentFingerprints(d, j) {
@@ -195,11 +190,11 @@ func TestPartitionSyncStats(t *testing.T) {
 	}
 	for _, s := range steps {
 		s.edit()
-		dec, got := pt.Sync(d, 0)
+		dec, got := pt.Sync(d)
 		if got != s.want {
 			t.Errorf("%s: stats %+v, want %+v", s.name, got, s.want)
 		}
-		if diff := sameDecomposition(dec, d, Decompose(q, d, 0), d); diff != "" {
+		if diff := sameDecomposition(dec, d, Decompose(q, d), d); diff != "" {
 			t.Errorf("%s: %s", s.name, diff)
 		}
 	}
@@ -235,11 +230,11 @@ func TestDeltaPartitionSyncTakesLogPath(t *testing.T) {
 			}
 		}
 		d = next
-		dec, st := pt.Sync(d, 0)
+		dec, st := pt.Sync(d)
 		if st.Rescanned != 0 {
 			t.Fatalf("step %d: sync after one write rescanned %d relations, want the log path", step, st.Rescanned)
 		}
-		if diff := sameDecomposition(dec, d, Decompose(q, d, 0), d); diff != "" {
+		if diff := sameDecomposition(dec, d, Decompose(q, d), d); diff != "" {
 			t.Fatalf("step %d: %s", step, diff)
 		}
 	}

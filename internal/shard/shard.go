@@ -34,17 +34,21 @@
 // outside q multiply the repair count and cancel out of certainty and
 // probability.
 //
+// Every decomposition is the finest one: one shard per co-occurrence
+// component. It confines the exponential search on coNP-hard queries
+// (Theorem 2) to one component at a time, and it is the granularity at
+// which a write changes the fewest shard fingerprints.
+//
 // The block partition is a Partition, which a sync keeps up to date across
 // versions of a database through the relations' versions and change logs,
-// falling back to a diff of content digests, so a re-solve after a small
-// write re-links only the components the write touched; it also keeps the
-// outcomes a memoized solve decided, per component (partition.go).
-// The package computes only the decomposition; the solver layer runs the
-// per-shard decisions (internal/solver), and the counting layer applies the
-// product/convolution algebra (internal/prob). Both fan out on the bounded
-// worker pool in pool.go, which draws from the process-wide govern.Workers
-// gate so nested layers (a shard join inside a batch) never multiply
-// goroutines.
+// so a re-solve after a small write re-links only the components the write
+// touched; it also keeps the outcomes a memoized solve decided, per
+// component (partition.go). The package computes only the decomposition;
+// the solver layer runs the per-shard decisions (internal/solver), and the
+// counting layer applies the product/convolution algebra (internal/prob).
+// Both fan out on the bounded worker pool in pool.go, which draws from the
+// process-wide govern.Workers gate so nested layers (a shard join inside a
+// batch) never multiply goroutines.
 package shard
 
 import (
@@ -70,8 +74,8 @@ func init() {
 
 // Decomposition is the exact split of one (query, database) instance:
 // Components[j] is the j-th query component, split into independent data
-// shards, each a union of whole blocks and closed under the block
-// co-occurrence graph. IrrelevantBlocks are the sizes of the blocks whose
+// shards, one per component of the block co-occurrence graph, each a union
+// of whole blocks. IrrelevantBlocks are the sizes of the blocks whose
 // relation does not occur in the query; they multiply repair counts and
 // are irrelevant to certainty. A shard's database is built only when Shard
 // asks for it.
@@ -85,17 +89,17 @@ type Decomposition struct {
 	IrrelevantBlocks []int
 
 	// Blocks[j][i] is the sorted list of block IDs (Fact.BlockID) making up
-	// shard i of component j. Together with the parent database's per-block
-	// digests it determines the shard's content exactly, which is what
+	// shard i of component j. Together with the parent database's blocks
+	// it determines the shard's content exactly, which is what
 	// ShardFingerprint hashes. Sync and Decompose fill it; SyncOpen leaves
 	// it nil.
 	Blocks [][][]string
 
-	d        *db.DB           // the database the decomposition was taken from
-	compKeys []string         // canonical key of each query component
-	groups   [][][]*component // groups[j][i]: the components packed into listed shard i of component j
-	kept     []keptCount      // per query component, the shards left unlisted (SyncOpen)
-	pt       *Partition       // the partition Record keeps outcomes in (SyncOpen)
+	d        *db.DB         // the database the decomposition was taken from
+	compKeys []string       // canonical key of each query component
+	shards   [][]*component // shards[j][i]: the co-occurrence component that is listed shard i of component j
+	kept     []keptCount    // per query component, the shards left unlisted (SyncOpen)
+	pt       *Partition     // the partition Record keeps outcomes in (SyncOpen)
 }
 
 // keptCount is the part of a query component that SyncOpen leaves
@@ -109,25 +113,14 @@ type keptCount struct {
 // components, kept ones included.
 func (dec *Decomposition) NumShards() int {
 	n := 0
-	for j, g := range dec.groups {
-		n += len(g) + dec.kept[j].decided
+	for j, cs := range dec.shards {
+		n += len(cs) + dec.kept[j].decided
 	}
 	return n
 }
 
-// MaxComponentShards is the largest shard count of any single query
-// component, kept shards included — the width of the disjunction the
-// solver joins.
-func (dec *Decomposition) MaxComponentShards() int {
-	m := 0
-	for j, g := range dec.groups {
-		m = max(m, len(g)+dec.kept[j].decided)
-	}
-	return m
-}
-
 // ComponentShards is the number of listed shards of query component j.
-func (dec *Decomposition) ComponentShards(j int) int { return len(dec.groups[j]) }
+func (dec *Decomposition) ComponentShards(j int) int { return len(dec.shards[j]) }
 
 // Kept returns how many shards of query component j the decomposition
 // leaves unlisted because their outcome is kept, and how many of those
@@ -145,7 +138,7 @@ func (dec *Decomposition) Record(j, i int, certain bool) {
 		return
 	}
 	dec.pt.mu.Lock()
-	dec.pt.record(dec.groups[j][i][0], certain)
+	dec.pt.record(dec.shards[j][i], certain)
 	dec.pt.mu.Unlock()
 }
 
@@ -154,28 +147,16 @@ func (dec *Decomposition) Record(j, i int, certain bool) {
 // new database, so callers build a shard when they solve or count it, and
 // a shard whose verdict is memoized is never built.
 func (dec *Decomposition) Shard(j, i int) *db.DB {
-	g := dec.groups[j][i]
-	if len(g) == 1 {
-		return dec.d.WithBlocks(g[0].rels, g[0].blocks)
-	}
-	var rels, bids []string
-	for _, c := range g {
-		rels = append(rels, c.rels...)
-		bids = append(bids, c.blocks...)
-	}
-	return dec.d.WithBlocks(rels, bids)
+	c := dec.shards[j][i]
+	return dec.d.WithBlocks(c.rels, c.blocks)
 }
 
 // Decompose partitions (q, d) as described in the package comment: a fresh
-// Partition synced once to d. maxShards, when positive, caps the number of
-// data shards per query component: co-occurrence components are then
-// packed into at most maxShards groups, largest-first onto the
-// least-loaded group, which balances shard sizes for the worker pool.
-// maxShards ≤ 0 keeps one shard per component (maximum parallelism).
-// Query components containing a self-join come back as a single shard.
-func Decompose(q cq.Query, d *db.DB, maxShards int) *Decomposition {
+// Partition synced once to d. Query components containing a self-join come
+// back as a single shard.
+func Decompose(q cq.Query, d *db.DB) *Decomposition {
 	pt := NewPartition(q)
-	dec, _ := pt.Sync(d, maxShards)
+	dec, _ := pt.Sync(d)
 	sizes := make(map[string]int)
 	for _, f := range d.Facts() {
 		if _, relevant := pt.rels[f.Rel]; !relevant {
@@ -235,46 +216,4 @@ func queryComponents(q cq.Query) [][]int {
 		sort.Ints(g)
 	}
 	return out
-}
-
-// packGroups packs the components cs (in partition order) into at most want
-// groups: one group per component when want covers them all, otherwise
-// longest-processing-time greedy — components sorted by fact count
-// descending, ties broken by partition order, each placed on the currently
-// lightest group. Each group lists its components in partition order.
-func packGroups(cs []*component, want int) [][]*component {
-	if want >= len(cs) {
-		return singletons(cs)
-	}
-	order := make([]int, len(cs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cs[order[a]].size > cs[order[b]].size })
-	load := make([]int, want)
-	groupOf := make([]int, len(cs))
-	for _, ci := range order {
-		g := 0
-		for k := 1; k < want; k++ {
-			if load[k] < load[g] {
-				g = k
-			}
-		}
-		load[g] += cs[ci].size
-		groupOf[ci] = g
-	}
-	groups := make([][]*component, want)
-	for ci, c := range cs {
-		groups[groupOf[ci]] = append(groups[groupOf[ci]], c)
-	}
-	return groups
-}
-
-// singletons returns one group per component of cs, each a sub-slice.
-func singletons(cs []*component) [][]*component {
-	groups := make([][]*component, len(cs))
-	for i := range cs {
-		groups[i] = cs[i : i+1 : i+1]
-	}
-	return groups
 }

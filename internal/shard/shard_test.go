@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -36,7 +35,7 @@ func TestDecomposePartitionsRelevantFacts(t *testing.T) {
 		S(lone | e)
 		T(k | v) T(k | w)
 	`)
-	dec := Decompose(q, d, 0)
+	dec := Decompose(q, d)
 
 	if len(dec.Components) != 1 {
 		t.Fatalf("components = %d, want 1", len(dec.Components))
@@ -71,21 +70,19 @@ func TestDecomposePartitionsRelevantFacts(t *testing.T) {
 func TestDecomposeKeepsBlocksWhole(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
 	d := gen.RandomDB(q, gen.Config{Embeddings: 8, Noise: 10, Domain: 4}, 42)
-	for _, maxShards := range []int{0, 1, 2, 3, runtime.NumCPU()} {
-		dec := Decompose(q, d, maxShards)
-		owner := make(map[string]int)
-		g := 0
-		for j, shards := range dec.Blocks {
-			for i := range shards {
-				for _, f := range dec.Shard(j, i).Facts() {
-					bid := f.BlockID()
-					if prev, ok := owner[bid]; ok && prev != g {
-						t.Fatalf("maxShards=%d: block %q split across shards %d and %d", maxShards, bid, prev, g)
-					}
-					owner[bid] = g
+	dec := Decompose(q, d)
+	owner := make(map[string]int)
+	g := 0
+	for j, shards := range dec.Blocks {
+		for i := range shards {
+			for _, f := range dec.Shard(j, i).Facts() {
+				bid := f.BlockID()
+				if prev, ok := owner[bid]; ok && prev != g {
+					t.Fatalf("block %q split across shards %d and %d", bid, prev, g)
 				}
-				g++
+				owner[bid] = g
 			}
+			g++
 		}
 	}
 }
@@ -95,7 +92,7 @@ func TestDecomposeKeepsBlocksWhole(t *testing.T) {
 func TestDecomposeLinksJoinValues(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
 	d := db.MustParse(`R(a | v) S(v | b) R(c | v2) S(v2 | d)`)
-	dec := Decompose(q, d, 0)
+	dec := Decompose(q, d)
 	if got := dec.NumShards(); got != 2 {
 		t.Fatalf("NumShards = %d, want 2 (two join chains)", got)
 	}
@@ -114,40 +111,12 @@ func TestDecomposeLinksJoinValues(t *testing.T) {
 	}
 }
 
-func TestDecomposeMaxShardsCap(t *testing.T) {
-	q := cq.ACk(3)
-	d := gen.CycleDB(gen.CycleConfig{K: 3, Components: 9, Width: 2})
-	uncapped := Decompose(q, d, 0)
-	if uncapped.MaxComponentShards() < 9 {
-		t.Fatalf("uncapped shards = %d, want >= 9 (one per cycle component)", uncapped.MaxComponentShards())
-	}
-	for _, cap := range []int{1, 2, 4, 100} {
-		dec := Decompose(q, d, cap)
-		if got := dec.MaxComponentShards(); got > cap && cap < 9 {
-			t.Errorf("maxShards=%d: component has %d shards", cap, got)
-		}
-		if total, want := countAll(dec), d.Len(); total != want {
-			t.Errorf("maxShards=%d: shards hold %d facts, want %d", cap, total, want)
-		}
-	}
-}
-
-func countAll(dec *Decomposition) int {
-	n := 0
-	for j, shards := range dec.Blocks {
-		for i := range shards {
-			n += dec.Shard(j, i).Len()
-		}
-	}
-	return n
-}
-
 // TestDecomposeSelfJoinSingleShard: a self-joining component opts out of
 // data sharding — the co-occurrence argument needs self-join-freedom.
 func TestDecomposeSelfJoinSingleShard(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), R(y | z)")
 	d := db.MustParse(`R(a | b) R(c | d) R(e | f)`)
-	dec := Decompose(q, d, 0)
+	dec := Decompose(q, d)
 	if len(dec.Components) != 1 {
 		t.Fatalf("components = %d, want 1", len(dec.Components))
 	}
@@ -162,7 +131,7 @@ func TestDecomposeSelfJoinSingleShard(t *testing.T) {
 func TestDecomposeMultiComponentQuery(t *testing.T) {
 	q := cq.MustParseQuery("R(x | y), S(u | v)")
 	d := db.MustParse(`R(a | b) R(c | d) S(e | f)`)
-	dec := Decompose(q, d, 0)
+	dec := Decompose(q, d)
 	if len(dec.Components) != 2 {
 		t.Fatalf("components = %d, want 2", len(dec.Components))
 	}

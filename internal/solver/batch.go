@@ -45,7 +45,7 @@ func init() {
 // through plans: one classification and one compiled rewriting per
 // distinct query. Callers without a process-wide cache pass a fresh
 // NewPlanCache. Every item without a memo runs Plan.SolveCtx under opts,
-// so opts.Shards shards each item; the fan-out shares the process-wide
+// so opts.Sharded shards each item; the fan-out shares the process-wide
 // worker gate with the shard layer, so the two compose without
 // multiplying goroutines.
 // Results come back indexed in item order, one per item, errors inline.
@@ -71,7 +71,7 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts Options, plans *Pla
 		switch {
 		case err != nil:
 		case items[i].Memo != nil:
-			r.Verdict, r.Report, err = p.SolveShardedMemo(ictx, items[i].DB, 0, opts, items[i].Memo)
+			r.Verdict, r.Report, err = p.SolveShardedMemo(ictx, items[i].DB, opts, items[i].Memo)
 		default:
 			r.Verdict, err = p.SolveCtx(ictx, items[i].DB, opts)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -17,14 +16,6 @@ import (
 	"github.com/cqa-go/certainty/internal/shard"
 	"github.com/cqa-go/certainty/internal/wal"
 )
-
-// deltaShardCounts are the shard caps the delta differential suite sweeps:
-// no sharding benefit (1), minimal (2), the host's parallelism, and more
-// shards than any instance has co-occurrence groups (so every group is its
-// own shard).
-func deltaShardCounts() []int {
-	return []int{1, 2, runtime.NumCPU(), 1 << 10}
-}
 
 // deltaScenarios are the query families the delta suite mutates under:
 // the FO-rewritable chain, a disconnected query (conjunction across
@@ -110,10 +101,7 @@ func TestDeltaResolveEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("CompilePlan: %v", err)
 				}
-				memos := make(map[int]*ShardMemo, len(deltaShardCounts()))
-				for _, n := range deltaShardCounts() {
-					memos[n] = NewShardMemo(0, nil)
-				}
+				memo := NewShardMemo(0, nil)
 
 				model := map[string]db.Fact{}
 				for step := 0; step < 10; step++ {
@@ -141,15 +129,13 @@ func TestDeltaResolveEquivalence(t *testing.T) {
 					want := verdictFingerprint(t, full)
 
 					durable, version := st.DB()
-					for _, n := range deltaShardCounts() {
-						v, rep, err := p.SolveShardedMemo(ctx, durable, n, Options{}, memos[n])
-						if err != nil {
-							t.Fatalf("step %d shards %d: SolveShardedMemo: %v", step, n, err)
-						}
-						if got := verdictFingerprint(t, v); got != want {
-							t.Errorf("step %d shards %d (version %d): delta verdict diverged\n got %s\nwant %s\nreport %+v",
-								step, n, version, got, want, rep)
-						}
+					v, rep, err := p.SolveShardedMemo(ctx, durable, Options{}, memo)
+					if err != nil {
+						t.Fatalf("step %d: SolveShardedMemo: %v", step, err)
+					}
+					if got := verdictFingerprint(t, v); got != want {
+						t.Errorf("step %d (version %d): delta verdict diverged\n got %s\nwant %s\nreport %+v",
+							step, version, got, want, rep)
 					}
 				}
 			})
@@ -209,12 +195,9 @@ func (c *chainGroupOps) step(model map[string]db.Fact, r *rand.Rand) (ins, del [
 // fact shuffles between mutations must produce identical delta verdicts
 // AND the identical (reused, recomputed) work partition at every step. Fingerprints are content-addressed over sorted block IDs, so
 // the memo must neither miss a reuse nor fabricate one when facts arrive
-// in a different order. maxShards exceeds every instance's group count,
-// making the shard partition itself content-determined (the LPT packing
-// never merges groups).
+// in a different order.
 func TestDeltaResolveMetamorphic(t *testing.T) {
 	ctx := context.Background()
-	const maxShards = 1 << 10
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
 	gen := &chainGroupOps{q: q, groups: 5}
 
@@ -254,7 +237,7 @@ func TestDeltaResolveMetamorphic(t *testing.T) {
 					model[f.ID()] = f
 				}
 				durable, _ := st.DB()
-				vA, repA, err := p.SolveShardedMemo(ctx, durable, maxShards, Options{}, memoA)
+				vA, repA, err := p.SolveShardedMemo(ctx, durable, Options{}, memoA)
 				if err != nil {
 					t.Fatalf("step %d: schedule A: %v", step, err)
 				}
@@ -263,7 +246,7 @@ func TestDeltaResolveMetamorphic(t *testing.T) {
 				// order: a fresh database object each step, so every hit it
 				// gets is purely content-addressed.
 				perm := shuffled(t, durable, shuffleRand)
-				vB, repB, err := p.SolveShardedMemo(ctx, perm, maxShards, Options{}, memoB)
+				vB, repB, err := p.SolveShardedMemo(ctx, perm, Options{}, memoB)
 				if err != nil {
 					t.Fatalf("step %d: schedule B: %v", step, err)
 				}
@@ -308,7 +291,7 @@ func TestShardMemoInvalidationExcludesUntouched(t *testing.T) {
 		t.Fatalf("CompilePlan: %v", err)
 	}
 	memo := NewShardMemo(0, nil)
-	if _, rep, err := p.SolveShardedMemo(ctx, d, 1<<10, Options{}, memo); err != nil {
+	if _, rep, err := p.SolveShardedMemo(ctx, d, Options{}, memo); err != nil {
 		t.Fatalf("SolveShardedMemo: %v", err)
 	} else if rep.ShardsRecomputed != 3 {
 		t.Fatalf("cold solve report = %+v, want 3 recomputed", rep)
@@ -319,7 +302,7 @@ func TestShardMemoInvalidationExcludesUntouched(t *testing.T) {
 
 	// Split every shard fingerprint by whether it covers the block the
 	// mutation below touches (R's block a1).
-	dec := shard.Decompose(q, d, 1<<10)
+	dec := shard.Decompose(q, d)
 	touched := db.Fact{Rel: "R", KeyLen: 1, Args: []string{"a1", "b9"}}.BlockID()
 	var covering, excluded []string
 	for j := range dec.Components {
@@ -350,7 +333,7 @@ func TestShardMemoInvalidationExcludesUntouched(t *testing.T) {
 	if err := next.Add(db.Fact{Rel: "R", KeyLen: 1, Args: []string{"a1", "b9"}}); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	if _, rep, err := p.SolveShardedMemo(ctx, next, 1<<10, Options{}, memo); err != nil {
+	if _, rep, err := p.SolveShardedMemo(ctx, next, Options{}, memo); err != nil {
 		t.Fatalf("SolveShardedMemo after the mutation: %v", err)
 	} else if rep != (DeltaReport{ShardsReused: 2, ShardsRecomputed: 1}) {
 		t.Errorf("re-solve report = %+v, want the 2 excluded shards reused and the covering one recomputed", rep)
@@ -392,7 +375,7 @@ func TestResolveReusesAcrossMutations(t *testing.T) {
 		t.Fatalf("CompilePlan: %v", err)
 	}
 	memo := NewShardMemo(0, nil)
-	v0, rep0, err := p.SolveShardedMemo(ctx, d, 1<<10, Options{}, memo)
+	v0, rep0, err := p.SolveShardedMemo(ctx, d, Options{}, memo)
 	if err != nil {
 		t.Fatalf("initial SolveShardedMemo: %v", err)
 	}
@@ -411,7 +394,7 @@ func TestResolveReusesAcrossMutations(t *testing.T) {
 	if err := d.Add(f); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	v1, rep1, err := p.SolveShardedMemo(ctx, d, 1<<10, Options{}, memo)
+	v1, rep1, err := p.SolveShardedMemo(ctx, d, Options{}, memo)
 	if err != nil {
 		t.Fatalf("SolveShardedMemo after mutation: %v", err)
 	}
@@ -429,7 +412,7 @@ func TestResolveReusesAcrossMutations(t *testing.T) {
 	if !d.Remove(f) {
 		t.Fatal("Remove: fact missing")
 	}
-	v2, rep2, err := p.SolveShardedMemo(ctx, d, 1<<10, Options{}, memo)
+	v2, rep2, err := p.SolveShardedMemo(ctx, d, Options{}, memo)
 	if err != nil {
 		t.Fatalf("SolveShardedMemo after removal: %v", err)
 	}
@@ -467,8 +450,7 @@ func sameDecomposition(got, want *shard.Decomposition, d *db.DB) string {
 // second snapshot (skipping versions), to an older snapshot right after a
 // newer one, and to a single database mutated in place. After every sync
 // the decomposition — components, block lists and their order, shard
-// fingerprints — equals a fresh shard.Decompose of the same database, at
-// the finest partition and under a shard cap.
+// fingerprints — equals a fresh shard.Decompose of the same database.
 func TestDeltaPartitionMatchesFresh(t *testing.T) {
 	scenarios := append(deltaScenarios(), struct {
 		name string
@@ -495,11 +477,9 @@ func TestDeltaPartitionMatchesFresh(t *testing.T) {
 				mutated := db.New()
 				check := func(step int, how string, pt *shard.Partition, d *db.DB) {
 					t.Helper()
-					for _, maxShards := range []int{0, 2} {
-						got, _ := pt.Sync(d, maxShards)
-						if diff := sameDecomposition(got, shard.Decompose(sc.q, d, maxShards), d); diff != "" {
-							t.Fatalf("step %d, %s, maxShards=%d: %s", step, how, maxShards, diff)
-						}
+					got, _ := pt.Sync(d)
+					if diff := sameDecomposition(got, shard.Decompose(sc.q, d), d); diff != "" {
+						t.Fatalf("step %d, %s: %s", step, how, diff)
 					}
 				}
 
@@ -563,7 +543,7 @@ func TestShardMemoBoundsPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CompilePlan %s: %v", q, err)
 		}
-		if _, _, err := p.SolveShardedMemo(ctx, d, 0, Options{}, memo); err != nil {
+		if _, _, err := p.SolveShardedMemo(ctx, d, Options{}, memo); err != nil {
 			t.Fatalf("SolveShardedMemo %s: %v", q, err)
 		}
 	}
@@ -646,7 +626,7 @@ func TestDeltaPartitionConcurrentSnapshots(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				v, _, err := p.SolveShardedMemo(ctx, snaps[(g*5+i*7)%len(snaps)], 0, Options{}, memo)
+				v, _, err := p.SolveShardedMemo(ctx, snaps[(g*5+i*7)%len(snaps)], Options{}, memo)
 				if err != nil {
 					errs[g] = err
 					return
@@ -688,7 +668,7 @@ func TestResolveKeptCertainSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	memo := NewShardMemo(0, nil)
-	if v, _, err := p.SolveShardedMemo(ctx, d, 0, Options{}, memo); err != nil || v.Outcome != OutcomeCertain {
+	if v, _, err := p.SolveShardedMemo(ctx, d, Options{}, memo); err != nil || v.Outcome != OutcomeCertain {
 		t.Fatalf("cold solve: %v, %v; want certain", v.Outcome, err)
 	}
 	step := func(f db.Fact, outcome Outcome) DeltaReport {
@@ -700,7 +680,7 @@ func TestResolveKeptCertainSettles(t *testing.T) {
 			t.Fatal(err)
 		}
 		d = next
-		v, rep, err := p.SolveShardedMemo(ctx, d, 0, Options{}, memo)
+		v, rep, err := p.SolveShardedMemo(ctx, d, Options{}, memo)
 		if err != nil {
 			t.Fatal(err)
 		}

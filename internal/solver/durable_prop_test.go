@@ -101,17 +101,15 @@ func TestDurableInterleavedSolveProperty(t *testing.T) {
 				if durable.Len() != len(model) {
 					t.Fatalf("step %d (version %d): durable has %d facts, model %d", step, version, durable.Len(), len(model))
 				}
-				for _, n := range shardCountsUnderTest() {
-					v, err := SolveCtx(ctx, q, durable, Options{Shards: n})
-					if err != nil {
-						t.Fatalf("step %d shards %d: %v", step, n, err)
-					}
-					if got := verdictFingerprint(t, v); got != want {
-						t.Errorf("step %d shards %d (version %d):\n got %s\nwant %s", step, n, version, got, want)
-					}
+				v, err := SolveCtx(ctx, q, durable, Options{Sharded: true})
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if got := verdictFingerprint(t, v); got != want {
+					t.Errorf("step %d (version %d):\n got %s\nwant %s", step, version, got, want)
 				}
 				perm := shuffled(t, durable, r)
-				if v, err := SolveCtx(ctx, q, perm, Options{Shards: 2}); err != nil {
+				if v, err := SolveCtx(ctx, q, perm, Options{Sharded: true}); err != nil {
 					t.Fatalf("step %d shuffled: %v", step, err)
 				} else if got := verdictFingerprint(t, v); got != want {
 					t.Errorf("step %d shuffled:\n got %s\nwant %s", step, got, want)
@@ -135,7 +133,7 @@ func TestDurableInterleavedSolveProperty(t *testing.T) {
 			if recovered.Len() != len(model) {
 				t.Fatalf("recovered %d facts, model %d", recovered.Len(), len(model))
 			}
-			v, err := SolveCtx(ctx, q, recovered, Options{Shards: 2})
+			v, err := SolveCtx(ctx, q, recovered, Options{Sharded: true})
 			if err != nil {
 				t.Fatalf("recovered solve: %v", err)
 			}

@@ -124,11 +124,11 @@ func (p *Plan) Classification() core.Classification { return p.cls }
 // the package-level SolveCtx, which compiles a plan and runs it through the
 // same runner. Traced solves record the same span tree minus the classify
 // span (classification was paid at compile time), with a plan=compiled
-// attribute on the root. With opts.Shards set, the plan runs
-// SolveShardedMemo with that shard cap and no memo.
+// attribute on the root. With opts.Sharded set, the plan runs
+// SolveShardedMemo without a memo.
 func (p *Plan) SolveCtx(ctx context.Context, d *db.DB, opts Options) (Verdict, error) {
-	if opts.Shards != 0 {
-		v, _, err := p.SolveShardedMemo(ctx, d, opts.Shards, opts, nil)
+	if opts.Sharded {
+		v, _, err := p.SolveShardedMemo(ctx, d, opts, nil)
 		return v, err
 	}
 	ctx, root := obs.StartSpan(ctx, "solve")

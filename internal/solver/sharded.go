@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"runtime"
 
 	"github.com/cqa-go/certainty/internal/db"
 	"github.com/cqa-go/certainty/internal/govern"
@@ -31,20 +30,19 @@ type DeltaReport struct {
 }
 
 // SolveShardedMemo executes the plan with component-partitioned data
-// parallelism: the instance splits along the shard.Decompose partition, the
-// sub-instances are decided on the bounded worker pool, and the verdicts
-// recombine exactly — conjunction across variable-disjoint query
-// components, disjunction across a component's data shards (see the
-// internal/shard package comment for why this algebra is exact). Conclusive
-// verdicts are identical to SolveCtx's on the same instance.
+// parallelism: the instance splits along the finest shard.Decompose
+// partition, one shard per co-occurrence component, the sub-instances are
+// decided on the bounded worker pool, and the verdicts recombine exactly —
+// conjunction across variable-disjoint query components, disjunction
+// across a component's data shards (see the internal/shard package comment
+// for why this algebra is exact). Conclusive verdicts are identical to
+// SolveCtx's on the same instance.
 //
-// maxShards caps the data shards per query component; < 0 selects
-// GOMAXPROCS and 0 keeps the finest partition. opts.Shards is ignored. The
-// step budget in opts is split across shards with ceiling division (a
-// finite budget never becomes an unlimited share); the deadline is shared,
-// not split. When the partition yields at most one shard there is nothing
-// to fan out and the plan solves monolithically, byte-identically to
-// SolveCtx.
+// opts.Sharded is ignored. The step budget in opts is split across shards
+// with ceiling division (a finite budget never becomes an unlimited
+// share); the deadline is shared, not split. When the partition yields at
+// most one shard there is nothing to fan out and the plan solves
+// monolithically, byte-identically to SolveCtx.
 //
 // A cut-off sharded solve degrades like a monolithic one: OutcomeUnknown
 // with the summed step count of the cut-off shards and, on the exponential
@@ -52,9 +50,8 @@ type DeltaReport struct {
 // falsifying repair still upgrades the verdict to a conclusive
 // OutcomeNotCertain).
 //
-// A non-nil memo is the per-shard verdict memo, and a memoized solve always
-// runs on the finest partition (maxShards is ignored). The memo keeps the
-// plan's shard.Partition, which the solve syncs to d instead of
+// A non-nil memo is the per-shard verdict memo. The memo keeps the plan's
+// shard.Partition, which the solve syncs to d instead of
 // partitioning d anew, so after a small write only the touched components
 // are re-linked; the partition also keeps the outcome of every component a
 // solve decided. Per query component, a kept certain component settles the
@@ -72,10 +69,7 @@ type DeltaReport struct {
 // memo: their shards are shards of the rewritten database, whose blocks are
 // rebuilt per call, so fingerprinting them would hash fresh content every
 // time and reuse nothing across calls.
-func (p *Plan) SolveShardedMemo(ctx context.Context, d *db.DB, maxShards int, opts Options, memo *ShardMemo) (Verdict, DeltaReport, error) {
-	if maxShards < 0 {
-		maxShards = runtime.GOMAXPROCS(0)
-	}
+func (p *Plan) SolveShardedMemo(ctx context.Context, d *db.DB, opts Options, memo *ShardMemo) (Verdict, DeltaReport, error) {
 	ctx, root := obs.StartSpan(ctx, "solve")
 	root.SetAttr("plan", "sharded")
 	if opts.Timeout > 0 {
@@ -88,7 +82,7 @@ func (p *Plan) SolveShardedMemo(ctx context.Context, d *db.DB, maxShards int, op
 	var steps int64
 	err := govern.Safe(func() error {
 		var innerErr error
-		v, steps, innerErr = p.shardJoin(ctx, d, maxShards, opts, memo, &rep)
+		v, steps, innerErr = p.shardJoin(ctx, d, opts, memo, &rep)
 		return innerErr
 	})
 	endSolveSpan(root, steps, v, err)
@@ -121,7 +115,7 @@ type memoScope struct {
 // shardJoin does the decomposition, the fan-out, and the combine. It runs
 // inside the caller's govern.Safe, so panics anywhere below surface as
 // errors.
-func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Options, memo *ShardMemo, rep *DeltaReport) (Verdict, int64, error) {
+func (p *Plan) shardJoin(ctx context.Context, d *db.DB, opts Options, memo *ShardMemo, rep *DeltaReport) (Verdict, int64, error) {
 	execD := d
 	if p.rewriteDB != nil {
 		var err error
@@ -131,12 +125,12 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 		}
 	}
 	// The memo engages only for plans without a database rewrite: execD is
-	// then the caller's database, whose per-block digests the copy-on-write
-	// index maintains incrementally, so fingerprinting is cheap and the
-	// fingerprints are stable across mutations of other blocks. The memo
-	// also keeps the plan's partition, which this sync brings up to date
-	// with execD instead of partitioning it anew; the decomposition lists
-	// only the shards without a kept outcome.
+	// then the caller's database, whose relation versions and change logs
+	// let the kept partition re-link only what a write touched, so only
+	// the components it rebuilds are fingerprinted anew. The memo keeps the
+	// plan's partition, which this sync brings up to date with execD
+	// instead of partitioning it anew; the decomposition lists only the
+	// shards without a kept outcome.
 	useMemo := memo != nil && p.rewriteDB == nil
 
 	_, dsp := obs.StartSpan(ctx, "shard/decompose")
@@ -145,7 +139,7 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 	if useMemo {
 		dec, st = memo.decompose(p.Key, p.execQ, execD)
 	} else {
-		dec, st = shard.NewPartition(p.execQ).Sync(execD, maxShards)
+		dec, st = shard.NewPartition(p.execQ).Sync(execD)
 	}
 	dsp.SetInt("components", int64(len(dec.Components)))
 	dsp.SetInt("shards", int64(dec.NumShards()))

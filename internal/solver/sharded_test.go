@@ -14,17 +14,10 @@ import (
 	"github.com/cqa-go/certainty/internal/govern"
 )
 
-// shardCountsUnderTest are the shard caps every differential test sweeps:
-// no sharding benefit (1), minimal (2), the host's parallelism, and more
-// shards than any instance has components.
-func shardCountsUnderTest() []int {
-	return []int{1, 2, runtime.NumCPU(), 0, 1 << 10}
-}
-
 // TestShardedMatchesMonolithic: for every dispatched method, the sharded
-// solve returns a byte-identical verdict to the monolithic SolveCtx at
-// every shard count. This is the tentpole differential suite: sharding must
-// change scheduling, never answers.
+// solve returns a byte-identical verdict to the monolithic SolveCtx. This
+// is the tentpole differential suite: sharding must change scheduling,
+// never answers.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range differentialCases(t) {
@@ -35,14 +28,12 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 					t.Fatalf("db %d: monolithic: %v", di, err)
 				}
 				want := verdictFingerprint(t, mono)
-				for _, n := range shardCountsUnderTest() {
-					sharded, err := SolveCtx(ctx, tc.q, d, Options{Shards: n})
-					if err != nil {
-						t.Fatalf("db %d shards %d: %v", di, n, err)
-					}
-					if got := verdictFingerprint(t, sharded); got != want {
-						t.Errorf("db %d shards %d:\n got %s\nwant %s", di, n, got, want)
-					}
+				sharded, err := SolveCtx(ctx, tc.q, d, Options{Sharded: true})
+				if err != nil {
+					t.Fatalf("db %d: %v", di, err)
+				}
+				if got := verdictFingerprint(t, sharded); got != want {
+					t.Errorf("db %d:\n got %s\nwant %s", di, got, want)
 				}
 			}
 		})
@@ -77,14 +68,12 @@ func TestShardedDisconnectedQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := verdictFingerprint(t, mono)
-			for _, n := range shardCountsUnderTest() {
-				sharded, err := SolveCtx(ctx, q, tc.d, Options{Shards: n})
-				if err != nil {
-					t.Fatalf("shards %d: %v", n, err)
-				}
-				if got := verdictFingerprint(t, sharded); got != want {
-					t.Errorf("shards %d:\n got %s\nwant %s", n, got, want)
-				}
+			sharded, err := SolveCtx(ctx, q, tc.d, Options{Sharded: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := verdictFingerprint(t, sharded); got != want {
+				t.Errorf("\n got %s\nwant %s", got, want)
 			}
 		})
 	}
@@ -107,8 +96,8 @@ func shuffled(t *testing.T, d *db.DB, r *rand.Rand) *db.DB {
 }
 
 // TestShardedShuffleProperty is the satellite property test: random
-// component-preserving fact shuffles and arbitrary shard counts never
-// change a verdict. (The count/probability halves live in internal/prob.)
+// component-preserving fact shuffles never change a sharded verdict. (The
+// count/probability halves live in internal/prob.)
 func TestShardedShuffleProperty(t *testing.T) {
 	ctx := context.Background()
 	queries := []cq.Query{
@@ -127,15 +116,13 @@ func TestShardedShuffleProperty(t *testing.T) {
 			r := rand.New(rand.NewSource(seed * 7717))
 			for trial := 0; trial < 3; trial++ {
 				perm := shuffled(t, d, r)
-				for _, n := range []int{1, 2, runtime.NumCPU(), 1 << 10} {
-					v, err := SolveCtx(ctx, q, perm, Options{Shards: n})
-					if err != nil {
-						t.Fatalf("q%d seed %d trial %d shards %d: %v", qi, seed, trial, n, err)
-					}
-					if v.Outcome != mono.Outcome || v.Result.Certain != mono.Result.Certain {
-						t.Errorf("q%d seed %d trial %d shards %d: outcome %v/%v, want %v/%v",
-							qi, seed, trial, n, v.Outcome, v.Result.Certain, mono.Outcome, mono.Result.Certain)
-					}
+				v, err := SolveCtx(ctx, q, perm, Options{Sharded: true})
+				if err != nil {
+					t.Fatalf("q%d seed %d trial %d: %v", qi, seed, trial, err)
+				}
+				if v.Outcome != mono.Outcome || v.Result.Certain != mono.Result.Certain {
+					t.Errorf("q%d seed %d trial %d: outcome %v/%v, want %v/%v",
+						qi, seed, trial, v.Outcome, v.Result.Certain, mono.Outcome, mono.Result.Certain)
 				}
 			}
 		}
@@ -148,7 +135,7 @@ func TestShardedBudgetSplit(t *testing.T) {
 	ctx := context.Background()
 	q := cq.ACk(3)
 	d := gen.CycleDB(gen.CycleConfig{K: 3, Components: 8, Width: 2})
-	v, err := SolveCtx(ctx, q, d, Options{Shards: 4, Budget: 1, DegradeSamples: -1})
+	v, err := SolveCtx(ctx, q, d, Options{Sharded: true, Budget: 1, DegradeSamples: -1})
 	if err != nil {
 		t.Fatalf("budgeted sharded solve: %v", err)
 	}
@@ -159,7 +146,7 @@ func TestShardedBudgetSplit(t *testing.T) {
 		t.Fatalf("unknown verdict missing cutoff cause/evidence: err=%v evidence=%v", v.Err, v.Evidence)
 	}
 	// And with room to breathe the same call is conclusive and correct.
-	full, err := SolveCtx(ctx, q, d, Options{Shards: 4})
+	full, err := SolveCtx(ctx, q, d, Options{Sharded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +160,8 @@ func TestShardedBudgetSplit(t *testing.T) {
 }
 
 // TestSolveOptionDispatch pins the routing of Options through every entry
-// point: shard caps (Shards: 1 falls back to the monolithic plan path) and
-// limits give the zero-option verdict through SolveCtx and Plan.SolveCtx
-// alike, and SolveBatch goes through its plan cache.
+// point: sharding and limits give the zero-option verdict through SolveCtx
+// and Plan.SolveCtx alike, and SolveBatch goes through its plan cache.
 func TestSolveOptionDispatch(t *testing.T) {
 	ctx := context.Background()
 	q := cq.MustParseQuery("R(x | y), S(y | z)")
@@ -190,11 +176,9 @@ func TestSolveOptionDispatch(t *testing.T) {
 	}
 	for _, opts := range []Options{
 		{},
-		{Shards: 1},
-		{Shards: -1},
-		{Shards: 2},
+		{Sharded: true},
 		{Budget: 1 << 20, Timeout: time.Minute},
-		{Shards: 2, Budget: 1 << 20, Timeout: time.Minute},
+		{Sharded: true, Budget: 1 << 20, Timeout: time.Minute},
 	} {
 		v, err := SolveCtx(ctx, q, d, opts)
 		if err != nil {
@@ -212,7 +196,7 @@ func TestSolveOptionDispatch(t *testing.T) {
 		}
 	}
 	plans := NewPlanCache(0, nil)
-	for _, opts := range []Options{{}, {Shards: 2}} {
+	for _, opts := range []Options{{}, {Sharded: true}} {
 		r := SolveBatch(ctx, []BatchItem{{Query: q, DB: d}}, opts, plans, nil)
 		if r[0].Err != nil {
 			t.Fatalf("SolveBatch %+v: %v", opts, r[0].Err)
@@ -275,7 +259,7 @@ func TestSolveBatch(t *testing.T) {
 		t.Errorf("plan cache stats %+v, want 2 plans over 4 lookups", st)
 	}
 	// Sharded batches agree too.
-	shardedResults := SolveBatch(ctx, items, Options{Shards: 2}, NewPlanCache(0, nil), nil)
+	shardedResults := SolveBatch(ctx, items, Options{Sharded: true}, NewPlanCache(0, nil), nil)
 	for i := range items {
 		if shardedResults[i].Err != nil {
 			t.Fatalf("sharded item %d: %v", i, shardedResults[i].Err)
@@ -330,7 +314,7 @@ func TestWorkerBudgetShared(t *testing.T) {
 	}()
 
 	// Nested fan-out: batch items × shard joins.
-	results := SolveBatch(context.Background(), items, Options{Shards: 4}, NewPlanCache(0, nil), nil)
+	results := SolveBatch(context.Background(), items, Options{Sharded: true}, NewPlanCache(0, nil), nil)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)

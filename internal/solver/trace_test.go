@@ -254,7 +254,7 @@ func TestDecomposeSpanDeltaCounts(t *testing.T) {
 	decompose := func() *obs.SpanRecord {
 		t.Helper()
 		tr := obs.NewTracer(obs.TracerOptions{})
-		if _, _, err := p.SolveShardedMemo(obs.WithTracer(context.Background(), tr), d, 0, Options{}, memo); err != nil {
+		if _, _, err := p.SolveShardedMemo(obs.WithTracer(context.Background(), tr), d, Options{}, memo); err != nil {
 			t.Fatal(err)
 		}
 		recs := tr.Snapshot()

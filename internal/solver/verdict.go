@@ -92,11 +92,10 @@ type Options struct {
 	// Timeout bounds wall-clock time; 0 means no deadline. Under sharding
 	// it covers the whole solve: it is shared by all shards, not split.
 	Timeout time.Duration
-	// Shards enables component-partitioned solving with at most Shards
-	// data shards per query component (see internal/shard and
-	// Plan.SolveShardedMemo): 0 solves the instance monolithically, < 0
-	// selects GOMAXPROCS.
-	Shards int
+	// Sharded enables component-partitioned solving on the finest
+	// partition, one shard per co-occurrence component (see internal/shard
+	// and Plan.SolveShardedMemo); false solves the instance monolithically.
+	Sharded bool
 	// Fault is the governor's fault-injection hook (testing); nil disables.
 	Fault func(step int64) error
 	// DegradeSamples caps the uniform repair samples drawn after a cutoff
@@ -128,10 +127,10 @@ type Options struct {
 // OutcomeUnknown verdict without a sampling pass.
 //
 // The query is compiled into a Plan inside the trace's classify span, then
-// executed exactly as Plan.SolveCtx executes it; with opts.Shards set, the
+// executed exactly as Plan.SolveCtx executes it; with opts.Sharded set, the
 // compiled plan runs the sharded path instead.
 func SolveCtx(ctx context.Context, q cq.Query, d *db.DB, opts Options) (Verdict, error) {
-	if opts.Shards != 0 {
+	if opts.Sharded {
 		p, err := CompilePlan(q)
 		if err != nil {
 			return Verdict{}, err

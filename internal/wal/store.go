@@ -817,12 +817,18 @@ func (s *Store) commitBatch(batch []*mutateReq) {
 
 // normalize validates a request against the working state and reduces it to
 // its effective facts: inserts not already present (each validated for
-// shape and signature consistency), deletes actually present. A validation
-// error rejects the whole request; the store is untouched.
+// shape and signature consistency), deletes actually present. Facts match
+// as a whole, key length included, which Fact.ID leaves out: a delete of
+// R(a, b) neither removes nor cancels R(a | b). A validation error rejects
+// the whole request; the store is untouched.
 func normalize(work *db.DB, ins, del []db.Fact) (effIns, effDel []db.Fact, err error) {
 	type sig = [2]int
+	type whole struct {
+		id     string
+		keyLen int
+	}
 	pendingSigs := make(map[string]sig)
-	pendingIns := make(map[string]bool)
+	pendingIns := make(map[whole]bool)
 	for _, f := range ins {
 		if err := f.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("wal: invalid fact: %w", err)
@@ -837,16 +843,16 @@ func normalize(work *db.DB, ins, del []db.Fact) (effIns, effDel []db.Fact, err e
 				f.Rel, prev[0], prev[1], fs[0], fs[1])
 		}
 		pendingSigs[f.Rel] = fs
-		id := f.ID()
+		id := whole{f.ID(), f.KeyLen}
 		if work.Has(f) || pendingIns[id] {
 			continue
 		}
 		pendingIns[id] = true
 		effIns = append(effIns, f)
 	}
-	pendingDel := make(map[string]bool)
+	pendingDel := make(map[whole]bool)
 	for _, f := range del {
-		id := f.ID()
+		id := whole{f.ID(), f.KeyLen}
 		if pendingDel[id] {
 			continue
 		}

@@ -157,6 +157,44 @@ func TestStoreInsertThenDeleteSameRequest(t *testing.T) {
 	}
 }
 
+// TestStoreDeleteMatchesWholeFact: a delete matches a stored fact, and the
+// pending insert it would cancel, on the whole fact, key length included,
+// which Fact.ID leaves out. Deleting R(a, b) from a store holding R(a | b)
+// is a no-op, an insert of R(c | d) beside a delete of R(c, d) inserts,
+// and the log replays to the state it acknowledged.
+func TestStoreDeleteMatchesWholeFact(t *testing.T) {
+	opts := testOpts(t)
+	s := mustOpen(t, opts)
+	v1 := mustMutate(t, s, []db.Fact{fact("R", 1, "a", "b")}, nil)
+
+	v, applied, err := s.Mutate(nil, []db.Fact{fact("R", 2, "a", "b")}, -1)
+	if err != nil || v != v1 || applied != 0 {
+		t.Fatalf("delete of R(a, b): v=%d applied=%d err=%v, want v=%d applied=0", v, applied, err, v1)
+	}
+	v, applied, err = s.Mutate([]db.Fact{fact("R", 1, "c", "d")}, []db.Fact{fact("R", 2, "c", "d")}, -1)
+	if err != nil || v != v1+1 || applied != 1 {
+		t.Fatalf("insert R(c | d) + delete R(c, d): v=%d applied=%d err=%v, want v=%d applied=1", v, applied, err, v1+1)
+	}
+	want := db.MustParse("R(a | b) R(c | d)")
+	d, _ := s.DB()
+	if !d.Equal(want) || d.String() != want.String() || len(d.FactsOf("R")) != 2 {
+		t.Fatalf("state %q (FactsOf(R) %v), want %q", d, d.FactsOf("R"), want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2 := mustOpen(t, opts)
+	if d, v := s2.DB(); v != v1+1 || d.String() != want.String() {
+		t.Fatalf("reopened state at v%d = %q, want %q", v, d, want)
+	}
+	if v := mustMutate(t, s2, nil, []db.Fact{fact("R", 1, "a", "b")}); v != v1+2 {
+		t.Fatalf("delete of R(a | b) at v%d, want v%d", v, v1+2)
+	}
+	if d, _ := s2.DB(); d.String() != "R(c | d)\n" {
+		t.Fatalf("after deleting R(a | b): %q", d)
+	}
+}
+
 func TestStoreGroupCommit(t *testing.T) {
 	s := mustOpen(t, Options{Dir: t.TempDir(), Fsync: FsyncBatch, Registry: obs.NewRegistry()})
 	const n = 32
