@@ -339,13 +339,18 @@ func newHostedResolve(tb testing.TB, comps int) *hostedResolve {
 // recomputes its component, and its undo finds the component's old
 // outcome memoized.
 func (h *hostedResolve) write(tb testing.TB, comps int) solver.DeltaReport {
+	return h.writeIn(tb, comps, "v0_0_0")
+}
+
+// writeIn is write with the toggle inserted into block key of R1.
+func (h *hostedResolve) writeIn(tb testing.TB, comps int, key string) solver.DeltaReport {
 	next := h.d.Clone()
 	want := solver.DeltaReport{ShardsReused: comps}
 	if h.present {
 		next.Remove(h.toggle)
 	} else {
 		h.fresh++
-		h.toggle = db.Fact{Rel: "R1", KeyLen: 1, Args: []string{"v0_0_0", "toggle" + strconv.Itoa(h.fresh)}}
+		h.toggle = db.Fact{Rel: "R1", KeyLen: 1, Args: []string{key, "toggle" + strconv.Itoa(h.fresh)}}
 		if err := next.Add(h.toggle); err != nil {
 			tb.Fatal(err)
 		}
@@ -389,6 +394,75 @@ func BenchmarkHostedResolve(b *testing.B) {
 				h.resolve(b)
 			}
 		})
+	}
+}
+
+// BenchmarkHostedWrite times the write side of one hosted write on the
+// hosted C(3) instance: the store-style write (Clone plus one R1 toggle
+// insert or delete), with the re-solve that reads it outside the timer.
+func BenchmarkHostedWrite(b *testing.B) {
+	for _, comps := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("comps=%d", comps), func(b *testing.B) {
+			h := newHostedResolve(b, comps)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.write(b, comps)
+				b.StopTimer()
+				h.resolve(b)
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// TestHostedWriteScaleAllocRegression pins the write side of a hosted
+// write as flat in the database's size: on the hosted C(3) instance at
+// 1,000 and at 4,000 components, Clone plus one R1 toggle insert or delete
+// must allocate the same to within 10% in allocations and 25% in bytes, and
+// under 16 KB. A write that copies a relation's facts, block map or block
+// order, or the database's fact list, grows with the database; when writes
+// did, one allocated 1.92 MB at 1,000 components and 7.59 MB at 4,000. A
+// write still copies its block's trie path, two allocations per node, whose
+// length varies from block to block (the trie hashes with a per-process
+// seed) and grows by about a third of a node on average from 1,000 to 4,000
+// components; the toggles visit the first block of ten components so the
+// pin measures the average, not one block's depth.
+func TestHostedWriteScaleAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	measure := func(comps int) (allocs, bytes float64) {
+		h := newHostedResolve(t, comps)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 20
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			key := "v" + strconv.Itoa(i/2%10) + "_0_0"
+			runtime.ReadMemStats(&before)
+			want := h.writeIn(t, comps, key)
+			runtime.ReadMemStats(&after)
+			if rep := h.resolve(t); rep != want {
+				t.Fatalf("comps=%d: report %+v, want %+v", comps, rep, want)
+			}
+			allocs += float64(after.Mallocs - before.Mallocs)
+			bytes += float64(after.TotalAlloc - before.TotalAlloc)
+		}
+		return allocs / runs, bytes / runs
+	}
+	a1, b1 := measure(1000)
+	a4, b4 := measure(4000)
+	t.Logf("allocs/write %.0f at 1,000 components, %.0f at 4,000; B/write %.0f and %.0f", a1, a4, b1, b4)
+	if a4 > 1.1*a1 || a4 < 0.9*a1 {
+		t.Errorf("allocs/write %.0f at 4,000 components is not within 10%% of %.0f at 1,000", a4, a1)
+	}
+	if b4 > 1.25*b1 || b4 < 0.75*b1 {
+		t.Errorf("B/write %.0f at 4,000 components is not within 25%% of %.0f at 1,000", b4, b1)
+	}
+	for _, b := range []float64{b1, b4} {
+		if b >= 16<<10 {
+			t.Errorf("a write allocates %.0f B, not under 16 KB", b)
+		}
 	}
 }
 

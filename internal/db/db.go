@@ -3,7 +3,9 @@ package db
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -11,33 +13,44 @@ import (
 	"github.com/cqa-go/certainty/internal/govern"
 )
 
-// blockRef addresses one block globally: the relation holding it plus the
-// block ID within it. The database keeps blocks in global first-insertion
-// order through these references while the block contents live in the
-// per-relation structures.
-type blockRef struct {
-	rel string
-	bid string
-}
-
-// DB is an uncertain database: a finite set of facts. Facts are deduplicated
-// and kept in insertion order for deterministic iteration. The zero value is
-// not ready for use; call New.
+// DB is an uncertain database: a finite set of facts. Facts are deduplicated,
+// and every order a reader sees — facts in insertion order, blocks in
+// first-insertion order — is deterministic. The zero value is not ready for
+// use; call New.
 //
-// Storage is organized per relation (see relation.go): each relation owns
-// its facts, blocks and version, and relations are the copy-on-write unit
-// shared between a database and its clones. A mutation therefore touches
-// only the relation it changes; every other relation survives untouched.
-// Content digests are composed from the facts on demand (index.go).
+// Storage is organized per relation (see relation.go): each relation keeps
+// its blocks in a persistent trie from block ID to an immutable block, which
+// holds its facts and the sequence number each was inserted at. Clone copies
+// only the map of relations, and a write path-copies O(log n) trie nodes,
+// the block it touches and that relation's bounded change log; every other
+// relation and block stays shared. Nothing is kept in order on a write: the
+// orders are derived from the sequence numbers on the first read after a
+// mutation and memoized (order), while Parse and the append-only builders
+// (Add into a fresh database, WithBlocks, Restrict, RepairDB) fill that memo
+// as they go, so no reader of an append-only database sorts. Content
+// digests are composed from the facts on demand and memoized per relation
+// (index.go).
 //
-// Reads (including the lazily built interned view) are safe for concurrent
-// use; mutations (Add, Remove, RemoveBlock) are not and must not race with
-// reads of the same DB. Clones taken before a mutation are unaffected by it
-// and stay safe to read.
+// Reads (including the lazily derived orders, digests and interned view)
+// are safe for concurrent use; mutations (Add, Remove, RemoveBlock) are not
+// and must not race with reads of the same DB. Clones taken before a
+// mutation are unaffected by it and stay safe to read.
 type DB struct {
-	facts      []Fact     // global insertion order
-	blockOrder []blockRef // blocks in global first-insertion order
-	rels       map[string]*relation
+	rels    map[string]*relation
+	nfacts  int
+	nblocks int
+	next    uint64 // the sequence number of the next insert
+
+	// owner is this database's generation: the structures tagged with it
+	// are reachable from no other database, so a mutation changes them in
+	// place. Clone moves the original and the copy to fresh generations,
+	// which makes everything they share copy-on-write for both.
+	owner atomic.Uint64
+
+	// order memoizes the orders readers see: derived on first read after a
+	// mutation, or kept by the append-only builders. Shared by clones
+	// (immutable unless its owner matches the database's).
+	order atomic.Pointer[order]
 
 	// interned memoizes the dense-id columnar view (see interned.go).
 	// Built by Parse or on first use, dropped on mutation, shared by
@@ -45,9 +58,25 @@ type DB struct {
 	interned atomic.Pointer[Interned]
 }
 
+// order is the database's facts in insertion order and its blocks in
+// first-insertion order. A derived order is immutable (owner 0); one a
+// builder keeps carries the builder's generation, and appends of that
+// generation extend it in place.
+type order struct {
+	owner  uint64
+	facts  []Fact
+	blocks []*block
+}
+
+// owners draws database generations; 0 is never drawn, so it can mark a
+// derived order no generation extends.
+var owners atomic.Uint64
+
 // New returns an empty uncertain database.
 func New() *DB {
-	return &DB{rels: make(map[string]*relation)}
+	d := &DB{rels: make(map[string]*relation)}
+	d.owner.Store(owners.Add(1))
+	return d
 }
 
 // FromFacts returns a database containing the given facts.
@@ -89,34 +118,132 @@ func (d *DB) Add(f Fact) error {
 // signature-consistent with the database (facts coming from another DB that
 // validated them on first insert). Skipping re-validation keeps derived
 // databases (Restrict, WithoutBlock, RepairDB) off the per-fact error paths.
+//
+// The fact takes the next sequence number. A database that owns its
+// memoized order (a fresh one, or one built by appends alone) appends the
+// fact, and a new block, to it; any other drops it.
 func (d *DB) addValidated(f Fact) {
-	r, ok := d.rels[f.Rel]
-	if !ok {
-		r = newRelation([2]int{len(f.Args), f.KeyLen})
-		d.rels[f.Rel] = r
-	}
-	if _, dup := r.ids[f.ID()]; dup {
-		return
-	}
-	m := r.mutable()
-	if m != r {
-		d.rels[f.Rel] = m
-	}
+	owner := d.owner.Load()
 	bid := f.BlockID()
-	if _, known := m.blocks[bid]; !known {
-		d.blockOrder = append(d.blockOrder, blockRef{rel: f.Rel, bid: bid})
+	h := blockHash(bid)
+	r := d.rels[f.Rel]
+	var b *block
+	if r == nil {
+		r = newRelation([2]int{len(f.Args), f.KeyLen}, owner)
+		d.rels[f.Rel] = r
+	} else {
+		if b = r.root.get(h, bid); b != nil && b.has(f) {
+			return
+		}
+		if m := r.mutable(owner); m != r {
+			r = m
+			d.rels[f.Rel] = m
+		}
 	}
-	m.insert(f)
-	d.facts = append(d.facts, f)
+	o := d.order.Load()
+	if d.nfacts == 0 && (o == nil || o.owner != owner) {
+		o = &order{owner: owner} // an empty database knows its order
+		d.order.Store(o)
+	}
+	keep := o != nil && o.owner == owner
+	seq := d.next
+	d.next++
+	switch {
+	case b == nil:
+		b = newBlock(bid, h, seq, owner, f)
+		r.root = r.root.put(b, 0, owner)
+		r.blocks++
+		d.nblocks++
+		if keep {
+			o.blocks = append(o.blocks, b)
+		}
+	case b.owner == owner:
+		b.add(f, seq)
+	default:
+		b = b.mutable(owner)
+		b.add(f, seq)
+		r.root = r.root.put(b, 0, owner)
+		keep = false // the order holds the block b replaced
+	}
+	r.facts++
+	d.nfacts++
+	r.touch(bid)
+	if keep {
+		o.facts = append(o.facts, f)
+	} else {
+		d.order.Store(nil)
+	}
 	d.interned.Store(nil)
 }
 
+// orders returns the memoized orders, deriving them from the sequence
+// numbers when no order is held: the blocks sorted by the number each
+// entered the block order at, the facts by the number each was inserted
+// at. Safe for concurrent readers, like Interned.
+func (d *DB) orders() *order {
+	if o := d.order.Load(); o != nil {
+		return o
+	}
+	o := &order{blocks: make([]*block, 0, d.nblocks)}
+	for _, r := range d.rels {
+		r.root.each(func(b *block) { o.blocks = append(o.blocks, b) })
+	}
+	sortBySeq(o.blocks, func(b *block) uint64 { return b.seq })
+	type inserted struct {
+		seq uint64
+		f   *Fact
+	}
+	all := make([]inserted, 0, d.nfacts)
+	for _, b := range o.blocks {
+		for i := range b.facts {
+			all = append(all, inserted{b.seqs[i], &b.facts[i]})
+		}
+	}
+	sortBySeq(all, func(in inserted) uint64 { return in.seq })
+	if len(all) > 0 {
+		o.facts = make([]Fact, len(all))
+		for i, in := range all {
+			o.facts[i] = *in.f
+		}
+	}
+	if !d.order.CompareAndSwap(nil, o) {
+		return d.order.Load()
+	}
+	return o
+}
+
+// sortBySeq sorts xs by their distinct sequence numbers: a radix sort, a
+// byte of the numbers per pass and no pass above the largest.
+func sortBySeq[T any](xs []T, seq func(T) uint64) {
+	var top uint64
+	for _, x := range xs {
+		top = max(top, seq(x))
+	}
+	src, dst := xs, make([]T, len(xs))
+	for shift := 0; shift < 64 && top>>shift > 0; shift += 8 {
+		var at [257]int
+		for _, x := range src {
+			at[seq(x)>>shift&0xff+1]++
+		}
+		for i := 1; i < len(at); i++ {
+			at[i] += at[i-1]
+		}
+		for _, x := range src {
+			k := seq(x) >> shift & 0xff
+			dst[at[k]] = x
+			at[k]++
+		}
+		src, dst = dst, src
+	}
+	copy(xs, src)
+}
+
 // Len returns the number of facts.
-func (d *DB) Len() int { return len(d.facts) }
+func (d *DB) Len() int { return d.nfacts }
 
 // Facts returns all facts in insertion order. The slice must not be
 // modified.
-func (d *DB) Facts() []Fact { return d.facts }
+func (d *DB) Facts() []Fact { return d.orders().facts }
 
 // Has reports whether the fact is present. A fact whose [arity, key
 // length] differs from its relation's signature is absent, although
@@ -126,8 +253,9 @@ func (d *DB) Has(f Fact) bool {
 	if r == nil {
 		return false
 	}
-	_, ok := r.ids[f.ID()]
-	return ok
+	bid := f.BlockID()
+	b := r.root.get(blockHash(bid), bid)
+	return b != nil && b.has(f)
 }
 
 // relationOf returns f's relation when f has its signature, else nil.
@@ -137,6 +265,15 @@ func (d *DB) relationOf(f Fact) *relation {
 		return nil
 	}
 	return r
+}
+
+// block returns block bid of relation rel, or nil.
+func (d *DB) block(rel, bid string) *block {
+	r, ok := d.rels[rel]
+	if !ok {
+		return nil
+	}
+	return r.root.get(blockHash(bid), bid)
 }
 
 // Relations returns the relation names present, sorted.
@@ -165,61 +302,64 @@ func (d *DB) FactsOf(rel string) []Fact {
 	if !ok {
 		return make([]Fact, 0)
 	}
-	out := make([]Fact, len(r.facts))
-	copy(out, r.facts)
+	out := make([]Fact, 0, r.facts)
+	for _, f := range d.Facts() {
+		if f.Rel == rel {
+			out = append(out, f)
+		}
+	}
 	return out
 }
 
 // Block returns the block of the given fact: all facts key-equal to it
 // (including f itself if present).
 func (d *DB) Block(f Fact) []Fact {
-	r, ok := d.rels[f.Rel]
-	if !ok {
-		return make([]Fact, 0)
+	var facts []Fact
+	if b := d.block(f.Rel, f.BlockID()); b != nil {
+		facts = b.facts
 	}
-	blk := r.blocks[f.BlockID()]
-	out := make([]Fact, len(blk))
-	copy(out, blk)
-	return out
+	return append(make([]Fact, 0, len(facts)), facts...)
 }
 
 // Blocks returns all blocks in first-insertion order. Each block lists its
 // facts in insertion order.
 func (d *DB) Blocks() [][]Fact {
-	out := make([][]Fact, 0, len(d.blockOrder))
-	for _, ref := range d.blockOrder {
-		blk := d.rels[ref.rel].blocks[ref.bid]
-		cp := make([]Fact, len(blk))
-		copy(cp, blk)
-		out = append(out, cp)
+	blocks := d.orders().blocks
+	out := make([][]Fact, len(blocks))
+	for i, b := range blocks {
+		out[i] = append(make([]Fact, 0, len(b.facts)), b.facts...)
 	}
 	return out
 }
 
 // NumBlocks returns the number of blocks.
-func (d *DB) NumBlocks() int { return len(d.blockOrder) }
+func (d *DB) NumBlocks() int { return d.nblocks }
+
+// eachBlock calls yield with every block, in no particular order.
+func (d *DB) eachBlock(yield func(*block)) {
+	for _, r := range d.rels {
+		r.root.each(yield)
+	}
+}
 
 // IsConsistent reports whether every block is a singleton.
 func (d *DB) IsConsistent() bool {
-	for _, r := range d.rels {
-		for _, blk := range r.blocks {
-			if len(blk) > 1 {
-				return false
-			}
-		}
-	}
-	return true
+	consistent := true
+	d.eachBlock(func(b *block) { consistent = consistent && len(b.facts) == 1 })
+	return consistent
 }
 
 // ActiveDomain returns the sorted set of constants occurring in the
 // database.
 func (d *DB) ActiveDomain() []string {
 	seen := make(map[string]struct{})
-	for _, f := range d.facts {
-		for _, a := range f.Args {
-			seen[a] = struct{}{}
+	d.eachBlock(func(b *block) {
+		for _, f := range b.facts {
+			for _, a := range f.Args {
+				seen[a] = struct{}{}
+			}
 		}
-	}
+	})
 	out := make([]string, 0, len(seen))
 	for a := range seen {
 		out = append(out, a)
@@ -228,25 +368,20 @@ func (d *DB) ActiveDomain() []string {
 	return out
 }
 
-// Clone returns a copy of the database sharing fact values (facts are
-// immutable by convention). The copy is structural and flat: the global
-// fact and block-order slices are duplicated, while the per-relation
-// structures are shared by reference and marked copy-on-write. A later
-// mutation of either database privatizes only the relation it touches, so
-// a clone costs O(facts) for the flat slices but no re-indexing, and
-// mutating one fact after a clone costs O(touched relation), not
-// O(database).
+// Clone returns a copy of the database sharing everything but the map of
+// relations: O(relations), whatever the number of facts. Both databases
+// move to fresh generations, so every relation, trie node and block they
+// share becomes copy-on-write for both: a later write of either copies the
+// touched relation's struct and change log, the O(log n) trie nodes above
+// the block it touches and that block, and the other database never
+// observes it. The memoized order and interned view are shared as the
+// immutable snapshots they are.
 func (d *DB) Clone() *DB {
-	c := &DB{
-		facts:      append([]Fact(nil), d.facts...),
-		blockOrder: append([]blockRef(nil), d.blockOrder...),
-		rels:       make(map[string]*relation, len(d.rels)),
-	}
-	for name, r := range d.rels {
-		r.shared.Store(true)
-		c.rels[name] = r
-	}
-	c.interned.Store(d.interned.Load()) // immutable snapshot, safe to share
+	c := &DB{rels: maps.Clone(d.rels), nfacts: d.nfacts, nblocks: d.nblocks, next: d.next}
+	c.owner.Store(owners.Add(1))
+	d.owner.Store(owners.Add(1))
+	c.order.Store(d.order.Load())
+	c.interned.Store(d.interned.Load())
 	return c
 }
 
@@ -254,7 +389,7 @@ func (d *DB) Clone() *DB {
 // Facts were validated on first insertion, so the copy skips re-validation.
 func (d *DB) Restrict(keep func(Fact) bool) *DB {
 	c := New()
-	for _, f := range d.facts {
+	for _, f := range d.Facts() {
 		if keep(f) {
 			c.addValidated(f)
 		}
@@ -267,11 +402,10 @@ func (d *DB) Restrict(keep func(Fact) bool) *DB {
 // database's own: callers must not modify it, and must not hold it across a
 // mutation of d.
 func (d *DB) BlockFacts(rel, bid string) []Fact {
-	r, ok := d.rels[rel]
-	if !ok {
-		return nil
+	if b := d.block(rel, bid); b != nil {
+		return b.facts
 	}
-	return r.blocks[bid]
+	return nil
 }
 
 // WithBlocks returns the sub-database made of whole blocks of d: block
@@ -300,11 +434,8 @@ func (d *DB) WithoutBlock(f Fact) *DB {
 // (1 for the empty database, whose only repair is empty).
 func (d *DB) NumRepairs() *big.Int {
 	n := big.NewInt(1)
-	for _, r := range d.rels {
-		for _, blk := range r.blocks {
-			n.Mul(n, big.NewInt(int64(len(blk))))
-		}
-	}
+	size := new(big.Int)
+	d.eachBlock(func(b *block) { n.Mul(n, size.SetInt64(int64(len(b.facts)))) })
 	return n
 }
 
@@ -380,8 +511,8 @@ func Union(a, b *DB) (*DB, error) {
 // insertion order (blocks separated implicitly by key equality).
 func (d *DB) String() string {
 	var b strings.Builder
-	for _, ref := range d.blockOrder {
-		for _, f := range d.rels[ref.rel].blocks[ref.bid] {
+	for _, blk := range d.orders().blocks {
+		for _, f := range blk.facts {
 			b.WriteString(f.String())
 			b.WriteByte('\n')
 		}
@@ -394,12 +525,13 @@ func (d *DB) Equal(other *DB) bool {
 	if d.Len() != other.Len() {
 		return false
 	}
-	for _, f := range d.facts {
-		if !other.Has(f) {
-			return false
+	equal := true
+	d.eachBlock(func(b *block) {
+		for _, f := range b.facts {
+			equal = equal && other.Has(f)
 		}
-	}
-	return true
+	})
+	return equal
 }
 
 // RepairAt returns the repair with the given index in the mixed-radix
@@ -425,64 +557,60 @@ func (d *DB) RepairAt(index *big.Int) ([]Fact, error) {
 }
 
 // Remove deletes a fact, reporting whether it was present (as Has decides).
-// Only the fact's relation is touched: its structures are privatized if
-// shared and updated in place, while every other relation is untouched.
-// The global fact and block-order slices are compacted with one flat pass
-// each.
+// Only the fact's relation is touched: its trie is path-copied down to the
+// fact's block, which is copied without the fact, or dropped with its last
+// fact, unless the database owns them. A block that empties leaves the
+// block order; if it is filled again, it re-enters at the end.
 func (d *DB) Remove(f Fact) bool {
-	if !d.Has(f) {
+	r := d.relationOf(f)
+	if r == nil {
 		return false
 	}
-	r := d.rels[f.Rel]
-	m := r.mutable()
-	if m != r {
+	bid := f.BlockID()
+	h := blockHash(bid)
+	b := r.root.get(h, bid)
+	if b == nil {
+		return false
+	}
+	i := b.find(f)
+	if i < 0 {
+		return false
+	}
+	owner := d.owner.Load()
+	if m := r.mutable(owner); m != r {
+		r = m
 		d.rels[f.Rel] = m
 	}
-	blockEmptied := m.remove(f)
-	d.dropGlobalFact(f)
-	if blockEmptied {
-		d.dropBlockRef(blockRef{rel: f.Rel, bid: f.BlockID()})
+	switch {
+	case len(b.facts) == 1:
+		r.root = r.root.del(h, bid, 0, owner)
+		r.blocks--
+		d.nblocks--
+	case b.owner == owner:
+		b.remove(i)
+	default:
+		b = b.mutable(owner)
+		b.remove(i)
+		r.root = r.root.put(b, 0, owner)
 	}
-	if len(m.facts) == 0 {
+	r.facts--
+	d.nfacts--
+	r.touch(bid)
+	if r.facts == 0 {
 		delete(d.rels, f.Rel)
 	}
+	d.order.Store(nil)
 	d.interned.Store(nil)
 	return true
 }
 
-// dropGlobalFact removes the first (only) occurrence of f from the global
-// insertion-order slice with a flat copy.
-func (d *DB) dropGlobalFact(f Fact) {
-	for i, g := range d.facts {
-		if g.Equal(f) {
-			kept := make([]Fact, 0, len(d.facts)-1)
-			kept = append(kept, d.facts[:i]...)
-			kept = append(kept, d.facts[i+1:]...)
-			d.facts = kept
-			return
-		}
-	}
-}
-
-// dropBlockRef removes one block reference from the global block order.
-func (d *DB) dropBlockRef(ref blockRef) {
-	for i, b := range d.blockOrder {
-		if b == ref {
-			kept := make([]blockRef, 0, len(d.blockOrder)-1)
-			kept = append(kept, d.blockOrder[:i]...)
-			kept = append(kept, d.blockOrder[i+1:]...)
-			d.blockOrder = kept
-			return
-		}
-	}
-}
-
-// assignFrom moves n's content into d field-wise (the atomic view pointer
-// must not be copied), dropping d's interned view.
+// assignFrom moves n's content into d field-wise (the atomic fields must
+// not be copied), dropping d's interned view. d takes n's generation: n
+// must not be used afterwards.
 func (d *DB) assignFrom(n *DB) {
-	d.facts = n.facts
-	d.blockOrder = n.blockOrder
-	d.rels = n.rels
+	d.rels, d.nfacts, d.nblocks, d.next = n.rels, n.nfacts, n.nblocks, n.next
+	d.owner.Store(n.owner.Load())
+	d.order.Store(n.order.Load())
 	d.interned.Store(nil)
 }
 
@@ -494,13 +622,13 @@ func (d *DB) RemoveBlock(f Fact) int {
 	if r == nil {
 		return 0
 	}
-	blk := r.blocks[f.BlockID()]
-	if len(blk) == 0 {
+	bid := f.BlockID()
+	b := r.root.get(blockHash(bid), bid)
+	if b == nil {
 		return 0
 	}
-	// Copy the block's facts first: removing mutates the slice we iterate.
-	facts := make([]Fact, len(blk))
-	copy(facts, blk)
+	// Copy the block's facts first: removing may change the block in place.
+	facts := slices.Clone(b.facts)
 	for _, g := range facts {
 		d.Remove(g)
 	}

@@ -24,10 +24,12 @@ func init() {
 	obs.Default.Help("db_digest_computations_total", "Relation digest compositions over per-block digests.")
 }
 
-// The database keeps no digest: Digest, RelationDigest, DigestOf,
-// BlockDigests and BlockDigest hash the facts they cover on every call, so
-// a mutation hashes and copies nothing. Change detection uses relation
-// versions (RelationVersion, ChangedBlocks), which hash nothing either.
+// A mutation hashes nothing. A relation's digest is composed from its facts
+// on first use and memoized on the relation until a mutation touches it;
+// Digest and DigestOf compose the memoized relation digests, while
+// BlockDigests and BlockDigest hash the blocks they cover on every call.
+// Change detection uses relation versions (RelationVersion, ChangedBlocks),
+// which hash nothing either.
 // Fact-level access for evaluation goes through the interned columnar view
 // (interned.go), not through this file.
 
@@ -115,7 +117,8 @@ func hashParts(parts []string) string {
 // Digest returns a content digest of the database: two databases have equal
 // digests iff they contain the same set of facts (up to SHA-256 collision),
 // regardless of insertion order. It is composed on every call from the
-// relation digests, which are composed from the block digests.
+// memoized relation digests, so after a write it rehashes only the
+// relations the write touched.
 func (d *DB) Digest() string {
 	names := d.Relations()
 	parts := make([]string, 0, 2*len(names))
@@ -162,9 +165,10 @@ func (d *DB) BlockDigests(rel string) map[string]string {
 	if !ok {
 		return nil
 	}
-	out := make(map[string]string, len(r.blockOrder))
-	for i, dg := range r.blockDigests() {
-		out[r.blockOrder[i]] = dg
+	blks, digests := r.blockDigests()
+	out := make(map[string]string, len(blks))
+	for i, b := range blks {
+		out[b.id] = digests[i]
 	}
 	return out
 }
@@ -181,14 +185,20 @@ func (d *DB) BlockDigest(rel, bid string) string {
 }
 
 // BlockIDs returns the block IDs (Fact.BlockID) of rel in first-insertion
-// order, or nil when the relation is absent. The slice is the database's
-// own: treat it as read-only and do not hold it across a mutation of d.
+// order, or nil when the relation is absent. The slice is a new one, cut
+// from the database's memoized block order.
 func (d *DB) BlockIDs(rel string) []string {
 	r, ok := d.rels[rel]
 	if !ok {
 		return nil
 	}
-	return r.blockOrder
+	out := make([]string, 0, r.blocks)
+	for _, b := range d.orders().blocks {
+		if b.facts[0].Rel == rel {
+			out = append(out, b.id)
+		}
+	}
+	return out
 }
 
 // RelationVersion returns the version of rel's content, or 0 when the

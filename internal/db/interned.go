@@ -23,9 +23,9 @@ func init() {
 // result materialization).
 //
 // Id assignment is deterministic: relation names and arguments are interned
-// by one pass over the global fact insertion order, each fact's relation
-// name before its arguments. Snapshots preserve that order, so a
-// save→reload round-trip reproduces the exact same ids (locked by
+// by one pass over the database's fact insertion order (DB.Facts), each
+// fact's relation name before its arguments. Snapshots preserve that order,
+// so a save→reload round-trip reproduces the exact same ids (locked by
 // TestInternedSnapshotStableIDs). Digests are computed from strings and
 // never consult this view, so interning is digest-compatible by
 // construction.
@@ -218,9 +218,9 @@ func (in *Interned) Stats() intern.Stats { return in.Syms.Stats() }
 // Interned returns the dense-id columnar view of the database. A parsed
 // database has it from Parse; otherwise it is built on first use. The view
 // is an immutable snapshot: mutations drop the pointer and the next call
-// rebuilds. Clones share the view (it is immutable), so cloning stays
-// O(facts) flat copies. Safe for concurrent readers; like all DB reads it
-// must not race with mutations.
+// rebuilds. Clones share the view (it is immutable), so cloning builds
+// nothing. Safe for concurrent readers; like all DB reads it must not race
+// with mutations.
 func (d *DB) Interned() *Interned {
 	if in := d.interned.Load(); in != nil {
 		return in
@@ -238,35 +238,39 @@ func (d *DB) Interned() *Interned {
 func (d *DB) InternedIfBuilt() *Interned { return d.interned.Load() }
 
 // buildInterned constructs the columnar view of a database built by Add.
-// The first pass interns every fact in global insertion order, which fixes
-// the ids and the active domain; a relation's facts keep their relative
-// order in it, so the pass also collects each relation's rows. The second
-// pass numbers each relation's blocks in its block order, which after a
-// removal can differ from the order its facts open them, and adds the rows.
+// The first pass interns every fact in the database's fact order, which
+// fixes the ids and the active domain; a relation's facts keep their
+// relative order in it, so the pass also collects each relation's rows. The
+// second pass numbers each relation's blocks in the block order, which
+// after a removal can differ from the order its facts open them, and the
+// rows are added last.
 func (d *DB) buildInterned() *Interned {
 	internBuilds.Inc()
+	o := d.orders()
 	in := newInterned(len(d.rels))
 	rows := make(map[string][]uint32, len(d.rels))
 	for name, r := range d.rels {
-		rows[name] = make([]uint32, 0, len(r.facts)*r.sig[0])
+		rows[name] = make([]uint32, 0, r.facts*r.sig[0])
+		in.rels[name] = newIRel(r.sig, r.facts, r.blocks)
 	}
-	for _, f := range d.facts {
+	for _, f := range o.facts {
 		rows[f.Rel] = in.intern(rows[f.Rel], f.Rel, f.Args)
 	}
-	for name, r := range d.rels {
-		ir := newIRel(r.sig, len(r.facts), len(r.blockOrder))
-		key := make([]uint32, ir.KeyLen)
-		for _, bid := range r.blockOrder {
-			for p, a := range r.blocks[bid][0].KeyArgs() {
-				key[p], _ = in.Syms.Lookup(a)
-			}
-			ir.block(key)
+	var key []uint32
+	for _, b := range o.blocks {
+		f := b.facts[0]
+		key = key[:0]
+		for _, a := range f.KeyArgs() {
+			id, _ := in.Syms.Lookup(a)
+			key = append(key, id)
 		}
-		row := rows[name]
+		in.rels[f.Rel].block(key)
+	}
+	for name, row := range rows {
+		ir := in.rels[name]
 		for i := 0; i < len(row); i += ir.Arity {
 			ir.add(row[i : i+ir.Arity])
 		}
-		in.rels[name] = ir
 	}
 	in.finish()
 	return in

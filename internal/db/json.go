@@ -12,7 +12,7 @@ type dbWire struct {
 
 // MarshalJSON encodes the database as its fact list.
 func (d *DB) MarshalJSON() ([]byte, error) {
-	return json.Marshal(dbWire{Facts: d.facts})
+	return json.Marshal(dbWire{Facts: d.Facts()})
 }
 
 // UnmarshalJSON decodes a database produced by MarshalJSON, rebuilding all

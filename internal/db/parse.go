@@ -1,7 +1,9 @@
 package db
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/cqa-go/certainty/internal/cq"
@@ -21,7 +23,8 @@ import (
 // Parse builds the database once: each scanned atom goes straight into the
 // interned columns (DB.Interned), where facts are deduplicated and grouped
 // into blocks on their ids, and the string side is then cut from those
-// columns in a few allocations per relation.
+// columns in a few allocations per relation, with the database's order
+// memoized as it is read.
 //
 // Parse is hardened against adversarial input: NUL bytes are rejected up
 // front, a row is rejected as soon as it grows past MaxArity arguments,
@@ -68,75 +71,91 @@ func Parse(input string) (*DB, error) {
 	}
 	in.finish()
 	d := New()
-	if len(facts) > 0 { // an empty database keeps New's nil slices
-		d.facts, d.blockOrder = make([]Fact, len(facts)), make([]blockRef, len(blocks))
+	owner := d.owner.Load()
+	o := &order{owner: owner}
+	if len(facts) > 0 { // an empty database keeps nil slices
+		o.facts, o.blocks = make([]Fact, len(facts)), make([]*block, len(blocks))
 	}
-	rels := make([]*relation, len(names))
-	for ri, name := range names {
-		rels[ri] = relationOf(name, irs[ri], in.Syms)
-		d.rels[name] = rels[ri]
+	// Fact i and block j of the input take sequence numbers i and j. fseq
+	// and bseq list them relation by relation: relation ri's facts from
+	// fat[ri] to fat[ri+1], its blocks from bat[ri] to bat[ri+1].
+	n := len(names)
+	fseq, bseq := make([]uint64, len(facts)), make([]uint64, len(blocks))
+	fat, bat, next := make([]int, n+1), make([]int, n+1), make([]int, n)
+	for ri, ir := range irs {
+		fat[ri+1] = fat[ri] + ir.NumFacts()
+		bat[ri+1] = bat[ri] + ir.NumBlocks()
 	}
-	next := make([]int, len(names))
 	for i, ri := range facts {
-		d.facts[i] = rels[ri].facts[next[ri]]
+		fseq[fat[ri]+next[ri]] = uint64(i)
 		next[ri]++
 	}
 	clear(next)
-	for i, ri := range blocks {
-		d.blockOrder[i] = blockRef{rel: names[ri], bid: rels[ri].blockOrder[next[ri]]}
+	for j, ri := range blocks {
+		bseq[bat[ri]+next[ri]] = uint64(j)
 		next[ri]++
 	}
+	for ri, name := range names {
+		d.rels[name] = relationOf(name, irs[ri], in.Syms, owner, fseq[fat[ri]:fat[ri+1]], bseq[bat[ri]:bat[ri+1]], o)
+	}
+	d.nfacts, d.nblocks, d.next = len(facts), len(blocks), uint64(len(facts))
+	d.order.Store(o)
 	d.interned.Store(in)
 	return d, nil
 }
 
-// relationOf builds a relation's string side from its columns: the
-// arguments are cut from one []string, the Fact.ID keys from one string
-// (each BlockID is a prefix of its first fact's ID), and the blocks from one
-// []Fact laid out block by block, each with cap == len so that an append
-// copies.
-func relationOf(name string, ir *IRel, syms *intern.Table) *relation {
+// relationOf builds a relation's string side from its columns in a few
+// allocations: the arguments are cut from one []string, the block IDs
+// from one string, the facts (laid out block by block) and their sequence
+// numbers from one slice each, the blocks from one []block, and the trie
+// from two slabs. fseq and bseq give the sequence numbers of the
+// relation's facts and blocks, in its own order; each fact and block also
+// takes its place in the database's order o.
+func relationOf(name string, ir *IRel, syms *intern.Table, owner uint64, fseq, bseq []uint64, o *order) *relation {
 	n, nb, arity := ir.NumFacts(), ir.NumBlocks(), ir.Arity
-	r := &relation{
-		sig:        [2]int{arity, ir.KeyLen},
-		facts:      make([]Fact, n),
-		ids:        make(map[string]int, n),
-		blocks:     make(map[string][]Fact, nb),
-		blockOrder: make([]string, nb),
-		version:    versions.Add(1),
-	}
+	r := &relation{sig: [2]int{arity, ir.KeyLen}, owner: owner, facts: n, blocks: nb, version: versions.Add(1)}
 	args := make([]string, n*arity)
-	size := 0
-	for fi := range r.facts {
-		a := args[fi*arity : (fi+1)*arity : (fi+1)*arity]
+	for fi := 0; fi < n; fi++ {
+		a := args[fi*arity : (fi+1)*arity]
 		for p := range a {
 			a[p] = syms.MustString(ir.Cols[p][fi])
 		}
-		r.facts[fi] = Fact{Rel: name, KeyLen: ir.KeyLen, Args: a}
-		size += idLen(name, a)
+	}
+	facts, seqs := make([]Fact, n), make([]uint64, n)
+	for i, fi := range ir.ByBlock {
+		lo := int(fi) * arity
+		facts[i] = Fact{Rel: name, KeyLen: ir.KeyLen, Args: args[lo : lo+arity : lo+arity]}
+		seqs[i] = fseq[fi]
+		o.facts[seqs[i]] = facts[i]
+	}
+	size := 0
+	for b := 0; b < nb; b++ {
+		size += idLen(name, facts[ir.BlockOff[b]].KeyArgs())
 	}
 	buf := make([]byte, 0, size)
-	for _, f := range r.facts {
-		buf = appendID(buf, f.Rel, f.Args)
+	for b := 0; b < nb; b++ {
+		buf = appendID(buf, name, facts[ir.BlockOff[b]].KeyArgs())
 	}
-	keys := string(buf)
-	grouped := make([]Fact, n) // the facts in block order
-	for i, fi := range ir.ByBlock {
-		grouped[i] = r.facts[fi]
-	}
-	at := 0
-	for fi, f := range r.facts {
-		id := keys[at : at+idLen(name, f.Args)]
+	ids, at := string(buf), 0
+	blks, byHash := make([]block, nb), make([]*block, nb)
+	for b, hi := range ir.BlockOff[1:] {
+		lo := ir.BlockOff[b]
+		id := ids[at : at+idLen(name, facts[lo].KeyArgs())]
 		at += len(id)
-		r.ids[id] = fi
-		b := ir.BlockOfFact[fi]
-		lo, hi := ir.BlockOff[b], ir.BlockOff[b+1]
-		if ir.ByBlock[lo] == uint32(fi) { // the block's first fact
-			bid := id[:idLen(name, f.KeyArgs())]
-			r.blockOrder[b] = bid
-			r.blocks[bid] = grouped[lo:hi:hi]
+		blk := &blks[b]
+		*blk = block{id: id, hash: blockHash(id), seq: bseq[b], owner: owner,
+			facts: facts[lo:hi:hi], seqs: seqs[lo:hi:hi]} // clipped: an append copies
+		if hi-lo > blockScanMax {
+			blk.index = make(map[string]struct{}, hi-lo)
+			for _, f := range blk.facts {
+				blk.index[f.ID()] = struct{}{}
+			}
 		}
+		byHash[b] = blk
+		o.blocks[blk.seq] = blk
 	}
+	slices.SortFunc(byHash, func(a, b *block) int { return cmp.Compare(a.hash, b.hash) })
+	r.root = buildTrie(byHash, owner)
 	return r
 }
 

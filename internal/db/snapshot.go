@@ -24,7 +24,7 @@ const snapshotVersion = 1
 func (d *DB) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := gob.NewEncoder(bw)
-	if err := enc.Encode(snapshot{Version: snapshotVersion, Facts: d.facts}); err != nil {
+	if err := enc.Encode(snapshot{Version: snapshotVersion, Facts: d.Facts()}); err != nil {
 		return fmt.Errorf("db: snapshot encode: %w", err)
 	}
 	return bw.Flush()

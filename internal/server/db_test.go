@@ -75,6 +75,37 @@ func decodeDBGet(t *testing.T, rec *httptest.ResponseRecorder) DBGetResponse {
 	return resp
 }
 
+// TestDBGetDigestMemoized: GET /v1/db composes its digest from per-relation
+// digests memoized on the snapshot, so a repeated GET hashes nothing, a GET
+// after a write to one relation hashes that relation alone, and the digest
+// is the one a fresh parse of the served facts gives.
+func TestDBGetDigestMemoized(t *testing.T) {
+	digests := obs.Default.Counter("db_digest_computations_total")
+	s, _ := newStoreServer(t, nil)
+	mutateHosted(t, s, "POST", "R1(a | b) R1(a | c) R2(b | d) R3(d | a) U(u | v)")
+	get := func() DBGetResponse {
+		t.Helper()
+		return decodeDBGet(t, doJSON(t, s, nil, "GET", "/v1/db?facts=1", nil))
+	}
+	check := func(step string, resp DBGetResponse, want uint64, before uint64) {
+		t.Helper()
+		if got := digests.Value() - before; got != want {
+			t.Errorf("%s: GET computed %d relation digests, want %d", step, got, want)
+		}
+		if fresh := db.MustParse(resp.Facts).Digest(); resp.Digest != fresh {
+			t.Errorf("%s: digest %s, a fresh parse of the facts %s", step, resp.Digest, fresh)
+		}
+	}
+	get() // the first GET composes every relation's digest
+	before := digests.Value()
+	check("repeated GET", get(), 0, before)
+	mutateHosted(t, s, "POST", "R1(a | e)")
+	before = digests.Value()
+	check("GET after a write to R1", get(), 1, before)
+	before = digests.Value()
+	check("GET after that", get(), 0, before)
+}
+
 // TestDBEndpoints drives the full /v1/db lifecycle: empty GET, insert,
 // hosted solve carrying the version, delete, CAS conflict with the
 // current version in the error body.
