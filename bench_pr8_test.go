@@ -5,8 +5,13 @@ package certainty
 // same matrix and records it in BENCH_pr8.json next to the PR 5 baseline.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strconv"
@@ -19,6 +24,8 @@ import (
 	"github.com/cqa-go/certainty/internal/fo"
 	"github.com/cqa-go/certainty/internal/gen"
 	"github.com/cqa-go/certainty/internal/govern"
+	"github.com/cqa-go/certainty/internal/obs"
+	"github.com/cqa-go/certainty/internal/server"
 	"github.com/cqa-go/certainty/internal/solver"
 )
 
@@ -548,5 +555,118 @@ func TestParseAllocRegression(t *testing.T) {
 	}
 	if view != 0 {
 		t.Fatalf("Interned() after Parse allocates %.0f/op, want 0", view)
+	}
+}
+
+// inlineIngestCase is one solve-inline instance as the wire carries it:
+// the JSON body json.Marshal makes of its request, and its compiled plan.
+type inlineIngestCase struct {
+	name string
+	body []byte
+	plan *solver.Plan
+}
+
+// inlineIngestCases draws one instance per family of the end-to-end
+// benchmark's solve-inline mix: FO R(x | y), S(y | z) at about 250 and
+// 1,000 facts, AC(3) and C(3) cycles, and a small q0 instance.
+func inlineIngestCases(tb testing.TB) []inlineIngestCase {
+	fo := cq.MustParseQuery("R(x | y), S(y | z)")
+	insts := []struct {
+		name string
+		q    cq.Query
+		d    *db.DB
+	}{
+		{"fo250", fo, gen.RandomDB(fo, gen.Config{Embeddings: 2, Noise: 125, Domain: 100}, 1)},
+		{"fo1000", fo, gen.RandomDB(fo, gen.Config{Embeddings: 2, Noise: 500, Domain: 400}, 1)},
+		{"ac3", cq.ACk(3), gen.CycleDB(gen.CycleConfig{K: 3, Width: 2, Components: 8, EncodeAll: true})},
+		{"c3", cq.Ck(3), gen.CycleDB(gen.CycleConfig{K: 3, Width: 2, Components: 13, EncodeAll: true, SkipSk: true})},
+		{"q0", cq.Q0(), gen.Q0DB(7, 2, 4, 1)},
+	}
+	out := make([]inlineIngestCase, len(insts))
+	for i, in := range insts {
+		body, err := json.Marshal(server.SolveRequest{Query: in.q.String(), DB: in.d.String()})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p, err := solver.CompilePlan(in.q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = inlineIngestCase{in.name, body, p}
+	}
+	return out
+}
+
+// BenchmarkInlineIngest times what certd does with a solve-inline body
+// besides parsing the query and planning: the wire-body decode, db.Parse
+// and Plan.SolveCtx.
+func BenchmarkInlineIngest(b *testing.B) {
+	w := httptest.NewRecorder()
+	for _, c := range inlineIngestCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := &http.Request{Body: io.NopCloser(bytes.NewReader(c.body)), ContentLength: int64(len(c.body))}
+				req, err := server.DecodeSolveRequest(w, r, 8<<20)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d, err := db.Parse(req.DB)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.plan.SolveCtx(context.Background(), d, solver.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestInlineSolveAllocRegression pins what an inline FO solve allocates
+// after its query is planned: db.Parse plus Plan.SolveCtx on the
+// 251-fact text of TestParseAllocRegression, under 85 KB per solve, with
+// no string side built. Parse builds only the interned columns, and the
+// compiled FO program reads nothing else; when Parse also cut the string
+// side (tries, blocks, Fact values, orders) from them, a solve allocated
+// 132 KB.
+func TestInlineSolveAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	q := cq.MustParseQuery("R(x | y), S(y | z)")
+	text := gen.RandomDB(q, gen.Config{Embeddings: 2, Noise: 125, Domain: 100}, 1).String()
+	p, err := solver.CompilePlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func() {
+		d, err := db.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.SolveCtx(context.Background(), d, solver.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // warm the pools
+	builds := obs.Default.Counter("db_string_builds_total")
+	before := builds.Value()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
+	t.Logf("Parse + Plan.SolveCtx: %.0f B and %.0f allocations per solve", bytes, allocs)
+	if bytes >= 85<<10 {
+		t.Errorf("an inline FO solve allocates %.0f B, not under 85 KB", bytes)
+	}
+	if got := builds.Value() - before; got != 0 {
+		t.Errorf("inline FO solves built %d string sides, want none", got)
 	}
 }

@@ -27,7 +27,9 @@ import (
 // orders are derived from the sequence numbers on the first read after a
 // mutation and memoized (order), while Parse and the append-only builders
 // (Add into a fresh database, WithBlocks, Restrict, RepairDB) fill that memo
-// as they go, so no reader of an append-only database sorts. Content
+// as they go, so no reader of an append-only database sorts. Parse builds
+// none of this: it keeps the interned columns, and the first call that
+// reads the string side cuts it from them (columns, parse.go). Content
 // digests are composed from the facts on demand and memoized per relation
 // (index.go).
 //
@@ -36,7 +38,12 @@ import (
 // and must not race with reads of the same DB. Clones taken before a
 // mutation are unaffected by it and stay safe to read.
 type DB struct {
-	rels    map[string]*relation
+	rels map[string]*relation // nil while cols is set: read through relations
+	// cols is set on a database Parse made until a mutation: its string
+	// side is then built from the columns on first read (relations,
+	// orders), and the cheap reads (Relations, Signature, RelationVersion)
+	// answer from the columns without building it.
+	cols    *columns
 	nfacts  int
 	nblocks int
 	next    uint64 // the sequence number of the next insert
@@ -105,6 +112,7 @@ func (d *DB) Add(f Fact) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
+	d.own()
 	sig := [2]int{len(f.Args), f.KeyLen}
 	if r, ok := d.rels[f.Rel]; ok && r.sig != sig {
 		return fmt.Errorf("db: relation %s used with signatures [%d,%d] and [%d,%d]",
@@ -123,6 +131,7 @@ func (d *DB) Add(f Fact) error {
 // memoized order (a fresh one, or one built by appends alone) appends the
 // fact, and a new block, to it; any other drops it.
 func (d *DB) addValidated(f Fact) {
+	d.own()
 	owner := d.owner.Load()
 	bid := f.BlockID()
 	h := blockHash(bid)
@@ -176,13 +185,37 @@ func (d *DB) addValidated(f Fact) {
 	d.interned.Store(nil)
 }
 
-// orders returns the memoized orders, deriving them from the sequence
-// numbers when no order is held: the blocks sorted by the number each
-// entered the block order at, the facts by the number each was inserted
-// at. Safe for concurrent readers, like Interned.
+// relations returns the database's relations, building a parsed
+// database's string side on the first call. Safe for concurrent readers.
+func (d *DB) relations() map[string]*relation {
+	if c := d.cols; c != nil {
+		return c.built(d).rels
+	}
+	return d.rels
+}
+
+// own readies the database for a mutation: a parsed database takes its
+// string side, and the order built with it, as its own.
+func (d *DB) own() {
+	if c := d.cols; c != nil {
+		side := c.built(d)
+		d.rels, d.cols = side.rels, nil
+		d.order.CompareAndSwap(nil, side.order)
+	}
+}
+
+// orders returns the memoized orders: a parsed database's are built with
+// its string side, and any other database derives them from the sequence
+// numbers when it holds none, the blocks sorted by the number each entered
+// the block order at, the facts by the number each was inserted at. Safe
+// for concurrent readers, like Interned.
 func (d *DB) orders() *order {
 	if o := d.order.Load(); o != nil {
 		return o
+	}
+	if c := d.cols; c != nil {
+		d.order.CompareAndSwap(nil, c.built(d).order)
+		return d.order.Load()
 	}
 	o := &order{blocks: make([]*block, 0, d.nblocks)}
 	for _, r := range d.rels {
@@ -260,7 +293,7 @@ func (d *DB) Has(f Fact) bool {
 
 // relationOf returns f's relation when f has its signature, else nil.
 func (d *DB) relationOf(f Fact) *relation {
-	r, ok := d.rels[f.Rel]
+	r, ok := d.relations()[f.Rel]
 	if !ok || r.sig != [2]int{len(f.Args), f.KeyLen} {
 		return nil
 	}
@@ -269,7 +302,7 @@ func (d *DB) relationOf(f Fact) *relation {
 
 // block returns block bid of relation rel, or nil.
 func (d *DB) block(rel, bid string) *block {
-	r, ok := d.rels[rel]
+	r, ok := d.relations()[rel]
 	if !ok {
 		return nil
 	}
@@ -278,9 +311,14 @@ func (d *DB) block(rel, bid string) *block {
 
 // Relations returns the relation names present, sorted.
 func (d *DB) Relations() []string {
-	out := make([]string, 0, len(d.rels))
-	for r := range d.rels {
-		out = append(out, r)
+	var out []string
+	if c := d.cols; c != nil {
+		out = append(make([]string, 0, len(c.names)), c.names...)
+	} else {
+		out = make([]string, 0, len(d.rels))
+		for r := range d.rels {
+			out = append(out, r)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -289,6 +327,13 @@ func (d *DB) Relations() []string {
 // Signature returns the [arity, keyLen] signature of a relation present in
 // the database.
 func (d *DB) Signature(rel string) (arity, keyLen int, ok bool) {
+	if c := d.cols; c != nil {
+		ri, ok := c.ords[rel]
+		if !ok {
+			return 0, 0, false
+		}
+		return c.irs[ri].Arity, c.irs[ri].KeyLen, true
+	}
 	r, ok := d.rels[rel]
 	if !ok {
 		return 0, 0, false
@@ -298,7 +343,7 @@ func (d *DB) Signature(rel string) (arity, keyLen int, ok bool) {
 
 // FactsOf returns the facts of the given relation in insertion order.
 func (d *DB) FactsOf(rel string) []Fact {
-	r, ok := d.rels[rel]
+	r, ok := d.relations()[rel]
 	if !ok {
 		return make([]Fact, 0)
 	}
@@ -337,7 +382,7 @@ func (d *DB) NumBlocks() int { return d.nblocks }
 
 // eachBlock calls yield with every block, in no particular order.
 func (d *DB) eachBlock(yield func(*block)) {
-	for _, r := range d.rels {
+	for _, r := range d.relations() {
 		r.root.each(yield)
 	}
 }
@@ -375,9 +420,14 @@ func (d *DB) ActiveDomain() []string {
 // touched relation's struct and change log, the O(log n) trie nodes above
 // the block it touches and that block, and the other database never
 // observes it. The memoized order and interned view are shared as the
-// immutable snapshots they are.
+// immutable snapshots they are. A parsed database builds its string side
+// first, under its generation before the clone, so both share it.
 func (d *DB) Clone() *DB {
-	c := &DB{rels: maps.Clone(d.rels), nfacts: d.nfacts, nblocks: d.nblocks, next: d.next}
+	rels := d.relations()
+	if d.cols != nil {
+		d.orders() // publish the order built with the string side
+	}
+	c := &DB{rels: maps.Clone(rels), nfacts: d.nfacts, nblocks: d.nblocks, next: d.next}
 	c.owner.Store(owners.Add(1))
 	d.owner.Store(owners.Add(1))
 	c.order.Store(d.order.Load())
@@ -562,6 +612,7 @@ func (d *DB) RepairAt(index *big.Int) ([]Fact, error) {
 // fact, unless the database owns them. A block that empties leaves the
 // block order; if it is filled again, it re-enters at the end.
 func (d *DB) Remove(f Fact) bool {
+	d.own()
 	r := d.relationOf(f)
 	if r == nil {
 		return false
@@ -608,7 +659,8 @@ func (d *DB) Remove(f Fact) bool {
 // not be copied), dropping d's interned view. d takes n's generation: n
 // must not be used afterwards.
 func (d *DB) assignFrom(n *DB) {
-	d.rels, d.nfacts, d.nblocks, d.next = n.rels, n.nfacts, n.nblocks, n.next
+	n.own()
+	d.rels, d.cols, d.nfacts, d.nblocks, d.next = n.rels, nil, n.nfacts, n.nblocks, n.next
 	d.owner.Store(n.owner.Load())
 	d.order.Store(n.order.Load())
 	d.interned.Store(nil)
@@ -618,6 +670,7 @@ func (d *DB) assignFrom(n *DB) {
 // removed; a fact without its relation's signature names no block. Like
 // Remove, only the fact's relation is touched.
 func (d *DB) RemoveBlock(f Fact) int {
+	d.own()
 	r := d.relationOf(f)
 	if r == nil {
 		return 0

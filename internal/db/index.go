@@ -120,10 +120,10 @@ func hashParts(parts []string) string {
 // memoized relation digests, so after a write it rehashes only the
 // relations the write touched.
 func (d *DB) Digest() string {
-	names := d.Relations()
+	names, rels := d.Relations(), d.relations()
 	parts := make([]string, 0, 2*len(names))
 	for _, name := range names {
-		parts = append(parts, name, d.rels[name].digestOf())
+		parts = append(parts, name, rels[name].digestOf())
 	}
 	return hashParts(parts)
 }
@@ -132,7 +132,7 @@ func (d *DB) Digest() string {
 // when the relation is absent. Two databases whose relation digests for rel
 // coincide contain the same facts for rel.
 func (d *DB) RelationDigest(rel string) string {
-	r, ok := d.rels[rel]
+	r, ok := d.relations()[rel]
 	if !ok {
 		return ""
 	}
@@ -161,7 +161,7 @@ func (d *DB) DigestOf(rels []string) string {
 // digests iff they hold the same fact set (up to SHA-256 collision),
 // regardless of insertion order. The map is built on every call.
 func (d *DB) BlockDigests(rel string) map[string]string {
-	r, ok := d.rels[rel]
+	r, ok := d.relations()[rel]
 	if !ok {
 		return nil
 	}
@@ -188,7 +188,7 @@ func (d *DB) BlockDigest(rel, bid string) string {
 // order, or nil when the relation is absent. The slice is a new one, cut
 // from the database's memoized block order.
 func (d *DB) BlockIDs(rel string) []string {
-	r, ok := d.rels[rel]
+	r, ok := d.relations()[rel]
 	if !ok {
 		return nil
 	}
@@ -207,6 +207,12 @@ func (d *DB) BlockIDs(rel string) []string {
 // counter, so two databases whose rel has one version hold the same facts
 // for it. The server's hosted verdict cache keys on these versions.
 func (d *DB) RelationVersion(rel string) uint64 {
+	if c := d.cols; c != nil {
+		if ri, ok := c.ords[rel]; ok {
+			return c.versions[ri]
+		}
+		return 0
+	}
 	r, ok := d.rels[rel]
 	if !ok {
 		return 0
@@ -224,7 +230,7 @@ func (d *DB) RelationVersion(rel string) uint64 {
 // shared with d: treat it as read-only and do not hold it across a
 // mutation of d.
 func (d *DB) ChangedBlocks(rel string, since uint64) (bids []string, ok bool) {
-	r, present := d.rels[rel]
+	r, present := d.relations()[rel]
 	if !present {
 		return nil, false
 	}

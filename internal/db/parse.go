@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/intern"
@@ -20,11 +21,12 @@ import (
 // Bare identifiers and numbers denote constants; quoted strings are also
 // constants. Variables are not allowed in database files.
 //
-// Parse builds the database once: each scanned atom goes straight into the
-// interned columns (DB.Interned), where facts are deduplicated and grouped
-// into blocks on their ids, and the string side is then cut from those
-// columns in a few allocations per relation, with the database's order
-// memoized as it is read.
+// Parse builds only the interned columns (DB.Interned): each scanned atom
+// goes straight into them, where facts are deduplicated and grouped into
+// blocks on their ids, and every relation draws its version. The string
+// side (each relation's trie of blocks, its Fact values and the memoized
+// orders) is cut from the columns by the first call that reads it, so a
+// solve that runs on the columns alone never builds it.
 //
 // Parse is hardened against adversarial input: NUL bytes are rejected up
 // front, a row is rejected as soon as it grows past MaxArity arguments,
@@ -70,50 +72,95 @@ func Parse(input string) (*DB, error) {
 		return nil, err
 	}
 	in.finish()
-	d := New()
-	owner := d.owner.Load()
-	o := &order{owner: owner}
-	if len(facts) > 0 { // an empty database keeps nil slices
-		o.facts, o.blocks = make([]Fact, len(facts)), make([]*block, len(blocks))
+	vs := make([]uint64, len(names))
+	for ri := range vs {
+		vs[ri] = versions.Add(1)
 	}
-	// Fact i and block j of the input take sequence numbers i and j. fseq
-	// and bseq list them relation by relation: relation ri's facts from
-	// fat[ri] to fat[ri+1], its blocks from bat[ri] to bat[ri+1].
-	n := len(names)
-	fseq, bseq := make([]uint64, len(facts)), make([]uint64, len(blocks))
-	fat, bat, next := make([]int, n+1), make([]int, n+1), make([]int, n)
-	for ri, ir := range irs {
-		fat[ri+1] = fat[ri] + ir.NumFacts()
-		bat[ri+1] = bat[ri] + ir.NumBlocks()
-	}
-	for i, ri := range facts {
-		fseq[fat[ri]+next[ri]] = uint64(i)
-		next[ri]++
-	}
-	clear(next)
-	for j, ri := range blocks {
-		bseq[bat[ri]+next[ri]] = uint64(j)
-		next[ri]++
-	}
-	for ri, name := range names {
-		d.rels[name] = relationOf(name, irs[ri], in.Syms, owner, fseq[fat[ri]:fat[ri+1]], bseq[bat[ri]:bat[ri+1]], o)
-	}
-	d.nfacts, d.nblocks, d.next = len(facts), len(blocks), uint64(len(facts))
-	d.order.Store(o)
+	d := &DB{nfacts: len(facts), nblocks: len(blocks), next: uint64(len(facts)),
+		cols: &columns{syms: in.Syms, ords: ords, names: names, irs: irs, versions: vs, facts: facts, blocks: blocks}}
+	d.owner.Store(owners.Add(1))
 	d.interned.Store(in)
 	return d, nil
 }
 
-// relationOf builds a relation's string side from its columns in a few
-// allocations: the arguments are cut from one []string, the block IDs
-// from one string, the facts (laid out block by block) and their sequence
-// numbers from one slice each, the blocks from one []block, and the trie
-// from two slabs. fseq and bseq give the sequence numbers of the
-// relation's facts and blocks, in its own order; each fact and block also
-// takes its place in the database's order o.
-func relationOf(name string, ir *IRel, syms *intern.Table, owner uint64, fseq, bseq []uint64, o *order) *relation {
+// columns is what Parse keeps of a database to cut its string side from
+// the interned columns on first read: the relations in order of
+// appearance with their versions, and the relation ordinal of each fact
+// and of each block in insertion order.
+type columns struct {
+	syms     *intern.Table
+	ords     map[string]int // relation → ordinal
+	names    []string
+	irs      []*IRel
+	versions []uint64
+	// The k-th entry naming a relation is its fact k, or its block k.
+	facts, blocks []uint32
+
+	once sync.Once
+	side *stringSide // set once, by the first reader
+}
+
+// stringSide is a parsed database's string side: its relations and their
+// orders, built together.
+type stringSide struct {
+	rels  map[string]*relation
+	order *order
+}
+
+// built returns d's string side, building it on the first call; later and
+// concurrent callers wait for that one build and share it. The structures
+// take d's generation at the build.
+func (c *columns) built(d *DB) *stringSide {
+	c.once.Do(func() {
+		stringBuilds.Inc()
+		c.side = c.build(d.owner.Load())
+	})
+	return c.side
+}
+
+// build cuts the string side from the columns: fact i and block j of the
+// input take sequence numbers i and j, relation by relation.
+func (c *columns) build(owner uint64) *stringSide {
+	o := &order{owner: owner}
+	if len(c.facts) > 0 { // an empty database keeps nil slices
+		o.facts, o.blocks = make([]Fact, len(c.facts)), make([]*block, len(c.blocks))
+	}
+	// fseq and bseq list the sequence numbers relation by relation:
+	// relation ri's facts from fat[ri] to fat[ri+1], its blocks from
+	// bat[ri] to bat[ri+1].
+	n := len(c.names)
+	fseq, bseq := make([]uint64, len(c.facts)), make([]uint64, len(c.blocks))
+	fat, bat, next := make([]int, n+1), make([]int, n+1), make([]int, n)
+	for ri, ir := range c.irs {
+		fat[ri+1] = fat[ri] + ir.NumFacts()
+		bat[ri+1] = bat[ri] + ir.NumBlocks()
+	}
+	for i, ri := range c.facts {
+		fseq[fat[ri]+next[ri]] = uint64(i)
+		next[ri]++
+	}
+	clear(next)
+	for j, ri := range c.blocks {
+		bseq[bat[ri]+next[ri]] = uint64(j)
+		next[ri]++
+	}
+	rels := make(map[string]*relation, n)
+	for ri, name := range c.names {
+		rels[name] = relationOf(name, c.irs[ri], c.syms, owner, c.versions[ri], fseq[fat[ri]:fat[ri+1]], bseq[bat[ri]:bat[ri+1]], o)
+	}
+	return &stringSide{rels: rels, order: o}
+}
+
+// relationOf builds a relation's string side, at the given version, from
+// its columns in a few allocations: the arguments are cut from one
+// []string, the block IDs from one string, the facts (laid out block by
+// block) and their sequence numbers from one slice each, the blocks from
+// one []block, and the trie from two slabs. fseq and bseq give the
+// sequence numbers of the relation's facts and blocks, in its own order;
+// each fact and block also takes its place in the database's order o.
+func relationOf(name string, ir *IRel, syms *intern.Table, owner, version uint64, fseq, bseq []uint64, o *order) *relation {
 	n, nb, arity := ir.NumFacts(), ir.NumBlocks(), ir.Arity
-	r := &relation{sig: [2]int{arity, ir.KeyLen}, owner: owner, facts: n, blocks: nb, version: versions.Add(1)}
+	r := &relation{sig: [2]int{arity, ir.KeyLen}, owner: owner, facts: n, blocks: nb, version: version}
 	args := make([]string, n*arity)
 	for fi := 0; fi < n; fi++ {
 		a := args[fi*arity : (fi+1)*arity]

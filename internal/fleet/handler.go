@@ -109,9 +109,8 @@ func (c *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w, r) {
 		return
 	}
-	var req server.SolveRequest
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := server.DecodeSolveRequest(w, r, c.cfg.MaxBodyBytes)
+	if err != nil {
 		writeError(w, &server.ErrorBody{Code: server.CodeMalformed, Message: "body: " + err.Error()})
 		return
 	}

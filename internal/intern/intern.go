@@ -12,9 +12,10 @@
 // lifetime of the table.
 //
 // A Table is single-writer: interning must happen from one goroutine (the
-// database build path). After the last Intern call the table is effectively
-// immutable and every read accessor (Lookup, StringOf, Len, Bytes, Stats)
-// is safe for unlimited concurrent use; the hit/miss telemetry is atomic.
+// database build path), and it counts its own hits and misses in plain
+// fields. After the last Intern call the table is effectively immutable and
+// every read accessor (Lookup, StringOf, Len, Bytes, Stats) is safe for
+// unlimited concurrent use; Lookup's hit/miss telemetry is atomic.
 package intern
 
 import (
@@ -31,19 +32,7 @@ const None = ^uint32(0)
 // assigned id strictly below None.
 const MaxSymbols = math.MaxUint32
 
-// Process-wide telemetry, aggregated across every table. The db package
-// rebuilds a table per interned snapshot, so these are cumulative counters
-// (suitable for rate queries), not a live census of retained tables.
-var (
-	globalTables  atomic.Int64
-	globalSymbols atomic.Int64
-	globalBytes   atomic.Int64
-	globalHits    atomic.Int64
-	globalMisses  atomic.Int64
-)
-
-// Stats is a point-in-time view of one table (or of the process aggregate,
-// from GlobalStats).
+// Stats is a point-in-time view of one table.
 type Stats struct {
 	// Tables is the number of tables built (1 for a single table's stats).
 	Tables int64 `json:"tables"`
@@ -69,18 +58,6 @@ func (s Stats) ratio() Stats {
 	return s
 }
 
-// GlobalStats reports the process-wide aggregate across all tables ever
-// built: cumulative symbols, bytes, and hit/miss counts.
-func GlobalStats() Stats {
-	return Stats{
-		Tables:     globalTables.Load(),
-		Symbols:    globalSymbols.Load(),
-		TableBytes: globalBytes.Load(),
-		Hits:       globalHits.Load(),
-		Misses:     globalMisses.Load(),
-	}.ratio()
-}
-
 // perSymbolOverhead approximates the bookkeeping bytes per symbol beyond
 // the string payload: the slice header in strs plus a map entry (key header,
 // value, bucket share).
@@ -93,13 +70,16 @@ type Table struct {
 	ids   map[string]uint32
 	bytes int64
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	// internHits counts Intern calls that found their symbol; Intern's
+	// misses are the symbols, len(strs). Lookup, which may run
+	// concurrently, counts into the atomic lookup counters.
+	internHits   int64
+	lookupHits   atomic.Int64
+	lookupMisses atomic.Int64
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	globalTables.Add(1)
 	return &Table{ids: make(map[string]uint32)}
 }
 
@@ -107,8 +87,7 @@ func NewTable() *Table {
 // Single-writer: must not race with other Intern calls.
 func (t *Table) Intern(s string) uint32 {
 	if id, ok := t.ids[s]; ok {
-		t.hits.Add(1)
-		globalHits.Add(1)
+		t.internHits++
 		return id
 	}
 	if len(t.strs) >= MaxSymbols {
@@ -118,10 +97,6 @@ func (t *Table) Intern(s string) uint32 {
 	t.strs = append(t.strs, s)
 	t.ids[s] = id
 	t.bytes += int64(len(s)) + perSymbolOverhead
-	t.misses.Add(1)
-	globalMisses.Add(1)
-	globalSymbols.Add(1)
-	globalBytes.Add(int64(len(s)) + perSymbolOverhead)
 	return id
 }
 
@@ -130,12 +105,10 @@ func (t *Table) Intern(s string) uint32 {
 func (t *Table) Lookup(s string) (uint32, bool) {
 	id, ok := t.ids[s]
 	if ok {
-		t.hits.Add(1)
-		globalHits.Add(1)
+		t.lookupHits.Add(1)
 		return id, true
 	}
-	t.misses.Add(1)
-	globalMisses.Add(1)
+	t.lookupMisses.Add(1)
 	return None, false
 }
 
@@ -169,7 +142,7 @@ func (t *Table) Stats() Stats {
 		Tables:     1,
 		Symbols:    int64(len(t.strs)),
 		TableBytes: t.bytes,
-		Hits:       t.hits.Load(),
-		Misses:     t.misses.Load(),
+		Hits:       t.internHits + t.lookupHits.Load(),
+		Misses:     int64(len(t.strs)) + t.lookupMisses.Load(),
 	}.ratio()
 }

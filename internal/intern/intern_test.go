@@ -91,27 +91,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestGlobalStatsAccumulate(t *testing.T) {
-	before := GlobalStats()
-	tb := NewTable()
-	tb.Intern("fresh-symbol-for-global-stats")
-	tb.Intern("fresh-symbol-for-global-stats")
-	after := GlobalStats()
-	if after.Tables != before.Tables+1 {
-		t.Fatalf("Tables went %d → %d, want +1", before.Tables, after.Tables)
-	}
-	if after.Symbols != before.Symbols+1 {
-		t.Fatalf("Symbols went %d → %d, want +1", before.Symbols, after.Symbols)
-	}
-	if after.Hits != before.Hits+1 || after.Misses != before.Misses+1 {
-		t.Fatalf("Hits/Misses went %d/%d → %d/%d, want +1/+1",
-			before.Hits, before.Misses, after.Hits, after.Misses)
-	}
-	if after.TableBytes <= before.TableBytes {
-		t.Fatalf("TableBytes went %d → %d, want growth", before.TableBytes, after.TableBytes)
-	}
-}
-
 func TestConcurrentReadsAfterBuild(t *testing.T) {
 	tb := NewTable()
 	const n = 256

@@ -98,6 +98,22 @@ func conclusive(r BatchItemResult) bool {
 	return r.Verdict != nil && (r.Verdict.Outcome == solver.OutcomeCertain || r.Verdict.Outcome == solver.OutcomeNotCertain)
 }
 
+// fuzzServers returns the servers a fuzz target drives: a stateless one,
+// and one hosting a small database on a store in a temporary directory.
+func fuzzServers(f *testing.F) []*Server {
+	st, err := wal.Open(wal.Options{Dir: f.TempDir(), Fsync: wal.FsyncNever, Registry: obs.NewRegistry()})
+	if err != nil {
+		f.Fatalf("wal.Open: %v", err)
+	}
+	f.Cleanup(func() { st.Close() })
+	cfg := fuzzServerConfig()
+	cfg.Store = st
+	if _, _, err := st.Mutate(db.MustParse("R(a | b) R(a | b2) S(b | c) U(k | w) R0(x1 | A) S0(A, z1 | x1)").Facts(), nil, -1); err != nil {
+		f.Fatalf("seed the hosted database: %v", err)
+	}
+	return []*Server{New(fuzzServerConfig()), New(cfg)}
+}
+
 // FuzzServerBatch drives POST /v1/solve/batch through httptest on a
 // stateless and a hosted server with fuzzed query text, database text,
 // shards, stream and budget. The batch carries an item with its own query
@@ -115,20 +131,7 @@ func FuzzServerBatch(f *testing.F) {
 	f.Add("R(x | y), R(y | z)", "R(a | b) R(b | c)", 0, false, int64(1<<20))
 	f.Add("R(x", "R(a | b", 3, true, int64(0))
 
-	open := func(dir string) *Server {
-		st, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNever, Registry: obs.NewRegistry()})
-		if err != nil {
-			f.Fatalf("wal.Open: %v", err)
-		}
-		f.Cleanup(func() { st.Close() })
-		cfg := fuzzServerConfig()
-		cfg.Store = st
-		if _, _, err := st.Mutate(db.MustParse("R(a | b) R(a | b2) S(b | c) U(k | w) R0(x1 | A) S0(A, z1 | x1)").Facts(), nil, -1); err != nil {
-			f.Fatalf("seed the hosted database: %v", err)
-		}
-		return New(cfg)
-	}
-	servers := []*Server{New(fuzzServerConfig()), open(f.TempDir())}
+	servers := fuzzServers(f)
 
 	f.Fuzz(func(t *testing.T, query, dbText string, shards int, stream bool, budget int64) {
 		if len(query) > 160 || len(dbText) > 2048 {

@@ -97,6 +97,7 @@ type FaultFS struct {
 	onCreate func(name string) error
 	onRename func(oldname, newname string) error
 	onRemove func(name string) error
+	onDir    func(dir string) error
 }
 
 // NewFaultFS wraps base (defaulting to OSFS) with no faults armed.
@@ -142,6 +143,13 @@ func (f *FaultFS) SetRemoveFault(fn func(name string) error) {
 	f.mu.Unlock()
 }
 
+// SetSyncDirFault arms (or with nil, disarms) the directory-fsync hook.
+func (f *FaultFS) SetSyncDirFault(fn func(dir string) error) {
+	f.mu.Lock()
+	f.onDir = fn
+	f.mu.Unlock()
+}
+
 func (f *FaultFS) Create(name string) (File, error) {
 	f.mu.Lock()
 	hook := f.onCreate
@@ -162,7 +170,18 @@ func (f *FaultFS) Open(name string) (File, error)         { return f.Base.Open(n
 func (f *FaultFS) ReadDir(dir string) ([]string, error)   { return f.Base.ReadDir(dir) }
 func (f *FaultFS) MkdirAll(dir string) error              { return f.Base.MkdirAll(dir) }
 func (f *FaultFS) Truncate(name string, size int64) error { return f.Base.Truncate(name, size) }
-func (f *FaultFS) SyncDir(dir string) error               { return f.Base.SyncDir(dir) }
+
+func (f *FaultFS) SyncDir(dir string) error {
+	f.mu.Lock()
+	hook := f.onDir
+	f.mu.Unlock()
+	if hook != nil {
+		if err := hook(dir); err != nil {
+			return err
+		}
+	}
+	return f.Base.SyncDir(dir)
+}
 
 func (f *FaultFS) Rename(oldname, newname string) error {
 	f.mu.Lock()

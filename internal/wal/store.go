@@ -119,8 +119,10 @@ const (
 // mutations are serialized, written to the WAL, made durable per the fsync
 // mode, and only then published; reads always see a fully committed,
 // immutable snapshot. Reads (DB, Version, ReadOnly) take no lock: a commit
-// holds the store's lock across its append, fsync, apply and any
-// checkpoint, and readers must not wait for it. Safe for concurrent use.
+// holds the store's lock across its append, fsync, apply and a due
+// checkpoint's segment rotation, and readers must not wait for it. The
+// checkpoint itself (encode, write, fsync, rename, compaction) runs on a
+// goroutine of the store's, off the commit path. Safe for concurrent use.
 type Store struct {
 	opts Options
 	fs   FS
@@ -143,6 +145,9 @@ type Store struct {
 	closed    bool
 	degraded  error     // non-nil cause while read-only
 	probeAt   time.Time // earliest next probe while degraded
+	// ckpt is closed when the background checkpoint last started ends; nil
+	// when none was started since the last wait. At most one is in flight.
+	ckpt chan struct{}
 
 	qmu        sync.Mutex
 	queue      []*mutateReq
@@ -341,10 +346,10 @@ func (s *Store) recover() error {
 	// snapshot existed yet (first boot, possibly seeded): the next restart
 	// then starts from the snapshot instead of re-replaying.
 	if s.degraded == nil && (replayed > 0 || !haveSnap) {
-		if err := s.writeSnapshotLocked("recovery"); err != nil {
+		if err := s.writeSnapshot(s.pub.Load(), "recovery"); err != nil {
 			s.degradeLocked("snapshot", err)
 		} else {
-			s.compactLocked()
+			s.compact(s.log.seq, version)
 		}
 	}
 	if replayed > 0 || truncations > 0 || !haveSnap {
@@ -475,11 +480,11 @@ func (s *Store) publishLocked(d *db.DB, v uint64) {
 	s.mVersion.Set(int64(v))
 }
 
-// writeSnapshotLocked durably checkpoints the current state: a temp file
+// writeSnapshot durably checkpoints the published state cur: a temp file
 // with one checksummed record, fsynced, renamed into place, directory
-// fsynced. Caller holds s.mu.
-func (s *Store) writeSnapshotLocked(cause string) error {
-	cur := s.pub.Load()
+// fsynced. It takes no lock (cur is immutable), and the caller makes sure
+// no other snapshot is written meanwhile.
+func (s *Store) writeSnapshot(cur *published, cause string) error {
 	var body bytes.Buffer
 	body.WriteByte(kindSnapshot)
 	var vbuf [8]byte
@@ -513,29 +518,25 @@ func (s *Store) writeSnapshotLocked(cause string) error {
 	if err := s.fs.SyncDir(s.opts.Dir); err != nil {
 		return fmt.Errorf("sync dir after snapshot: %w", err)
 	}
-	s.sinceSnap = 0
 	s.reg.Counter(metricSnapshots, obs.L{K: "cause", V: cause}).Inc()
 	return nil
 }
 
-// compactLocked removes segments and snapshots made redundant by the
-// newest durable snapshot. Best effort: a failure leaves extra files, not
-// incorrect state. Caller holds s.mu.
-func (s *Store) compactLocked() {
+// compact removes what a durable snapshot at version made redundant: the
+// segments before seg, which hold no record past version, and the older
+// snapshots. Best effort: a failure leaves extra files, not incorrect
+// state. It takes no lock; the caller makes sure no snapshot is written
+// meanwhile.
+func (s *Store) compact(seg, version uint64) {
 	segs, snaps, err := listSegments(s.fs, s.opts.Dir)
 	if err != nil {
 		return
 	}
-	curSeg := uint64(0)
-	if s.log != nil {
-		curSeg = s.log.seq
-	}
 	for _, seq := range segs {
-		if seq < curSeg {
+		if seq < seg {
 			_ = s.fs.Remove(s.path(segName(seq)))
 		}
 	}
-	version := s.pub.Load().version
 	for _, v := range snaps {
 		if v < version {
 			_ = s.fs.Remove(s.path(snapName(v)))
@@ -574,9 +575,10 @@ func (s *Store) degradeLocked(op string, cause error) {
 // half-open probe: one request pays for the recovery attempt, the rest
 // keep failing fast. Caller holds s.mu.
 func (s *Store) probeLocked() bool {
+	s.waitCheckpointLocked()
 	segsBefore, _, err := listSegments(s.fs, s.opts.Dir)
 	if err == nil {
-		err = s.writeSnapshotLocked("probe")
+		err = s.writeSnapshot(s.pub.Load(), "probe")
 	}
 	if err == nil {
 		for _, seq := range segsBefore {
@@ -610,7 +612,8 @@ func (s *Store) probeLocked() bool {
 	s.degraded = nil
 	s.ro.Store(nil)
 	s.mReadOnly.Set(0)
-	s.compactLocked()
+	s.sinceSnap = 0
+	s.compact(s.log.seq, s.pub.Load().version)
 	s.logf("wal: read-only probe succeeded, write path restored at version %d", s.pub.Load().version)
 	return true
 }
@@ -809,8 +812,10 @@ func (s *Store) commitBatch(batch []*mutateReq) {
 	if written > 0 {
 		s.publishLocked(work, wv)
 		s.sinceSnap += written
-		if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
-			s.checkpointLocked("auto")
+		// A checkpoint that falls due while one is in flight is taken at
+		// the first commit after that one ends.
+		if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery && !s.checkpointBusyLocked() {
+			s.checkpointLocked("auto", true)
 		}
 	}
 }
@@ -866,22 +871,65 @@ func normalize(work *db.DB, ins, del []db.Fact) (effIns, effDel []db.Fact, err e
 	return effIns, effDel, nil
 }
 
-// checkpointLocked rotates to a fresh segment, snapshots, and compacts.
-// Used on the healthy path; a rotation failure degrades the store, while a
-// snapshot failure only skips this checkpoint (the WAL itself is intact, so
-// durability is unaffected). Caller holds s.mu.
-func (s *Store) checkpointLocked(cause string) {
+// checkpointLocked rotates to a fresh segment, then snapshots the
+// published state and compacts: on a goroutine of the store's when
+// background is set, else before it returns. Used on the healthy path; a
+// rotation failure degrades the store, while a snapshot failure only skips
+// this checkpoint (the WAL itself is intact, so durability is unaffected).
+// Caller holds s.mu, and no checkpoint is in flight.
+func (s *Store) checkpointLocked(cause string, background bool) {
 	if err := s.log.rotate(); err != nil {
 		s.degradeLocked("rotate", err)
 		return
 	}
-	if err := s.writeSnapshotLocked(cause); err != nil {
-		s.reg.Counter(metricWALErrors, obs.L{K: "op", V: "snapshot"}).Inc()
-		s.logf("wal: checkpoint skipped: %v", err)
-		s.sinceSnap = 0
+	s.sinceSnap = 0
+	cur, seg := s.pub.Load(), s.log.seq
+	if !background {
+		s.snapshotAndCompact(cur, seg, cause)
 		return
 	}
-	s.compactLocked()
+	done := make(chan struct{})
+	s.ckpt = done
+	go func() {
+		defer close(done)
+		s.snapshotAndCompact(cur, seg, cause)
+	}()
+}
+
+// snapshotAndCompact writes the checkpoint of cur, whose records end
+// before segment seg, and compacts once it is durable; a failure is
+// counted and the checkpoint skipped. It takes no lock.
+func (s *Store) snapshotAndCompact(cur *published, seg uint64, cause string) {
+	if err := s.writeSnapshot(cur, cause); err != nil {
+		s.reg.Counter(metricWALErrors, obs.L{K: "op", V: "snapshot"}).Inc()
+		s.logf("wal: checkpoint skipped: %v", err)
+		return
+	}
+	s.compact(seg, cur.version)
+}
+
+// checkpointBusyLocked reports whether a background checkpoint is in
+// flight. Caller holds s.mu.
+func (s *Store) checkpointBusyLocked() bool {
+	if s.ckpt == nil {
+		return false
+	}
+	select {
+	case <-s.ckpt:
+		s.ckpt = nil
+		return false
+	default:
+		return true
+	}
+}
+
+// waitCheckpointLocked waits for the background checkpoint in flight, if
+// any. Caller holds s.mu, which the checkpoint never takes.
+func (s *Store) waitCheckpointLocked() {
+	if s.ckpt != nil {
+		<-s.ckpt
+		s.ckpt = nil
+	}
 }
 
 // Checkpoint forces a snapshot + compaction outside the automatic cadence.
@@ -894,15 +942,16 @@ func (s *Store) Checkpoint() error {
 	if s.degraded != nil {
 		return s.degraded
 	}
-	s.checkpointLocked("manual")
+	s.waitCheckpointLocked()
+	s.checkpointLocked("manual", false)
 	if s.degraded != nil {
 		return s.degraded
 	}
 	return nil
 }
 
-// Close makes outstanding state durable and stops the store. Mutations
-// after Close fail with ErrClosed.
+// Close makes outstanding state durable and stops the store, once the
+// checkpoint in flight ends. Mutations after Close fail with ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -910,6 +959,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.waitCheckpointLocked()
 	if s.log != nil {
 		return s.log.close()
 	}

@@ -597,6 +597,7 @@ func TestStoreCheckpointCompaction(t *testing.T) {
 	s := mustOpen(t, Options{Dir: dir, Fsync: FsyncAlways, SnapshotEvery: 3, Registry: obs.NewRegistry()})
 	for i := 0; i < 7; i++ {
 		mustMutate(t, s, []db.Fact{fact("R", 1, fmt.Sprintf("k%d", i), "v")}, nil)
+		settleCheckpoint(s) // the checkpoint a commit starts runs in the background
 	}
 	// Checkpoints fired at v3 and v6; compaction leaves one snapshot and
 	// one live segment.
@@ -624,6 +625,13 @@ func TestStoreCheckpointCompaction(t *testing.T) {
 	if d, v := s2.DB(); v != 7 || d.Len() != 7 {
 		t.Fatalf("reopen after compaction: v=%d len=%d", v, d.Len())
 	}
+}
+
+// settleCheckpoint waits for the background checkpoint in flight, if any.
+func settleCheckpoint(s *Store) {
+	s.mu.Lock()
+	s.waitCheckpointLocked()
+	s.mu.Unlock()
 }
 
 // fakeClock is the injectable time source for probe-cooldown tests.
