@@ -129,9 +129,10 @@ func (d *DB) Add(f Fact) error {
 //
 // The fact takes the next sequence number. A database that owns its
 // memoized order (a fresh one, or one built by appends alone) appends the
-// fact, and a new block, to it; any other drops it.
+// fact, and a new block, to it; any other drops it. d holds its string
+// side: Add readies it before its signature check reads it, and the other
+// callers insert into databases New made.
 func (d *DB) addValidated(f Fact) {
-	d.own()
 	owner := d.owner.Load()
 	bid := f.BlockID()
 	h := blockHash(bid)

@@ -68,12 +68,14 @@ type IRel struct {
 	// BlockOfFact maps each fact index to its block ordinal.
 	BlockOfFact []uint32
 
-	// The fact and block hash indexes (flat.go): hash(all ids) → fact
-	// index, hash(key ids) → block ordinal. Probes verify against the
-	// columns and blockKeys, so a collision costs a comparison, never a
-	// wrong answer.
-	factIdx   flatIndex
-	blockIdx  flatIndex
+	// The fact and block hash indexes chain the entries sharing a hash
+	// through factNext and blockNext, newest first, ending in noIndex.
+	// Probes verify against the columns and blockKeys, so a collision costs
+	// a comparison, never a wrong answer.
+	factIdx   map[uint64]uint32 // hash(all ids) → newest fact index
+	factNext  []uint32
+	blockIdx  map[uint64]uint32 // hash(key ids) → newest block ordinal
+	blockNext []uint32
 	blockKeys []uint32  // block b's key ids at [b*KeyLen, (b+1)*KeyLen)
 	postings  []posting // per position
 }
@@ -85,6 +87,9 @@ type posting struct {
 	off   []uint32
 	facts []uint32
 }
+
+// noIndex ends a hash chain.
+const noIndex = ^uint32(0)
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -106,7 +111,7 @@ func hashIDs(ids []uint32) uint64 {
 func (r *IRel) NumFacts() int { return len(r.BlockOfFact) }
 
 // NumBlocks returns the number of blocks of the relation.
-func (r *IRel) NumBlocks() int { return r.blockIdx.n }
+func (r *IRel) NumBlocks() int { return len(r.blockNext) }
 
 // BlockSpan returns the fact indices of block b (insertion order) as a
 // shared sub-slice of ByBlock. Zero-alloc.
@@ -125,18 +130,20 @@ func (r *IRel) keyMatches(fi uint32, key []uint32) bool {
 	return true
 }
 
+// chain returns the head of the hash chain for h in idx.
+func chain(idx map[uint64]uint32, h uint64) uint32 {
+	if head, ok := idx[h]; ok {
+		return head
+	}
+	return noIndex
+}
+
 // findBlock returns the ordinal of the block with the given key ids.
 func (r *IRel) findBlock(key []uint32) (uint32, bool) {
-	t := &r.blockIdx
-	if t.n == 0 {
-		return 0, false
-	}
 	k := uint32(r.KeyLen)
-	for fp, i := t.first(hashIDs(key)); t.slots[i].at != 0; i = t.next(i) {
-		if s := t.slots[i]; s.fp == fp {
-			if b := s.at - 1; slices.Equal(r.blockKeys[b*k:(b+1)*k], key) {
-				return b, true
-			}
+	for b := chain(r.blockIdx, hashIDs(key)); b != noIndex; b = r.blockNext[b] {
+		if slices.Equal(r.blockKeys[b*k:(b+1)*k], key) {
+			return b, true
 		}
 	}
 	return 0, false
@@ -155,13 +162,9 @@ func (r *IRel) BlockOf(key []uint32) ([]uint32, bool) {
 // FactIndex returns the index of the fact with exactly the given argument
 // ids (len(args) must be Arity), or (0, false) when absent. Zero-alloc.
 func (r *IRel) FactIndex(args []uint32) (uint32, bool) {
-	t := &r.factIdx
-	if t.n == 0 {
-		return 0, false
-	}
-	for fp, i := t.first(hashIDs(args)); t.slots[i].at != 0; i = t.next(i) {
-		if s := t.slots[i]; s.fp == fp && r.keyMatches(s.at-1, args) {
-			return s.at - 1, true
+	for fi := chain(r.factIdx, hashIDs(args)); fi != noIndex; fi = r.factNext[fi] {
+		if r.keyMatches(fi, args) {
+			return fi, true
 		}
 	}
 	return 0, false
@@ -328,8 +331,10 @@ func newIRel(sig [2]int, facts, blocks int) *IRel {
 		KeyLen:      sig[1],
 		Cols:        make([][]uint32, sig[0]),
 		BlockOfFact: make([]uint32, 0, facts),
-		factIdx:     newFlatIndex(facts),
-		blockIdx:    newFlatIndex(blocks),
+		factIdx:     make(map[uint64]uint32, facts),
+		factNext:    make([]uint32, 0, facts),
+		blockIdx:    make(map[uint64]uint32, blocks),
+		blockNext:   make([]uint32, 0, blocks),
 		blockKeys:   make([]uint32, 0, blocks*sig[1]),
 	}
 	for p := range r.Cols {
@@ -344,8 +349,10 @@ func (r *IRel) block(key []uint32) (b uint32, fresh bool) {
 	if b, ok := r.findBlock(key); ok {
 		return b, false
 	}
-	b = uint32(r.blockIdx.n)
-	r.blockIdx.insert(hashIDs(key), b)
+	h := hashIDs(key)
+	b = uint32(len(r.blockNext))
+	r.blockNext = append(r.blockNext, chain(r.blockIdx, h))
+	r.blockIdx[h] = b
 	r.blockKeys = append(r.blockKeys, key...)
 	return b, true
 }
@@ -357,7 +364,9 @@ func (r *IRel) add(args []uint32) (fresh, newBlock bool) {
 	if _, ok := r.FactIndex(args); ok {
 		return false, false
 	}
-	r.factIdx.insert(hashIDs(args), uint32(len(r.BlockOfFact)))
+	h := hashIDs(args)
+	r.factNext = append(r.factNext, chain(r.factIdx, h))
+	r.factIdx[h] = uint32(len(r.BlockOfFact))
 	for p, id := range args {
 		r.Cols[p] = append(r.Cols[p], id)
 	}

@@ -135,3 +135,16 @@ func TestParsedDatabaseMutatesLikeReference(t *testing.T) {
 		t.Fatal("a written relation kept its version")
 	}
 }
+
+// TestAddToParsedDatabaseChecksSignature: Add on a freshly parsed database
+// checks the fact's signature against the parsed relations, whose string
+// side it builds first, and a rejected fact leaves the database as parsed.
+func TestAddToParsedDatabaseChecksSignature(t *testing.T) {
+	d, ref := MustParse(lazyText()), parseRef(t, lazyText())
+	if err := d.Add(NewFact("R", 1, "a1", "b1", "c1")); err == nil {
+		t.Fatal("Add accepted R with 3 arguments into a database whose R has 2")
+	}
+	if d.String() != ref.String() {
+		t.Fatalf("after the rejected Add:\n%s\nwant\n%s", d, ref)
+	}
+}

@@ -49,12 +49,18 @@ func (b *decodeBufs) release() {
 	decodePool.Put(b)
 }
 
+// readAhead bounds the room readBody reserves from a declared length
+// before any byte arrives, so a client that declares a large body and
+// trickles it holds no more than this; past it the buffer grows as bytes
+// come.
+const readAhead = 64 << 10
+
 // readBody appends everything r yields to buf, reserving room for size
-// bytes up front when size is known, and returns the bytes with the error
-// that ended the read (nil at EOF).
+// bytes (at most readAhead) up front when size is known, and returns the
+// bytes with the error that ended the read (nil at EOF).
 func readBody(r io.Reader, buf []byte, size int64) ([]byte, error) {
-	if size > 0 && int64(cap(buf)) <= size {
-		buf = make([]byte, 0, min(size, maxPooledBytes)+1) // +1 reads EOF without growing
+	if want := min(size, readAhead); size > 0 && int64(cap(buf)) <= want {
+		buf = make([]byte, 0, want+1) // +1 reads EOF without growing
 	}
 	for {
 		if len(buf) == cap(buf) {

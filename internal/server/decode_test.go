@@ -167,3 +167,36 @@ func TestMarshaledSolveRequestsStayOnScanner(t *testing.T) {
 		checkDecodeAgrees(t, body, 8<<20, i%3 == 0)
 	}
 }
+
+// firstReadReader serves body and records the room offered to its first
+// Read, which is what readBody reserved before any byte arrived.
+type firstReadReader struct {
+	body  *bytes.Reader
+	first int
+}
+
+func (r *firstReadReader) Read(p []byte) (int, error) {
+	if r.first < 0 {
+		r.first = len(p)
+	}
+	return r.body.Read(p)
+}
+
+// TestReadBodyReservesLittleUpFront checks that a declared length reserves
+// at most readAhead bytes before the body arrives, however large the
+// declaration, while a body of any length is still read whole.
+func TestReadBodyReservesLittleUpFront(t *testing.T) {
+	for _, n := range []int{10, readAhead, 3 * readAhead} {
+		for _, declared := range []int64{int64(n), 8 << 20} {
+			body := bytes.Repeat([]byte("x"), n)
+			r := &firstReadReader{body: bytes.NewReader(body), first: -1}
+			got, err := readBody(r, nil, declared)
+			if err != nil || !bytes.Equal(got, body) {
+				t.Fatalf("%d bytes declared as %d: read %d bytes, error %v", n, declared, len(got), err)
+			}
+			if r.first > readAhead+1 {
+				t.Fatalf("%d bytes declared as %d: %d bytes reserved up front, want at most %d", n, declared, r.first, readAhead+1)
+			}
+		}
+	}
+}

@@ -57,7 +57,16 @@ func TestHostedWriteSoak(t *testing.T) {
 		}
 		return hostedAnswer{*resp.DBVersion, q, resp.Verdict.Outcome, resp.Cached, resp.Delta}
 	}
+	// liveHeap reads the live heap once no WAL checkpoint is in flight: a
+	// background checkpoint holds its encode buffers only while it runs,
+	// which would put a transient in either reading. Checkpoint waits for
+	// the one in flight and takes one of the current version, so both
+	// readings hold that version's derived fact order and nothing else of
+	// a checkpoint.
 	liveHeap := func() uint64 {
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 		var ms runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
@@ -90,8 +99,8 @@ func TestHostedWriteSoak(t *testing.T) {
 		if w%4 == 0 {
 			solve(queries[1])
 		}
-		// Both heap readings come after a write and its solves, before any
-		// checkpoint of that version derives and keeps its fact order.
+		// Both heap readings come after a write, its solves and a
+		// checkpoint of that version (liveHeap).
 		switch w {
 		case 100:
 			heap100 = liveHeap()

@@ -815,7 +815,7 @@ func (s *Store) commitBatch(batch []*mutateReq) {
 		// A checkpoint that falls due while one is in flight is taken at
 		// the first commit after that one ends.
 		if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery && !s.checkpointBusyLocked() {
-			s.checkpointLocked("auto", true)
+			s.checkpointLocked("auto")
 		}
 	}
 }
@@ -872,22 +872,18 @@ func normalize(work *db.DB, ins, del []db.Fact) (effIns, effDel []db.Fact, err e
 }
 
 // checkpointLocked rotates to a fresh segment, then snapshots the
-// published state and compacts: on a goroutine of the store's when
-// background is set, else before it returns. Used on the healthy path; a
-// rotation failure degrades the store, while a snapshot failure only skips
-// this checkpoint (the WAL itself is intact, so durability is unaffected).
-// Caller holds s.mu, and no checkpoint is in flight.
-func (s *Store) checkpointLocked(cause string, background bool) {
+// published state and compacts on a goroutine of the store's. Used on the
+// healthy path; a rotation failure degrades the store, while a snapshot
+// failure only skips this checkpoint (the WAL itself is intact, so
+// durability is unaffected). Caller holds s.mu, and no checkpoint is in
+// flight.
+func (s *Store) checkpointLocked(cause string) {
 	if err := s.log.rotate(); err != nil {
 		s.degradeLocked("rotate", err)
 		return
 	}
 	s.sinceSnap = 0
 	cur, seg := s.pub.Load(), s.log.seq
-	if !background {
-		s.snapshotAndCompact(cur, seg, cause)
-		return
-	}
 	done := make(chan struct{})
 	s.ckpt = done
 	go func() {
@@ -932,7 +928,8 @@ func (s *Store) waitCheckpointLocked() {
 	}
 }
 
-// Checkpoint forces a snapshot + compaction outside the automatic cadence.
+// Checkpoint forces a snapshot + compaction outside the automatic cadence
+// and returns once it ends.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -943,7 +940,8 @@ func (s *Store) Checkpoint() error {
 		return s.degraded
 	}
 	s.waitCheckpointLocked()
-	s.checkpointLocked("manual", false)
+	s.checkpointLocked("manual")
+	s.waitCheckpointLocked()
 	if s.degraded != nil {
 		return s.degraded
 	}
