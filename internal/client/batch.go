@@ -100,16 +100,37 @@ func (c *Client) SolveBatch(ctx context.Context, req server.BatchSolveRequest) (
 // Items that arrive with a transient error are retried as individual solves
 // before fn sees them. Once the stream has begun, a mid-stream transport
 // failure is returned without retrying the whole batch — items already
-// delivered stay delivered.
+// delivered stay delivered. It is SolveStreamBody after json.Marshal.
 func (c *Client) SolveStream(ctx context.Context, req server.BatchSolveRequest, fn func(server.BatchItemResult)) error {
-	const path = "/v1/solve/batch"
 	req.Stream = true
-	r := c.registry()
 	payload, err := json.Marshal(req)
 	if err != nil {
-		r.Counter("client_requests_total", obs.L{K: "path", V: path}, obs.L{K: "outcome", V: "error"}).Inc()
+		c.registry().Counter("client_requests_total", obs.L{K: "path", V: batchPath}, obs.L{K: "outcome", V: "error"}).Inc()
 		return fmt.Errorf("client: encode request: %w", err)
 	}
+	return c.SolveStreamBody(ctx, payload, func(item server.BatchItemResult) {
+		if transientItem(item.Error) && !c.NoItemRetry && item.Index >= 0 && item.Index < len(req.Items) {
+			// Per-item retry, inline: the stream stays ordered from fn's
+			// point of view, the item just took the single-solve detour.
+			if sresp, serr := c.Solve(ctx, itemRequest(req, item.Index)); serr == nil {
+				v := sresp.Verdict
+				item = server.BatchItemResult{Index: item.Index, Verdict: &v, Cached: sresp.Cached}
+			}
+		}
+		fn(item)
+	})
+}
+
+// batchPath is the batch endpoint.
+const batchPath = "/v1/solve/batch"
+
+// SolveStreamBody posts payload, an encoded batch request, in streaming
+// mode and invokes fn once per item as the server emits it, with the
+// whole-request retry policy of SolveStream and no per-item retry. A fleet
+// coordinator sends the sub-batches it writes from a client's body with
+// it.
+func (c *Client) SolveStreamBody(ctx context.Context, payload []byte, fn func(server.BatchItemResult)) error {
+	r := c.registry()
 	httpc := c.HTTPClient
 	if httpc == nil {
 		httpc = http.DefaultClient
@@ -117,20 +138,20 @@ func (c *Client) SolveStream(ctx context.Context, req server.BatchSolveRequest, 
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		r.Counter("client_attempts_total", obs.L{K: "path", V: path}).Inc()
-		retry, hint, err := c.streamAttempt(ctx, httpc, path, payload, req, fn)
+		r.Counter("client_attempts_total", obs.L{K: "path", V: batchPath}).Inc()
+		retry, hint, err := c.streamAttempt(ctx, httpc, payload, fn)
 		if err == nil {
-			r.Counter("client_requests_total", obs.L{K: "path", V: path}, obs.L{K: "outcome", V: "ok"}).Inc()
+			r.Counter("client_requests_total", obs.L{K: "path", V: batchPath}, obs.L{K: "outcome", V: "ok"}).Inc()
 			return nil
 		}
 		lastErr = err
 		if !retry || attempt >= c.MaxRetries {
-			r.Counter("client_requests_total", obs.L{K: "path", V: path}, obs.L{K: "outcome", V: "error"}).Inc()
+			r.Counter("client_requests_total", obs.L{K: "path", V: batchPath}, obs.L{K: "outcome", V: "error"}).Inc()
 			return lastErr
 		}
-		r.Counter("client_retries_total", obs.L{K: "path", V: path}).Inc()
+		r.Counter("client_retries_total", obs.L{K: "path", V: batchPath}).Inc()
 		if err := c.backoff(ctx, attempt, hint); err != nil {
-			r.Counter("client_requests_total", obs.L{K: "path", V: path}, obs.L{K: "outcome", V: "error"}).Inc()
+			r.Counter("client_requests_total", obs.L{K: "path", V: batchPath}, obs.L{K: "outcome", V: "error"}).Inc()
 			return fmt.Errorf("client: giving up after %d attempts: %w (last error: %v)", attempt+1, err, lastErr)
 		}
 	}
@@ -140,8 +161,8 @@ func (c *Client) SolveStream(ctx context.Context, req server.BatchSolveRequest, 
 // fn. Failures before the first delivered item may be retried; after that
 // the attempt is not retryable (retry=false) so delivered items are never
 // replayed.
-func (c *Client) streamAttempt(ctx context.Context, httpc *http.Client, path string, payload []byte, req server.BatchSolveRequest, fn func(server.BatchItemResult)) (retry bool, hint time.Duration, err error) {
-	hreq, err := http.NewRequestWithContext(ctx, "POST", c.BaseURL+path, bytes.NewReader(payload))
+func (c *Client) streamAttempt(ctx context.Context, httpc *http.Client, payload []byte, fn func(server.BatchItemResult)) (retry bool, hint time.Duration, err error) {
+	hreq, err := http.NewRequestWithContext(ctx, "POST", c.BaseURL+batchPath, bytes.NewReader(payload))
 	if err != nil {
 		return false, 0, fmt.Errorf("client: build request: %w", err)
 	}
@@ -176,7 +197,9 @@ func (c *Client) streamAttempt(ctx context.Context, httpc *http.Client, path str
 	if maxLine <= 0 {
 		maxLine = 64 << 20
 	}
-	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	// A result line is a few hundred bytes: the buffer starts at the
+	// scanner's default size and grows only for a longer one.
+	sc.Buffer(nil, maxLine)
 	delivered := false
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -186,14 +209,6 @@ func (c *Client) streamAttempt(ctx context.Context, httpc *http.Client, path str
 		var item server.BatchItemResult
 		if err := json.Unmarshal(line, &item); err != nil {
 			return false, 0, fmt.Errorf("client: decode stream item: %w", err)
-		}
-		if transientItem(item.Error) && !c.NoItemRetry {
-			// Per-item retry, inline: the stream stays ordered from fn's
-			// point of view, the item just took the single-solve detour.
-			if sresp, serr := c.Solve(ctx, itemRequest(req, item.Index)); serr == nil {
-				v := sresp.Verdict
-				item = server.BatchItemResult{Index: item.Index, Verdict: &v, Cached: sresp.Cached}
-			}
 		}
 		delivered = true
 		fn(item)

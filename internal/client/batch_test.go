@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,5 +180,88 @@ func TestStreamWholeRequestRetry(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("delivered %d items, want 4", n)
+	}
+}
+
+// TestStreamOutOfRangeIndex: a transient item error under an index the
+// batch does not have is delivered as it came, not retried as a solve of
+// an item that does not exist.
+func TestStreamOutOfRangeIndex(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_ = json.NewEncoder(w).Encode(server.BatchItemResult{Index: 7, Error: &server.ErrorBody{Code: server.CodeInternal}})
+	}))
+	defer ts.Close()
+	var got []server.BatchItemResult
+	err := New(ts.URL).SolveStream(context.Background(), batchFixture(), func(r server.BatchItemResult) {
+		got = append(got, r)
+	})
+	if err != nil {
+		t.Fatalf("SolveStream: %v", err)
+	}
+	if len(got) != 1 || got[0].Index != 7 || got[0].Error == nil || got[0].Error.Code != server.CodeInternal {
+		t.Fatalf("delivered %+v, want index 7's internal error as it came", got)
+	}
+}
+
+// TestStreamLongLines: the stream's line buffer starts small and grows to
+// MaxResponseBytes, so a result line past 64 KiB but within the limit
+// decodes, while one over the limit fails the stream without replaying the
+// items delivered before it.
+func TestStreamLongLines(t *testing.T) {
+	const limit = 256 << 10
+	for _, tc := range []struct {
+		name    string
+		message int // the length of item 1's error message
+		fails   bool
+	}{
+		{"within the limit", 100 << 10, false},
+		{"over the limit", 300 << 10, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				enc := json.NewEncoder(w)
+				_ = enc.Encode(server.BatchItemResult{Index: 0, Error: &server.ErrorBody{Code: server.CodeMalformed}})
+				_ = enc.Encode(server.BatchItemResult{Index: 1, Error: &server.ErrorBody{
+					Code: server.CodeUnsupported, Message: strings.Repeat("x", tc.message),
+				}})
+				_ = enc.Encode(server.BatchItemResult{Index: 2, Error: &server.ErrorBody{Code: server.CodeMalformed}})
+			}))
+			defer ts.Close()
+			c := New(ts.URL)
+			c.MaxResponseBytes = limit
+			c.sleep = func(context.Context, time.Duration) error { return nil }
+
+			seen := make(map[int]int)
+			err := c.SolveStreamBody(context.Background(), []byte(`{"items":[{},{},{}]}`), func(r server.BatchItemResult) {
+				seen[r.Index]++
+				if r.Index == 1 && len(r.Error.Message) != tc.message {
+					t.Errorf("item 1 carries a %d-byte message, want %d", len(r.Error.Message), tc.message)
+				}
+			})
+			if calls.Load() != 1 {
+				t.Fatalf("batch endpoint called %d times, want 1", calls.Load())
+			}
+			if tc.fails {
+				if err == nil || !strings.Contains(err.Error(), "token too long") {
+					t.Fatalf("SolveStreamBody = %v, want a token-too-long stream error", err)
+				}
+				if seen[0] != 1 || seen[1] != 0 || seen[2] != 0 {
+					t.Fatalf("delivered %v, want item 0 once and nothing after the long line", seen)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("SolveStreamBody: %v", err)
+			}
+			for i := 0; i < 3; i++ {
+				if seen[i] != 1 {
+					t.Fatalf("item %d delivered %d times, want 1", i, seen[i])
+				}
+			}
+		})
 	}
 }

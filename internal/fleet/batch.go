@@ -20,23 +20,19 @@ type batchGroup struct {
 	idxs []int // original item indices, ascending
 }
 
-// planGroups resolves batch-level defaults into each item and groups items
-// by placement key, preserving index order inside each group.
-func planGroups(req server.BatchSolveRequest) (resolved []server.BatchSolveItem, groups []batchGroup) {
-	resolved = make([]server.BatchSolveItem, len(req.Items))
+// planGroups groups a framed batch's items by placement key, preserving
+// index order inside each group. An item without a query is placed by the
+// batch-level one, which the worker resolves it to.
+func planGroups(f *server.BatchFrame) []batchGroup {
 	byKey := make(map[string][]int)
 	var keys []string
-	for i, it := range req.Items {
-		r := it
-		if r.Query == "" {
-			r.Query = req.Query
+	for i, it := range f.Items {
+		query := it.Query
+		if query == "" {
+			query = f.Head.Query
 		}
-		if r.DB == "" {
-			r.DB = req.DB
-		}
-		resolved[i] = r
 		key := ""
-		if q, err := cq.ParseQuery(r.Query); err == nil {
+		if q, err := cq.ParseQuery(query); err == nil {
 			key = shard.PlacementKey(q)
 		}
 		if _, ok := byKey[key]; !ok {
@@ -45,10 +41,11 @@ func planGroups(req server.BatchSolveRequest) (resolved []server.BatchSolveItem,
 		byKey[key] = append(byKey[key], i)
 	}
 	sort.Strings(keys) // deterministic group order for tests and logs
+	groups := make([]batchGroup, 0, len(keys))
 	for _, k := range keys {
 		groups = append(groups, batchGroup{key: k, idxs: byKey[k]})
 	}
-	return resolved, groups
+	return groups
 }
 
 // chunks splits one group across replicas when it is large. A group up to
@@ -90,8 +87,8 @@ func transientItemCode(code string) bool { return !permanentCode(code) }
 // never replays it, so the client-visible stream has exactly one result
 // per index even when a worker dies mid-stream. Items no replica could
 // answer come back with the typed unavailable error.
-func (c *Coordinator) routeBatch(ctx context.Context, req server.BatchSolveRequest, emit func(server.BatchItemResult)) {
-	resolved, groups := planGroups(req)
+func (c *Coordinator) routeBatch(ctx context.Context, f *server.BatchFrame, emit func(server.BatchItemResult)) {
+	groups := planGroups(f)
 	type job struct {
 		order []*Backend
 		idxs  []int
@@ -113,7 +110,7 @@ func (c *Coordinator) routeBatch(ctx context.Context, req server.BatchSolveReque
 	for _, jb := range jobs {
 		go func(jb job) {
 			defer func() { done <- struct{}{} }()
-			c.runChunk(ctx, req, resolved, jb.idxs, jb.order, emit)
+			c.runChunk(ctx, f, jb.idxs, jb.order, emit)
 		}(jb)
 	}
 	for range jobs {
@@ -122,8 +119,9 @@ func (c *Coordinator) routeBatch(ctx context.Context, req server.BatchSolveReque
 }
 
 // runChunk walks one chunk down its replica chain. remaining holds the
-// original indices still unanswered; each hop re-streams exactly those.
-func (c *Coordinator) runChunk(ctx context.Context, req server.BatchSolveRequest, resolved []server.BatchSolveItem, idxs []int, order []*Backend, emit func(server.BatchItemResult)) {
+// original indices still unanswered; each hop re-streams exactly those,
+// in a sub-batch written from the frame's item text.
+func (c *Coordinator) runChunk(ctx context.Context, f *server.BatchFrame, idxs []int, order []*Backend, emit func(server.BatchItemResult)) {
 	remaining := idxs
 	for _, b := range order {
 		if len(remaining) == 0 {
@@ -132,18 +130,7 @@ func (c *Coordinator) runChunk(ctx context.Context, req server.BatchSolveRequest
 		if ctx.Err() != nil {
 			break
 		}
-		sub := server.BatchSolveRequest{
-			TimeoutMS:      req.TimeoutMS,
-			Budget:         req.Budget,
-			DegradeSamples: req.DegradeSamples,
-			SampleSeed:     req.SampleSeed,
-			Shards:         req.Shards,
-			IfDBVersion:    req.IfDBVersion,
-			Stream:         true,
-		}
-		for _, i := range remaining {
-			sub.Items = append(sub.Items, resolved[i])
-		}
+		body := f.AppendSubBatch(nil, remaining)
 		// Per-hop bookkeeping, indexed by sub-batch position: emitted results
 		// are final, held results (transient item errors) wait for the next
 		// replica, unseen results were lost with the stream.
@@ -156,7 +143,7 @@ func (c *Coordinator) runChunk(ctx context.Context, req server.BatchSolveRequest
 		// and the chunk fails over. Progress resets the clock.
 		hopCtx, cancelHop := context.WithCancel(ctx)
 		stall := time.AfterFunc(c.cfg.BatchStallTimeout, cancelHop)
-		err := b.client.SolveStream(hopCtx, sub, func(item server.BatchItemResult) {
+		err := b.client.SolveStreamBody(hopCtx, body, func(item server.BatchItemResult) {
 			stall.Reset(c.cfg.BatchStallTimeout)
 			if item.Index < 0 || item.Index >= len(snapshot) || emitted[item.Index] || held[item.Index] {
 				return // defensive: a confused or duplicating worker cannot double-emit

@@ -189,38 +189,27 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w, r) {
 		return
 	}
-	var req server.BatchSolveRequest
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &server.ErrorBody{Code: server.CodeMalformed, Message: "body: " + err.Error()})
+	f, eb := c.decodeBatch(w, r)
+	if eb != nil {
+		writeError(w, eb)
 		return
 	}
-	// Batch-shape validation happens here, with the worker's messages: these
-	// failures must not depend on which replica would have been asked.
-	if len(req.Items) == 0 {
-		writeError(w, &server.ErrorBody{Code: server.CodeMalformed, Message: "batch has no items"})
-		return
-	}
-	if len(req.Items) > c.cfg.MaxBatchItems {
-		writeError(w, &server.ErrorBody{
-			Code:    server.CodePolicy,
-			Message: "batch has " + strconv.Itoa(len(req.Items)) + " items, server maximum is " + strconv.Itoa(c.cfg.MaxBatchItems),
-		})
-		return
-	}
+	// Failover rebuilds sub-batches from the item text, which views the
+	// body: it is released only once routeBatch has returned.
+	defer f.Release()
 
 	start := time.Now()
-	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
+	stream := f.Head.Stream || strings.Contains(r.Header.Get("Accept"), ndjsonContentType)
 	if stream {
 		w.Header().Set("Content-Type", ndjsonContentType)
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		flush := func() {}
-		if f, ok := w.(http.Flusher); ok {
-			flush = f.Flush
+		if fl, ok := w.(http.Flusher); ok {
+			flush = fl.Flush
 		}
 		var mu sync.Mutex
-		c.routeBatch(r.Context(), req, func(item server.BatchItemResult) {
+		c.routeBatch(r.Context(), f, func(item server.BatchItemResult) {
 			mu.Lock()
 			defer mu.Unlock()
 			_ = enc.Encode(&item)
@@ -229,9 +218,9 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		c.requests("/v1/solve/batch", "ok").Inc()
 		return
 	}
-	results := make([]server.BatchItemResult, len(req.Items))
+	results := make([]server.BatchItemResult, len(f.Items))
 	var mu sync.Mutex
-	c.routeBatch(r.Context(), req, func(item server.BatchItemResult) {
+	c.routeBatch(r.Context(), f, func(item server.BatchItemResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		if item.Index >= 0 && item.Index < len(results) {
@@ -246,6 +235,31 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Results:   results,
 		ElapsedMS: time.Since(start).Milliseconds(),
 	})
+}
+
+// decodeBatch frames a batch body and checks its shape, with the worker's
+// messages: these failures must not depend on which replica would have
+// been asked. On a failure it returns the error to write and no frame.
+func (c *Coordinator) decodeBatch(w http.ResponseWriter, r *http.Request) (*server.BatchFrame, *server.ErrorBody) {
+	f, err := server.DecodeBatchFrame(w, r, c.cfg.MaxBodyBytes)
+	if err != nil {
+		return nil, &server.ErrorBody{Code: server.CodeMalformed, Message: "body: " + err.Error()}
+	}
+	var eb *server.ErrorBody
+	switch n := len(f.Items); {
+	case n == 0:
+		eb = &server.ErrorBody{Code: server.CodeMalformed, Message: "batch has no items"}
+	case n > c.cfg.MaxBatchItems:
+		eb = &server.ErrorBody{
+			Code:    server.CodePolicy,
+			Message: "batch has " + strconv.Itoa(n) + " items, server maximum is " + strconv.Itoa(c.cfg.MaxBatchItems),
+		}
+	}
+	if eb != nil {
+		f.Release()
+		return nil, eb
+	}
+	return f, nil
 }
 
 // handleDB refuses mutations and hosted-database reads: the coordinator

@@ -48,9 +48,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, CodeShutdown, "server is draining")
 		return
 	}
-	var req BatchSolveRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := decodeBatchRequest(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeMalformed, "body: "+err.Error())
 		return
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -14,32 +15,35 @@ import (
 	"unicode/utf8"
 )
 
-// referenceDecode is how /v1/solve decoded its body before the request
-// scanner: encoding/json straight off the size-capped body.
-func referenceDecode(body []byte, limit int64) (SolveRequest, error) {
-	var req SolveRequest
-	r := httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body))
+// referenceDecode is how the handlers decoded their bodies before the
+// request scanner: encoding/json straight off the size-capped body.
+func referenceDecode[T any](body []byte, limit int64) (T, error) {
+	var req T
+	r := httptest.NewRequest("POST", "/", bytes.NewReader(body))
 	err := json.NewDecoder(http.MaxBytesReader(httptest.NewRecorder(), r.Body, limit)).Decode(&req)
 	return req, err
 }
 
-// handlerDecode runs the handler's decode path on body, announcing its
+// decodeFunc is the shape of the handlers' decode functions.
+type decodeFunc[T any] func(http.ResponseWriter, *http.Request, int64) (T, error)
+
+// handlerDecode runs a handler's decode path on body, announcing its
 // length as the Content-Length or, with unknown set, leaving it unknown.
-func handlerDecode(body []byte, limit int64, unknown bool) (SolveRequest, error) {
-	r := httptest.NewRequest("POST", "/v1/solve", bytes.NewReader(body))
+func handlerDecode[T any](decode decodeFunc[T], body []byte, limit int64, unknown bool) (T, error) {
+	r := httptest.NewRequest("POST", "/", bytes.NewReader(body))
 	if unknown {
 		r.ContentLength = -1
 		r.Body = io.NopCloser(bytes.NewReader(body))
 	}
-	return DecodeSolveRequest(httptest.NewRecorder(), r, limit)
+	return decode(httptest.NewRecorder(), r, limit)
 }
 
-// checkDecodeAgrees holds the handler's decode of body to the reference:
+// checkDecodeAgrees holds a handler's decode of body to the reference:
 // both accept or both reject, with equal values or equal error text.
-func checkDecodeAgrees(t *testing.T, body []byte, limit int64, unknown bool) {
+func checkDecodeAgrees[T any](t *testing.T, decode decodeFunc[T], body []byte, limit int64, unknown bool) {
 	t.Helper()
-	want, werr := referenceDecode(body, limit)
-	got, gerr := handlerDecode(body, limit, unknown)
+	want, werr := referenceDecode[T](body, limit)
+	got, gerr := handlerDecode(decode, body, limit, unknown)
 	switch {
 	case (werr == nil) != (gerr == nil):
 		t.Fatalf("body %q, limit %d: error %v, reference error %v", body, limit, gerr, werr)
@@ -50,13 +54,46 @@ func checkDecodeAgrees(t *testing.T, body []byte, limit int64, unknown bool) {
 	}
 }
 
+// checkFrameAgrees holds the coordinator's framing of body to the
+// reference decode: the same accept/reject and error text, the same
+// batch-level fields and, item by item, the same queries.
+func checkFrameAgrees(t *testing.T, body []byte, limit int64, unknown bool) {
+	t.Helper()
+	want, werr := referenceDecode[BatchSolveRequest](body, limit)
+	f, gerr := handlerDecode(DecodeBatchFrame, body, limit, unknown)
+	switch {
+	case (werr == nil) != (gerr == nil):
+		t.Fatalf("body %q, limit %d: frame error %v, reference error %v", body, limit, gerr, werr)
+	case werr != nil:
+		if werr.Error() != gerr.Error() {
+			t.Fatalf("body %q, limit %d: frame error %q, reference error %q", body, limit, gerr, werr)
+		}
+		return
+	}
+	defer f.Release()
+	head := want
+	head.Items, head.DB = nil, ""
+	got := f.Head
+	got.Items = nil
+	if !reflect.DeepEqual(got, head) || len(f.Items) != len(want.Items) {
+		t.Fatalf("body %q, limit %d: framed %+v with %d items, reference %+v", body, limit, f.Head, len(f.Items), want)
+	}
+	for i, it := range f.Items {
+		if it.Query != want.Items[i].Query {
+			t.Fatalf("body %q: item %d framed with query %q, reference %q", body, i, it.Query, want.Items[i].Query)
+		}
+	}
+}
+
 // FuzzRequestDecode is the differential harness of the request scanner:
-// on any bytes and any body limit, the handler's decode agrees with
-// encoding/json reading the capped body. The seeds cover encoding/json's
-// quirks: case-folded names, duplicate keys (the last wins), unknown
-// fields and null, \u escapes with surrogate pairs and lone surrogates,
-// invalid UTF-8, floats and out-of-range integers, bytes after the first
-// value, and a body over the limit whose value ends before it.
+// on any bytes and any body limit, the handlers' decode of a solve body,
+// of a batch body and of a framed batch agrees with encoding/json reading
+// the capped body. The seeds cover encoding/json's quirks: case-folded
+// names, duplicate keys (the last wins; a second items array is decoded
+// over the first one's elements), unknown fields and null, \u escapes with
+// surrogate pairs and lone surrogates, invalid UTF-8, floats and
+// out-of-range integers, non-boolean streams, bytes after the first value,
+// and a body over the limit whose value ends before it.
 func FuzzRequestDecode(f *testing.F) {
 	for _, seed := range []string{
 		``, ` `, `[]`, `"s"`, `123`, `null`, `{}`, ` { } `, `{"query":"R(x | y)"`, `{"query":"R(x | y)",}`,
@@ -68,7 +105,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"budget":1,"budget":2}`,
 		`{"query":"a","extra":{"x":[1,2,"}"]},"db":null}`,
 		`{"query":null,"if_db_version":null}`,
-		`{"query":"R(x | y)","db":"😀 \ud800 \udc00x é \/"}`,
+		`{"query":"R(x | y)","db":"😀 \ud800 \udc00x é \/"}`,
 		`{"query":"R(x | y)"}`,
 		"{\"query\":\"\xff\xfe\",\"db\":\"caf\xc3\xa9\"}",
 		"{\"query\":\"tab\there\"}",
@@ -80,6 +117,22 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"query":"a"} trailing bytes`, `{"query":"a"}{"query":"b"}`, "{\"query\":\"a\"}\n",
 		`{"query":"a"}` + strings.Repeat(" ", 300),
 		`{"query":"` + strings.Repeat("R(a | b) ", 40) + `"}`,
+		// Batch bodies.
+		`{"items":[{"query":"R(x | y)","db":"R(a | b)"},{"db":"R(c | d)"}],"query":"R(x | y)","db":"R(e | f)","timeout_ms":250,"budget":60,"degrade_samples":-1,"sample_seed":-7,"shards":4,"stream":true,"if_db_version":3}`,
+		`{"items":[{"query":"a","db":"b"}],"items":[{"db":"c"}]}`,
+		`{"items":[{"query":"a"},{"query":"b"}],"items":[{"db":"c"}]}`,
+		`{"items":[]}`, `{"items":[{}]}`, `{"items":null}`, `{"items":[null]}`, `{"items":{}}`, `{"items":[{"query":"a"},]}`,
+		`{"Items":[{"query":"a"}]}`, `{"items":[{"Query":"a","DB":"b"}]}`,
+		`{"items":[{"query":"a","extra":1}]}`, `{"items":[{"query":"a"}],"extra":[1]}`,
+		`{"items":[{"query":"a","query":"b","db":"c","db":""}]}`,
+		`{"items":[{"query":"a"}],"stream":1}`, `{"items":[{"query":"a"}],"stream":null}`,
+		`{"items":[{"query":"a"}],"stream":true,"stream":false}`, `{"stream":tru}`, `{"stream":truex}`,
+		`{"items":[{"query":"a"}],"shards":1.0}`, `{"shards":-1}`, `{"shards":"2"}`,
+		`{"items":[{"query":"\ud83d\ude00 \u00e9 \u2028","db":"\ud800"}]}`,
+		`{"items":[{"query":"\u003c\u0026\u003e","db":"R(a | b)\nR(a | c)"}],"db":"\t"}`,
+		"{\"items\":[{\"query\":\"a\",\"db\":\"\xff\"}]}",
+		`{"items":[{"query":"a"}]} trailing`, `{"items":[{"query":"a"}]}{"items":[]}`,
+		`{"items":[{"query":"a","db":"` + strings.Repeat("R(a | b)\n", 40) + `"}]}`,
 	} {
 		f.Add([]byte(seed), uint8(0), false)
 		f.Add([]byte(seed), uint8(20), true)
@@ -89,7 +142,9 @@ func FuzzRequestDecode(f *testing.F) {
 		if lim == 0 {
 			lim = 8 << 20 // the server's default MaxBodyBytes
 		}
-		checkDecodeAgrees(t, body, lim, unknown)
+		checkDecodeAgrees(t, DecodeSolveRequest, body, lim, unknown)
+		checkDecodeAgrees(t, decodeBatchRequest, body, lim, unknown)
+		checkFrameAgrees(t, body, lim, unknown)
 	})
 }
 
@@ -158,13 +213,130 @@ func TestMarshaledSolveRequestsStayOnScanner(t *testing.T) {
 		}
 		bufs := &decodeBufs{body: body}
 		var got SolveRequest
-		if !bufs.scan(&got) {
+		if !bufs.scan(func(s *reqScanner) bool { return s.solve(&got) }) {
 			t.Fatalf("the scanner gave up on %s", body)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("scanned %s to %+v, json.Unmarshal gives %+v", body, got, want)
 		}
-		checkDecodeAgrees(t, body, 8<<20, i%3 == 0)
+		checkDecodeAgrees(t, DecodeSolveRequest, body, 8<<20, i%3 == 0)
+	}
+}
+
+// randomBatch draws a batch request of up to five items, any field of it
+// possibly empty.
+func randomBatch(r *rand.Rand) BatchSolveRequest {
+	req := BatchSolveRequest{
+		TimeoutMS: randomInt(r), Budget: randomInt(r),
+		DegradeSamples: int(randomInt(r)), SampleSeed: randomInt(r),
+		Shards: int(randomInt(r)), Stream: r.Intn(2) == 0,
+	}
+	if r.Intn(2) == 0 {
+		req.Query = randomString(r)
+	}
+	if r.Intn(2) == 0 {
+		req.DB = randomString(r)
+	}
+	if r.Intn(2) == 0 {
+		v := uint64(randomInt(r))
+		req.IfDBVersion = &v
+	}
+	for n := r.Intn(6); n > 0; n-- {
+		var it BatchSolveItem
+		if r.Intn(4) > 0 {
+			it.Query = randomString(r)
+		}
+		if r.Intn(4) > 0 {
+			it.DB = randomString(r)
+		}
+		req.Items = append(req.Items, it)
+	}
+	return req
+}
+
+// TestMarshaledBatchRequestsStayOnScanner: every body json.Marshal emits
+// for a BatchSolveRequest, and the one a json.Encoder emits with its
+// newline, is decoded by the scanner to the value json.Unmarshal gives,
+// and framed without a fallback; the sub-batch of all its items decodes to
+// the same request, streaming, and stays on the scanner too.
+func TestMarshaledBatchRequestsStayOnScanner(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		req := randomBatch(r)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(req); err != nil {
+				t.Fatal(err)
+			}
+			body = buf.Bytes()
+		}
+		var want BatchSolveRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		bufs := &decodeBufs{body: body}
+		var got BatchSolveRequest
+		if !bufs.scan(func(s *reqScanner) bool { return s.batch(&got, nil) }) {
+			t.Fatalf("the scanner gave up on %s", body)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanned %s to %+v, json.Unmarshal gives %+v", body, got, want)
+		}
+		f := &BatchFrame{}
+		if !bufs.scan(func(s *reqScanner) bool { return s.batch(&f.Head, f) }) {
+			t.Fatalf("the framing scan gave up on %s", body)
+		}
+		checkDecodeAgrees(t, decodeBatchRequest, body, 8<<20, i%3 == 0)
+		if len(want.Items) == 0 {
+			continue
+		}
+		idxs := make([]int, len(f.Items))
+		for k := range idxs {
+			idxs[k] = k
+		}
+		sub := f.AppendSubBatch(nil, idxs)
+		var gotSub BatchSolveRequest
+		if !(&decodeBufs{body: sub}).scan(func(s *reqScanner) bool { return s.batch(&gotSub, nil) }) {
+			t.Fatalf("the scanner gave up on the sub-batch %s", sub)
+		}
+		want.Stream = true
+		if !reflect.DeepEqual(gotSub, want) {
+			t.Fatalf("sub-batch %s of %s decodes to %+v, want %+v", sub, body, gotSub, want)
+		}
+	}
+}
+
+// TestPlainWord holds the word-at-a-time test of plainEnd to plainByte:
+// every byte value at every position of an otherwise plain word, and
+// random words.
+func TestPlainWord(t *testing.T) {
+	check := func(w uint64) {
+		t.Helper()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], w)
+		want := true
+		for _, c := range b {
+			want = want && plainByte[c]
+		}
+		if got := plainWord(w); got != want {
+			t.Fatalf("plainWord(%q) = %v, want %v", b, got, want)
+		}
+	}
+	for c := 0; c < 256; c++ {
+		for p := 0; p < 8; p++ {
+			b := []byte("abcdefgh")
+			b[p] = byte(c)
+			check(binary.LittleEndian.Uint64(b))
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64() & 0x7f7f7f7f7f7f7f7f)
+		check(r.Uint64())
 	}
 }
 

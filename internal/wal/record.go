@@ -67,12 +67,21 @@ func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 // AppendRecord appends one framed record to buf and returns the extended
 // slice.
 func AppendRecord(buf, payload []byte) []byte {
-	var hdr [headerSize]byte
-	hdr[0] = recordMagic
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(buf, make([]byte, headerSize)...)
+	buf = append(buf, payload...)
+	frame(buf[start:])
+	return buf
+}
+
+// frame fills in the header of rec, a record whose payload follows
+// headerSize reserved bytes, so a caller that built the payload behind the
+// reserved header frames it without a copy.
+func frame(rec []byte) {
+	payload := rec[headerSize:]
+	rec[0] = recordMagic
+	binary.LittleEndian.PutUint32(rec[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[5:9], crc32.Checksum(payload, castagnoli))
 }
 
 // ReadRecords scans a WAL byte stream, invoking fn with each valid record's

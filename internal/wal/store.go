@@ -485,15 +485,18 @@ func (s *Store) publishLocked(d *db.DB, v uint64) {
 // fsynced. It takes no lock (cur is immutable), and the caller makes sure
 // no other snapshot is written meanwhile.
 func (s *Store) writeSnapshot(cur *published, cause string) error {
+	// The record is built in place: the header's room, then the payload
+	// (kind, version, the encoded database), framed once it is complete.
+	var head [headerSize + 1 + 8]byte
+	head[headerSize] = kindSnapshot
+	binary.LittleEndian.PutUint64(head[headerSize+1:], cur.version)
 	var body bytes.Buffer
-	body.WriteByte(kindSnapshot)
-	var vbuf [8]byte
-	binary.LittleEndian.PutUint64(vbuf[:], cur.version)
-	body.Write(vbuf[:])
+	body.Write(head[:])
 	if err := cur.d.WriteSnapshot(&body); err != nil {
 		return fmt.Errorf("encode snapshot: %w", err)
 	}
-	framed := AppendRecord(nil, body.Bytes())
+	framed := body.Bytes()
+	frame(framed)
 
 	final := snapName(cur.version)
 	tmp := final + tmpSuffix

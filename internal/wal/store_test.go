@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -590,6 +591,39 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("fallback recovery: v=%d db=%s", v, d)
 	}
 	s2.Close()
+}
+
+// TestSnapshotFileIsOneRecord: the snapshot file, framed in place behind
+// the header's reserved room, is byte for byte the record AppendRecord
+// makes of its payload: the kind, the version and the encoded database.
+func TestSnapshotFileIsOneRecord(t *testing.T) {
+	opts := testOpts(t)
+	s := mustOpen(t, opts)
+	v := mustMutate(t, s, []db.Fact{fact("R", 1, "a", "b"), fact("R", 1, "a", "c"), fact("S", 1, "b", "d")}, nil)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(opts.Dir, snapName(v)))
+	if err != nil {
+		t.Fatalf("read snapshot: %v", err)
+	}
+	if len(data) < headerSize {
+		t.Fatalf("snapshot file holds %d bytes", len(data))
+	}
+	payload := data[headerSize:]
+	if !bytes.Equal(data, AppendRecord(nil, payload)) {
+		t.Fatalf("snapshot file is not the record of its payload:\n got %x\nwant %x", data[:headerSize], AppendRecord(nil, payload)[:headerSize])
+	}
+	d, _ := s.DB()
+	want := []byte{kindSnapshot}
+	want = binary.LittleEndian.AppendUint64(want, v)
+	var enc bytes.Buffer
+	if err := d.WriteSnapshot(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, enc.Bytes()...); !bytes.Equal(payload, want) {
+		t.Fatalf("snapshot payload is %d bytes, want the %d of kind, version %d and the encoded database", len(payload), len(want), v)
+	}
 }
 
 func TestStoreCheckpointCompaction(t *testing.T) {
