@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -500,7 +499,9 @@ func (s *reqScanner) string(unescape bool) (start int, escaped, ok bool) {
 	s.esc = s.esc[:0]
 	for s.at < len(s.in) {
 		run := s.at
-		s.at = plainEnd(s.in, s.at)
+		for s.at < len(s.in) && plainByte[s.in[s.at]] {
+			s.at++
+		}
 		if escaped && unescape {
 			s.esc = append(s.esc, s.in[run:s.at]...)
 		}
@@ -543,29 +544,6 @@ var plainByte = func() (t [256]bool) {
 	}
 	return t
 }()
-
-// plainEnd returns the end of the run of plain bytes that starts at i in
-// in, testing eight bytes at a time while a whole word is plain.
-func plainEnd(in []byte, i int) int {
-	for i+8 <= len(in) && plainWord(binary.LittleEndian.Uint64(in[i:])) {
-		i += 8
-	}
-	for i < len(in) && plainByte[in[i]] {
-		i++
-	}
-	return i
-}
-
-// plainWord reports whether all eight bytes of w are plain. Once no byte
-// has its high bit set (the last term), each of the other terms has a
-// high bit set exactly when some byte is below the space, a quote or a
-// backslash: x-ones&^x flags a zero byte of x, and borrows only ever
-// spread above a byte that is flagged already.
-func plainWord(w uint64) bool {
-	const ones = 0x0101010101010101
-	q, b := w^('"'*ones), w^('\\'*ones)
-	return ((w-' '*ones)&^w|(q-ones)&^q|(b-ones)&^b|w)&(0x80*ones) == 0
-}
 
 // escape reads the escape at the current position, unescaping it into the
 // scratch when unescape is set.

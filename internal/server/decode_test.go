@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -91,9 +91,10 @@ func checkFrameAgrees(t *testing.T, body []byte, limit int64, unknown bool) {
 // the capped body. The seeds cover encoding/json's quirks: case-folded
 // names, duplicate keys (the last wins; a second items array is decoded
 // over the first one's elements), unknown fields and null, \u escapes with
-// surrogate pairs and lone surrogates, invalid UTF-8, floats and
-// out-of-range integers, non-boolean streams, bytes after the first value,
-// and a body over the limit whose value ends before it.
+// surrogate pairs and lone surrogates, raw U+2028 and U+2029 (which
+// json.Marshal escapes but a client may send as they are), invalid UTF-8,
+// floats and out-of-range integers, non-boolean streams, bytes after the
+// first value, and a body over the limit whose value ends before it.
 func FuzzRequestDecode(f *testing.F) {
 	for _, seed := range []string{
 		``, ` `, `[]`, `"s"`, `123`, `null`, `{}`, ` { } `, `{"query":"R(x | y)"`, `{"query":"R(x | y)",}`,
@@ -105,6 +106,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"budget":1,"budget":2}`,
 		`{"query":"a","extra":{"x":[1,2,"}"]},"db":null}`,
 		`{"query":null,"if_db_version":null}`,
+		`{"query":"R(x | y)","db":"😀 \ud800 \udc00x é` + "\u2028" + `\/"}`,
 		`{"query":"R(x | y)","db":"😀 \ud800 \udc00x é \/"}`,
 		`{"query":"R(x | y)"}`,
 		"{\"query\":\"\xff\xfe\",\"db\":\"caf\xc3\xa9\"}",
@@ -129,6 +131,7 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"items":[{"query":"a"}],"stream":true,"stream":false}`, `{"stream":tru}`, `{"stream":truex}`,
 		`{"items":[{"query":"a"}],"shards":1.0}`, `{"shards":-1}`, `{"shards":"2"}`,
 		`{"items":[{"query":"\ud83d\ude00 \u00e9 \u2028","db":"\ud800"}]}`,
+		`{"items":[{"query":"é` + "\u2028" + `","db":"` + "\u2029" + `"}],"query":"` + "\u2028" + `"}`,
 		`{"items":[{"query":"\u003c\u0026\u003e","db":"R(a | b)\nR(a | c)"}],"db":"\t"}`,
 		"{\"items\":[{\"query\":\"a\",\"db\":\"\xff\"}]}",
 		`{"items":[{"query":"a"}]} trailing`, `{"items":[{"query":"a"}]}{"items":[]}`,
@@ -310,33 +313,76 @@ func TestMarshaledBatchRequestsStayOnScanner(t *testing.T) {
 	}
 }
 
-// TestPlainWord holds the word-at-a-time test of plainEnd to plainByte:
-// every byte value at every position of an otherwise plain word, and
-// random words.
-func TestPlainWord(t *testing.T) {
-	check := func(w uint64) {
-		t.Helper()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], w)
-		want := true
-		for _, c := range b {
-			want = want && plainByte[c]
+// fillValue sets v, and everything it holds, to values that are not zero
+// and differ from field to field, and fails on a kind it has no value for.
+func fillValue(t *testing.T, v reflect.Value, n int) {
+	t.Helper()
+	switch {
+	case v.Kind() == reflect.String:
+		v.SetString("R" + strconv.Itoa(n) + "(a | b)")
+	case v.CanInt():
+		v.SetInt(int64(-n))
+	case v.CanUint():
+		v.SetUint(uint64(n))
+	case v.Kind() == reflect.Bool:
+		v.SetBool(true)
+	case v.Kind() == reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillValue(t, v.Elem(), n)
+	case v.Kind() == reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillValue(t, v.Index(i), 100*n+i)
 		}
-		if got := plainWord(w); got != want {
-			t.Fatalf("plainWord(%q) = %v, want %v", b, got, want)
+	case v.Kind() == reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillValue(t, v.Field(i), 10*n+i+1)
 		}
+	default:
+		t.Fatalf("no value to fill a %s with", v.Type())
 	}
-	for c := 0; c < 256; c++ {
-		for p := 0; p < 8; p++ {
-			b := []byte("abcdefgh")
-			b[p] = byte(c)
-			check(binary.LittleEndian.Uint64(b))
-		}
+}
+
+// TestSubBatchCarriesEveryField guards AppendSubBatch, which writes the
+// batch-level members by hand, against a field added to BatchSolveRequest
+// that it would drop: a request with every field set, framed from its
+// json.Marshal body and from a body only encoding/json reads ("Items"),
+// gives a sub-batch that decodes back to it, streaming. A new field also
+// makes the scanner fall back on its key, so the first body must stay on
+// the scanner.
+func TestSubBatchCarriesEveryField(t *testing.T) {
+	var req BatchSolveRequest
+	fillValue(t, reflect.ValueOf(&req).Elem(), 0)
+	req.Stream = false
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		check(r.Uint64() & 0x7f7f7f7f7f7f7f7f)
-		check(r.Uint64())
+	want := req
+	want.Stream = true
+	folded := bytes.Replace(body, []byte(`{"items":`), []byte(`{"Items":`), 1)
+	for k, b := range [][]byte{body, folded} {
+		f, err := handlerDecode(DecodeBatchFrame, b, 8<<20, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanned := f.bufs != nil
+		idxs := make([]int, len(f.Items))
+		for i := range idxs {
+			idxs[i] = i
+		}
+		sub := f.AppendSubBatch(nil, idxs)
+		f.Release()
+		var got BatchSolveRequest
+		if err := json.Unmarshal(sub, &got); err != nil {
+			t.Fatalf("sub-batch %s: %v", sub, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sub-batch %s of %s decodes to %+v, want %+v", sub, b, got, want)
+		}
+		if scanned != (k == 0) {
+			t.Fatalf("body %s: framed by the scanner %v, want %v", b, scanned, k == 0)
+		}
 	}
 }
 
